@@ -10,12 +10,13 @@ convergence rates.
 """
 
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SchemeRun, SdeModel, floor_index, grid_point)
+                   SchemeRun, SdeModel, floor_index, grid_point,
+                   validate_start)
 from .taming import (TamingParams, stopping_threshold, tame,
                      tame_jacobian_diag, tame_laplacian, verify_taming_bounds)
-from .brownian import (BrownianGrid, bridge_value, coarsen, coarsen_increments,
-                       dump_increments, generate_block, generate_path,
-                       load_increments)
+from .brownian import (BlockStream, BrownianGrid, bridge_value, coarsen,
+                       coarsen_increments, dump_increments, generate_block,
+                       generate_path, load_increments)
 from .schemes import (BatchRuns, SchemeKind, interpolate, run_path, run_paths,
                       step_bit, step_drift_tamed, step_em)
 from .models import (catalog, check_conditions, default_sampler, model_gbm,

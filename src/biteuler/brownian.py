@@ -24,6 +24,7 @@ __all__ = [
     "BrownianGrid",
     "generate_path",
     "generate_block",
+    "BlockStream",
     "coarsen",
     "coarsen_increments",
     "bridge_value",
@@ -78,17 +79,60 @@ def generate_path(T: float, N_fine: int, m: int, seed: int, path_index: int) -> 
                         path_index=path_index, increments=incr)
 
 
+def _stream_start(seed: int, path_index: int) -> dict:
+    """Philox state at the start of path ``path_index``'s stream: the state
+    of ``_path_generator(seed, path_index)``, whose 128-bit key is stored as
+    two little-endian 64-bit words, with counter 0 and an empty buffer."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([path_index & _MASK64, seed & _MASK64],
+                                      dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+
+
 def generate_block(T: float, N_fine: int, m: int, seed: int,
                    first_path: int, count: int) -> np.ndarray:
     """Increments of paths [first_path, first_path+count) as one (count, N_fine, m)
     array.  Row j is bit-identical to generate_path(..., first_path + j)."""
     out = np.empty((count, N_fine, m))
-    scale = math.sqrt(T / N_fine)
+    # one generator per call (never shared between threads), reset to each
+    # path's stream: much cheaper than constructing one per path
+    gen = np.random.Generator(np.random.Philox())
     for j in range(count):
-        gen = _path_generator(seed, first_path + j)
-        out[j] = gen.standard_normal((N_fine, m))
-    out *= scale
+        gen.bit_generator.state = _stream_start(seed, first_path + j)
+        gen.standard_normal(out=out[j])
+    out *= math.sqrt(T / N_fine)
     return out
+
+
+class BlockStream:
+    """Increments of paths [first_path, first_path+count) on the N_fine
+    grid, drawn in time chunks of any lengths.
+
+    Concatenated along the step axis, the chunks equal
+    ``generate_block(T, N_fine, m, seed, first_path, count)`` bit for bit:
+    each path keeps its own generator, which continues where the previous
+    chunk stopped.  Memory is bounded by the chunk, not by N_fine.
+    """
+
+    def __init__(self, T: float, N_fine: int, m: int, seed: int,
+                 first_path: int, count: int):
+        self._m = m
+        self._scale = math.sqrt(T / N_fine)
+        self._left = N_fine
+        self._gens = [_path_generator(seed, first_path + j) for j in range(count)]
+
+    def draw(self, n_steps: int) -> np.ndarray:
+        """The next ``n_steps`` increments of every path, (count, n_steps, m)."""
+        if not 0 <= n_steps <= self._left:
+            raise ValueError(f"{n_steps} steps asked, {self._left} left")
+        self._left -= n_steps
+        out = np.empty((len(self._gens), n_steps, self._m))
+        for gen, row in zip(self._gens, out):
+            gen.standard_normal(out=row)
+        out *= self._scale
+        return out
 
 
 def coarsen_increments(increments: np.ndarray, N_coarse: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ErrorRow, ErrorTable, RateFit
+from .core import ErrorRow, ErrorTable, RateFit, validate_start
 from .diagnostics import stopping_probability
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
@@ -381,7 +381,7 @@ def _cmd_catalog(s: dict) -> None:
 def _cmd_simulate(s: dict) -> None:
     entry = _require_model(s)
     model = entry.model
-    x0 = _parse_x0(s.get("x0"), entry)
+    x0 = validate_start(model, _parse_x0(s.get("x0"), entry), s["M"])
     grid = GridSpec(T=s["T"], N=s["N"])
     kind = _SCHEMES[s["scheme"]]
     if s.get("dump_increments"):

@@ -125,6 +125,23 @@ class SdeModel:
             raise ValueError("state and noise dimensions must be positive")
 
 
+def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
+    """The start state of an M-path ensemble as a float (d,) array.
+
+    Raises ValueError unless x0 has exactly model.d components, all finite,
+    and M >= 1.
+    """
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (model.d,):
+        raise ValueError(f"x0 must have {model.d} component(s) for model "
+                         f"{model.name!r}, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"x0 must be finite, got {x.tolist()}")
+    if M < 1:
+        raise ValueError(f"M must be >= 1, got {M}")
+    return x
+
+
 @dataclass(frozen=True)
 class SchemeRun:
     """One simulated path on a uniform grid.

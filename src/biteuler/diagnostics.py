@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .brownian import coarsen_increments, generate_block
-from .core import GridSpec, LyapunovSpec, SchemeRun, SdeModel
+from .core import GridSpec, LyapunovSpec, SchemeRun, SdeModel, validate_start
 from .models import default_sampler
 from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
 from .taming import TamingParams, stopping_threshold, tame
@@ -504,6 +504,7 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     two exponential-moment suprema (scheme at N, and a fine-grid run at
     ref_refine*N standing in for the exact solution).
     """
+    x0 = validate_start(model, x0, M)
     n_stopped = 0
     for lo in range(0, M, batch):
         count = min(batch, M - lo)

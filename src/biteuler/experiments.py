@@ -18,13 +18,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import coarsen_increments, generate_block
-from .core import ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit, SdeModel
+from .brownian import BlockStream, coarsen_increments, generate_block
+from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
+                   SdeModel, validate_start)
 from .diagnostics import (AnalysisConstants, MomentEstimate, N0Report,
                           exp_moment_estimate, fit_growth_constant,
                           moment_bound, n0_for)
 from .models import catalog
-from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
+from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
 
 __all__ = [
     "ConvergenceConfig",
@@ -40,6 +41,7 @@ __all__ = [
 
 _N_STAT_BATCHES = 10  # batch-means stderr uses this many fixed path blocks
 _CHUNK = 1000         # paths simulated per vectorized chunk
+_CHUNK_VALUES = 1 << 16  # fine increments per time chunk of a strong-error block
 
 
 def _resolve_threads(threads: int) -> int:
@@ -57,6 +59,64 @@ def _batch_map(fn: Callable[[int], object], n_batches: int, threads: int) -> lis
 def _batch_bounds(M: int, n_batches: int) -> list[tuple[int, int]]:
     edges = [round(b * M / n_batches) for b in range(n_batches + 1)]
     return [(edges[b], edges[b + 1]) for b in range(n_batches)]
+
+
+def _path_blocks(bounds: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
+    """Consecutive paths in blocks of at most _CHUNK, as (batch, lo, hi)
+    segments: whole batches packed together, and batches larger than
+    _CHUNK cut into pieces of _CHUNK paths from their start."""
+    blocks, size = [[]], 0
+    for b, (lo, hi) in enumerate(bounds):
+        for c_lo in range(lo, hi, _CHUNK):
+            c_hi = min(c_lo + _CHUNK, hi)
+            if size + c_hi - c_lo > _CHUNK:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((b, c_lo, c_hi))
+            size += c_hi - c_lo
+    return [blk for blk in blocks if blk]
+
+
+def _time_chunk(strides: list[int], budget: int) -> int:
+    """Fine steps per time chunk of a streamed strong-error block.
+
+    A multiple of every N's stride gives each chunk whole steps of every
+    N.  When that exceeds ``budget``, a power of two c <= budget serves as
+    well if each stride is either a divisor of c or a multiple of c in its
+    power-of-two part: an N whose steps span several chunks then sums its
+    increment from per-chunk partial sums, which by the pairwise-halving
+    chain property equals coarsening the fine increments directly.
+    """
+    lcm = math.lcm(*strides)
+    if budget >= lcm:
+        return lcm * (budget // lcm)
+    c = 1 << (budget.bit_length() - 1)
+    if all(c % s == 0 or (s & -s) % c == 0 for s in strides):
+        return c
+    return lcm
+
+
+def _coarsen_levels(fine: np.ndarray, counts: list[int]) -> dict:
+    """{n: coarsen_increments(fine, n)} for each n in counts.
+
+    Each level is summed from the coarsest level already built whose
+    ratio to the fine grid is a power of two dividing the power-of-two part
+    of the level's own ratio: pairwise halving then performs exactly the
+    additions of the direct coarsening, at a fraction of the cost.
+    """
+    n_fine = fine.shape[1]
+    levels = {n_fine: fine}
+    for n in sorted(set(counts), reverse=True):
+        q = n_fine // n
+        src = min(k for k in levels if k % n == 0 and (q & -q) % (n_fine // k) == 0)
+        levels[n] = coarsen_increments(levels[src], n)
+    return levels
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Column sums of x adding its rows one after another, the order a
+    (rows, k >= 2) sum uses; a single column would be summed pairwise."""
+    return np.add.accumulate(x, axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -115,52 +175,97 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
     only.  stderr is by batch means over 10 fixed path blocks.  Paths
     flagged as overflowed contribute their capped distance and are counted
     in overflow_fraction (never silently dropped).
+
+    Up to 1000 paths (whole batches, or 1000-path pieces of larger ones)
+    are stepped together and streamed through time in short chunks of the
+    fine grid, carrying every run's state across chunks.  Each batch's sums
+    are bit for bit those of running it alone over the whole horizon, so
+    neither the blocking nor the thread count changes any output.
     """
     entry = catalog()[config.model]
     model = entry.model
-    x0 = np.asarray(config.x0 if config.x0 is not None else entry.default_x0,
-                    dtype=float)
+    x0 = validate_start(model, config.x0 if config.x0 is not None
+                        else entry.default_x0, config.M)
     if config.reference == "exact" and model.exact_solution is None:
         raise ValueError(f"model {config.model!r} has no closed-form solution")
     T = config.T
     Ns = tuple(config.Ns)
-    n_fine = config.N_ref if config.reference == "fine" else max(Ns)
+    exact = config.reference == "exact"
+    n_fine = max(Ns) if exact else config.N_ref
     ref_kind = config.ref_scheme or config.scheme
     bounds = _batch_bounds(config.M, _N_STAT_BATCHES)
+    blocks = _path_blocks(bounds)
     r = config.r
 
-    def one_batch(b: int):
-        lo, hi = bounds[b]
-        sums = {N: np.zeros(N + 1) for N in Ns}
-        over = {N: 0 for N in Ns}
-        count = 0
-        for c_lo in range(lo, hi, _CHUNK):
-            c_hi = min(c_lo + _CHUNK, hi)
-            B = c_hi - c_lo
-            count += B
-            fine = generate_block(T, n_fine, model.m, config.seed, c_lo, B)
-            if config.reference == "exact":
-                w_nodes = np.concatenate(
-                    [np.zeros((B, 1, model.m)), np.cumsum(fine, axis=1)], axis=1)
-                t_nodes = np.arange(n_fine + 1) * (T / n_fine)
+    def one_block(i: int):
+        segs = blocks[i]
+        lo = segs[0][1]
+        B = segs[-1][2] - lo
+        n_c = _time_chunk([n_fine // N for N in Ns],
+                          max(1, _CHUNK_VALUES // (B * model.m)))
+        stream = BlockStream(T, n_fine, model.m, config.seed, lo, B)
+        ref = BatchRuns.initial(GridSpec(T, n_fine), x0, B, model.d)  # "fine"
+        w_last = np.zeros((B, 1, model.m))  # "exact": W at the chunk start
+        runs = {N: BatchRuns.initial(GridSpec(T, N), x0, B, model.d) for N in Ns}
+        partial = {N: [] for N in Ns}
+        sums = {N: np.empty((len(segs), N + 1)) for N in Ns}
+
+        def accumulate(N: int, node: int, diff: np.ndarray) -> None:
+            dist_r = np.einsum("bkd,bkd->bk", diff, diff)
+            with np.errstate(over="ignore", invalid="ignore"):
+                dist_r **= r / 2.0
+            # NaN and inf saturate at the cap (fmin drops the NaN operand)
+            np.fmin(dist_r, OVERFLOW_CAP, out=dist_r)
+            nodes = slice(node, node + dist_r.shape[1])
+            for j, (_, s_lo, s_hi) in enumerate(segs):
+                sums[N][j, nodes] = _row_sum(dist_r[s_lo - lo:s_hi - lo])
+
+        for f0 in range(0, n_fine, n_c):
+            fine = stream.draw(min(n_c, n_fine - f0))
+            if exact:
+                w_nodes = np.concatenate([w_last, fine], axis=1)
+                np.cumsum(w_nodes, axis=1, out=w_nodes)
+                w_last = w_nodes[:, -1:].copy()
+                t_nodes = np.arange(f0, f0 + fine.shape[1] + 1) * (T / n_fine)
                 ref_states = model.exact_solution(x0, t_nodes, w_nodes)
             else:
-                ref_states = run_paths(ref_kind, model, GridSpec(T, n_fine),
-                                       x0, fine).states
+                ref = run_paths(ref_kind, model, ref.grid, ref, fine)
+                ref_states, ref = ref.states, ref.tail()
+            n = fine.shape[1]
+            coarse = _coarsen_levels(fine, [max(n * N // n_fine, 1) for N in Ns])
             for N in Ns:
-                dw = coarsen_increments(fine, N)
-                runs = run_paths(config.scheme, model, GridSpec(T, N), x0, dw)
+                if f0 == 0:
+                    accumulate(N, 0, runs[N].states - ref_states[:, :1])
                 stride = n_fine // N
-                diff = runs.states - ref_states[:, ::stride]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    dist_r = np.einsum("bkd,bkd->bk", diff, diff) ** (r / 2.0)
-                dist_r = np.minimum(np.nan_to_num(dist_r, nan=OVERFLOW_CAP,
-                                                  posinf=OVERFLOW_CAP), OVERFLOW_CAP)
-                sums[N] += dist_r.sum(axis=0)
-                over[N] += int(runs.overflow.sum())
-        return sums, over, count
+                if n % stride == 0:
+                    dw = coarse[n // stride]
+                else:
+                    partial[N].append(coarse[1])
+                    if len(partial[N]) * n < stride:
+                        continue
+                    dw = coarsen_increments(np.concatenate(partial[N], axis=1), 1)
+                    partial[N] = []
+                runs[N] = run_paths(config.scheme, model, runs[N].grid, runs[N], dw)
+                # the first node is the previous chunk's last, already summed
+                node = runs[N].start + 1
+                accumulate(N, node, runs[N].states[:, 1:]
+                           - ref_states[:, node * stride - f0::stride])
+                runs[N] = runs[N].tail()
+            # free this chunk's arrays before the next one is drawn
+            del fine, coarse, ref_states
+        over = {N: [int(runs[N].overflow[s_lo - lo:s_hi - lo].sum())
+                    for _, s_lo, s_hi in segs] for N in Ns}
+        return sums, over
 
-    results = _batch_map(one_batch, _N_STAT_BATCHES, config.threads)
+    # per-batch sums, merged in path order whatever ran where
+    results = [({N: np.zeros(N + 1) for N in Ns}, {N: 0 for N in Ns}, hi - lo)
+               for lo, hi in bounds]
+    for segs, (sums, over) in zip(blocks, _batch_map(one_block, len(blocks),
+                                                     config.threads)):
+        for j, (b, _, _) in enumerate(segs):
+            for N in Ns:
+                results[b][0][N] += sums[N][j]
+                results[b][1][N] += over[N][j]
 
     rows = []
     for N in Ns:
@@ -243,7 +348,7 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     capped at 1e300 (diverged paths are retained and reported, never
     dropped).
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = validate_start(model, x0, M)
     kinds = (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT)
     bounds = _batch_bounds(M, _N_STAT_BATCHES)
 
@@ -340,7 +445,7 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     the bound applies from the reported N0 onward and is typically vacuous
     (infinite) at desk-scale N, which is reported as-is.
     """
-    x0 = np.asarray(x0, dtype=float)
+    x0 = validate_start(model, x0, M)
     c_growth = fit_growth_constant(model, spec, p_growth, T=T)
     bounds = _batch_bounds(M, _N_STAT_BATCHES)
     eu0 = float(spec.U(x0))

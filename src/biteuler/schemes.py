@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +55,12 @@ class SchemeKind(enum.Enum):
 
 
 def _noise_term(model: SdeModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    return np.einsum("...dm,...m->...d", model.diffusion(y), dw)
+    sigma = model.diffusion(y)
+    if dw.shape[-1] == 1:
+        # a one-term contraction is one product; + 0.0 turns a -0.0 product
+        # into the +0.0 that einsum's zero-initialised sum returns
+        return sigma[..., 0] * dw + 0.0
+    return np.einsum("...dm,...m->...d", sigma, dw)
 
 
 def _euler_update(model: SdeModel, y: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
@@ -64,6 +69,8 @@ def _euler_update(model: SdeModel, y: np.ndarray, dt: float, dw: np.ndarray) -> 
 
 
 def _norm(y: np.ndarray) -> np.ndarray:
+    if y.shape[-1] == 1:
+        return np.sqrt(y[..., 0] * y[..., 0])  # the einsum below, for d = 1
     return np.sqrt(np.einsum("...d,...d->...", y, y))
 
 
@@ -110,10 +117,13 @@ def step_bit(model: SdeModel, grid: GridSpec, y: np.ndarray, dW: np.ndarray,
 class BatchRuns:
     """Vectorized ensemble of scheme runs sharing one grid.
 
-    ``states`` has shape (B, N+1, d); ``tau_index`` (B,) holds the first
-    grid index whose state norm exceeds the stopping threshold (N if none);
-    ``frozen`` marks paths whose stopping indicator switched off;
-    ``overflow`` marks paths that left the float64 range.
+    ``states`` has shape (B, n+1, d) and holds grid nodes start .. start+n
+    (the whole grid, n = N, for a run from the initial state); ``tau_index``
+    (B,) holds the first grid index whose state norm exceeds the stopping
+    threshold (N if none so far); ``frozen`` marks paths whose stopping
+    indicator switched off; ``overflow`` marks paths that left the float64
+    range.  A run that ends before node N can be passed back to
+    ``run_paths`` in place of ``x0`` to continue it.
     """
 
     grid: GridSpec
@@ -121,6 +131,25 @@ class BatchRuns:
     tau_index: np.ndarray
     frozen: np.ndarray
     overflow: np.ndarray
+    start: int = 0
+
+    @classmethod
+    def initial(cls, grid: GridSpec, x0, B: int, d: int) -> "BatchRuns":
+        """B paths at node 0, not yet stepped."""
+        y = np.broadcast_to(np.asarray(x0, dtype=float), (B, d))
+        return cls(grid=grid, states=y[:, None],
+                   tau_index=np.full(B, grid.N, dtype=np.int64),
+                   frozen=np.zeros(B, dtype=bool),
+                   overflow=np.zeros(B, dtype=bool))
+
+    def tail(self) -> "BatchRuns":
+        """The last node alone: all that a continuation reads."""
+        return replace(self, states=self.states[:, -1:].copy(), start=self.end)
+
+    @property
+    def end(self) -> int:
+        """Grid index of the last stored node."""
+        return self.start + self.states.shape[1] - 1
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -132,16 +161,26 @@ class BatchRuns:
                          overflow=bool(self.overflow[j]))
 
 
+# values per slice of increments tamed and made time-major at once: enough
+# steps that the per-slice calls cost little beside the per-step ones, few
+# enough that the slice's buffers stay small and in cache
+_SLICE_VALUES = 1 << 13
+
+
 def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
               dW: np.ndarray, *, threshold: Optional[float] = None,
               taming: Optional[Callable] = None) -> BatchRuns:
     """Drive a batch of paths through the scheme recursion.
 
-    ``dW`` has shape (B, N, m) and holds the per-step Brownian increments on
-    the scheme's own grid.  ``threshold`` and ``taming`` override the
-    stopped scheme's defaults (used e.g. to realize the classical scheme
-    through the tamed code path via the identity map and an infinite
-    threshold).
+    ``dW`` has shape (B, n, m) and holds per-step Brownian increments on the
+    scheme's own grid.  With an initial state ``x0`` they must cover the
+    whole grid (n = N); with a ``BatchRuns`` from an earlier call in place
+    of ``x0`` they continue its paths for the next n steps, and the chained
+    calls compute bit for bit what one call over all the steps computes.
+    ``threshold`` and ``taming`` override the stopped scheme's defaults
+    (used e.g. to realize the classical scheme through the tamed code path
+    via the identity map and an infinite threshold); pass the same ones to
+    every call of a chain.
 
     tau_index is recorded against the stopping threshold for every scheme;
     only STOPPED_BIT freezes at it.  Euler-Maruyama and drift-tamed paths
@@ -149,57 +188,67 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     their last finite state and flagged in ``overflow``.
     """
     B, n_steps, m = dW.shape
-    if n_steps != grid.N or m != model.m:
+    if isinstance(x0, BatchRuns):
+        prev = x0
+        if prev.grid != grid or len(prev) != B:
+            raise ValueError("continued runs do not match the grid or batch")
+    else:
+        if n_steps != grid.N:
+            raise ValueError("increment array shape does not match grid/model")
+        prev = BatchRuns.initial(grid, x0, B, model.d)
+    if m != model.m or prev.end + n_steps > grid.N:
         raise ValueError("increment array shape does not match grid/model")
-    T, N = grid.T, grid.N
-    h = grid.h
+    N, h, k0 = grid.N, grid.h, prev.end
     if threshold is None:
-        threshold = stopping_threshold(N, T)
-    y = np.ascontiguousarray(np.broadcast_to(np.asarray(x0, dtype=float), (B, model.d)))
-    states = np.empty((B, N + 1, model.d))
-    states[:, 0] = y
-    tau = np.full(B, N, dtype=np.int64)
-    overflow = np.zeros(B, dtype=bool)
-
-    if kind is SchemeKind.STOPPED_BIT:
-        pi = taming if taming is not None else tame
-        params = TamingParams(h=h, m=model.m)
-        for k in range(N):
-            nrm = _norm(y)
-            exceeded = nrm > threshold
-            tau = np.where((tau == N) & exceeded, k, tau)
-            upd = _euler_update(model, y, h, pi(params, dW[:, k]))
-            alive = ~exceeded
-            if not np.isfinite(upd[alive]).all():
-                raise FloatingPointError(
-                    "non-finite drift/diffusion inside the stopping region")
-            y = np.where(exceeded[:, None], y, y + upd)
-            states[:, k + 1] = y
-        frozen = tau < N
-        return BatchRuns(grid=grid, states=states, tau_index=tau,
-                         frozen=frozen, overflow=overflow)
-
+        threshold = stopping_threshold(N, grid.T)
+    stopped = kind is SchemeKind.STOPPED_BIT
     drift_tamed = kind is SchemeKind.DRIFT_TAMED
+    pi = taming if taming is not None else tame
+    params = TamingParams(h=h, m=m)
+
+    states = np.empty((B, n_steps + 1, model.d))
+    states[:, 0] = prev.states[:, -1]
+    width = max(1, min(n_steps, _SLICE_VALUES // max(B * m, 1)))
+    # the current slice's nodes, time-major so that each step reads and
+    # writes contiguous rows; row 0 is the node before the slice
+    path = np.empty((width + 1, B, model.d))
+    path[0] = states[:, 0]
+    exceeded = np.empty((width, B), dtype=bool)
+    tau = prev.tau_index.copy()
+    overflow = prev.overflow.copy()
     with np.errstate(all="ignore"):
-        for k in range(N):
-            nrm = _norm(y)
-            tau = np.where((tau == N) & (nrm > threshold), k, tau)
-            if drift_tamed:
-                mu = model.drift(y)
-                tamed = mu / (1.0 + _norm(mu)[..., None] * h)
-                upd = tamed * h + _noise_term(model, y, dW[:, k])
-            else:
-                upd = _euler_update(model, y, h, dW[:, k])
-            cand = y + upd
-            finite = np.isfinite(cand).all(axis=-1)
-            inrange = finite & (np.abs(cand).max(axis=-1) <= OVERFLOW_CAP)
-            blown = ~inrange & ~overflow
-            keep = overflow | blown
-            y = np.where(keep[:, None], y, cand)
-            overflow = overflow | blown
-            states[:, k + 1] = y
-    return BatchRuns(grid=grid, states=states, tau_index=tau,
-                     frozen=np.zeros(B, dtype=bool), overflow=overflow)
+        for s0 in range(0, n_steps, width):
+            inc = dW[:, s0:s0 + width]
+            if stopped:
+                inc = pi(params, inc)
+            for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
+                y, y_next = path[j], path[j + 1]
+                gate = np.greater(_norm(y), threshold, out=exceeded[j])
+                if drift_tamed:
+                    mu = model.drift(y)
+                    upd = (mu / (1.0 + _norm(mu)[..., None] * h)) * h \
+                        + _noise_term(model, y, dw)
+                else:
+                    upd = _euler_update(model, y, h, dw)
+                np.add(y, upd, out=y_next)
+                if stopped:
+                    if not np.isfinite(upd).all() and not np.isfinite(upd[~gate]).all():
+                        raise FloatingPointError(
+                            "non-finite drift/diffusion inside the stopping region")
+                else:
+                    overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
+                    gate = overflow
+                np.copyto(y_next, y, where=gate[:, None])
+            n = inc.shape[1]
+            states[:, s0 + 1:s0 + n + 1] = path[1:n + 1].transpose(1, 0, 2)
+            path[0] = path[n]
+            hit = (tau == N) & exceeded[:n].any(axis=0)
+            if hit.any():
+                tau[hit] = k0 + s0 + exceeded[:n, hit].argmax(axis=0)
+
+    frozen = tau < N if stopped else np.zeros(B, dtype=bool)
+    return BatchRuns(grid=grid, states=states, tau_index=tau, frozen=frozen,
+                     overflow=overflow, start=k0)
 
 
 def run_path(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,

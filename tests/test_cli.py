@@ -127,6 +127,26 @@ def test_simulate_writes_summary(tmp_path, capsys):
     assert 0.0 <= payload["stopped_fraction"] <= 1.0
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--model", "vdp", "--x0", "1"], "2 component"),
+    (["--model", "gbm", "--x0", "nan"], "finite"),
+    (["--model", "gbm", "--M", "0"], "M must be >= 1"),
+])
+def test_simulate_rejects_bad_start_or_path_count(capsys, args, message):
+    assert main(["simulate", "--N", "8", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_experiment_commands_reject_non_finite_start(capsys):
+    assert main(["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M",
+                 "20", "--x0", "inf"]) == 1
+    assert main(["moments", "--model", "ginzburg-landau", "--Ns", "8,16",
+                 "--M", "20", "--x0", "1,2"]) == 1
+    assert capsys.readouterr().err.count("error: x0 must") == 2
+
+
 def test_simulate_dumps_increments(tmp_path):
     from biteuler.brownian import generate_path, load_increments
 

@@ -1,0 +1,361 @@
+"""The streamed strong-error engine against a whole-horizon oracle.
+
+strong_error steps blocks of up to 1000 paths (several batch-means batches)
+through time in short fine-grid chunks, carrying each run's state from one
+chunk to the next.  Every test here demands bit-for-bit equality with the
+straightforward computation, or a memory bound that the whole-horizon
+computation does not meet.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from biteuler import experiments, schemes
+from biteuler.brownian import (BlockStream, coarsen_increments,
+                               generate_block, generate_path)
+from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel
+from biteuler.experiments import ConvergenceConfig, strong_error
+from biteuler.models import catalog, model_gbm
+from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
+from biteuler.taming import (TamingParams, stopping_threshold, tame,
+                             tame_identity)
+
+
+def oracle_strong_error(config: ConvergenceConfig) -> ErrorTable:
+    """strong_error the whole-horizon way: every batch-means batch on its
+    own, per-path streams from generate_path, one run_paths call over the
+    whole grid per resolution, and (B, N+1) column sums."""
+    entry = catalog()[config.model]
+    model = entry.model
+    x0 = np.asarray(config.x0 if config.x0 is not None else entry.default_x0,
+                    dtype=float)
+    T, Ns, r = config.T, config.Ns, config.r
+    exact = config.reference == "exact"
+    n_fine = max(Ns) if exact else config.N_ref
+    edges = [round(b * config.M / 10) for b in range(11)]
+    batches = []
+    for lo, hi in zip(edges, edges[1:]):
+        sums = {N: np.zeros(N + 1) for N in Ns}
+        over = {N: 0 for N in Ns}
+        if hi > lo:
+            fine = np.stack([generate_path(T, n_fine, model.m, config.seed,
+                                           j).increments for j in range(lo, hi)])
+            if exact:
+                w = np.concatenate([np.zeros((hi - lo, 1, model.m)),
+                                    np.cumsum(fine, axis=1)], axis=1)
+                ref = model.exact_solution(x0, np.arange(n_fine + 1) * (T / n_fine), w)
+            else:
+                ref = run_paths(config.ref_scheme or config.scheme, model,
+                                GridSpec(T, n_fine), x0, fine).states
+            for N in Ns:
+                runs = run_paths(config.scheme, model, GridSpec(T, N), x0,
+                                 coarsen_increments(fine, N))
+                diff = runs.states - ref[:, ::n_fine // N]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    dist = np.einsum("bkd,bkd->bk", diff, diff) ** (r / 2.0)
+                dist = np.minimum(np.nan_to_num(dist, nan=OVERFLOW_CAP,
+                                                posinf=OVERFLOW_CAP), OVERFLOW_CAP)
+                sums[N] += dist.sum(axis=0)
+                over[N] += int(runs.overflow.sum())
+        batches.append((sums, over, hi - lo))
+    rows = []
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for N in Ns:
+            pooled = sum(s[N] for s, _, _ in batches)
+            sups = [float(np.max((s[N] / n) ** (1.0 / r))) for s, _, n in batches]
+            per_k = (pooled / config.M) ** (1.0 / r)
+            rows.append(ErrorRow(
+                N=N, M=config.M, sup_error=float(np.max(per_k)),
+                std_error=float(np.std(sups, ddof=1) / math.sqrt(len(sups))),
+                seed=config.seed, per_gridpoint_errors=per_k,
+                overflow_fraction=sum(o[N] for _, o, _ in batches) / config.M))
+    return ErrorTable(scheme=config.scheme.value, model=config.model, r=r,
+                      rows=tuple(rows), T=T)
+
+
+def bits(table: ErrorTable) -> list:
+    """Every number of a table as exact bytes (NaN included)."""
+    return [(row.N, np.float64(row.sup_error).tobytes(),
+             np.float64(row.std_error).tobytes(),
+             row.per_gridpoint_errors.tobytes(), row.overflow_fraction)
+            for row in table.rows]
+
+
+# budgets of fine increments per time chunk: the default; 16 steps for a
+# 37-path block, which gives N=4 exactly one node per chunk; and one step
+# per chunk, so every N carries partial increment sums across chunks
+CHUNK_VALUES = (experiments._CHUNK_VALUES, 16 * 37, 1)
+
+
+@pytest.mark.parametrize("chunk_values", CHUNK_VALUES)
+@pytest.mark.parametrize("M", (1, 37, 2500))
+@pytest.mark.parametrize("reference", ("fine", "exact"))
+@pytest.mark.parametrize("scheme", list(SchemeKind))
+def test_streamed_strong_error_equals_whole_horizon_oracle(
+        monkeypatch, scheme, reference, M, chunk_values):
+    if reference == "exact":
+        config = ConvergenceConfig(model="gbm", scheme=scheme, Ns=(4, 8, 16),
+                                   M=M, seed=3, reference="exact")
+    else:
+        # from x0 = 5 Euler-Maruyama overflows and the stopped scheme freezes
+        config = ConvergenceConfig(model="ginzburg-landau", scheme=scheme,
+                                   Ns=(4, 8), M=M, seed=5, reference="fine",
+                                   N_ref=64, x0=(5.0,))
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk_values)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        streamed = strong_error(config)
+    assert bits(streamed) == bits(oracle_strong_error(config))
+    if scheme is SchemeKind.EULER_MARUYAMA and reference == "fine" and M > 1:
+        assert streamed.rows[-1].overflow_fraction > 0
+
+
+@pytest.mark.parametrize("chunk_values", CHUNK_VALUES)
+def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, chunk_values):
+    # strides 16 and 8 from N_ref = 48, a drift-tamed reference and r = 3
+    config = ConvergenceConfig(model="vdp", scheme=SchemeKind.STOPPED_BIT,
+                               Ns=(3, 6), M=40, seed=2, reference="fine",
+                               N_ref=48, r=3.0, x0=(2.0, -1.0),
+                               ref_scheme=SchemeKind.DRIFT_TAMED)
+    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk_values)
+    assert bits(strong_error(config)) == bits(oracle_strong_error(config))
+
+
+def test_thread_count_does_not_change_any_bit():
+    # 2500 paths make three blocks, so two workers really share the work
+    base = dict(model="ginzburg-landau", scheme=SchemeKind.STOPPED_BIT,
+                Ns=(8, 16), M=2500, seed=11, reference="fine", N_ref=128)
+    one = strong_error(ConvergenceConfig(**base, threads=1))
+    two = strong_error(ConvergenceConfig(**base, threads=2))
+    assert bits(one) == bits(two)
+
+
+def test_path_blocks_pack_whole_batches_in_path_order():
+    bounds = experiments._batch_bounds(2500, 10)
+    blocks = experiments._path_blocks(bounds)
+    assert [len(b) for b in blocks] == [4, 4, 2]
+    assert [seg for blk in blocks for seg in blk] == [
+        (b, lo, hi) for b, (lo, hi) in enumerate(bounds)]
+    # batches larger than a block are cut where the per-batch loop cut them
+    big = experiments._path_blocks(experiments._batch_bounds(25000, 10))
+    assert big[:3] == [[(0, 0, 1000)], [(0, 1000, 2000)], [(0, 2000, 2500)]]
+
+
+@pytest.mark.parametrize("counts", ([24, 12, 8, 6, 4, 3, 2, 1], [16, 8, 1]))
+def test_coarsen_levels_equal_direct_coarsening(counts):
+    fine = generate_block(1.0, 48, 2, seed=4, first_path=0, count=5)
+    levels = experiments._coarsen_levels(fine, counts)
+    for n in counts:
+        assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()
+
+
+def test_block_stream_chunks_equal_one_draw():
+    whole = generate_block(2.0, 100, 2, seed=5, first_path=10, count=7)
+    stream = BlockStream(2.0, 100, 2, seed=5, first_path=10, count=7)
+    parts = [stream.draw(n) for n in (1, 0, 33, 64, 2)]
+    assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
+    with pytest.raises(ValueError):
+        stream.draw(1)
+
+
+# ---------------------------------------------------------------------------
+# the carried-state kernel
+
+
+def reference_run(kind, model, grid, x0, dW):
+    """The scheme recursion one step at a time with the general einsum
+    contractions: states, tau_index and overflow."""
+    B, N, _ = dW.shape
+    h = grid.h
+    threshold = stopping_threshold(N, grid.T)
+    norm = lambda v: np.sqrt(np.einsum("...d,...d->...", v, v))
+    y = np.broadcast_to(np.asarray(x0, dtype=float), (B, model.d)).copy()
+    states, tau = [y], np.full(B, N)
+    overflow = np.zeros(B, dtype=bool)
+    with np.errstate(all="ignore"):
+        for k in range(N):
+            exceeded = norm(y) > threshold
+            tau = np.where((tau == N) & exceeded, k, tau)
+            dw = dW[:, k]
+            if kind is SchemeKind.STOPPED_BIT:
+                dw = tame(TamingParams(h=h, m=model.m), dw)
+            mu = model.drift(y)
+            if kind is SchemeKind.DRIFT_TAMED:
+                mu = mu / (1.0 + norm(mu)[..., None] * h)
+            cand = y + (mu * h + np.einsum("...dm,...m->...d",
+                                           model.diffusion(y), dw))
+            if kind is SchemeKind.STOPPED_BIT:
+                keep = exceeded
+            else:
+                overflow |= ~(np.isfinite(cand).all(axis=-1)
+                              & (np.abs(cand).max(axis=-1) <= OVERFLOW_CAP))
+                keep = overflow
+            y = np.where(keep[:, None], y, cand)
+            states.append(y)
+    return np.stack(states, axis=1), tau, overflow
+
+
+@pytest.mark.parametrize("name,x0", [("ginzburg-landau", [5.0]),
+                                     ("ginzburg-landau", [-0.0]),
+                                     ("vdp", [-0.0, -0.0]), ("vdp", [3.0, -2.0]),
+                                     ("gbm", [-0.0])])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_kernel_equals_step_by_step_reference(name, x0, kind):
+    # signed zeros included: the one-term noise product must round -0.0
+    # to +0.0 the way the einsum contraction does
+    model = catalog()[name].model
+    grid = GridSpec(1.0, 40)
+    dW = generate_block(1.0, 40, model.m, seed=6, first_path=0, count=9)
+    runs = run_paths(kind, model, grid, x0, dW)
+    states, tau, overflow = reference_run(kind, model, grid, x0, dW)
+    assert runs.states.tobytes() == states.tobytes()
+    assert runs.tau_index.tolist() == tau.tolist()
+    assert runs.overflow.tolist() == overflow.tolist()
+
+
+def chained(kind, model, grid, x0, dW, cuts, **kw):
+    """run_paths over dW in pieces split at ``cuts``, each continuing the
+    last; returns the stitched states and the final BatchRuns."""
+    runs = BatchRuns.initial(grid, x0, dW.shape[0], model.d)
+    states = [runs.states]
+    for a, b in zip((0, *cuts), (*cuts, grid.N)):
+        runs = run_paths(kind, model, grid, runs, dW[:, a:b], **kw)
+        assert runs.start == a
+        states.append(runs.states[:, 1:])
+    return np.concatenate(states, axis=1), runs
+
+
+# (model, x0): GL from 20 passes the threshold at node 0, GBM with unit
+# volatility from 4 passes it midway on some paths, GL from 5 overflows
+# under Euler-Maruyama
+CHAIN_CASES = [(catalog()["ginzburg-landau"].model, [5.0]),
+               (catalog()["ginzburg-landau"].model, [20.0]),
+               (catalog()["vdp"].model, [3.0, -2.0]),
+               (model_gbm(0.0, 1.0), [4.0])]
+
+
+@pytest.mark.parametrize("slice_values", (schemes._SLICE_VALUES, 3 * 23))
+@pytest.mark.parametrize("model,x0", CHAIN_CASES)
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_chained_run_paths_equals_one_call(monkeypatch, kind, model, x0,
+                                           slice_values):
+    # 3 * 23 values make 3-step slices, so a path can first pass the
+    # threshold in any slice of any call
+    monkeypatch.setattr(schemes, "_SLICE_VALUES", slice_values)
+    grid = GridSpec(1.0, 150)
+    dW = generate_block(1.0, 150, model.m, seed=8, first_path=0, count=23)
+    whole = run_paths(kind, model, grid, x0, dW)
+    states, last = chained(kind, model, grid, x0, dW, (1, 8, 77, 149))
+    assert states.tobytes() == whole.states.tobytes()
+    for field in ("tau_index", "frozen", "overflow"):
+        assert getattr(last, field).tobytes() == getattr(whole, field).tobytes()
+    if model.name == "gbm":
+        assert ((whole.tau_index > 10) & (whole.tau_index < 150)).any()
+
+
+def test_chained_overrides_and_carried_overflow():
+    gl = catalog()["ginzburg-landau"].model
+    grid = GridSpec(1.0, 8)
+    dW = generate_block(1.0, 8, 1, seed=0, first_path=0, count=16)
+    whole = run_paths(SchemeKind.EULER_MARUYAMA, gl, grid, [5.0], dW)
+    states, last = chained(SchemeKind.EULER_MARUYAMA, gl, grid, [5.0], dW, (4,))
+    assert whole.overflow.all() and last.overflow.all()
+    assert states.tobytes() == whole.states.tobytes()
+    # an infinite increment right before the cut: the flagged paths must stay
+    # frozen in the next chunk, although its increments are finite again
+    blown = dW.copy()
+    blown[::2, 3] = math.inf
+    states, last = chained(SchemeKind.EULER_MARUYAMA, gl, grid, [0.5], blown, (4,))
+    assert last.overflow[::2].all() and (states[::2, 4:] == states[::2, 3:4]).all()
+    assert states.tobytes() == run_paths(SchemeKind.EULER_MARUYAMA, gl, grid,
+                                         [0.5], blown).states.tobytes()
+    em_like, _ = chained(SchemeKind.STOPPED_BIT, gl, grid, [1.0], dW, (3,),
+                         threshold=math.inf, taming=tame_identity)
+    em = run_paths(SchemeKind.EULER_MARUYAMA, gl, grid, [1.0], dW)
+    assert em_like.tobytes() == em.states.tobytes()
+
+
+def test_continuation_checks_grid_batch_and_horizon():
+    gl = catalog()["ginzburg-landau"].model
+    grid = GridSpec(1.0, 8)
+    dW = generate_block(1.0, 8, 1, seed=0, first_path=0, count=4)
+    half = run_paths(SchemeKind.STOPPED_BIT, gl, grid,
+                     BatchRuns.initial(grid, [1.0], 4, 1), dW[:, :4])
+    with pytest.raises(ValueError):
+        run_paths(SchemeKind.STOPPED_BIT, gl, grid, half, dW)  # past node N
+    with pytest.raises(ValueError):
+        run_paths(SchemeKind.STOPPED_BIT, gl, GridSpec(1.0, 16), half, dW[:, 4:])
+    with pytest.raises(ValueError):
+        run_paths(SchemeKind.STOPPED_BIT, gl, grid, half, dW[:3, 4:])
+    with pytest.raises(ValueError):  # an initial state needs the whole grid
+        run_paths(SchemeKind.STOPPED_BIT, gl, grid, [1.0], dW[:, :4])
+
+
+def _nan_above(level: float) -> SdeModel:
+    return SdeModel(name="nan-above", d=1, m=1,
+                    drift=lambda x: np.where(x > level, np.nan, -x),
+                    diffusion=lambda x: np.ones(x.shape + (1,)))
+
+
+def test_nan_drift_at_live_state_raises_in_any_chunk():
+    grid = GridSpec(1.0, 64)
+    dW = generate_block(1.0, 64, 1, seed=11, first_path=0, count=50)
+    with pytest.raises(FloatingPointError):
+        run_paths(SchemeKind.STOPPED_BIT, _nan_above(1.2), grid, [1.0], dW)
+    # the first chunk stays below the level; the second crosses it
+    model = _nan_above(1.5)
+    first = run_paths(SchemeKind.STOPPED_BIT, model, grid,
+                      BatchRuns.initial(grid, [0.0], 50, 1), dW[:, :1])
+    with pytest.raises(FloatingPointError):
+        run_paths(SchemeKind.STOPPED_BIT, model, grid, first,
+                  np.full((50, 63, 1), 0.25))
+
+
+def test_nan_drift_at_frozen_state_does_not_raise():
+    # the drift is NaN everywhere beyond the threshold, where the path is
+    # frozen, so the update is never applied
+    grid = GridSpec(1.0, 64)
+    dW = generate_block(1.0, 64, 1, seed=11, first_path=0, count=8)
+    runs = run_paths(SchemeKind.STOPPED_BIT, _nan_above(4.0), grid, [8.0], dW)
+    assert (runs.tau_index == 0).all() and runs.frozen.all()
+
+
+def test_infinite_start_freezes_at_zero_without_raising():
+    gl = catalog()["ginzburg-landau"].model
+    grid = GridSpec(1.0, 16)
+    dW = generate_block(1.0, 16, 1, seed=2, first_path=0, count=5)
+    runs = run_paths(SchemeKind.STOPPED_BIT, gl, grid, [math.inf], dW)
+    assert (runs.tau_index == 0).all() and runs.frozen.all()
+    assert (runs.states == math.inf).all()
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+def _peak_traced_bytes(config: ConvergenceConfig) -> int:
+    tracemalloc.start()
+    try:
+        strong_error(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_flat_as_the_grids_refine():
+    # N_ref 2^12 -> 2^14 with every N scaled by the same factor: the
+    # whole-horizon engine's peak grows about fourfold (1.8 -> 7.1 MB)
+    def config(n_ref, Ns, M=200):
+        return ConvergenceConfig(model="ginzburg-landau",
+                                 scheme=SchemeKind.STOPPED_BIT, Ns=Ns, M=M,
+                                 seed=1, reference="fine", N_ref=n_ref)
+    strong_error(config(128, (16,), M=10))  # one-time allocations
+    Ns = (16, 32, 64, 128)
+    small = _peak_traced_bytes(config(2**12, Ns))
+    scaled = _peak_traced_bytes(config(2**14, tuple(4 * n for n in Ns)))
+    assert scaled <= 1.25 * small, (small, scaled)
+    # partial increment sums carried across chunks bound it at fixed Ns too
+    fixed = _peak_traced_bytes(config(2**14, Ns))
+    assert fixed <= 1.25 * small, (small, fixed)
