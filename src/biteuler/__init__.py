@@ -17,8 +17,7 @@ from .taming import (TamingParams, stopping_threshold, tame,
 from .brownian import (BlockStream, BrownianGrid, bridge_value, coarsen,
                        coarsen_increments, dump_increments, generate_block,
                        generate_path, load_increments)
-from .schemes import (BatchRuns, SchemeKind, interpolate, run_path, run_paths,
-                      step_bit, step_drift_tamed, step_em)
+from .schemes import BatchRuns, SchemeKind, interpolate, run_path, run_paths
 from .models import (catalog, check_conditions, default_sampler, model_gbm,
                      model_ginzburg_landau, model_vdp)
 from .diagnostics import (AnalysisConstants, epsilon_n, exp_moment_estimate,

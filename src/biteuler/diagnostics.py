@@ -24,7 +24,7 @@ import numpy as np
 from .brownian import coarsen_increments, generate_block
 from .core import GridSpec, LyapunovSpec, SchemeRun, SdeModel, validate_start
 from .models import default_sampler
-from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
+from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, _update, run_paths
 from .taming import TamingParams, stopping_threshold, tame
 
 __all__ = [
@@ -45,6 +45,10 @@ __all__ = [
     "stopping_probability",
     "StoppingReport",
 ]
+
+# paths simulated per vectorized block by the Monte Carlo estimators
+_BATCH = 1000
+_REGULARITY_BATCH = 500  # smaller: each path also keeps its fine increments
 
 
 @dataclass(frozen=True)
@@ -166,16 +170,14 @@ def _growth_lhs(model: SdeModel, spec: Optional[LyapunovSpec], x: np.ndarray) ->
     return lhs
 
 
-def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
-                     consts: AnalysisConstants, n_points: int = 10000,
-                     radius: float = 10.0, seed: int = 7) -> GrowthReport:
-    """Sample the two growth inequalities at n_points points/pairs.
+def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
+                    n_points: int, radius: float, seed: int):
+    """The sampled terms of the two growth inequalities, c left out.
 
-    Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
-               <= c (1 + ||x||^p + ||y||^p) ||x-y||;
-    growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
-               <= c (1 + ||x||^p)  (the U terms are dropped when no
-               Lyapunov data is supplied).
+    Returns (lhs_lip, poly_lip, dist, lhs_gro, poly_gro): at the sampled
+    pairs (x, y) with x != y the Lipschitz inequality reads
+    lhs_lip <= c * poly_lip * dist, and at the sampled points x the growth
+    inequality reads lhs_gro <= c * poly_gro.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     sample = default_sampler(radius)
@@ -188,13 +190,27 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
     dist = np.sqrt(np.einsum("...d,...d->...", x_p - y_p, x_p - y_p))
     lhs_lip = (np.sqrt(np.einsum("...d,...d->...", dmu, dmu))
                + np.sqrt(np.einsum("...dm,...dm->...", dsig, dsig)))
-    nx = np.linalg.norm(x_p, axis=-1) ** consts.p
-    ny = np.linalg.norm(y_p, axis=-1) ** consts.p
-    lip_margin = float(np.max(lhs_lip - consts.c * (1.0 + nx + ny) * dist))
+    poly_lip = (1.0 + np.linalg.norm(x_p, axis=-1) ** p
+                + np.linalg.norm(y_p, axis=-1) ** p)
+    poly_gro = 1.0 + np.linalg.norm(x, axis=-1) ** p
+    return lhs_lip, poly_lip, dist, _growth_lhs(model, spec, x), poly_gro
 
-    lhs_gro = _growth_lhs(model, spec, x)
-    gro_margin = float(np.max(
-        lhs_gro - consts.c * (1.0 + np.linalg.norm(x, axis=-1) ** consts.p)))
+
+def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
+                     consts: AnalysisConstants, n_points: int = 10000,
+                     radius: float = 10.0, seed: int = 7) -> GrowthReport:
+    """Sample the two growth inequalities at n_points points/pairs.
+
+    Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
+               <= c (1 + ||x||^p + ||y||^p) ||x-y||;
+    growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
+               <= c (1 + ||x||^p)  (the U terms are dropped when no
+               Lyapunov data is supplied).
+    """
+    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
+        model, spec, consts.p, n_points, radius, seed)
+    lip_margin = float(np.max(lhs_lip - consts.c * poly_lip * dist))
+    gro_margin = float(np.max(lhs_gro - consts.c * poly_gro))
     return GrowthReport(c=consts.c, p=consts.p, n_points=n_points,
                         lipschitz_margin=lip_margin, growth_margin=gro_margin)
 
@@ -205,22 +221,10 @@ def fit_growth_constant(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
                         headroom: float = 1.1) -> float:
     """Smallest c (times ``headroom``) dominating the sampled growth
     inequalities for the given degree p, floored at T**(1/32)."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    sample = default_sampler(radius)
-    x = sample(rng, n_points, model.d)
-    y = sample(rng, n_points, model.d)
-    keep = np.einsum("...d,...d->...", x - y, x - y) > 0
-    x_p, y_p = x[keep], y[keep]
-    dmu = model.drift(x_p) - model.drift(y_p)
-    dsig = model.diffusion(x_p) - model.diffusion(y_p)
-    dist = np.sqrt(np.einsum("...d,...d->...", x_p - y_p, x_p - y_p))
-    lhs_lip = (np.sqrt(np.einsum("...d,...d->...", dmu, dmu))
-               + np.sqrt(np.einsum("...dm,...dm->...", dsig, dsig)))
-    denom_lip = (1.0 + np.linalg.norm(x_p, axis=-1) ** p
-                 + np.linalg.norm(y_p, axis=-1) ** p) * dist
-    c_lip = float(np.max(lhs_lip / denom_lip))
-    lhs_gro = _growth_lhs(model, spec, x)
-    c_gro = float(np.max(lhs_gro / (1.0 + np.linalg.norm(x, axis=-1) ** p)))
+    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
+        model, spec, p, n_points, radius, seed)
+    c_lip = float(np.max(lhs_lip / (poly_lip * dist)))
+    c_gro = float(np.max(lhs_gro / poly_gro))
     return headroom * max(c_lip, c_gro, T ** (1.0 / 32.0))
 
 
@@ -304,24 +308,19 @@ def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
     states: (B, N+1, d); incr_fine: (B, refine*N, m).  Returns an array of
     shape (B, N, refine-1) of deviations at the interior fine nodes.
     """
-    B, n_plus, d = states.shape
+    B = states.shape[0]
     N = grid.N
     refine = incr_fine.shape[1] // N
     h = grid.h
-    params = TamingParams(h=h, m=model.m)
     thr = stopping_threshold(N, grid.T)
-    y = states[:, :-1]                                       # (B, N, d)
+    y = states[:, :-1, None]                                 # (B, N, 1, d)
     alive = np.sqrt(np.einsum("...d,...d->...", y, y)) <= thr
     partial = np.cumsum(incr_fine.reshape(B, N, refine, model.m), axis=2)
-    offsets = np.arange(1, refine) * (h / refine)            # interior nodes
-    mu = model.drift(y)                                      # (B, N, d)
-    sig = model.diffusion(y)                                 # (B, N, d, m)
-    dev = np.empty((B, N, refine - 1))
-    for j, s in enumerate(offsets):
-        pi = tame(params, partial[:, :, j])
-        upd = mu * s + np.einsum("...dm,...m->...d", sig, pi)
-        dev[:, :, j] = np.sqrt(np.einsum("...d,...d->...", upd, upd))
-    return np.where(alive[:, :, None], dev, 0.0)
+    pi = tame(TamingParams(h=h, m=model.m), partial[:, :, :-1])
+    offsets = np.arange(1, refine)[:, None] * (h / refine)   # interior nodes
+    upd = _update(SchemeKind.STOPPED_BIT, model, y, pi, offsets, h)
+    dev = np.sqrt(np.einsum("...d,...d->...", upd, upd))     # (B, N, refine-1)
+    return np.where(alive, dev, 0.0)
 
 
 def regularity_bound(consts: AnalysisConstants) -> float:
@@ -359,10 +358,11 @@ def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
 
 
 def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
-                     x0, M: int, samples_per_step: int, seed: int,
-                     batch: int = 500) -> RegularityReport:
+                     x0, M: int, samples_per_step: int,
+                     seed: int) -> RegularityReport:
     """Ensemble version of regularity_check: M stopped-tamed paths with
     samples_per_step intra-step probes each."""
+    x0 = validate_start(model, x0, M)
     consts = consts.at(grid.N)
     growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
     refine = samples_per_step + 1
@@ -370,8 +370,8 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     n_total = 0
     n_pass = 0
     max_lhs = 0.0
-    for lo in range(0, M, batch):
-        count = min(batch, M - lo)
+    for lo in range(0, M, _REGULARITY_BATCH):
+        count = min(_REGULARITY_BATCH, M - lo)
         fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, count)
         dw = coarsen_increments(fine, grid.N)
         runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
@@ -420,8 +420,8 @@ def _functional_at(runs: BatchRuns, spec: LyapunovSpec, j: int,
 
 
 def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
-                        grid: GridSpec, M: int, t: float, seed: int, x0,
-                        batch: int = 1000) -> MomentEstimate:
+                        grid: GridSpec, M: int, t: float, seed: int,
+                        x0) -> MomentEstimate:
     """Monte Carlo estimate of the exponential-moment functional
 
         E[exp(e^{-rho (t ^ tau)} U(Y_t) + int_0^{t ^ tau} e^{-rho r} U_bar(Y_r) dr)]
@@ -430,11 +430,12 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     scheme's own grid restricted to [0, t ^ tau].  Overflowing exponentials
     saturate at 1e300 and are counted in saturated_fraction.
     """
+    x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
     h = grid.h
     vals = np.empty(M)
-    for lo in range(0, M, batch):
-        count = min(batch, M - lo)
+    for lo in range(0, M, _BATCH):
+        count = min(_BATCH, M - lo)
         dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
         runs = run_paths(kind, model, grid, x0, dw)
         k_idx = np.arange(j_t)
@@ -454,17 +455,18 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
 
 def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
                         grid: GridSpec, M: int, seed: int, x0,
-                        use_tau: bool = True, batch: int = 1000) -> float:
+                        use_tau: bool = True) -> float:
     """sup over grid times of E[exp(e^{-rho (t ^ tau)}|U(Y_t)| + int |U_bar|)].
 
     The two suprema of this form (one for a fine-grid stand-in of the exact
     solution, one for the scheme) multiply to the constant in the
     stopping-probability bound.
     """
+    x0 = validate_start(model, x0, M)
     h = grid.h
     sums = np.zeros(grid.N + 1)
-    for lo in range(0, M, batch):
-        count = min(batch, M - lo)
+    for lo in range(0, M, _BATCH):
+        count = min(_BATCH, M - lo)
         dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
         runs = run_paths(kind, model, grid, x0, dw)
         tau = runs.tau_index if use_tau else np.full(count, grid.N)
@@ -494,8 +496,8 @@ class StoppingReport:
 
 def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
                          x0, spec: Optional[LyapunovSpec] = None,
-                         bound_paths: int = 1000, ref_refine: int = 8,
-                         batch: int = 1000) -> StoppingReport:
+                         bound_paths: int = 1000,
+                         ref_refine: int = 8) -> StoppingReport:
     """Estimate P[tau^N < T] for the stopped tamed scheme.
 
     The estimate is the fraction of paths whose stopping index precedes the
@@ -506,8 +508,8 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     """
     x0 = validate_start(model, x0, M)
     n_stopped = 0
-    for lo in range(0, M, batch):
-        count = min(batch, M - lo)
+    for lo in range(0, M, _BATCH):
+        count = min(_BATCH, M - lo)
         dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
         runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
         n_stopped += int(np.sum(runs.tau_index < grid.N))

@@ -1,4 +1,4 @@
-"""One-step maps and path drivers for the three Euler-type schemes.
+"""The Euler-type update and the path drivers of the three schemes.
 
 Schemes:
 
@@ -13,30 +13,27 @@ Schemes:
   the indicator ||Y_k|| <= exp(sqrt(|log(N/T)|)).  Once the norm exceeds the
   threshold the path is constant (frozen) for the rest of the horizon.
 
-All steppers are pure and vectorized over a leading batch axis; the batched
-driver ``run_paths`` and the single-path ``run_path`` perform bit-identical
-arithmetic.
+The schemes differ only in how they transform the drift, how they transform
+the increment and which gate they apply, so the update mu*s + sigma@dW is
+written once (``_update``) and shared by the batched driver ``run_paths``,
+the single-path ``run_path`` and the interpolant ``interpolate``, which
+therefore perform bit-identical arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
 
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen_increments
 from .core import GridSpec, SchemeRun, SdeModel
-from .taming import TamingParams, stopping_threshold, tame, tame_identity
+from .taming import TamingParams, stopping_threshold, tame
 
 __all__ = [
     "SchemeKind",
     "OVERFLOW_CAP",
-    "step_em",
-    "step_drift_tamed",
-    "step_bit",
     "run_path",
     "run_paths",
     "BatchRuns",
@@ -54,63 +51,32 @@ class SchemeKind(enum.Enum):
     STOPPED_BIT = "bit"
 
 
-def _noise_term(model: SdeModel, y: np.ndarray, dw: np.ndarray) -> np.ndarray:
-    sigma = model.diffusion(y)
-    if dw.shape[-1] == 1:
-        # a one-term contraction is one product; + 0.0 turns a -0.0 product
-        # into the +0.0 that einsum's zero-initialised sum returns
-        return sigma[..., 0] * dw + 0.0
-    return np.einsum("...dm,...m->...d", sigma, dw)
-
-
-def _euler_update(model: SdeModel, y: np.ndarray, dt: float, dw: np.ndarray) -> np.ndarray:
-    """mu(y)*dt + sigma(y) @ dw, the shared Euler-type update term."""
-    return model.drift(y) * dt + _noise_term(model, y, dw)
-
-
 def _norm(y: np.ndarray) -> np.ndarray:
     if y.shape[-1] == 1:
         return np.sqrt(y[..., 0] * y[..., 0])  # the einsum below, for d = 1
     return np.sqrt(np.einsum("...d,...d->...", y, y))
 
 
-def step_em(model: SdeModel, grid: GridSpec, y: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Classical Euler-Maruyama step: y + mu(y)*h + sigma(y)@dW."""
-    with np.errstate(all="ignore"):
-        return y + _euler_update(model, y, grid.h, dW)
+def _update(kind: SchemeKind, model: SdeModel, y: np.ndarray, dw: np.ndarray,
+            s, h: float) -> np.ndarray:
+    """The Euler-type update mu~(y)*s + sigma(y) @ dw of every scheme.
 
-
-def step_drift_tamed(model: SdeModel, grid: GridSpec, y: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """Drift-tamed step: the drift is scaled by 1/(1 + ||mu(y)||*h).
-
-    The tamed drift contribution per step has norm < 1 by construction.
+    mu~ is the drift scaled by 1/(1 + ||mu(y)||*h) for DRIFT_TAMED and the
+    drift itself otherwise; ``dw`` is the increment as the scheme uses it
+    (already tamed for STOPPED_BIT).  ``s`` is the time offset from y's
+    node: h for a whole step, less for the interpolant.
     """
-    h = grid.h
-    with np.errstate(all="ignore"):
-        mu = model.drift(y)
-        tamed = mu / (1.0 + _norm(mu)[..., None] * h)
-        return y + (tamed * h + _noise_term(model, y, dW))
-
-
-def step_bit(model: SdeModel, grid: GridSpec, y: np.ndarray, dW: np.ndarray,
-             threshold: Optional[float] = None) -> np.ndarray:
-    """Stopped Brownian-increment tamed step.
-
-    If ||y|| exceeds the stopping threshold the state is returned unchanged;
-    otherwise the Euler update is applied with the tamed increment.  Raises
-    on non-finite drift/diffusion values at live states (model misuse
-    outside its admissible region).
-    """
-    if threshold is None:
-        threshold = stopping_threshold(grid.N, grid.T)
-    params = TamingParams(h=grid.h, m=model.m)
-    y = np.asarray(y, dtype=float)
-    upd = _euler_update(model, y, grid.h, tame(params, dW))
-    alive = _norm(y) <= threshold
-    if not np.isfinite(upd[alive]).all():
-        raise FloatingPointError(
-            "non-finite drift/diffusion inside the stopping region")
-    return np.where(alive[..., None], y + upd, y)
+    mu = model.drift(y)
+    if kind is SchemeKind.DRIFT_TAMED:
+        mu = mu / (1.0 + _norm(mu)[..., None] * h)
+    sigma = model.diffusion(y)
+    if dw.shape[-1] == 1:
+        # a one-term contraction is one product; + 0.0 turns a -0.0 product
+        # into the +0.0 that einsum's zero-initialised sum returns
+        noise = sigma[..., 0] * dw + 0.0
+    else:
+        noise = np.einsum("...dm,...m->...d", sigma, dw)
+    return mu * s + noise
 
 
 @dataclass(frozen=True)
@@ -168,8 +134,7 @@ _SLICE_VALUES = 1 << 13
 
 
 def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
-              dW: np.ndarray, *, threshold: Optional[float] = None,
-              taming: Optional[Callable] = None) -> BatchRuns:
+              dW: np.ndarray) -> BatchRuns:
     """Drive a batch of paths through the scheme recursion.
 
     ``dW`` has shape (B, n, m) and holds per-step Brownian increments on the
@@ -177,10 +142,6 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     whole grid (n = N); with a ``BatchRuns`` from an earlier call in place
     of ``x0`` they continue its paths for the next n steps, and the chained
     calls compute bit for bit what one call over all the steps computes.
-    ``threshold`` and ``taming`` override the stopped scheme's defaults
-    (used e.g. to realize the classical scheme through the tamed code path
-    via the identity map and an infinite threshold); pass the same ones to
-    every call of a chain.
 
     tau_index is recorded against the stopping threshold for every scheme;
     only STOPPED_BIT freezes at it.  Euler-Maruyama and drift-tamed paths
@@ -199,11 +160,8 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     if m != model.m or prev.end + n_steps > grid.N:
         raise ValueError("increment array shape does not match grid/model")
     N, h, k0 = grid.N, grid.h, prev.end
-    if threshold is None:
-        threshold = stopping_threshold(N, grid.T)
+    threshold = stopping_threshold(N, grid.T)
     stopped = kind is SchemeKind.STOPPED_BIT
-    drift_tamed = kind is SchemeKind.DRIFT_TAMED
-    pi = taming if taming is not None else tame
     params = TamingParams(h=h, m=m)
 
     states = np.empty((B, n_steps + 1, model.d))
@@ -220,16 +178,11 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
         for s0 in range(0, n_steps, width):
             inc = dW[:, s0:s0 + width]
             if stopped:
-                inc = pi(params, inc)
+                inc = tame(params, inc)
             for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
                 y, y_next = path[j], path[j + 1]
                 gate = np.greater(_norm(y), threshold, out=exceeded[j])
-                if drift_tamed:
-                    mu = model.drift(y)
-                    upd = (mu / (1.0 + _norm(mu)[..., None] * h)) * h \
-                        + _noise_term(model, y, dw)
-                else:
-                    upd = _euler_update(model, y, h, dw)
+                upd = _update(kind, model, y, dw, h, h)
                 np.add(y, upd, out=y_next)
                 if stopped:
                     if not np.isfinite(upd).all() and not np.isfinite(upd[~gate]).all():
@@ -273,7 +226,7 @@ def interpolate(kind: SchemeKind, model: SdeModel, grid: GridSpec,
     """Continuous-time interpolant value Y_{t_k + s}.
 
     ``bridge`` must be W_{t_k+s} - W_{t_k}.  For the stopped tamed scheme
-    the update is gated by the same indicator as the stepper, so frozen
+    the update is gated by the same indicator as in run_paths, so frozen
     steps interpolate to the frozen state; for the other schemes the
     increment enters untamed (and the drift-tamed scheme keeps its tamed
     drift).  At s = T/N with the full step increment the value equals
@@ -288,10 +241,5 @@ def interpolate(kind: SchemeKind, model: SdeModel, grid: GridSpec,
     if kind is SchemeKind.STOPPED_BIT:
         if _norm(y) > stopping_threshold(grid.N, grid.T):
             return y.copy()
-        params = TamingParams(h=h, m=model.m)
-        return y + _euler_update(model, y, s, tame(params, bridge))
-    if kind is SchemeKind.DRIFT_TAMED:
-        mu = model.drift(y)
-        tamed = mu / (1.0 + _norm(mu)[..., None] * h)
-        return y + (tamed * s + _noise_term(model, y, bridge))
-    return y + _euler_update(model, y, s, bridge)
+        bridge = tame(TamingParams(h=h, m=model.m), bridge)
+    return y + _update(kind, model, y, bridge, s, h)

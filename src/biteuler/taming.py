@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "TamingParams",
     "tame",
-    "tame_identity",
     "tame_jacobian_diag",
     "tame_laplacian",
     "stopping_threshold",
@@ -60,12 +59,6 @@ def tame(params: TamingParams, x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         u = _quartic(x, params.h)
     return x * np.exp(-u)
-
-
-def tame_identity(params: TamingParams, x: np.ndarray) -> np.ndarray:
-    """Degenerate member of the family (Pi = id); realizes the classical
-    Euler-Maruyama scheme through the same stepping code path."""
-    return np.asarray(x, dtype=float)
 
 
 def tame_jacobian_diag(params: TamingParams, x: np.ndarray) -> np.ndarray:

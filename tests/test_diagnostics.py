@@ -11,7 +11,7 @@ from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   fit_growth_constant, growth_preflight,
                                   moment_bound, n0_for, regularity_check,
                                   regularity_sweep, stopping_probability)
-from biteuler.models import catalog, model_ginzburg_landau
+from biteuler.models import catalog, model_gbm, model_ginzburg_landau
 from biteuler.schemes import SchemeKind, run_path
 from biteuler.taming import stopping_threshold
 
@@ -252,3 +252,57 @@ def test_exp_moment_supremum_monotone_pieces():
                                     GridSpec(1.0, 16), 300, 0.0, seed=2,
                                     x0=[1.0])
     assert sup >= one_point.estimate - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# start validation at the estimators
+
+
+def test_regularity_sweep_rejects_zero_paths():
+    # with M = 0 the sweep would report all_passed from no samples at all
+    gl = model_ginzburg_landau()
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=0,
+                         samples_per_step=4, seed=0)
+
+
+def test_exp_moment_estimators_reject_zero_paths():
+    # with M = 0 both would return NaN
+    gl = model_ginzburg_landau()
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
+                            GridSpec(1.0, 16), 0, 1.0, seed=0, x0=[1.0])
+    with pytest.raises(ValueError, match="M must be >= 1"):
+        exp_moment_supremum(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
+                            GridSpec(1.0, 16), 0, seed=0, x0=[1.0])
+
+
+def test_exp_moment_estimate_rejects_short_start():
+    # one component for the two-dimensional vdp would broadcast to both
+    vdp = catalog()["vdp"].model
+    with pytest.raises(ValueError, match="2 component"):
+        exp_moment_estimate(SchemeKind.STOPPED_BIT, vdp, vdp.lyapunov,
+                            GridSpec(1.0, 16), 10, 1.0, seed=0, x0=[1.0])
+
+
+def test_regularity_sweep_rejects_nan_start():
+    # a NaN start would end in a FloatingPointError from the stepping
+    gl = model_ginzburg_landau()
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError, match="finite"):
+        regularity_sweep(gl, consts, GridSpec(1.0, 16), [math.nan], M=10,
+                         samples_per_step=4, seed=0)
+
+
+def test_stopping_probability_decays_with_n():
+    # GBM with unit volatility from x0 = 4 starts near the threshold, so the
+    # stopped fraction is large at coarse N and falls as the radius
+    # exp(sqrt(log N)) grows; each step down must exceed 3 combined stderr
+    gbm = model_gbm(0.05, 1.0)
+    reps = [stopping_probability(gbm, GridSpec(1.0, 2**k), 2000, seed=42,
+                                 x0=[4.0]) for k in range(4, 13, 2)]
+    assert reps[0].estimate >= 0.4
+    for a, b in zip(reps, reps[1:]):
+        assert a.estimate - b.estimate > 3.0 * math.hypot(a.stderr, b.stderr), \
+            [r.estimate for r in reps]

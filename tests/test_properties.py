@@ -1,0 +1,75 @@
+"""Property tests of the taming map and the shared scheme kernel.
+
+Hypothesis draws the seeds, starts, grids and schemes; every property is
+an exact identity, so the comparisons are bit for bit.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from biteuler.brownian import coarsen_increments, generate_block, generate_path
+from biteuler.core import GridSpec
+from biteuler.models import catalog
+from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
+from biteuler.taming import TamingParams, tame
+
+MODELS = ("gbm", "ginzburg-landau", "vdp")
+
+# starts away from zero (a -0.0 start becomes +0.0 after one update, so the
+# s = 0 interpolant would differ from it in the sign bit only) and small
+# enough that no scheme overflows on the grids drawn below
+starts = st.lists(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
+                  min_size=2, max_size=2)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(deadline=None, max_examples=50)
+@given(x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6),
+       h=st.floats(1e-8, 1e2))
+def test_tame_is_odd_and_bounded(x, h):
+    x = np.array(x)
+    params = TamingParams(h=h, m=len(x))
+    pi = tame(params, x)
+    assert tame(params, -x).tobytes() == (-pi).tobytes()
+    assert (np.abs(pi) <= h**0.25).all()
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=st.sampled_from(MODELS), kind=st.sampled_from(list(SchemeKind)),
+       x0=starts, seed=seeds, log_n=st.integers(3, 6),
+       refine=st.sampled_from((1, 2, 4)), j=st.integers(0, 4))
+def test_run_path_equals_its_row_of_run_paths(name, kind, x0, seed, log_n,
+                                              refine, j):
+    model = catalog()[name].model
+    x0 = x0[:model.d]
+    N = 2**log_n
+    grid = GridSpec(1.0, N)
+    fine = generate_block(1.0, refine * N, model.m, seed, 0, 5)
+    runs = run_paths(kind, model, grid, x0, coarsen_increments(fine, N))
+    one = run_path(kind, model, grid, x0,
+                   generate_path(1.0, refine * N, model.m, seed, j))
+    row = runs.path(j)
+    assert one.states.tobytes() == row.states.tobytes()
+    assert (one.tau_index, one.frozen, one.overflow) == \
+        (row.tau_index, row.frozen, row.overflow)
+
+
+@settings(deadline=None, max_examples=25)
+@given(name=st.sampled_from(MODELS), x0=starts, seed=seeds,
+       log_n=st.integers(5, 7))
+def test_interpolate_hits_both_nodes_of_every_step(name, x0, seed, log_n):
+    model = catalog()[name].model
+    x0 = x0[:model.d]
+    grid = GridSpec(1.0, 2**log_n)
+    path = generate_path(1.0, grid.N, model.m, seed, 0)
+    for kind in SchemeKind:
+        run = run_path(kind, model, grid, x0, path)
+        assert not run.overflow
+        for k in range(grid.N):
+            left = interpolate(kind, model, grid, run, k, 0.0,
+                               np.zeros(model.m))
+            assert left.tobytes() == run.states[k].tobytes()
+            right = interpolate(kind, model, grid, run, k, grid.h,
+                                path.increments[k])
+            assert right.tobytes() == run.states[k + 1].tobytes()

@@ -6,9 +6,9 @@ import pytest
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
 from biteuler.core import GridSpec
 from biteuler.models import model_gbm, model_ginzburg_landau
-from biteuler.schemes import (SchemeKind, interpolate, run_path, run_paths,
-                              step_bit, step_drift_tamed, step_em)
-from biteuler.taming import TamingParams, stopping_threshold, tame, tame_identity
+from biteuler.schemes import (BatchRuns, SchemeKind, interpolate, run_path,
+                              run_paths)
+from biteuler.taming import stopping_threshold
 
 
 def _const_model(mu0=0.0, sig0=0.0):
@@ -26,7 +26,15 @@ def _const_model(mu0=0.0, sig0=0.0):
     return SdeModel(name="const", d=1, m=1, drift=drift, diffusion=diffusion)
 
 
-def test_step_bit_hand_value():
+def _one_step(kind, model, grid, y, dw):
+    """The state after one step of the scheme from y with increment dw: a
+    run_paths call continuing a single path from node 0 for one step."""
+    start = BatchRuns.initial(grid, y, 1, model.d)
+    dw = np.asarray(dw, dtype=float).reshape(1, 1, model.m)
+    return run_paths(kind, model, grid, start, dw).states[0, -1]
+
+
+def test_bit_step_hand_value():
     # d=m=1, mu=-x^3, sigma=1, T=1, N=4, y=0.5, dW=0.2:
     # 0.5 - 0.125*0.25 + 0.2*exp(-0.2^4/0.25)
     from biteuler.core import SdeModel
@@ -36,37 +44,38 @@ def test_step_bit_hand_value():
         drift=lambda x: -np.asarray(x, dtype=float) ** 3,
         diffusion=lambda x: np.ones(np.asarray(x).shape[:-1] + (1, 1)))
     grid = GridSpec(T=1.0, N=4)
-    out = step_bit(model, grid, np.array([0.5]), np.array([0.2]))
+    out = _one_step(SchemeKind.STOPPED_BIT, model, grid, [0.5], [0.2])
     oracle = 0.5 - 0.125 * 0.25 + 0.2 * math.exp(-0.2**4 / 0.25)
     assert out[0] == pytest.approx(oracle, rel=1e-15)
     assert out[0] == pytest.approx(0.66747408727582980, rel=1e-14)  # mpmath
 
 
-def test_step_bit_freezes_beyond_threshold():
+def test_bit_step_freezes_beyond_threshold():
     model = _const_model(mu0=5.0, sig0=3.0)
     grid = GridSpec(T=1.0, N=4)
     thr = stopping_threshold(4, 1.0)
     y = np.array([thr * 1.01])
-    out = step_bit(model, grid, y, np.array([0.3]))
+    out = _one_step(SchemeKind.STOPPED_BIT, model, grid, y, [0.3])
     np.testing.assert_array_equal(out, y)
 
 
-def test_step_bit_zero_coefficients():
+def test_bit_step_zero_coefficients():
     model = _const_model()
     grid = GridSpec(T=1.0, N=4)
     y = np.array([0.7])
-    np.testing.assert_array_equal(step_bit(model, grid, y, np.array([2.0])), y)
+    np.testing.assert_array_equal(
+        _one_step(SchemeKind.STOPPED_BIT, model, grid, y, [2.0]), y)
 
 
-def test_step_em_linear_deterministic():
+def test_em_step_linear_deterministic():
     gbm = model_gbm(a=0.3, b=0.0)
     grid = GridSpec(T=1.0, N=10)
     y = np.array([2.0])
-    out = step_em(gbm, grid, y, np.array([0.0]))
+    out = _one_step(SchemeKind.EULER_MARUYAMA, gbm, grid, y, [0.0])
     assert out[0] == pytest.approx(2.0 * (1 + 0.3 / 10), rel=1e-15)
 
 
-def test_step_em_superlinear_growth():
+def test_em_step_superlinear_growth():
     # cubic drift at large y grows superlinearly per step
     from biteuler.core import SdeModel
 
@@ -75,31 +84,32 @@ def test_step_em_superlinear_growth():
         drift=lambda x: np.asarray(x, dtype=float) ** 3,
         diffusion=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)))
     grid = GridSpec(T=1.0, N=4)
-    y1 = step_em(model, grid, np.array([10.0]), np.array([0.0]))
+    y1 = _one_step(SchemeKind.EULER_MARUYAMA, model, grid, [10.0], [0.0])
     assert y1[0] == pytest.approx(10.0 + 1000.0 * 0.25)
 
 
-def test_step_drift_tamed_arithmetic():
+def test_drift_tamed_step_arithmetic():
     model = _const_model(mu0=8.0, sig0=0.0)
     grid = GridSpec(T=1.0, N=4)
-    out = step_drift_tamed(model, grid, np.array([0.0]), np.array([0.0]))
+    out = _one_step(SchemeKind.DRIFT_TAMED, model, grid, [0.0], [0.0])
     assert out[0] == pytest.approx(8.0 / 3.0 * 0.25, rel=1e-15)
 
 
-def test_step_drift_tamed_reduces_to_em_for_zero_drift():
+def test_drift_tamed_step_reduces_to_em_for_zero_drift():
     model = _const_model(mu0=0.0, sig0=1.5)
     grid = GridSpec(T=1.0, N=4)
     y = np.array([0.4])
     dw = np.array([-0.3])
-    np.testing.assert_array_equal(step_drift_tamed(model, grid, y, dw),
-                                  step_em(model, grid, y, dw))
+    np.testing.assert_array_equal(
+        _one_step(SchemeKind.DRIFT_TAMED, model, grid, y, dw),
+        _one_step(SchemeKind.EULER_MARUYAMA, model, grid, y, dw))
 
 
 def test_drift_tamed_contribution_bounded():
     # ||tamed drift * h|| <= h * ||mu||/(1+||mu|| h) < 1
     model = _const_model(mu0=1e12, sig0=0.0)
     grid = GridSpec(T=1.0, N=4)
-    out = step_drift_tamed(model, grid, np.array([0.0]), np.array([0.0]))
+    out = _one_step(SchemeKind.DRIFT_TAMED, model, grid, [0.0], [0.0])
     assert 0 < out[0] < 1.0
 
 
@@ -148,16 +158,6 @@ def test_freeze_invariant_past_tau():
     assert run.tau_index == 0
     for k in range(run.tau_index, 16):
         np.testing.assert_array_equal(run.states[k + 1], run.states[run.tau_index])
-
-
-def test_identity_taming_with_infinite_threshold_equals_em():
-    gbm = model_gbm(a=0.05, b=0.2)
-    grid = GridSpec(T=1.0, N=64)
-    dw = generate_block(1.0, 64, 1, seed=11, first_path=0, count=50)
-    em = run_paths(SchemeKind.EULER_MARUYAMA, gbm, grid, [1.0], dw)
-    bit = run_paths(SchemeKind.STOPPED_BIT, gbm, grid, [1.0], dw,
-                    threshold=math.inf, taming=tame_identity)
-    np.testing.assert_array_equal(em.states, bit.states)
 
 
 def test_noise_contribution_bounded_by_increment_bound():

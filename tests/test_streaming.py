@@ -20,8 +20,7 @@ from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel
 from biteuler.experiments import ConvergenceConfig, strong_error
 from biteuler.models import catalog, model_gbm
 from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
-from biteuler.taming import (TamingParams, stopping_threshold, tame,
-                             tame_identity)
+from biteuler.taming import TamingParams, stopping_threshold, tame
 
 
 def oracle_strong_error(config: ConvergenceConfig) -> ErrorTable:
@@ -215,13 +214,13 @@ def test_kernel_equals_step_by_step_reference(name, x0, kind):
     assert runs.overflow.tolist() == overflow.tolist()
 
 
-def chained(kind, model, grid, x0, dW, cuts, **kw):
+def chained(kind, model, grid, x0, dW, cuts):
     """run_paths over dW in pieces split at ``cuts``, each continuing the
     last; returns the stitched states and the final BatchRuns."""
     runs = BatchRuns.initial(grid, x0, dW.shape[0], model.d)
     states = [runs.states]
     for a, b in zip((0, *cuts), (*cuts, grid.N)):
-        runs = run_paths(kind, model, grid, runs, dW[:, a:b], **kw)
+        runs = run_paths(kind, model, grid, runs, dW[:, a:b])
         assert runs.start == a
         states.append(runs.states[:, 1:])
     return np.concatenate(states, axis=1), runs
@@ -255,7 +254,7 @@ def test_chained_run_paths_equals_one_call(monkeypatch, kind, model, x0,
         assert ((whole.tau_index > 10) & (whole.tau_index < 150)).any()
 
 
-def test_chained_overrides_and_carried_overflow():
+def test_chained_run_carries_overflow():
     gl = catalog()["ginzburg-landau"].model
     grid = GridSpec(1.0, 8)
     dW = generate_block(1.0, 8, 1, seed=0, first_path=0, count=16)
@@ -271,10 +270,6 @@ def test_chained_overrides_and_carried_overflow():
     assert last.overflow[::2].all() and (states[::2, 4:] == states[::2, 3:4]).all()
     assert states.tobytes() == run_paths(SchemeKind.EULER_MARUYAMA, gl, grid,
                                          [0.5], blown).states.tobytes()
-    em_like, _ = chained(SchemeKind.STOPPED_BIT, gl, grid, [1.0], dW, (3,),
-                         threshold=math.inf, taming=tame_identity)
-    em = run_paths(SchemeKind.EULER_MARUYAMA, gl, grid, [1.0], dW)
-    assert em_like.tobytes() == em.states.tobytes()
 
 
 def test_continuation_checks_grid_batch_and_horizon():
