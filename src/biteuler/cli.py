@@ -26,22 +26,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ErrorRow, ErrorTable, RateFit, validate_start
+from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, path_blocks,
+                   validate_start, worker_count)
 from .diagnostics import stopping_probability
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 from .models import catalog, check_conditions, default_sampler
 from .schemes import SchemeKind, run_paths
 from .brownian import generate_block, generate_path, dump_increments
-from .core import GridSpec
 from .taming import TamingParams, verify_taming_bounds
 
 ENV_PREFIX = "BITEULER_"
 
 CSV_HEADER = "scheme,model,r,N,M,seed,sup_error,std_error,overflow_fraction"
-
-_COMMANDS = ("simulate", "convergence", "divergence", "moments",
-             "taming-check", "check-conditions", "catalog")
 
 _SCHEMES = {k.value: k for k in SchemeKind}
 
@@ -310,6 +307,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     for attr in ("strict", "expect_contrast"):
         if isinstance(merged.get(attr), str):
             merged[attr] = merged[attr].lower() in ("1", "true", "yes", "on")
+    worker_count(merged["threads"])  # a negative --threads is a usage error
     merged["command"] = command
     return merged
 
@@ -387,9 +385,13 @@ def _cmd_simulate(s: dict) -> None:
     if s.get("dump_increments"):
         dump_increments(generate_path(s["T"], s["N"], model.m, s["seed"], 0),
                         s["dump_increments"])
-    dw = generate_block(s["T"], s["N"], model.m, s["seed"], 0, s["M"])
-    runs = run_paths(kind, model, grid, x0, dw)
-    final = runs.states[:, -1]
+    parts = []
+    for [(_, lo, hi)] in path_blocks(s["M"]):
+        dw = generate_block(s["T"], s["N"], model.m, s["seed"], lo, hi - lo)
+        runs = run_paths(kind, model, grid, x0, dw)
+        parts.append((runs.states[:, -1].copy(), runs.tau_index, runs.overflow))
+        del dw, runs  # one block at a time: memory does not grow with M
+    final, tau, overflow = (np.concatenate(p) for p in zip(*parts))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bd,bd->b", final, final))
     norms = np.minimum(np.nan_to_num(norms, nan=1e300, posinf=1e300), 1e300)
@@ -397,8 +399,8 @@ def _cmd_simulate(s: dict) -> None:
         "model": model.name, "scheme": s["scheme"], "N": s["N"], "M": s["M"],
         "T": s["T"], "seed": s["seed"],
         "final_norm_mean": float(np.mean(norms)),
-        "stopped_fraction": float(np.mean(runs.tau_index < s["N"])),
-        "overflow_fraction": float(np.mean(runs.overflow)),
+        "stopped_fraction": float(np.mean(tau < s["N"])),
+        "overflow_fraction": float(np.mean(overflow)),
     }
     _write_payload(payload, s["format"], s["output"],
                    csv_header="model,scheme,N,M,seed,final_norm_mean,"
@@ -525,6 +527,12 @@ def _cmd_check_conditions(s: dict) -> None:
         raise AssertionFailed(f"{report.total_violations} condition violations")
 
 
+_COMMANDS = {"simulate": _cmd_simulate, "convergence": _cmd_convergence,
+             "divergence": _cmd_divergence, "moments": _cmd_moments,
+             "taming-check": _cmd_taming_check,
+             "check-conditions": _cmd_check_conditions, "catalog": _cmd_catalog}
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -533,23 +541,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if exc.code else 0
     try:
         s = _merge_settings(args)
-        cmd = s["command"]
-        if cmd == "catalog":
-            _cmd_catalog(s)
-        elif cmd == "simulate":
-            _cmd_simulate(s)
-        elif cmd == "convergence":
-            _cmd_convergence(s)
-        elif cmd == "divergence":
-            _cmd_divergence(s)
-        elif cmd == "moments":
-            _cmd_moments(s)
-        elif cmd == "taming-check":
-            _cmd_taming_check(s)
-        elif cmd == "check-conditions":
-            _cmd_check_conditions(s)
-        else:
-            raise UsageError(f"unknown command {cmd!r}")
+        _COMMANDS[s["command"]](s)
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,5 @@
-"""Shared domain types: SDE models, uniform grids, trajectories, error tables.
+"""Shared domain types: SDE models, uniform grids, trajectories, error tables,
+and the checks and path-block layout shared by every Monte Carlo estimator.
 
 All state arrays are float64. Model callables are vectorized over leading
 axes: ``drift`` maps ``(..., d) -> (..., d)``, ``diffusion`` maps
@@ -11,6 +12,7 @@ workers.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -140,6 +142,36 @@ def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return x
+
+
+BLOCK_PATHS = 1000  # paths stepped together in one vectorized block
+
+
+def path_blocks(M: int, n_batches: int = 1) -> list[list[tuple[int, int, int]]]:
+    """Paths [0, M), split into n_batches near-equal batches, in blocks of
+    at most BLOCK_PATHS consecutive paths, each a list of (batch, lo, hi)
+    segments: whole batches are packed together, and a larger batch is cut
+    every BLOCK_PATHS paths from its own start.  With path j's increments
+    keyed by (seed, j), this layout fixes every Monte Carlo estimate."""
+    edges = [round(b * M / n_batches) for b in range(n_batches + 1)]
+    blocks, size = [[]], 0
+    for b in range(n_batches):
+        for lo in range(edges[b], edges[b + 1], BLOCK_PATHS):
+            hi = min(lo + BLOCK_PATHS, edges[b + 1])
+            if size + hi - lo > BLOCK_PATHS:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((b, lo, hi))
+            size += hi - lo
+    return [blk for blk in blocks if blk]
+
+
+def worker_count(threads: int) -> int:
+    """Workers for a ``threads`` setting, 0 meaning one per core; a
+    negative setting raises ValueError."""
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0, got {threads}")
+    return threads or os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .brownian import coarsen_increments, generate_block
-from .core import GridSpec, LyapunovSpec, SchemeRun, SdeModel, validate_start
+from .core import (GridSpec, LyapunovSpec, SchemeRun, SdeModel, path_blocks,
+                   validate_start)
 from .models import default_sampler
 from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, _update, run_paths
 from .taming import TamingParams, stopping_threshold, tame
@@ -46,9 +47,8 @@ __all__ = [
     "StoppingReport",
 ]
 
-# paths simulated per vectorized block by the Monte Carlo estimators
-_BATCH = 1000
-_REGULARITY_BATCH = 500  # smaller: each path also keeps its fine increments
+# grid steps per run_paths call of stopping_probability
+_STOP_SLICE = 64
 
 
 @dataclass(frozen=True)
@@ -367,19 +367,17 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
     refine = samples_per_step + 1
     bound = regularity_bound(consts)
-    n_total = 0
     n_pass = 0
     max_lhs = 0.0
-    for lo in range(0, M, _REGULARITY_BATCH):
-        count = min(_REGULARITY_BATCH, M - lo)
-        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, count)
+    for [(_, lo, hi)] in path_blocks(M):
+        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
         dw = coarsen_increments(fine, grid.N)
         runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
         dev = _regularity_lhs(model, grid, runs.states, fine)
-        n_total += dev.size
         n_pass += int(np.sum(dev <= bound))
         max_lhs = max(max_lhs, float(dev.max()))
-    return RegularityReport(n_samples=n_total, n_pass=n_pass, max_lhs=max_lhs,
+    return RegularityReport(n_samples=M * grid.N * samples_per_step,
+                            n_pass=n_pass, max_lhs=max_lhs,
                             bound=bound, constants_admissible=growth.admissible,
                             n0=n0_for(consts))
 
@@ -434,18 +432,17 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     j_t = _grid_index(grid, t)
     h = grid.h
     vals = np.empty(M)
-    for lo in range(0, M, _BATCH):
-        count = min(_BATCH, M - lo)
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
+    for [(_, lo, hi)] in path_blocks(M):
+        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
         runs = run_paths(kind, model, grid, x0, dw)
         k_idx = np.arange(j_t)
         steps = np.minimum(j_t, runs.tau_index)[:, None] > k_idx[None, :]
-        ubar = spec.U_bar(runs.states[:, :j_t]) if j_t > 0 else np.zeros((count, 0))
+        ubar = spec.U_bar(runs.states[:, :j_t]) if j_t > 0 else np.zeros((hi - lo, 0))
         weights = np.exp(-spec.rho * k_idx * h) * h
         integral = np.einsum("bk,k,bk->b", ubar, weights, steps.astype(float)) \
-            if j_t > 0 else np.zeros(count)
-        vals[lo:lo + count] = _functional_at(runs, spec, j_t, integral,
-                                             use_tau=True, absolute=False)
+            if j_t > 0 else np.zeros(hi - lo)
+        vals[lo:hi] = _functional_at(runs, spec, j_t, integral,
+                                     use_tau=True, absolute=False)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
@@ -465,12 +462,11 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     x0 = validate_start(model, x0, M)
     h = grid.h
     sums = np.zeros(grid.N + 1)
-    for lo in range(0, M, _BATCH):
-        count = min(_BATCH, M - lo)
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
+    for [(_, lo, hi)] in path_blocks(M):
+        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
         runs = run_paths(kind, model, grid, x0, dw)
-        tau = runs.tau_index if use_tau else np.full(count, grid.N)
-        integral = np.zeros(count)
+        tau = runs.tau_index if use_tau else np.full(hi - lo, grid.N)
+        integral = np.zeros(hi - lo)
         for j in range(grid.N + 1):
             sums[j] += np.sum(_functional_at(runs, spec, j, integral,
                                              use_tau=use_tau, absolute=True))
@@ -508,10 +504,13 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     """
     x0 = validate_start(model, x0, M)
     n_stopped = 0
-    for lo in range(0, M, _BATCH):
-        count = min(_BATCH, M - lo)
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, count)
-        runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
+    for [(_, lo, hi)] in path_blocks(M):
+        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
+        runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
+        # only tau is read: keep one slice of states, not all N + 1 nodes
+        for k in range(0, grid.N, _STOP_SLICE):
+            runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, runs,
+                             dw[:, k:k + _STOP_SLICE]).tail()
         n_stopped += int(np.sum(runs.tau_index < grid.N))
     p_hat = n_stopped / M
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / M)

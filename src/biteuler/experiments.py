@@ -3,27 +3,26 @@ flatness sweeps.
 
 All experiments are deterministic functions of their config (seed
 included): per-path randomness is keyed by (seed, path_index), paths are
-processed in fixed batches, and reductions run in fixed batch order, so the
-thread count never changes any numeric output.
+stepped in the blocks of ``core.path_blocks``, and results are merged in
+path order (``_batch_totals``), so the thread count never changes any output.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .brownian import BlockStream, coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, validate_start)
-from .diagnostics import (AnalysisConstants, MomentEstimate, N0Report,
-                          exp_moment_estimate, fit_growth_constant,
-                          moment_bound, n0_for)
+                   SdeModel, path_blocks, validate_start, worker_count)
+from .diagnostics import (AnalysisConstants, N0Report, exp_moment_estimate,
+                          fit_growth_constant, moment_bound, n0_for)
 from .models import catalog
 from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
 
@@ -39,42 +38,39 @@ __all__ = [
     "MomentRow",
 ]
 
-_N_STAT_BATCHES = 10  # batch-means stderr uses this many fixed path blocks
-_CHUNK = 1000         # paths simulated per vectorized chunk
+_N_STAT_BATCHES = 10  # batch-means stderr uses this many fixed path batches
 _CHUNK_VALUES = 1 << 16  # fine increments per time chunk of a strong-error block
 
 
-def _resolve_threads(threads: int) -> int:
-    return os.cpu_count() or 1 if threads == 0 else max(threads, 1)
-
-
-def _batch_map(fn: Callable[[int], object], n_batches: int, threads: int) -> list:
-    threads = _resolve_threads(threads)
+def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list:
+    threads = worker_count(threads)
     if threads <= 1:
-        return [fn(b) for b in range(n_batches)]
+        return [fn(blk) for blk in blocks]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_batches)))
+        return list(pool.map(fn, blocks))
 
 
-def _batch_bounds(M: int, n_batches: int) -> list[tuple[int, int]]:
-    edges = [round(b * M / n_batches) for b in range(n_batches + 1)]
-    return [(edges[b], edges[b + 1]) for b in range(n_batches)]
+def _batch_totals(one_block: Callable[[list], list], M: int, threads: int,
+                  zero) -> list:
+    """Per-batch totals of an M-path estimate: ``one_block`` steps a block
+    of ``path_blocks(M, 10)`` and returns one result per segment, and each
+    batch adds its segments' results to ``zero`` in path order, whatever
+    worker ran which block."""
+    blocks = path_blocks(M, _N_STAT_BATCHES)
+    totals = [zero] * _N_STAT_BATCHES
+    for segs, results in zip(blocks, _batch_map(one_block, blocks, threads)):
+        for (b, _, _), result in zip(segs, results):
+            totals[b] = _add(totals[b], result)
+    return totals
 
 
-def _path_blocks(bounds: list[tuple[int, int]]) -> list[list[tuple[int, int, int]]]:
-    """Consecutive paths in blocks of at most _CHUNK, as (batch, lo, hi)
-    segments: whole batches packed together, and batches larger than
-    _CHUNK cut into pieces of _CHUNK paths from their start."""
-    blocks, size = [[]], 0
-    for b, (lo, hi) in enumerate(bounds):
-        for c_lo in range(lo, hi, _CHUNK):
-            c_hi = min(c_lo + _CHUNK, hi)
-            if size + c_hi - c_lo > _CHUNK:
-                blocks.append([])
-                size = 0
-            blocks[-1].append((b, c_lo, c_hi))
-            size += c_hi - c_lo
-    return [blk for blk in blocks if blk]
+def _add(a, b):
+    """a + b, entry by entry for dicts and tuples."""
+    if isinstance(a, dict):
+        return {k: _add(v, b[k]) for k, v in a.items()}
+    if isinstance(a, tuple):
+        return tuple(map(_add, a, b))
+    return a + b
 
 
 def _time_chunk(strides: list[int], budget: int) -> int:
@@ -154,6 +150,7 @@ class ConvergenceConfig:
             raise ValueError("seed must be nonnegative")
         if self.r <= 0:
             raise ValueError("r must be positive")
+        worker_count(self.threads)
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")
         if self.reference == "fine":
@@ -193,12 +190,9 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
     exact = config.reference == "exact"
     n_fine = max(Ns) if exact else config.N_ref
     ref_kind = config.ref_scheme or config.scheme
-    bounds = _batch_bounds(config.M, _N_STAT_BATCHES)
-    blocks = _path_blocks(bounds)
     r = config.r
 
-    def one_block(i: int):
-        segs = blocks[i]
+    def one_block(segs):
         lo = segs[0][1]
         B = segs[-1][2] - lo
         n_c = _time_chunk([n_fine // N for N in Ns],
@@ -253,30 +247,22 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
                 runs[N] = runs[N].tail()
             # free this chunk's arrays before the next one is drawn
             del fine, coarse, ref_states
-        over = {N: [int(runs[N].overflow[s_lo - lo:s_hi - lo].sum())
-                    for _, s_lo, s_hi in segs] for N in Ns}
-        return sums, over
+        # per segment: its path count and, per N, its sums and overflow count
+        return [(s_hi - s_lo,
+                 {N: (sums[N][j], int(runs[N].overflow[s_lo - lo:s_hi - lo].sum()))
+                  for N in Ns})
+                for j, (_, s_lo, s_hi) in enumerate(segs)]
 
-    # per-batch sums, merged in path order whatever ran where
-    results = [({N: np.zeros(N + 1) for N in Ns}, {N: 0 for N in Ns}, hi - lo)
-               for lo, hi in bounds]
-    for segs, (sums, over) in zip(blocks, _batch_map(one_block, len(blocks),
-                                                     config.threads)):
-        for j, (b, _, _) in enumerate(segs):
-            for N in Ns:
-                results[b][0][N] += sums[N][j]
-                results[b][1][N] += over[N][j]
+    zero = (0, {N: (np.zeros(N + 1), 0) for N in Ns})
+    totals = _batch_totals(one_block, config.M, config.threads, zero)
+    _, pooled = reduce(_add, totals, zero)
 
     rows = []
     for N in Ns:
-        pooled = np.zeros(N + 1)
-        batch_sups = []
-        n_over = 0
-        for sums, over, count in results:
-            pooled += sums[N]
-            batch_sups.append(float(np.max((sums[N] / count) ** (1.0 / r))))
-            n_over += over[N]
-        per_k = (pooled / config.M) ** (1.0 / r)
+        sums, n_over = pooled[N]
+        batch_sups = [float(np.max((per_n[N][0] / count) ** (1.0 / r)))
+                      for count, per_n in totals]
+        per_k = (sums / config.M) ** (1.0 / r)
         sup = float(np.max(per_k))
         std = float(np.std(batch_sups, ddof=1) / math.sqrt(len(batch_sups)))
         rows.append(ErrorRow(N=N, M=config.M, sup_error=sup, std_error=std,
@@ -350,49 +336,38 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     """
     x0 = validate_start(model, x0, M)
     kinds = (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT)
-    bounds = _batch_bounds(M, _N_STAT_BATCHES)
 
-    def one_batch(b: int):
-        lo, hi = bounds[b]
-        acc = {}
-        for c_lo in range(lo, hi, _CHUNK):
-            c_hi = min(c_lo + _CHUNK, hi)
-            B = c_hi - c_lo
-            for N in Ns:
-                dw = generate_block(T, N, model.m, seed, c_lo, B)
-                for kind in kinds:
-                    runs = run_paths(kind, model, GridSpec(T, N), x0, dw)
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        mags = np.abs(runs.states).max(axis=(1, 2))
-                        m2 = np.einsum("bd,bd->b", runs.states[:, -1],
-                                       runs.states[:, -1])
-                    m2 = np.where(runs.overflow, OVERFLOW_CAP,
-                                  np.minimum(np.nan_to_num(m2, nan=OVERFLOW_CAP,
-                                                           posinf=OVERFLOW_CAP),
-                                             OVERFLOW_CAP))
-                    exploded = runs.overflow | (mags > _EXPLODE_MAGNITUDE)
-                    key = (kind.value, N)
-                    o, e, s, n = acc.get(key, (0, 0, 0.0, 0))
-                    acc[key] = (o + int(runs.overflow.sum()),
-                                e + int(exploded.sum()),
-                                s + float(m2.sum()), n + B)
+    def one_block(segs):
+        lo = segs[0][1]
+        acc = [{} for _ in segs]
+        for N in Ns:
+            dw = generate_block(T, N, model.m, seed, lo, segs[-1][2] - lo)
+            for kind in kinds:
+                runs = run_paths(kind, model, GridSpec(T, N), x0, dw)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mags = np.abs(runs.states).max(axis=(1, 2))
+                    m2 = np.einsum("bd,bd->b", runs.states[:, -1],
+                                   runs.states[:, -1])
+                m2 = np.where(runs.overflow, OVERFLOW_CAP,
+                              np.minimum(np.nan_to_num(m2, nan=OVERFLOW_CAP,
+                                                       posinf=OVERFLOW_CAP),
+                                         OVERFLOW_CAP))
+                exploded = runs.overflow | (mags > _EXPLODE_MAGNITUDE)
+                for seg_acc, (_, s_lo, s_hi) in zip(acc, segs):
+                    part = slice(s_lo - lo, s_hi - lo)
+                    seg_acc[(kind.value, N)] = (int(runs.overflow[part].sum()),
+                                                int(exploded[part].sum()),
+                                                float(m2[part].sum()),
+                                                s_hi - s_lo)
         return acc
 
-    results = _batch_map(one_batch, _N_STAT_BATCHES, threads)
-    rows = []
-    for N in Ns:
-        for kind in kinds:
-            o = e = n = 0
-            s = 0.0
-            for acc in results:
-                oo, ee, ss, nn = acc[(kind.value, N)]
-                o, e, s, n = o + oo, e + ee, s + ss, n + nn
-            rows.append(DivergenceRow(scheme=kind.value, N=N,
-                                      overflow_fraction=o / n,
-                                      explode_fraction=e / n,
-                                      second_moment_capped=s / n))
+    zero = {(kind.value, N): (0, 0, 0.0, 0) for N in Ns for kind in kinds}
+    pooled = reduce(_add, _batch_totals(one_block, M, threads, zero), zero)
+    rows = tuple(DivergenceRow(scheme=kind, N=N, overflow_fraction=o / n,
+                               explode_fraction=e / n, second_moment_capped=s / n)
+                 for (kind, N), (o, e, s, n) in pooled.items())
     return DivergenceReport(model=model.name, M=M, seed=seed,
-                            x0=tuple(float(v) for v in x0), rows=tuple(rows))
+                            x0=tuple(float(v) for v in x0), rows=rows)
 
 
 @dataclass(frozen=True)
@@ -447,23 +422,17 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     """
     x0 = validate_start(model, x0, M)
     c_growth = fit_growth_constant(model, spec, p_growth, T=T)
-    bounds = _batch_bounds(M, _N_STAT_BATCHES)
     eu0 = float(spec.U(x0))
 
     def one_n(N: int) -> MomentRow:
-        def one_batch(b: int):
-            lo, hi = bounds[b]
-            out = np.empty(hi - lo)
-            for c_lo in range(lo, hi, _CHUNK):
-                c_hi = min(c_lo + _CHUNK, hi)
-                dw = generate_block(T, N, model.m, seed, c_lo, c_hi - c_lo)
-                runs = run_paths(SchemeKind.STOPPED_BIT, model, GridSpec(T, N),
-                                 x0, dw)
-                u = np.minimum(spec.U(runs.states[:, -1]), OVERFLOW_CAP)
-                out[c_lo - lo:c_hi - lo] = u
-            return out
-        parts = _batch_map(one_batch, _N_STAT_BATCHES, threads)
-        u_vals = np.concatenate(parts)
+        def one_block(segs):
+            lo = segs[0][1]
+            dw = generate_block(T, N, model.m, seed, lo, segs[-1][2] - lo)
+            runs = run_paths(SchemeKind.STOPPED_BIT, model, GridSpec(T, N), x0, dw)
+            return np.minimum(spec.U(runs.states[:, -1]), OVERFLOW_CAP)
+        # values per path, so the blocks' results in path order are the merge
+        u_vals = np.concatenate(_batch_map(
+            one_block, path_blocks(M, _N_STAT_BATCHES), threads))
         eu = float(np.mean(u_vals))
         eu_se = float(np.std(u_vals, ddof=1) / math.sqrt(M))
         expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec,

@@ -225,12 +225,12 @@ def interpolate(kind: SchemeKind, model: SdeModel, grid: GridSpec,
                 run: SchemeRun, k: int, s: float, bridge: np.ndarray) -> np.ndarray:
     """Continuous-time interpolant value Y_{t_k + s}.
 
-    ``bridge`` must be W_{t_k+s} - W_{t_k}.  For the stopped tamed scheme
-    the update is gated by the same indicator as in run_paths, so frozen
-    steps interpolate to the frozen state; for the other schemes the
-    increment enters untamed (and the drift-tamed scheme keeps its tamed
-    drift).  At s = T/N with the full step increment the value equals
-    states[k+1] exactly.
+    ``bridge`` must be W_{t_k+s} - W_{t_k}.  Frozen steps interpolate to
+    the frozen state: the stopped tamed scheme gates the update as run_paths
+    does, and an overflowed path is frozen on the constant stretch ending
+    it.  The other schemes take the increment untamed (and the drift-tamed
+    one keeps its tamed drift).  At s = T/N with the full step increment
+    the value equals states[k+1] exactly.
     """
     h = grid.h
     if not 0 <= s <= h:
@@ -242,4 +242,6 @@ def interpolate(kind: SchemeKind, model: SdeModel, grid: GridSpec,
         if _norm(y) > stopping_threshold(grid.N, grid.T):
             return y.copy()
         bridge = tame(TamingParams(h=h, m=model.m), bridge)
+    elif run.overflow and (run.states[k:] == y).all():
+        return y.copy()
     return y + _update(kind, model, y, bridge, s, h)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,38 @@ def test_experiment_commands_reject_non_finite_start(capsys):
     assert main(["moments", "--model", "ginzburg-landau", "--Ns", "8,16",
                  "--M", "20", "--x0", "1,2"]) == 1
     assert capsys.readouterr().err.count("error: x0 must") == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--model", "gbm", "--N", "8", "--M", "4"],
+    ["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "20"],
+    ["divergence", "--model", "ginzburg-landau", "--Ns", "4", "--M", "20"],
+])
+def test_negative_threads_is_an_error(capsys, monkeypatch, args):
+    assert main([*args, "--threads", "-1"]) == 1
+    monkeypatch.setenv("BITEULER_THREADS", "-2")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: threads must be >= 0") == 2
+
+
+def test_simulate_memory_does_not_grow_with_path_count(tmp_path):
+    def peak(M: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--model", "ginzburg-landau", "--N", "256",
+                         "--M", str(M), "--seed", "3",
+                         "--output", str(tmp_path / f"{M}.json")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # one-time allocations of a first run stay out of the comparison
+    small = peak(1000)
+    # paths are stepped in blocks of at most 1000, so only the per-path
+    # summaries (a few bytes each) grow with M
+    assert peak(4000) <= 1.25 * small
 
 
 def test_simulate_dumps_increments(tmp_path):

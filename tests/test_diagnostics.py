@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from biteuler.brownian import generate_path
+from biteuler.brownian import generate_block, generate_path
 from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   exp_moment_estimate, exp_moment_supremum,
@@ -12,7 +13,7 @@ from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   moment_bound, n0_for, regularity_check,
                                   regularity_sweep, stopping_probability)
 from biteuler.models import catalog, model_gbm, model_ginzburg_landau
-from biteuler.schemes import SchemeKind, run_path
+from biteuler.schemes import SchemeKind, run_path, run_paths
 from biteuler.taming import stopping_threshold
 
 # mpmath reference values (40 digits) for the closed-form evaluations
@@ -242,6 +243,22 @@ def test_stopping_probability_bound_reported_with_spec():
     assert rep.bound is not None and rep.C1 is not None
     assert rep.C1 >= 1.0
     assert rep.bound >= 0.0
+
+
+def test_stopping_probability_keeps_increments_not_states():
+    gbm = model_gbm(a=0.05, b=1.0)
+    grid = GridSpec(1.0, 2048)
+    tracemalloc.start()
+    try:
+        rep = stopping_probability(gbm, grid, 1000, seed=3, x0=[4.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dw = generate_block(1.0, 2048, 1, seed=3, first_path=0, count=1000)
+    whole = run_paths(SchemeKind.STOPPED_BIT, gbm, grid, [4.0], dw)
+    assert 0 < rep.estimate == np.mean(whole.tau_index < grid.N) < 1
+    # the block's (B, N, m) increments, and not its (B, N + 1, d) states too
+    assert peak < 1.5 * dw.nbytes
 
 
 def test_exp_moment_supremum_monotone_pieces():

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from biteuler.core import ErrorRow, ErrorTable
+from biteuler.brownian import generate_block
+from biteuler.core import ErrorRow, ErrorTable, GridSpec
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   fit_rate, moment_sweep, strong_error)
 from biteuler.models import catalog, model_ginzburg_landau
-from biteuler.schemes import SchemeKind
+from biteuler.schemes import SchemeKind, run_paths
 
 
 def test_config_validation():
@@ -135,6 +137,36 @@ def test_divergence_control_row_stable_ode():
         assert report.row(SchemeKind.EULER_MARUYAMA, n).explode_fraction == 0.0
 
 
+def test_divergence_with_fewer_paths_than_batches():
+    # three paths leave seven of the ten batch-means batches empty; the
+    # report is that of the three paths stepped directly
+    gl = model_ginzburg_landau()
+    report = divergence_comparison(gl, (8,), 3, [5.0], seed=4)
+    dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=3)
+    for kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT):
+        runs = run_paths(kind, gl, GridSpec(1.0, 8), [5.0], dw)
+        row = report.row(kind, 8)
+        assert row.overflow_fraction == runs.overflow.sum() / 3
+        m2 = np.where(runs.overflow, 1e300, runs.states[:, -1, 0] ** 2)
+        assert row.second_moment_capped == m2.sum() / 3
+
+
+def test_divergence_sums_each_batch_on_its_own():
+    # 2500 paths: blocks of four, four and two 250-path batches; each
+    # batch's capped second moments are summed alone, then batch by batch
+    gl = model_ginzburg_landau()
+    report = divergence_comparison(gl, (4, 8), 2500, [5.0], seed=6)
+    for N in (4, 8):
+        dw = generate_block(1.0, N, 1, seed=6, first_path=0, count=2500)
+        for kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT):
+            runs = run_paths(kind, gl, GridSpec(1.0, N), [5.0], dw)
+            m2 = np.where(runs.overflow, 1e300, runs.states[:, -1, 0] ** 2)
+            total = 0.0
+            for b in range(10):
+                total += float(m2[250 * b:250 * (b + 1)].sum())
+            assert report.row(kind, N).second_moment_capped == total / 2500
+
+
 def test_moment_sweep_trivial_u():
     import biteuler.core as core
 
@@ -170,6 +202,54 @@ def test_determinism_across_thread_counts():
         assert a.std_error == b.std_error
         np.testing.assert_array_equal(a.per_gridpoint_errors,
                                       b.per_gridpoint_errors)
+
+
+def _report_bytes(report) -> list:
+    """Every field of a report, floats and arrays as exact bytes."""
+    if dataclasses.is_dataclass(report):
+        return [_report_bytes(getattr(report, f.name))
+                for f in dataclasses.fields(report)]
+    if isinstance(report, (list, tuple)):
+        return [_report_bytes(v) for v in report]
+    if isinstance(report, (float, np.ndarray)):
+        return np.asarray(report, dtype=float).tobytes()
+    return report
+
+
+_GL = model_ginzburg_landau()
+
+THREADED = {
+    "strong_error": lambda M, threads: strong_error(ConvergenceConfig(
+        model="ginzburg-landau", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8),
+        M=M, seed=5, reference="fine", N_ref=64, x0=(5.0,), threads=threads)),
+    "divergence_comparison": lambda M, threads: divergence_comparison(
+        _GL, (4, 8), M, [5.0], seed=7, threads=threads),
+    "moment_sweep": lambda M, threads: moment_sweep(
+        _GL, _GL.lyapunov, (8, 16), M, seed=11, x0=[1.0], threads=threads),
+}
+
+
+@pytest.mark.parametrize("M", (1, 37, 1500))
+@pytest.mark.parametrize("threads", (1, 2, 4))
+@pytest.mark.parametrize("name", sorted(THREADED))
+def test_threaded_estimators_are_byte_identical_across_thread_counts(
+        name, threads, M):
+    # 1500 paths make two blocks, so workers really share the work; M = 1
+    # leaves nine of the ten batch-means batches empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # stderr of one path
+        serial = THREADED[name](M, 1)
+        threaded = THREADED[name](M, threads)
+    assert _report_bytes(threaded) == _report_bytes(serial)
+
+
+def test_threaded_estimators_reject_negative_threads():
+    with pytest.raises(ValueError, match="threads"):
+        ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT,
+                          Ns=(4, 8), M=10, seed=0, threads=-3)
+    for name in ("divergence_comparison", "moment_sweep"):
+        with pytest.raises(ValueError, match="threads"):
+            THREADED[name](10, -1)
 
 
 def test_stderr_scales_with_path_count():

@@ -1,4 +1,5 @@
-"""Property tests of the taming map and the shared scheme kernel.
+"""Property tests of the taming map, the shared scheme kernel, the path-block
+layout and the chained coarsening.
 
 Hypothesis draws the seeds, starts, grids and schemes; every property is
 an exact identity, so the comparisons are bit for bit.
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
-from biteuler.core import GridSpec
+from biteuler.core import BLOCK_PATHS, GridSpec, path_blocks
+from biteuler.experiments import _coarsen_levels
 from biteuler.models import catalog
 from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
 from biteuler.taming import TamingParams, tame
@@ -73,3 +75,41 @@ def test_interpolate_hits_both_nodes_of_every_step(name, x0, seed, log_n):
             right = interpolate(kind, model, grid, run, k, grid.h,
                                 path.increments[k])
             assert right.tobytes() == run.states[k + 1].tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(M=st.integers(1, 30000), n_batches=st.integers(1, 25))
+def test_path_blocks_partition_the_paths_in_order(M, n_batches):
+    blocks = path_blocks(M, n_batches)
+    segs = [seg for blk in blocks for seg in blk]
+    assert all(lo < hi for _, lo, hi in segs)
+    # consecutive segments abut, from path 0 to path M, batches in order
+    assert [lo for _, lo, _ in segs] == [0] + [hi for _, _, hi in segs[:-1]]
+    assert segs[-1][2] == M
+    assert [b for b, _, _ in segs] == sorted(b for b, _, _ in segs)
+    assert all(sum(hi - lo for _, lo, hi in blk) <= BLOCK_PATHS
+               for blk in blocks)
+
+
+@settings(deadline=None, max_examples=200)
+@given(M=st.integers(1, 30000), n_batches=st.integers(1, 25))
+def test_path_blocks_cut_a_batch_only_at_block_offsets(M, n_batches):
+    for blk in path_blocks(M, n_batches):
+        for b, lo, hi in blk:
+            # batch b holds paths [start, end): near-equal batches
+            start, end = (round(c * M / n_batches) for c in (b, b + 1))
+            assert (lo - start) % BLOCK_PATHS == 0
+            assert hi == min(lo + BLOCK_PATHS, end)
+
+
+@settings(deadline=None, max_examples=50)
+@given(log_fine=st.integers(0, 9), m=st.integers(1, 2), seed=seeds,
+       data=st.data())
+def test_coarsen_levels_equal_direct_coarsening_on_ladders(log_fine, m, seed, data):
+    ladder = data.draw(st.lists(st.integers(0, log_fine), min_size=1,
+                                max_size=log_fine + 1))
+    counts = [2**j for j in ladder]
+    fine = generate_block(1.0, 2**log_fine, m, seed, 0, 3)
+    levels = _coarsen_levels(fine, counts)
+    for n in counts:
+        assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
-from biteuler.core import GridSpec
+from biteuler.core import GridSpec, SdeModel
 from biteuler.models import model_gbm, model_ginzburg_landau
 from biteuler.schemes import (BatchRuns, SchemeKind, interpolate, run_path,
                               run_paths)
@@ -235,6 +235,36 @@ def test_interpolate_frozen_step_constant():
     mid = interpolate(SchemeKind.STOPPED_BIT, model, grid, run, 2, grid.h / 2,
                       np.array([0.4]))
     np.testing.assert_array_equal(mid, run.states[2])
+
+
+def _squared_noise() -> SdeModel:
+    # sigma(x) = x^2 is left untamed by the drift-tamed scheme, so it overflows
+    return SdeModel(name="squared-noise", d=1, m=1, drift=lambda x: -x,
+                    diffusion=lambda x: (x * x)[..., None])
+
+
+@pytest.mark.parametrize("kind, model, x0, seed, frozen_from", [
+    (SchemeKind.EULER_MARUYAMA, model_ginzburg_landau(), 5.0, 0, 6),
+    (SchemeKind.DRIFT_TAMED, _squared_noise(), 50.0, 2, 7),
+])
+def test_interpolate_overflowed_run_stays_frozen(kind, model, x0, seed,
+                                                 frozen_from):
+    grid = GridSpec(T=1.0, N=8)
+    path = generate_path(1.0, 8, 1, seed=seed, path_index=0)
+    run = run_path(kind, model, grid, [x0], path)
+    assert run.overflow
+    # the update of step frozen_from overflows; the path is constant after
+    k0 = frozen_from
+    assert (run.states[k0:] == run.states[k0]).all()
+    assert run.states[k0 - 1, 0] != run.states[k0, 0]
+    for k in range(grid.N):
+        at_right = interpolate(kind, model, grid, run, k, grid.h,
+                               path.increments[k])
+        np.testing.assert_array_equal(at_right, run.states[k + 1])
+    for k in range(k0, grid.N):
+        mid = interpolate(kind, model, grid, run, k, grid.h / 2,
+                          path.increments[k] / 2)
+        np.testing.assert_array_equal(mid, run.states[k])
 
 
 def test_interpolate_offset_validation():

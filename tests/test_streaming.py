@@ -16,7 +16,7 @@ import pytest
 from biteuler import experiments, schemes
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
-from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel
+from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
 from biteuler.experiments import ConvergenceConfig, strong_error
 from biteuler.models import catalog, model_gbm
 from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
@@ -132,13 +132,12 @@ def test_thread_count_does_not_change_any_bit():
 
 
 def test_path_blocks_pack_whole_batches_in_path_order():
-    bounds = experiments._batch_bounds(2500, 10)
-    blocks = experiments._path_blocks(bounds)
+    blocks = path_blocks(2500, 10)
     assert [len(b) for b in blocks] == [4, 4, 2]
     assert [seg for blk in blocks for seg in blk] == [
-        (b, lo, hi) for b, (lo, hi) in enumerate(bounds)]
-    # batches larger than a block are cut where the per-batch loop cut them
-    big = experiments._path_blocks(experiments._batch_bounds(25000, 10))
+        (b, 250 * b, 250 * (b + 1)) for b in range(10)]
+    # batches larger than a block are cut at 1000-path offsets from their start
+    big = path_blocks(25000, 10)
     assert big[:3] == [[(0, 0, 1000)], [(0, 1000, 2000)], [(0, 2000, 2500)]]
 
 
