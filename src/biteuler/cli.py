@@ -4,7 +4,10 @@ emission, catalog listing.
 Value precedence, lowest to highest: built-in defaults, config file
 (INI-style, one section per command), environment variables with prefix
 ``BITEULER_`` (flag name upper-cased, dashes to underscores), command-line
-flags.  Unknown config keys are hard errors.
+flags.  Each setting's type, choices and default are declared once, in
+``_SETTINGS``; config-file and environment values are parsed by that same
+declaration, so a bad one is rejected just like a bad flag.  Unknown config
+keys are hard errors.
 
 Exit codes: 0 when the run completed and every requested assertion passed;
 2 when a requested assertion failed (e.g. fitted rate outside the expected
@@ -20,7 +23,7 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
+import os
 import sys
 from typing import Optional
 
@@ -32,7 +35,7 @@ from .diagnostics import stopping_probability
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 from .models import catalog, check_conditions, default_sampler
-from .schemes import SchemeKind, run_paths
+from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
 from .brownian import generate_block, generate_path, dump_increments
 from .taming import TamingParams, verify_taming_bounds
 
@@ -77,23 +80,53 @@ def _to_jsonable(obj):
     return obj
 
 
-def table_to_csv(table: ErrorTable) -> str:
-    """Render an error table with the fixed header; one line per N."""
-    lines = [CSV_HEADER]
-    for row in table.rows:
-        lines.append(",".join([
-            table.scheme, table.model, _fmt(table.r), str(row.N), str(row.M),
-            str(row.seed), _fmt(row.sup_error), _fmt(row.std_error),
-            _fmt(row.overflow_fraction),
-        ]))
+def _render(fmt: str, payload, csv_header: str = "", csv_rows=(),
+            indent: Optional[int] = 2) -> str:
+    """``payload`` as sorted-key JSON, or ``csv_header`` and ``csv_rows`` as
+    CSV with every float to 17 significant digits."""
+    if fmt == "json":
+        return json.dumps(_to_jsonable(payload), indent=indent,
+                          sort_keys=True) + "\n"
+    if fmt != "csv":
+        raise UsageError(f"unknown format {fmt!r}")
+    lines = [csv_header]
+    for row in csv_rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                              for v in row))
     return "\n".join(lines) + "\n"
 
 
+def _write(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when it is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as f:
+            f.write(text)
+
+
+def _write_payload(payload, fmt: str, path: Optional[str],
+                   csv_header: str = "", csv_rows=()) -> None:
+    _write(_render(fmt, payload, csv_header, csv_rows), path)
+
+
+def _table_rows(table: ErrorTable) -> list[list]:
+    return [[table.scheme, table.model, table.r, row.N, row.M, row.seed,
+             row.sup_error, row.std_error, row.overflow_fraction]
+            for row in table.rows]
+
+
+def _table_payload(table: ErrorTable, fit: Optional[RateFit]) -> dict:
+    return {"table": table} if fit is None else {"table": table, "rate_fit": fit}
+
+
+def table_to_csv(table: ErrorTable) -> str:
+    """Render an error table with the fixed header; one line per N."""
+    return _render("csv", None, CSV_HEADER, _table_rows(table))
+
+
 def table_to_json(table: ErrorTable, fit: Optional[RateFit] = None) -> str:
-    payload = {"table": _to_jsonable(table)}
-    if fit is not None:
-        payload["rate_fit"] = _to_jsonable(fit)
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _render("json", _table_payload(table, fit))
 
 
 def table_from_json(text: str) -> ErrorTable:
@@ -118,242 +151,173 @@ def emit(table: ErrorTable, fmt: str, path: Optional[str],
     sidecar file ``<path>.ratefit.json`` with keys slope/intercept/residual.
     JSON mirrors the full report including per-gridpoint errors.
     """
-    if fmt == "csv":
-        text = table_to_csv(table)
-    elif fmt == "json":
-        text = table_to_json(table, fit)
-    else:
-        raise UsageError(f"unknown format {fmt!r}")
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    _write_payload(_table_payload(table, fit), fmt, path, CSV_HEADER,
+                   _table_rows(table))
     if fmt == "csv" and fit is not None:
-        sidecar = json.dumps({"slope": fit.slope, "intercept": fit.intercept,
-                              "residual": fit.residual}, sort_keys=True) + "\n"
-        if path is None:
-            sys.stdout.write(sidecar)
-        else:
-            with open(path + ".ratefit.json", "w") as f:
-                f.write(sidecar)
-
-
-def _write_payload(payload: dict, fmt: str, path: Optional[str],
-                   csv_header: Optional[str] = None,
-                   csv_rows: Optional[list[list]] = None) -> None:
-    if fmt == "json":
-        text = json.dumps(_to_jsonable(payload), indent=2, sort_keys=True) + "\n"
-    else:
-        if csv_header is None:
-            raise UsageError("this command only supports --format json")
-        lines = [csv_header]
-        for row in csv_rows or []:
-            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+        sidecar = {"slope": fit.slope, "intercept": fit.intercept,
+                   "residual": fit.residual}
+        _write(_render("json", sidecar, indent=None),
+               None if path is None else path + ".ratefit.json")
 
 
 # ---------------------------------------------------------------------------
-# argument handling
+# settings: each flag declared once; config and environment values are
+# parsed by the same declaration
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads; 0 means all cores (default 1)")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+def _list_of(cast):
+    """``type=`` for a comma-separated list such as ``1,0.1,0.01``."""
+    def parse(text: str) -> tuple:
+        return tuple(cast(v) for v in text.split(",") if v)
+    parse.__name__ = f"comma-separated {cast.__name__}"  # names it in errors
+    return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="biteuler", description=__doc__.split("\n")[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="run an ensemble and print a summary")
-    sp.add_argument("--model", required=False)
-    sp.add_argument("--scheme", choices=sorted(_SCHEMES), default=None)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--M", type=int, default=None)
-    sp.add_argument("--T", type=float, default=None)
-    sp.add_argument("--x0", default=None, help="comma-separated start state")
-    sp.add_argument("--dump-increments", default=None,
-                    help="write path 0's increments to this binary file")
-    _add_common(sp)
-
-    cp = sub.add_parser("convergence", help="strong-error table and rate fit")
-    cp.add_argument("--model", required=False)
-    cp.add_argument("--scheme", choices=sorted(_SCHEMES), default=None)
-    cp.add_argument("--Ns", default=None, help="comma-separated, e.g. 16,32,64")
-    cp.add_argument("--N-ref", type=int, default=None)
-    cp.add_argument("--M", type=int, default=None)
-    cp.add_argument("--T", type=float, default=None)
-    cp.add_argument("--r", type=float, default=None)
-    cp.add_argument("--reference", choices=("auto", "exact", "fine"),
-                    default=None,
-                    help="auto: exact when the model has a closed form, "
-                         "otherwise a fine-grid run of the same scheme")
-    cp.add_argument("--x0", default=None)
-    cp.add_argument("--expect-slope", default=None, metavar="LO:HI",
-                    help="exit 2 unless the fitted slope lies in [LO, HI]")
-    _add_common(cp)
-
-    dp = sub.add_parser("divergence", help="Euler vs stopped-tamed explosion contrast")
-    dp.add_argument("--model", required=False)
-    dp.add_argument("--Ns", default=None)
-    dp.add_argument("--M", type=int, default=None)
-    dp.add_argument("--T", type=float, default=None)
-    dp.add_argument("--x0", default=None)
-    dp.add_argument("--expect-contrast", action="store_true", default=None,
-                    help="exit 2 unless Euler explodes somewhere and the "
-                         "stopped scheme never overflows")
-    _add_common(dp)
-
-    mp = sub.add_parser("moments", help="Lyapunov moment flatness sweep")
-    mp.add_argument("--model", required=False)
-    mp.add_argument("--Ns", default=None)
-    mp.add_argument("--M", type=int, default=None)
-    mp.add_argument("--T", type=float, default=None)
-    mp.add_argument("--x0", default=None)
-    mp.add_argument("--max-ratio", type=float, default=None,
-                    help="exit 2 if max/min of E[U(Y_T)] exceeds this")
-    _add_common(mp)
-
-    tp = sub.add_parser("taming-check", help="Monte Carlo taming-bound checks")
-    tp.add_argument("--h-values", default=None, help="comma-separated scales")
-    tp.add_argument("--m-values", default=None, help="comma-separated dimensions")
-    tp.add_argument("--samples", type=int, default=None)
-    tp.add_argument("--strict", action="store_true", default=None,
-                    help="exit 2 if any claimed bound fails")
-    _add_common(tp)
-
-    kp = sub.add_parser("check-conditions", help="sampled Lyapunov condition checker")
-    kp.add_argument("--model", required=False)
-    kp.add_argument("--n-points", type=int, default=None)
-    kp.add_argument("--T", type=float, default=None)
-    kp.add_argument("--radius", type=float, default=None)
-    kp.add_argument("--strict", action="store_true", default=None,
-                    help="exit 2 on any violation")
-    _add_common(kp)
-
-    lp = sub.add_parser("catalog", help="list the model zoo")
-    _add_common(lp)
-    return p
+def _ns(text: str) -> tuple[int, ...]:
+    try:
+        ns = _list_of(int)(text)
+    except ValueError:
+        ns = ()
+    if not ns or min(ns) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected positive integers such as 16,32,64, got {text!r}")
+    return ns
 
 
-_DEFAULTS = {
-    "seed": 42, "threads": 1, "format": "json", "M": 1000, "T": 1.0,
-    "N": 64, "r": 2.0, "scheme": "bit", "reference": "auto", "N_ref": 0,
-    "samples": 100000, "h_values": "1,0.1,0.01", "m_values": "1,5",
-    "n_points": 10000, "radius": 10.0, "strict": False,
-    "expect_contrast": False,
+def _band(text: str) -> tuple[float, float]:
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad band {text!r}, expected LO:HI") from None
+    return lo, hi
+
+
+_SETTINGS = {
+    "--config": dict(help="INI config file; environment and flags override it"),
+    "--seed": dict(type=int, default=42, help="random seed"),
+    "--threads": dict(type=int, default=1, help="worker threads; 0 means all cores"),
+    "--output": dict(help="output path; stdout when unset"),
+    "--format": dict(choices=("csv", "json"), default="json", help="output format"),
+    "--model": dict(help="model name, see `biteuler catalog` (required)"),
+    "--scheme": dict(choices=sorted(_SCHEMES), default="bit", help="stepping scheme"),
+    "--N": dict(type=int, default=64, help="time steps"),
+    "--Ns": dict(type=_ns, help="comma-separated time steps (required)"),
+    "--N-ref": dict(type=int, default=0,
+                    help="fine-reference steps; 0 means 8 * max(Ns)"),
+    "--M": dict(type=int, default=1000, help="Monte Carlo paths"),
+    "--T": dict(type=float, default=1.0, help="time horizon"),
+    "--r": dict(type=float, default=2.0, help="L^r error exponent"),
+    "--x0": dict(type=_list_of(float),
+                 help="comma-separated start state; the model's when unset"),
+    "--reference": dict(choices=("auto", "exact", "fine"), default="auto",
+                        help="auto: exact when the model has a closed form, "
+                             "otherwise a fine-grid run of the same scheme"),
+    "--expect-slope": dict(type=_band, metavar="LO:HI",
+                           help="exit 2 unless the fitted slope lies in [LO, HI]"),
+    "--expect-contrast": dict(action="store_true",
+                              help="exit 2 unless Euler explodes somewhere and the "
+                                   "stopped scheme never overflows"),
+    "--max-ratio": dict(type=float, help="exit 2 if max/min of E[U(Y_T)] exceeds this"),
+    "--dump-increments": dict(help="write path 0's increments to this binary file"),
+    "--h-values": dict(type=_list_of(float), default="1,0.1,0.01",
+                       help="comma-separated scales"),
+    "--m-values": dict(type=_list_of(int), default="1,5",
+                       help="comma-separated dimensions"),
+    "--samples": dict(type=int, default=100000, help="Monte Carlo samples"),
+    "--n-points": dict(type=int, default=10000, help="sampled states"),
+    "--radius": dict(type=float, default=10.0, help="sampling radius"),
+    "--strict": dict(action="store_true",
+                     help="exit 2 if any checked bound or condition fails"),
 }
 
+_COMMON = ("--config", "--seed", "--threads", "--output", "--format")
+_ENSEMBLE = ("--model", "--M", "--T", "--x0")
 
-def _merge_settings(args: argparse.Namespace) -> dict:
-    """defaults < config file < env (BITEULER_*) < flags."""
-    settings = dict(vars(args))
-    command = settings.pop("command")
-    known = set(settings)
-    merged = {k: None for k in known}
 
-    if args.config:
+def build_parser() -> tuple[argparse.ArgumentParser,
+                            dict[str, argparse.ArgumentParser]]:
+    """The ``biteuler`` parser and, by command name, its subparsers."""
+    p = argparse.ArgumentParser(prog="biteuler", description=__doc__.split("\n")[0])
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (_, help_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(
+            name, help=help_, description=help_,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flag in flags + _COMMON:
+            sp.add_argument(flag, **_SETTINGS[flag])
+    # structured text unless a format or an output file is asked for
+    sub.choices["catalog"].set_defaults(format=None)
+    return p, sub.choices
+
+
+def _layered_settings(command: str, parser: argparse.ArgumentParser,
+                      config: Optional[str]) -> dict:
+    """The config-file, then environment, values of ``command``'s settings,
+    each parsed by ``parser`` as its flag would be; an on/off switch is on
+    for 1/true/yes/on."""
+    flags = {f.lstrip("-").replace("-", "_"): f
+             for f in _COMMANDS[command][2] + _COMMON if f != "--config"}
+    texts = []  # (where, dest, text), lowest precedence first
+    if config:
         cp = configparser.ConfigParser()
         cp.optionxform = str  # keys are case-sensitive flag names (N vs n)
-        read = cp.read(args.config)
-        if not read:
-            raise UsageError(f"config file {args.config!r} not found")
+        if not cp.read(config):
+            raise UsageError(f"config file {config!r} not found")
         for section in cp.sections():
             if section not in _COMMANDS and section != "common":
                 raise UsageError(f"unknown config section [{section}]")
         for section in ("common", command):
             if cp.has_section(section):
-                for key, value in cp.items(section):
-                    attr = key.replace("-", "_")
-                    if attr not in known or attr == "config":
-                        raise UsageError(
-                            f"unknown config key {key!r} in [{section}]")
-                    merged[attr] = value
-
-    import os
-    for attr in known:
-        env_key = ENV_PREFIX + attr.upper()
+                for key, text in cp.items(section):
+                    dest = key.replace("-", "_")
+                    where = f"config key {key!r} in [{section}]"
+                    if dest not in flags:
+                        raise UsageError(f"unknown {where}")
+                    texts.append((where, dest, text))
+    for dest in flags:
+        env_key = ENV_PREFIX + dest.upper()
         if env_key in os.environ:
-            merged[attr] = os.environ[env_key]
-
-    for attr, value in settings.items():
-        if value is not None:
-            merged[attr] = value
-
-    defaulted = {attr for attr, value in merged.items() if value is None}
-    for attr, value in list(merged.items()):
-        if value is None and attr in _DEFAULTS:
-            merged[attr] = _DEFAULTS[attr]
-    merged["_defaulted"] = defaulted
-
-    # strings from config/env into typed values
-    for attr in ("seed", "threads", "M", "N", "N_ref", "samples", "n_points"):
-        if isinstance(merged.get(attr), str):
-            merged[attr] = int(merged[attr])
-    for attr in ("T", "r", "max_ratio", "radius"):
-        if isinstance(merged.get(attr), str):
-            merged[attr] = float(merged[attr])
-    for attr in ("strict", "expect_contrast"):
-        if isinstance(merged.get(attr), str):
-            merged[attr] = merged[attr].lower() in ("1", "true", "yes", "on")
-    worker_count(merged["threads"])  # a negative --threads is a usage error
-    merged["command"] = command
-    return merged
+            texts.append((env_key, dest, os.environ[env_key]))
+    parser.exit_on_error = False  # raise instead, so the error names its source
+    values = {}
+    for where, dest, text in texts:
+        flag = flags[dest]
+        if _SETTINGS[flag].get("action") == "store_true":
+            argv = [flag] if text.lower() in ("1", "true", "yes", "on") else []
+        else:
+            argv = [f"{flag}={text}"]
+        try:
+            values[dest] = getattr(parser.parse_args(argv), dest)
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"{where}: {exc}") from None
+    return values
 
 
-def _parse_ns(text) -> tuple[int, ...]:
-    if text is None:
-        raise UsageError("missing --Ns")
-    if isinstance(text, tuple):
-        return text
-    try:
-        ns = tuple(int(v) for v in str(text).split(",") if v)
-    except ValueError as exc:
-        raise UsageError(f"bad --Ns value {text!r}") from exc
-    if not ns or any(n < 1 for n in ns):
-        raise UsageError("Ns must be positive integers")
-    return ns
-
-
-def _parse_x0(text, entry):
-    if text is None:
-        return np.asarray(entry.default_x0, dtype=float)
-    return np.array([float(v) for v in str(text).split(",")], dtype=float)
-
-
-def _require_model(s: dict):
-    if not s.get("model"):
+def _require_model(s: argparse.Namespace):
+    if not s.model:
         raise UsageError("missing required --model")
     cat = catalog()
-    if s["model"] not in cat:
-        raise UsageError(f"unknown model {s['model']!r}; see `biteuler catalog`")
-    return cat[s["model"]]
+    if s.model not in cat:
+        raise UsageError(f"unknown model {s.model!r}; see `biteuler catalog`")
+    return cat[s.model]
 
 
-def _parse_band(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(v) for v in text.split(":"))
-    except ValueError as exc:
-        raise UsageError(f"bad band {text!r}, expected LO:HI") from exc
-    return lo, hi
+def _require_ns(s: argparse.Namespace) -> tuple[int, ...]:
+    if s.Ns is None:
+        raise UsageError("missing --Ns")
+    return s.Ns
+
+
+def _start(s: argparse.Namespace, entry) -> np.ndarray:
+    return np.asarray(entry.default_x0 if s.x0 is None else s.x0, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # command implementations
 
 
-def _cmd_catalog(s: dict) -> None:
+def _cmd_catalog(s: argparse.Namespace) -> None:
     rows = []
     payload = {}
     for name, entry in sorted(catalog().items()):
@@ -369,92 +333,89 @@ def _cmd_catalog(s: dict) -> None:
         rows.append(f"{name}: d={info['d']} m={info['m']} "
                     f"exact={info['exact_solution']} lyapunov={info['lyapunov']} "
                     f"x0={info['default_x0']}\n    {entry.notes}")
-    # structured text by default; JSON when asked for explicitly or to a file
-    if s["output"] or "format" not in s.get("_defaulted", set()):
-        _write_payload(payload, "json", s["output"])
+    if s.output or s.format:
+        _write_payload(payload, "json", s.output)
     else:
         sys.stdout.write("\n".join(rows) + "\n")
 
 
-def _cmd_simulate(s: dict) -> None:
+def _cmd_simulate(s: argparse.Namespace) -> None:
     entry = _require_model(s)
     model = entry.model
-    x0 = validate_start(model, _parse_x0(s.get("x0"), entry), s["M"])
-    grid = GridSpec(T=s["T"], N=s["N"])
-    kind = _SCHEMES[s["scheme"]]
-    if s.get("dump_increments"):
-        dump_increments(generate_path(s["T"], s["N"], model.m, s["seed"], 0),
-                        s["dump_increments"])
+    x0 = validate_start(model, _start(s, entry), s.M)
+    grid = GridSpec(T=s.T, N=s.N)
+    kind = _SCHEMES[s.scheme]
+    if s.dump_increments:
+        dump_increments(generate_path(s.T, s.N, model.m, s.seed, 0),
+                        s.dump_increments)
     parts = []
-    for [(_, lo, hi)] in path_blocks(s["M"]):
-        dw = generate_block(s["T"], s["N"], model.m, s["seed"], lo, hi - lo)
+    for [(_, lo, hi)] in path_blocks(s.M):
+        dw = generate_block(s.T, s.N, model.m, s.seed, lo, hi - lo)
         runs = run_paths(kind, model, grid, x0, dw)
         parts.append((runs.states[:, -1].copy(), runs.tau_index, runs.overflow))
         del dw, runs  # one block at a time: memory does not grow with M
     final, tau, overflow = (np.concatenate(p) for p in zip(*parts))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bd,bd->b", final, final))
-    norms = np.minimum(np.nan_to_num(norms, nan=1e300, posinf=1e300), 1e300)
+    norms = np.minimum(np.nan_to_num(norms, nan=OVERFLOW_CAP,
+                                     posinf=OVERFLOW_CAP), OVERFLOW_CAP)
     payload = {
-        "model": model.name, "scheme": s["scheme"], "N": s["N"], "M": s["M"],
-        "T": s["T"], "seed": s["seed"],
+        "model": model.name, "scheme": s.scheme, "N": s.N, "M": s.M,
+        "T": s.T, "seed": s.seed,
         "final_norm_mean": float(np.mean(norms)),
-        "stopped_fraction": float(np.mean(tau < s["N"])),
+        "stopped_fraction": float(np.mean(tau < s.N)),
         "overflow_fraction": float(np.mean(overflow)),
     }
-    _write_payload(payload, s["format"], s["output"],
+    _write_payload(payload, s.format, s.output,
                    csv_header="model,scheme,N,M,seed,final_norm_mean,"
                               "stopped_fraction,overflow_fraction",
-                   csv_rows=[[payload["model"], payload["scheme"], s["N"],
-                              s["M"], s["seed"], payload["final_norm_mean"],
+                   csv_rows=[[payload["model"], payload["scheme"], s.N, s.M,
+                              s.seed, payload["final_norm_mean"],
                               payload["stopped_fraction"],
                               payload["overflow_fraction"]]])
 
 
-def _cmd_convergence(s: dict) -> None:
+def _cmd_convergence(s: argparse.Namespace) -> None:
     entry = _require_model(s)
-    ns = _parse_ns(s.get("Ns"))
-    # a rate fit is always produced, so the resolutions must be strictly
-    # increasing powers of two
-    if any(n & (n - 1) for n in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise UsageError("Ns must be strictly increasing powers of two")
-    x0 = s.get("x0")
-    reference = s["reference"]
-    n_ref = s.get("N_ref") or 0
+    ns = _require_ns(s)
+    # a rate fit is always produced, so the resolutions must be at least
+    # three strictly increasing powers of two
+    if len(ns) < 3 or any(n & (n - 1) for n in ns) \
+            or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise UsageError("Ns must be at least three strictly increasing "
+                         "powers of two")
+    reference, n_ref = s.reference, s.N_ref
     if reference == "auto":
         reference = "exact" if entry.model.exact_solution is not None else "fine"
     if reference == "fine" and n_ref == 0:
         n_ref = 8 * max(ns)
     config = ConvergenceConfig(
-        model=s["model"], scheme=_SCHEMES[s["scheme"]], Ns=ns, M=s["M"],
-        seed=s["seed"], N_ref=n_ref, r=s["r"],
-        reference=reference,
-        x0=None if x0 is None else tuple(_parse_x0(x0, entry)),
-        T=s["T"], threads=s["threads"])
+        model=s.model, scheme=_SCHEMES[s.scheme], Ns=ns, M=s.M, seed=s.seed,
+        N_ref=n_ref, r=s.r, reference=reference, x0=s.x0, T=s.T,
+        threads=s.threads)
     table = strong_error(config)
     fit = fit_rate(table)
-    emit(table, s["format"], s["output"], fit)
-    if s.get("expect_slope"):
-        lo, hi = _parse_band(s["expect_slope"])
+    emit(table, s.format, s.output, fit)
+    if s.expect_slope:
+        lo, hi = s.expect_slope
         if not lo <= fit.slope <= hi:
             raise AssertionFailed(
                 f"fitted slope {fit.slope:.4f} outside [{lo}, {hi}]")
 
 
-def _cmd_divergence(s: dict) -> None:
+def _cmd_divergence(s: argparse.Namespace) -> None:
     entry = _require_model(s)
-    ns = _parse_ns(s.get("Ns"))
-    x0 = _parse_x0(s.get("x0"), entry)
-    report = divergence_comparison(entry.model, ns, s["M"], x0, s["seed"],
-                                   T=s["T"], threads=s["threads"])
+    ns = _require_ns(s)
+    report = divergence_comparison(entry.model, ns, s.M, _start(s, entry),
+                                   s.seed, T=s.T, threads=s.threads)
     rows = [[r.scheme, report.model, r.N, report.M, report.seed,
              r.overflow_fraction, r.explode_fraction, r.second_moment_capped]
             for r in report.rows]
-    _write_payload({"divergence": report}, s["format"], s["output"],
+    _write_payload({"divergence": report}, s.format, s.output,
                    csv_header="scheme,model,N,M,seed,overflow_fraction,"
                               "explode_fraction,second_moment_capped",
                    csv_rows=rows)
-    if s.get("expect_contrast"):
+    if s.expect_contrast:
         em_explodes = any(r.explode_fraction > 0 for r in report.rows
                           if r.scheme == "em")
         bit_clean = all(r.overflow_fraction == 0 for r in report.rows
@@ -465,87 +426,108 @@ def _cmd_divergence(s: dict) -> None:
                 f"bit clean: {bit_clean})")
 
 
-def _cmd_moments(s: dict) -> None:
+def _cmd_moments(s: argparse.Namespace) -> None:
     entry = _require_model(s)
     model = entry.model
     if model.lyapunov is None:
-        raise UsageError(f"model {s['model']!r} ships no Lyapunov data")
-    ns = _parse_ns(s.get("Ns"))
-    x0 = _parse_x0(s.get("x0"), entry)
-    report = moment_sweep(model, model.lyapunov, ns, s["M"], s["seed"], x0,
-                          T=s["T"], threads=s["threads"])
+        raise UsageError(f"model {s.model!r} ships no Lyapunov data")
+    ns = _require_ns(s)
+    report = moment_sweep(model, model.lyapunov, ns, s.M, s.seed,
+                          _start(s, entry), T=s.T, threads=s.threads)
     rows = [[model.name, r.N, report.M, report.seed, r.eu_estimate,
              r.eu_stderr, r.exp_estimate, r.exp_stderr, r.bound]
             for r in report.rows]
-    _write_payload({"moments": report}, s["format"], s["output"],
+    _write_payload({"moments": report}, s.format, s.output,
                    csv_header="model,N,M,seed,eu_estimate,eu_stderr,"
                               "exp_estimate,exp_stderr,moment_bound",
                    csv_rows=rows)
-    if s.get("max_ratio") is not None and report.ratio > s["max_ratio"]:
+    if s.max_ratio is not None and report.ratio > s.max_ratio:
         raise AssertionFailed(
-            f"E[U] max/min ratio {report.ratio:.4f} exceeds {s['max_ratio']}")
+            f"E[U] max/min ratio {report.ratio:.4f} exceeds {s.max_ratio}")
 
 
-def _cmd_taming_check(s: dict) -> None:
-    hs = [float(v) for v in str(s["h_values"]).split(",") if v]
-    ms = [int(v) for v in str(s["m_values"]).split(",") if v]
+def _cmd_taming_check(s: argparse.Namespace) -> None:
     reports = []
     all_ok = True
-    for h in hs:
-        for m in ms:
-            rep = verify_taming_bounds(TamingParams(h=h, m=m),
-                                       s["samples"], s["seed"])
+    for h in s.h_values:
+        for m in s.m_values:
+            rep = verify_taming_bounds(TamingParams(h=h, m=m), s.samples,
+                                       s.seed)
             all_ok = all_ok and rep.all_passed
             reports.append(rep)
     rows = [[r.params.h, r.params.m, r.linf.estimate, r.linf.bound,
              r.linf_pathwise_fraction, r.jacobian.estimate, r.jacobian.bound,
              r.laplacian.estimate, r.laplacian.bound, str(r.all_passed)]
             for r in reports]
-    _write_payload({"taming_checks": reports}, s["format"], s["output"],
+    _write_payload({"taming_checks": reports}, s.format, s.output,
                    csv_header="h,m,linf_estimate,linf_bound,linf_fraction,"
                               "jacobian_estimate,jacobian_bound,"
                               "laplacian_estimate,laplacian_bound,all_passed",
                    csv_rows=rows)
-    if s.get("strict") and not all_ok:
+    if s.strict and not all_ok:
         raise AssertionFailed("a claimed taming bound failed its Monte Carlo check")
 
 
-def _cmd_check_conditions(s: dict) -> None:
+def _cmd_check_conditions(s: argparse.Namespace) -> None:
     entry = _require_model(s)
     model = entry.model
     if model.lyapunov is None:
-        raise UsageError(f"model {s['model']!r} ships no Lyapunov data")
-    report = check_conditions(model, model.lyapunov, s["T"],
-                              default_sampler(s["radius"]), s["n_points"],
-                              seed=s["seed"])
-    _write_payload({"conditions": report}, s["format"], s["output"],
+        raise UsageError(f"model {s.model!r} ships no Lyapunov data")
+    report = check_conditions(model, model.lyapunov, s.T,
+                              default_sampler(s.radius), s.n_points,
+                              seed=s.seed)
+    _write_payload({"conditions": report}, s.format, s.output,
                    csv_header="condition,n_checked,n_violations,worst_margin",
                    csv_rows=[[c.name, c.n_checked, c.n_violations, c.worst_margin]
                              for c in (report.generator, report.monotonicity,
                                        report.coercivity)])
-    if s.get("strict") and not report.passed:
+    if s.strict and not report.passed:
         raise AssertionFailed(f"{report.total_violations} condition violations")
 
 
-_COMMANDS = {"simulate": _cmd_simulate, "convergence": _cmd_convergence,
-             "divergence": _cmd_divergence, "moments": _cmd_moments,
-             "taming-check": _cmd_taming_check,
-             "check-conditions": _cmd_check_conditions, "catalog": _cmd_catalog}
+# command -> (implementation, help, flags besides _COMMON)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "run an ensemble and print a summary",
+                 _ENSEMBLE + ("--scheme", "--N", "--dump-increments")),
+    "convergence": (_cmd_convergence, "strong-error table and rate fit",
+                    _ENSEMBLE + ("--scheme", "--Ns", "--N-ref", "--r",
+                                 "--reference", "--expect-slope")),
+    "divergence": (_cmd_divergence, "Euler vs stopped-tamed explosion contrast",
+                   _ENSEMBLE + ("--Ns", "--expect-contrast")),
+    "moments": (_cmd_moments, "Lyapunov moment flatness sweep",
+                _ENSEMBLE + ("--Ns", "--max-ratio")),
+    "taming-check": (_cmd_taming_check, "Monte Carlo taming-bound checks",
+                     ("--h-values", "--m-values", "--samples", "--strict")),
+    "check-conditions": (_cmd_check_conditions,
+                         "sampled Lyapunov condition checker",
+                         ("--model", "--n-points", "--T", "--radius",
+                          "--strict")),
+    "catalog": (_cmd_catalog, "list the model zoo", ()),
+}
+
+
+def parse_settings(argv: Optional[list[str]] = None) -> argparse.Namespace:
+    """The settings of one invocation, defaults < config file < environment
+    < flags; argparse's SystemExit on a bad flag or on --help."""
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)  # checks every flag
+    command = commands[args.command]
+    command.set_defaults(**_layered_settings(args.command, command, args.config))
+    return parser.parse_args(argv)  # flags win over the layered defaults
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        s = parse_settings(argv)
+        worker_count(s.threads)  # a negative --threads is a usage error
+        _COMMANDS[s.command][0](s)
+    except SystemExit as exc:  # argparse printed help or a usage error
         return 1 if exc.code else 0
-    try:
-        s = _merge_settings(args)
-        _COMMANDS[s["command"]](s)
     except AssertionFailed as exc:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError,
+            configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -376,6 +376,7 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
         dev = _regularity_lhs(model, grid, runs.states, fine)
         n_pass += int(np.sum(dev <= bound))
         max_lhs = max(max_lhs, float(dev.max()))
+        del fine, dw, runs, dev  # else they live on while the next block is drawn
     return RegularityReport(n_samples=M * grid.N * samples_per_step,
                             n_pass=n_pass, max_lhs=max_lhs,
                             bound=bound, constants_admissible=growth.admissible,

@@ -123,7 +123,8 @@ class ConvergenceConfig:
     Brownian path) or "fine" (the ``ref_scheme`` run on the N_ref grid);
     for a fine reference N_ref must be a multiple of every N and at least
     8 times the largest.  ``Ns`` should be powers of two when a rate fit is
-    intended.  ``x0`` of None uses the catalog default.
+    intended.  ``M`` is at least 10, one path per batch-means batch.  ``x0``
+    of None uses the catalog default.
     """
 
     model: str
@@ -144,8 +145,10 @@ class ConvergenceConfig:
             raise ValueError("Ns must be nonempty")
         if any(n < 1 for n in self.Ns):
             raise ValueError("all Ns must be >= 1")
-        if self.M < 1:
-            raise ValueError("M must be >= 1")
+        if self.M < _N_STAT_BATCHES:
+            # an empty batch-means batch would make the stderr NaN
+            raise ValueError(f"M must be >= {_N_STAT_BATCHES}, one path per "
+                             f"batch-means batch, got {self.M}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.r <= 0:
@@ -420,6 +423,8 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     the bound applies from the reported N0 onward and is typically vacuous
     (infinite) at desk-scale N, which is reported as-is.
     """
+    if M < 2:
+        raise ValueError(f"M must be >= 2 for a sample stderr, got {M}")
     x0 = validate_start(model, x0, M)
     c_growth = fit_growth_constant(model, spec, p_growth, T=T)
     eu0 = float(spec.U(x0))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,15 @@ def test_convergence_rejects_non_power_of_two_ns(capsys):
                  "--Ns", "16,24,32", "--M", "50"])
     assert code == 1
     assert "powers of two" in capsys.readouterr().err
+
+
+def test_convergence_rejects_too_few_ns_before_running(tmp_path, capsys):
+    # the rate fit needs three points; the study must not run first
+    out = tmp_path / "t.csv"
+    assert main(["convergence", "--model", "gbm", "--Ns", "16,32",
+                 "--M", "50", "--output", str(out)]) == 1
+    assert "at least three" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convergence_auto_reference_without_closed_form(tmp_path):
@@ -273,3 +283,121 @@ def test_byte_identical_output_across_threads(tmp_path):
     assert f1.read_bytes() == f4.read_bytes()
     assert (tmp_path / "a.csv.ratefit.json").read_bytes() == \
         (tmp_path / "b.csv.ratefit.json").read_bytes()
+
+
+def test_too_few_paths_for_an_error_bar_is_an_error(capsys):
+    # with fewer paths than stderr batches (convergence) or than two
+    # (moments) the stderr would be NaN, which is not JSON
+    assert main(["convergence", "--model", "gbm", "--Ns", "16,32,64",
+                 "--M", "5", "--format", "json"]) == 1
+    assert main(["moments", "--model", "ginzburg-landau", "--Ns", "16,32",
+                 "--M", "1", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error: M must be >= ") == 2
+
+
+def _settings_by_source(tmp_path, monkeypatch, command, flag, text):
+    """Parsed settings of ``command`` with ``flag`` set to ``text`` by a
+    config file, by the environment and by the flag itself."""
+    from biteuler.cli import parse_settings
+
+    dest = flag.lstrip("-").replace("-", "_")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{command}]\n{dest} = {text}\n")
+    by_config = parse_settings([command, "--config", str(cfg)])
+    by_config.config = None
+    monkeypatch.setenv("BITEULER_" + dest.upper(), text)
+    by_env = parse_settings([command])
+    monkeypatch.delenv("BITEULER_" + dest.upper())
+    switch = text == "true"
+    by_flag = parse_settings([command, flag] + ([] if switch else [text]))
+    return dest, (by_config, by_env, by_flag)
+
+
+@pytest.mark.parametrize("command,flag,text,value", [
+    ("simulate", "--M", "16", 16),
+    ("simulate", "--T", "0.5", 0.5),
+    ("simulate", "--scheme", "em", "em"),
+    ("simulate", "--model", "vdp", "vdp"),
+    ("taming-check", "--strict", "true", True),
+    ("convergence", "--Ns", "16,32", (16, 32)),
+    ("convergence", "--expect-slope", "0.4:0.6", (0.4, 0.6)),
+    ("taming-check", "--h-values", "1,0.5", (1.0, 0.5)),
+])
+def test_config_env_and_flag_values_parse_alike(tmp_path, monkeypatch,
+                                                command, flag, text, value):
+    dest, parsed = _settings_by_source(tmp_path, monkeypatch, command, flag,
+                                       text)
+    for s in parsed:
+        assert getattr(s, dest) == value
+        assert vars(s) == vars(parsed[-1])
+
+
+def test_layered_precedence(tmp_path, monkeypatch):
+    from biteuler.cli import parse_settings
+
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[common]\nseed = 1\nthreads = 2\n"
+                   "[taming-check]\nseed = 2\nstrict = true\nsamples = 5000\n")
+    monkeypatch.setenv("BITEULER_STRICT", "false")
+    monkeypatch.setenv("BITEULER_SAMPLES", "3000")
+    s = parse_settings(["taming-check", "--config", str(cfg),
+                        "--samples", "2000"])
+    assert (s.threads, s.seed, s.strict, s.samples) == (2, 2, False, 2000)
+    assert s.m_values == (1, 5)  # the declared default, parsed like a flag
+
+
+@pytest.mark.parametrize("flag,text", [
+    ("--format", "xml"), ("--scheme", "nope"), ("--M", "ten")])
+@pytest.mark.parametrize("source", ["config", "env"])
+def test_invalid_config_or_env_value_exits_1(tmp_path, monkeypatch, capsys,
+                                             source, flag, text):
+    dest = flag.lstrip("-")
+    out = tmp_path / "o.json"
+    args = ["simulate", "--model", "gbm", "--N", "8", "--output", str(out)]
+    if source == "config":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[simulate]\n{dest} = {text}\n")
+        args += ["--config", str(cfg)]
+        where = f"config key '{dest}' in [simulate]"
+    else:
+        monkeypatch.setenv("BITEULER_" + dest.upper(), text)
+        where = "BITEULER_" + dest.upper()
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith(f"error: {where}: argument {flag}: ")
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_malformed_expect_slope_writes_no_table(tmp_path, monkeypatch, capsys,
+                                                source):
+    out = tmp_path / "t.csv"
+    args = ["convergence", "--model", "gbm", "--Ns", "16,32,64", "--M", "50",
+            "--format", "csv", "--output", str(out)]
+    if source == "flag":
+        args += ["--expect-slope", "bogus"]
+    elif source == "config":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[convergence]\nexpect-slope = bogus\n")
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("BITEULER_EXPECT_SLOPE", "bogus")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert "expected LO:HI" in captured.err
+
+
+def test_malformed_config_file_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("model = gbm\n")  # no [section] header
+    assert main(["simulate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_help_shows_declared_defaults(capsys):
+    assert main(["simulate", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"--M M\s+Monte Carlo paths\s+\(default:\s+1000\)", out)

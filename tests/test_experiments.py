@@ -25,6 +25,9 @@ def test_config_validation():
         ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT,
                           Ns=(16, 24), M=10, seed=0, reference="fine",
                           N_ref=256)  # 24 does not divide 256
+    with pytest.raises(ValueError, match="M must be >= 10"):
+        ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT,
+                          Ns=(16, 32), M=9, seed=0)  # an empty stderr batch
 
 
 def test_reference_exact_requires_closed_form():
@@ -235,12 +238,26 @@ THREADED = {
 def test_threaded_estimators_are_byte_identical_across_thread_counts(
         name, threads, M):
     # 1500 paths make two blocks, so workers really share the work; M = 1
-    # leaves nine of the ten batch-means batches empty
+    # leaves nine of the ten batch-means batches empty, which only the
+    # divergence comparison accepts: the others would report a NaN stderr
+    if M == 1 and name != "divergence_comparison":
+        with pytest.raises(ValueError, match="M must be >= "):
+            THREADED[name](M, threads)
+        return
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # stderr of one path
         serial = THREADED[name](M, 1)
         threaded = THREADED[name](M, threads)
     assert _report_bytes(threaded) == _report_bytes(serial)
+
+
+def test_smallest_path_counts_give_finite_error_bars():
+    # ten paths fill the ten batch-means batches; moment_sweep needs two
+    table = strong_error(ConvergenceConfig(
+        model="gbm", scheme=SchemeKind.EULER_MARUYAMA, Ns=(8, 16), M=10, seed=1))
+    assert all(math.isfinite(row.std_error) for row in table.rows)
+    report = moment_sweep(_GL, _GL.lyapunov, (8,), 2, seed=3, x0=[1.0])
+    assert math.isfinite(report.rows[0].eu_stderr)
 
 
 def test_threaded_estimators_reject_negative_threads():
