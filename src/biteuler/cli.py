@@ -29,14 +29,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, path_blocks,
-                   validate_start, worker_count)
-from .diagnostics import stopping_probability
+from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, validate_start,
+                   worker_count)
+from .diagnostics import _block_slices
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 from .models import catalog, check_conditions, default_sampler
-from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
-from .brownian import generate_block, generate_path, dump_increments
+from .schemes import OVERFLOW_CAP, SchemeKind
+from .brownian import generate_path, dump_increments
 from .taming import TamingParams, verify_taming_bounds
 
 ENV_PREFIX = "BITEULER_"
@@ -209,7 +209,8 @@ _SETTINGS = {
     "--T": dict(type=float, default=1.0, help="time horizon"),
     "--r": dict(type=float, default=2.0, help="L^r error exponent"),
     "--x0": dict(type=_list_of(float),
-                 help="comma-separated start state; the model's when unset"),
+                 help="comma-separated start state; the model's when unset; "
+                      "a negative one is given as --x0=-1,2"),
     "--reference": dict(choices=("auto", "exact", "fine"), default="auto",
                         help="auto: exact when the model has a closed form, "
                              "otherwise a fine-grid run of the same scheme"),
@@ -333,6 +334,8 @@ def _cmd_catalog(s: argparse.Namespace) -> None:
         rows.append(f"{name}: d={info['d']} m={info['m']} "
                     f"exact={info['exact_solution']} lyapunov={info['lyapunov']} "
                     f"x0={info['default_x0']}\n    {entry.notes}")
+    if s.format == "csv":
+        raise UsageError("catalog writes JSON or text, not CSV")
     if s.output or s.format:
         _write_payload(payload, "json", s.output)
     else:
@@ -349,11 +352,9 @@ def _cmd_simulate(s: argparse.Namespace) -> None:
         dump_increments(generate_path(s.T, s.N, model.m, s.seed, 0),
                         s.dump_increments)
     parts = []
-    for [(_, lo, hi)] in path_blocks(s.M):
-        dw = generate_block(s.T, s.N, model.m, s.seed, lo, hi - lo)
-        runs = run_paths(kind, model, grid, x0, dw)
-        parts.append((runs.states[:, -1].copy(), runs.tau_index, runs.overflow))
-        del dw, runs  # one block at a time: memory does not grow with M
+    for _, runs, _ in _block_slices(kind, model, grid, x0, s.M, s.seed):
+        if runs.end == s.N:
+            parts.append((runs.states[:, -1].copy(), runs.tau_index, runs.overflow))
     final, tau, overflow = (np.concatenate(p) for p in zip(*parts))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bd,bd->b", final, final))

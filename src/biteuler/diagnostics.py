@@ -47,8 +47,28 @@ __all__ = [
     "StoppingReport",
 ]
 
-# grid steps per run_paths call of stopping_probability
-_STOP_SLICE = 64
+# grid steps per run_paths call of _block_slices
+_SLICE_STEPS = 64
+
+
+def _block_slices(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
+                  M: int, seed: int, refine: int = 1):
+    """Step paths [0, M) one block, then one time slice, at a time.
+
+    A block, from path lo, draws its increments over the whole refine*N
+    grid; each slice runs _SLICE_STEPS steps on from the last and yields
+    (lo, runs, fine): its nodes, the first repeating the previous slice's
+    last, and its (B, refine*n, m) fine increments."""
+    for [(_, lo, hi)] in path_blocks(M):
+        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
+        runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
+        for k in range(0, grid.N, _SLICE_STEPS):
+            # a copy: the slice a caller holds must not keep the block alive
+            part = fine[:, refine * k:refine * (k + _SLICE_STEPS)].copy()
+            runs = run_paths(kind, model, grid, runs.tail(),
+                             coarsen_increments(part, part.shape[1] // refine))
+            yield lo, runs, part
+        del fine  # before the next block is drawn
 
 
 @dataclass(frozen=True)
@@ -305,21 +325,21 @@ def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
                     incr_fine: np.ndarray) -> np.ndarray:
     """Intra-step deviations ||Y_{t_k+s_j} - Y_{t_k}|| for all fine offsets.
 
-    states: (B, N+1, d); incr_fine: (B, refine*N, m).  Returns an array of
-    shape (B, N, refine-1) of deviations at the interior fine nodes.
+    states: (B, n+1, d), any n consecutive steps of a run on ``grid``;
+    incr_fine: (B, refine*n, m), their fine increments.  Returns an array
+    of shape (B, n, refine-1) of deviations at the interior fine nodes.
     """
-    B = states.shape[0]
-    N = grid.N
-    refine = incr_fine.shape[1] // N
+    B, n = states.shape[0], states.shape[1] - 1
+    refine = incr_fine.shape[1] // n
     h = grid.h
-    thr = stopping_threshold(N, grid.T)
-    y = states[:, :-1, None]                                 # (B, N, 1, d)
+    thr = stopping_threshold(grid.N, grid.T)
+    y = states[:, :-1, None]                                 # (B, n, 1, d)
     alive = np.sqrt(np.einsum("...d,...d->...", y, y)) <= thr
-    partial = np.cumsum(incr_fine.reshape(B, N, refine, model.m), axis=2)
+    partial = np.cumsum(incr_fine.reshape(B, n, refine, model.m), axis=2)
     pi = tame(TamingParams(h=h, m=model.m), partial[:, :, :-1])
     offsets = np.arange(1, refine)[:, None] * (h / refine)   # interior nodes
     upd = _update(SchemeKind.STOPPED_BIT, model, y, pi, offsets, h)
-    dev = np.sqrt(np.einsum("...d,...d->...", upd, upd))     # (B, N, refine-1)
+    dev = np.sqrt(np.einsum("...d,...d->...", upd, upd))     # (B, n, refine-1)
     return np.where(alive, dev, 0.0)
 
 
@@ -369,14 +389,11 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     bound = regularity_bound(consts)
     n_pass = 0
     max_lhs = 0.0
-    for [(_, lo, hi)] in path_blocks(M):
-        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
-        dw = coarsen_increments(fine, grid.N)
-        runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
+    for _, runs, fine in _block_slices(SchemeKind.STOPPED_BIT, model, grid,
+                                       x0, M, seed, refine):
         dev = _regularity_lhs(model, grid, runs.states, fine)
         n_pass += int(np.sum(dev <= bound))
         max_lhs = max(max_lhs, float(dev.max()))
-        del fine, dw, runs, dev  # else they live on while the next block is drawn
     return RegularityReport(n_samples=M * grid.N * samples_per_step,
                             n_pass=n_pass, max_lhs=max_lhs,
                             bound=bound, constants_admissible=growth.admissible,
@@ -402,20 +419,28 @@ def _grid_index(grid: GridSpec, t: float) -> int:
     return j
 
 
-def _functional_at(runs: BatchRuns, spec: LyapunovSpec, j: int,
-                   integral: np.ndarray, use_tau: bool,
-                   absolute: bool) -> np.ndarray:
-    """Per-path exp(e^{-rho (t_j ^ tau)} U(Y_{t_j}) + integral), capped at 1e300."""
-    grid = runs.grid
-    h = grid.h
-    tau = runs.tau_index if use_tau else np.full(len(runs), grid.N)
-    t_eff = np.minimum(j, tau) * h
-    u = spec.U(runs.states[:, j])
+def _functional(spec: LyapunovSpec, runs: BatchRuns, integral: np.ndarray,
+                nodes: slice, use_tau: bool, absolute: bool):
+    """Per-path exp(e^{-rho (t_j ^ tau)} U(Y_j) + I_j), capped at 1e300, at
+    a slice's ``nodes``, and I at its last node.  I_j is the left-endpoint
+    sum_{k < min(j, tau)} e^{-rho k h} U_bar(Y_k) h, ``integral`` at the
+    slice's first node.  ``absolute`` takes |U|, |U_bar|; ``use_tau`` off
+    puts tau at N."""
+    h = runs.grid.h
+    tau = runs.tau_index if use_tau else np.full(len(runs), runs.grid.N)
+    ubar = spec.U_bar(runs.states[:, :-1])
+    u = spec.U(runs.states[:, nodes])
     if absolute:
-        u = np.abs(u)
+        ubar, u = np.abs(ubar), np.abs(u)
+    live = (tau[:, None] > np.arange(runs.start, runs.end)).astype(float)
+    decay = [math.exp(-spec.rho * k * h) for k in range(runs.start, runs.end)]
+    # cumsum adds one step after the other, as a per-node loop would
+    integrals = np.cumsum(np.concatenate(
+        [integral[:, None], live * decay * ubar * h], axis=1), axis=1)
+    t_eff = np.minimum(np.arange(runs.start, runs.end + 1)[nodes], tau[:, None]) * h
     with np.errstate(over="ignore"):
-        vals = np.exp(np.exp(-spec.rho * t_eff) * u + integral)
-    return np.minimum(vals, OVERFLOW_CAP)
+        vals = np.exp(np.exp(-spec.rho * t_eff) * u + integrals[:, nodes])
+    return np.minimum(vals, OVERFLOW_CAP), integrals[:, -1]
 
 
 def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
@@ -426,24 +451,21 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
         E[exp(e^{-rho (t ^ tau)} U(Y_t) + int_0^{t ^ tau} e^{-rho r} U_bar(Y_r) dr)]
 
     with the time integral approximated by the left-endpoint rule on the
-    scheme's own grid restricted to [0, t ^ tau].  Overflowing exponentials
+    scheme's own grid restricted to [0, t ^ tau], summed one step after the
+    other as the paths are stepped slice by slice.  Overflowing exponentials
     saturate at 1e300 and are counted in saturated_fraction.
     """
     x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
-    h = grid.h
     vals = np.empty(M)
-    for [(_, lo, hi)] in path_blocks(M):
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
-        runs = run_paths(kind, model, grid, x0, dw)
-        k_idx = np.arange(j_t)
-        steps = np.minimum(j_t, runs.tau_index)[:, None] > k_idx[None, :]
-        ubar = spec.U_bar(runs.states[:, :j_t]) if j_t > 0 else np.zeros((hi - lo, 0))
-        weights = np.exp(-spec.rho * k_idx * h) * h
-        integral = np.einsum("bk,k,bk->b", ubar, weights, steps.astype(float)) \
-            if j_t > 0 else np.zeros(hi - lo)
-        vals[lo:hi] = _functional_at(runs, spec, j_t, integral,
-                                     use_tau=True, absolute=False)
+    for lo, runs, _ in _block_slices(kind, model, grid, x0, M, seed):
+        if runs.start == 0:
+            integral = np.zeros(len(runs))
+        if runs.start <= j_t:  # before t's slice, ``at`` selects no node
+            at = j_t - runs.start
+            val, integral = _functional(spec, runs, integral, slice(at, at + 1),
+                                        use_tau=True, absolute=False)
+            vals[lo:lo + val.size] = val.ravel()
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
@@ -461,20 +483,15 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     stopping-probability bound.
     """
     x0 = validate_start(model, x0, M)
-    h = grid.h
     sums = np.zeros(grid.N + 1)
-    for [(_, lo, hi)] in path_blocks(M):
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
-        runs = run_paths(kind, model, grid, x0, dw)
-        tau = runs.tau_index if use_tau else np.full(hi - lo, grid.N)
-        integral = np.zeros(hi - lo)
-        for j in range(grid.N + 1):
-            sums[j] += np.sum(_functional_at(runs, spec, j, integral,
-                                             use_tau=use_tau, absolute=True))
-            if j < grid.N:
-                live = (tau > j).astype(float)
-                contrib = np.abs(spec.U_bar(runs.states[:, j]))
-                integral = integral + live * math.exp(-spec.rho * j * h) * contrib * h
+    for _, runs, _ in _block_slices(kind, model, grid, x0, M, seed):
+        if runs.start == 0:
+            integral = np.zeros(len(runs))
+        first = 1 if runs.start else 0  # else the previous slice's last node
+        vals, integral = _functional(spec, runs, integral, slice(first, None),
+                                     use_tau=use_tau, absolute=True)
+        # summed over each node's contiguous values, as np.sum of one node
+        sums[runs.start + first:runs.end + 1] += np.ascontiguousarray(vals.T).sum(1)
     return float(np.max(sums / M))
 
 
@@ -505,14 +522,10 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     """
     x0 = validate_start(model, x0, M)
     n_stopped = 0
-    for [(_, lo, hi)] in path_blocks(M):
-        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
-        runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
-        # only tau is read: keep one slice of states, not all N + 1 nodes
-        for k in range(0, grid.N, _STOP_SLICE):
-            runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, runs,
-                             dw[:, k:k + _STOP_SLICE]).tail()
-        n_stopped += int(np.sum(runs.tau_index < grid.N))
+    for _, runs, _ in _block_slices(SchemeKind.STOPPED_BIT, model, grid, x0,
+                                    M, seed):
+        if runs.end == grid.N:
+            n_stopped += int(np.sum(runs.tau_index < grid.N))
     p_hat = n_stopped / M
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / M)
 

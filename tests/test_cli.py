@@ -101,6 +101,26 @@ def test_catalog_default_is_structured_text(capsys):
     assert "vdp:" in out
 
 
+@pytest.mark.parametrize("args", (["--format", "csv"],
+                                  ["--format", "csv", "--output", "c.csv"]))
+def test_catalog_rejects_csv(capsys, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(["catalog", *args]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "c.csv").exists()
+    assert captured.err.startswith("error: ")
+    assert "JSON or text" in captured.err
+
+
+def test_negative_start_is_given_with_equals(capsys, monkeypatch):
+    assert main(["simulate", "--model", "vdp", "--N", "8", "--M", "10",
+                 "--x0=-1,2"]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] == 10
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["simulate", "--help"]) == 0
+    assert "--x0=-1,2" in " ".join(capsys.readouterr().out.split())
+
+
 def test_convergence_rejects_non_power_of_two_ns(capsys):
     code = main(["convergence", "--model", "gbm", "--scheme", "em",
                  "--Ns", "16,24,32", "--M", "50"])
@@ -188,6 +208,20 @@ def test_simulate_memory_does_not_grow_with_path_count(tmp_path):
     # paths are stepped in blocks of at most 1000, so only the per-path
     # summaries (a few bytes each) grow with M
     assert peak(4000) <= 1.25 * small
+
+
+def test_simulate_keeps_increments_not_states(tmp_path):
+    # a whole-horizon run holds the (B, N + 1, d) states beside the
+    # block's (B, N, m) increments
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--model", "ginzburg-landau", "--N", "2048",
+                     "--M", "1000", "--seed", "3",
+                     "--output", str(tmp_path / "s.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1000 * 2048 * 8
 
 
 def test_simulate_dumps_increments(tmp_path):

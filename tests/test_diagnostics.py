@@ -280,6 +280,77 @@ def test_stopping_probability_keeps_increments_not_states():
     assert peak < 1.5 * dw.nbytes
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("estimator", ("estimate", "supremum"))
+def test_exp_moments_keep_increments_not_states(estimator):
+    # a whole-horizon run holds the (B, N + 1, d) states, and the estimate
+    # its (B, N) integrands, beside the block's (B, N, m) increments
+    gl = model_ginzburg_landau()
+    grid = GridSpec(1.0, 2048)
+    if estimator == "estimate":
+        peak = _peak_bytes(lambda: exp_moment_estimate(
+            SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, 1000, 1.0, seed=3,
+            x0=[1.0]))
+    else:
+        peak = _peak_bytes(lambda: exp_moment_supremum(
+            SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, 1000, seed=3,
+            x0=[1.0]))
+    assert peak < 1.5 * 1000 * 2048 * 8
+
+
+def test_regularity_sweep_keeps_increments_not_states():
+    # the (B, 5N, m) fine increments; whole-horizon (B, N, 4) probe
+    # temporaries came on top of them
+    gl = model_ginzburg_landau()
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
+    peak = _peak_bytes(lambda: regularity_sweep(
+        gl, consts, GridSpec(1.0, 1024), [1.0], M=1000, samples_per_step=4,
+        seed=10))
+    assert peak < 1.5 * 1000 * 5 * 1024 * 8
+
+
+def _integral_only_spec():
+    """U = 0, U_bar = 1, rho = 0: the functional is exp(min(j, tau) h)."""
+    flat = _flat_spec()
+    return LyapunovSpec(U=flat.U, grad_U=flat.grad_U, hess_U=flat.hess_U,
+                        U_bar=lambda x: np.ones(np.asarray(x).shape[:-1]),
+                        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+
+
+def test_exp_moment_integral_counts_steps_before_tau():
+    # GBM with unit volatility from 4: some paths pass the threshold midway
+    gbm = model_gbm(a=0.0, b=1.0)
+    spec = _integral_only_spec()
+    grid = GridSpec(1.0, 100)
+    M = 500
+    dw = generate_block(1.0, 100, 1, seed=4, first_path=0, count=M)
+    tau = run_paths(SchemeKind.STOPPED_BIT, gbm, grid, [4.0], dw).tau_index
+    assert ((tau > 0) & (tau < 100)).any()
+    for j in (0, 37, 64, 100):
+        est = exp_moment_estimate(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
+                                  j / 100, seed=4, x0=[4.0])
+        vals = np.exp(np.minimum(j, tau) * grid.h)
+        assert est.estimate == pytest.approx(np.mean(vals), rel=1e-13)
+        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(M),
+                                           rel=1e-9)
+    # nondecreasing in t, so the supremum is the estimate at T
+    sup = exp_moment_supremum(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
+                              seed=4, x0=[4.0])
+    assert sup == est.estimate
+    # without tau every path integrates over [0, T]
+    free = exp_moment_supremum(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
+                               seed=4, x0=[4.0], use_tau=False)
+    assert free == pytest.approx(math.e, rel=1e-13)
+
+
 def test_exp_moment_supremum_monotone_pieces():
     gl = model_ginzburg_landau()
     sup = exp_moment_supremum(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,

@@ -1,22 +1,28 @@
-"""The streamed strong-error engine against a whole-horizon oracle.
+"""The streamed estimators against whole-horizon oracles.
 
 strong_error steps blocks of up to 1000 paths (several batch-means batches)
 through time in short fine-grid chunks, carrying each run's state from one
-chunk to the next.  Every test here demands bit-for-bit equality with the
+chunk to the next; the diagnostics and ``simulate`` step each block in
+64-step time slices.  Every test here demands bit-for-bit equality with the
 straightforward computation, or a memory bound that the whole-horizon
 computation does not meet.
 """
 
+import dataclasses
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from biteuler import experiments, schemes
+from biteuler import cli, experiments, schemes
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
+from biteuler.diagnostics import (AnalysisConstants, _regularity_lhs,
+                                  exp_moment_estimate, exp_moment_supremum,
+                                  regularity_sweep, stopping_probability)
 from biteuler.experiments import ConvergenceConfig, strong_error
 from biteuler.models import catalog, model_gbm
 from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
@@ -353,3 +359,179 @@ def test_memory_stays_flat_as_the_grids_refine():
     # partial increment sums carried across chunks bound it at fixed Ns too
     fixed = _peak_traced_bytes(config(2**14, Ns))
     assert fixed <= 1.25 * small, (small, fixed)
+
+
+# ---------------------------------------------------------------------------
+# the sliced serial estimators
+
+
+def whole_blocks(kind, model, grid, x0, M, seed, refine=1):
+    """Each path block run over the whole horizon in one run_paths call,
+    with its fine increments: (lo, runs, fine) per block."""
+    for [(_, lo, hi)] in path_blocks(M):
+        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
+        dw = fine if refine == 1 else coarsen_increments(fine, grid.N)
+        yield lo, run_paths(kind, model, grid, x0, dw), fine
+
+
+def functional_columns(spec, runs, use_tau, absolute):
+    """The exponential-moment functional of whole runs, node by node: a list
+    of N + 1 per-path arrays, the integral summed one node after another."""
+    h = runs.grid.h
+    N = runs.grid.N
+    tau = runs.tau_index if use_tau else np.full(len(runs), N)
+    integral = np.zeros(len(runs))
+    cols = []
+    for j in range(N + 1):
+        u = spec.U(runs.states[:, j])
+        ubar = spec.U_bar(runs.states[:, j])
+        if absolute:
+            u, ubar = np.abs(u), np.abs(ubar)
+        with np.errstate(over="ignore"):
+            vals = np.exp(np.exp(-spec.rho * (np.minimum(j, tau) * h)) * u + integral)
+        cols.append(np.minimum(vals, OVERFLOW_CAP))
+        live = (tau > j).astype(float)
+        integral = integral + live * math.exp(-spec.rho * j * h) * ubar * h
+    return cols
+
+
+def oracle_supremum(kind, model, spec, grid, M, seed, x0, use_tau):
+    sums = np.zeros(grid.N + 1)
+    for _, runs, _ in whole_blocks(kind, model, grid, x0, M, seed):
+        cols = functional_columns(spec, runs, use_tau, absolute=True)
+        for j, col in enumerate(cols):
+            sums[j] += np.sum(col)
+    return float(np.max(sums / M))
+
+
+def _wavy(spec):
+    """``spec`` with a nonzero, sign-changing U_bar, so the integral counts."""
+    return dataclasses.replace(
+        spec, U_bar=lambda x: np.cos(3.0 * np.sum(x, axis=-1)) + 0.25)
+
+
+# (model, x0, scheme, N, M): N < 64 is one slice, N = 100 ends in a short
+# slice, N = 1024 is 16 slices; 2500 paths are three blocks; from 20 the
+# Euler-Maruyama paths overflow, and every stopped path starts outside the
+# threshold, so tau = 0; from 8 the paths start inside the N = 100
+# threshold (8.55) but outside that of a 64-step grid (7.70)
+SLICE_CASES = [
+    ("ginzburg-landau", [1.0], SchemeKind.STOPPED_BIT, 16, 37),
+    ("ginzburg-landau", [1.0], SchemeKind.STOPPED_BIT, 100, 2500),
+    ("ginzburg-landau", [1.0], SchemeKind.STOPPED_BIT, 1024, 200),
+    ("ginzburg-landau", [20.0], SchemeKind.EULER_MARUYAMA, 100, 60),
+    ("ginzburg-landau", [20.0], SchemeKind.STOPPED_BIT, 100, 40),
+    ("ginzburg-landau", [8.0], SchemeKind.STOPPED_BIT, 100, 30),
+    ("vdp", [3.0, -2.0], SchemeKind.DRIFT_TAMED, 100, 50),
+]
+SLICE_IDS = [f"{c[0]}-x{c[1][0]:g}-{c[2].value}-N{c[3]}-M{c[4]}"
+             for c in SLICE_CASES]
+
+
+def _case(name, N):
+    return catalog()[name].model, GridSpec(1.0, N)
+
+
+def test_slice_cases_reach_the_edges():
+    gl = catalog()["ginzburg-landau"].model
+    with np.errstate(over="ignore"):
+        em = run_paths(SchemeKind.EULER_MARUYAMA, gl, GridSpec(1.0, 100), [20.0],
+                       generate_block(1.0, 100, 1, 0, 0, 60))
+    assert em.overflow.all()
+    outside = run_paths(SchemeKind.STOPPED_BIT, gl, GridSpec(1.0, 100), [20.0],
+                        generate_block(1.0, 100, 1, 0, 0, 40))
+    assert (outside.tau_index == 0).all()
+
+
+@pytest.mark.parametrize("wavy", (False, True))
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
+                                                         wavy):
+    model, grid = _case(name, N)
+    spec = _wavy(model.lyapunov) if wavy else model.lyapunov
+    # t at 0, inside a slice, on a slice boundary (or at T) and at T
+    for j in sorted({0, 37 % N, min(64, N), N}):
+        with np.errstate(over="ignore"):  # U of overflowed Euler states
+            vals = np.concatenate([
+                functional_columns(spec, runs, use_tau=True, absolute=False)[j]
+                for _, runs, _ in whole_blocks(kind, model, grid, x0, M, 5)])
+            est = exp_moment_estimate(kind, model, spec, grid, M, j / N, 5, x0)
+            assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M)), j
+        assert est.estimate == float(np.mean(vals)), j
+        assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
+
+
+@pytest.mark.parametrize("use_tau", (True, False))
+@pytest.mark.parametrize("wavy", (False, True))
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_exp_moment_supremum_equals_whole_horizon(name, x0, kind, N, M,
+                                                         wavy, use_tau):
+    model, grid = _case(name, N)
+    spec = _wavy(model.lyapunov) if wavy else model.lyapunov
+    with np.errstate(over="ignore"):
+        sup = exp_moment_supremum(kind, model, spec, grid, M, 6, x0,
+                                  use_tau=use_tau)
+        assert sup == oracle_supremum(kind, model, spec, grid, M, 6, x0, use_tau)
+
+
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
+    model, grid = _case(name, N)
+    taus = np.concatenate([
+        runs.tau_index for _, runs, _ in
+        whole_blocks(SchemeKind.STOPPED_BIT, model, grid, x0, M, 7)])
+    p_hat = float(np.sum(taus < N)) / M
+    rep = stopping_probability(model, grid, M, 7, x0)
+    assert (rep.estimate, rep.stderr) == (p_hat, math.sqrt(p_hat * (1 - p_hat) / M))
+    if N <= 100:
+        spec = _wavy(model.lyapunov)
+        rep = stopping_probability(model, grid, M, 7, x0, spec=spec,
+                                   bound_paths=30, ref_refine=2)
+        c1 = (oracle_supremum(SchemeKind.STOPPED_BIT, model, spec,
+                              GridSpec(1.0, 2 * N), 30, 9, x0, use_tau=False)
+              * oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid, 30,
+                                8, x0, use_tau=True))
+        assert rep.estimate == p_hat and rep.C1 == c1
+
+
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_regularity_sweep_equals_whole_horizon(name, x0, kind, N, M):
+    model, grid = _case(name, N)
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=model.m, rho=1.5, N=N)
+    rep = regularity_sweep(model, consts, grid, x0, M, samples_per_step=2,
+                           seed=8)
+    devs = [_regularity_lhs(model, grid, runs.states, fine) for _, runs, fine
+            in whole_blocks(SchemeKind.STOPPED_BIT, model, grid, x0, M, 8, 3)]
+    assert rep.n_pass == sum(int(np.sum(d <= rep.bound)) for d in devs)
+    assert rep.max_lhs == max(float(d.max()) for d in devs)
+    assert rep.n_samples == M * N * 2
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_simulate_equals_whole_horizon(capsys, name, x0, kind, N, M, fmt):
+    model, grid = _case(name, N)
+    blocks = list(whole_blocks(kind, model, grid, x0, M, 9))
+    final = np.concatenate([runs.states[:, -1] for _, runs, _ in blocks])
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("bd,bd->b", final, final))
+    norms = np.minimum(np.nan_to_num(norms, nan=OVERFLOW_CAP,
+                                     posinf=OVERFLOW_CAP), OVERFLOW_CAP)
+    expected = {
+        "final_norm_mean": float(np.mean(norms)),
+        "stopped_fraction": float(np.mean(np.concatenate(
+            [runs.tau_index for _, runs, _ in blocks]) < N)),
+        "overflow_fraction": float(np.mean(np.concatenate(
+            [runs.overflow for _, runs, _ in blocks]))),
+    }
+    assert cli.main(["simulate", "--model", name, "--scheme", kind.value,
+                     "--N", str(N), "--M", str(M), "--seed", "9",
+                     "--x0=" + ",".join(map(str, x0)), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        got = json.loads(out)
+    else:
+        header, row = out.splitlines()
+        got = {k: float(v) for k, v in zip(header.split(","), row.split(","))
+               if k in expected}
+    assert {k: got[k] for k in expected} == expected
