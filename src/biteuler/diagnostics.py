@@ -52,19 +52,23 @@ _SLICE_STEPS = 64
 
 
 def _block_slices(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
-                  M: int, seed: int, refine: int = 1):
+                  M: int, seed: int, refine: int = 1,
+                  stop: Optional[int] = None):
     """Step paths [0, M) one block, then one time slice, at a time.
 
     A block, from path lo, draws its increments over the whole refine*N
     grid; each slice runs _SLICE_STEPS steps on from the last and yields
     (lo, runs, fine): its nodes, the first repeating the previous slice's
-    last, and its (B, refine*n, m) fine increments."""
+    last, and its (B, refine*n, m) fine increments.  A block ends with the
+    slice holding node ``stop`` (node N by default)."""
+    stop = max(1, grid.N if stop is None else stop)  # node 0: the first slice
     for [(_, lo, hi)] in path_blocks(M):
         fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
         runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
-        for k in range(0, grid.N, _SLICE_STEPS):
+        while runs.end < stop:
+            k = refine * runs.end
             # a copy: the slice a caller holds must not keep the block alive
-            part = fine[:, refine * k:refine * (k + _SLICE_STEPS)].copy()
+            part = fine[:, k:k + refine * _SLICE_STEPS].copy()
             runs = run_paths(kind, model, grid, runs.tail(),
                              coarsen_increments(part, part.shape[1] // refine))
             yield lo, runs, part
@@ -452,20 +456,20 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
 
     with the time integral approximated by the left-endpoint rule on the
     scheme's own grid restricted to [0, t ^ tau], summed one step after the
-    other as the paths are stepped slice by slice.  Overflowing exponentials
-    saturate at 1e300 and are counted in saturated_fraction.
+    other as the paths are stepped slice by slice, up to t's slice only.
+    Overflowing exponentials saturate at 1e300 and are counted in
+    saturated_fraction.
     """
     x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
     vals = np.empty(M)
-    for lo, runs, _ in _block_slices(kind, model, grid, x0, M, seed):
+    for lo, runs, _ in _block_slices(kind, model, grid, x0, M, seed, stop=j_t):
         if runs.start == 0:
             integral = np.zeros(len(runs))
-        if runs.start <= j_t:  # before t's slice, ``at`` selects no node
-            at = j_t - runs.start
-            val, integral = _functional(spec, runs, integral, slice(at, at + 1),
-                                        use_tau=True, absolute=False)
-            vals[lo:lo + val.size] = val.ravel()
+        at = j_t - runs.start  # before t's slice, ``at`` selects no node
+        val, integral = _functional(spec, runs, integral, slice(at, at + 1),
+                                    use_tau=True, absolute=False)
+        vals[lo:lo + val.size] = val.ravel()
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,

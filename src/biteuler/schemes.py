@@ -127,10 +127,11 @@ class BatchRuns:
                          overflow=bool(self.overflow[j]))
 
 
-# values per slice of increments tamed and made time-major at once: enough
-# steps that the per-slice calls cost little beside the per-step ones, few
-# enough that the slice's buffers stay small and in cache
-_SLICE_VALUES = 1 << 13
+# values per slice of increments tamed and made time-major at once: 256 KB,
+# enough steps that the per-slice calls cost little beside the per-step
+# ones (32 steps of a 1000-path block), few enough that the slice's buffers
+# stay small and in cache
+_SLICE_VALUES = 1 << 15
 
 
 def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
@@ -163,6 +164,10 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     threshold = stopping_threshold(N, grid.T)
     stopped = kind is SchemeKind.STOPPED_BIT
     params = TamingParams(h=h, m=m)
+    # for d = 1 the norm is |y|: sqrt(y*y) equals it wherever y*y neither
+    # overflows nor underflows, and where it does both lie on the same side
+    # of the threshold, which is at least 1 and far below 1e154
+    norm = (lambda y: np.abs(y[:, 0])) if model.d == 1 else _norm
 
     states = np.empty((B, n_steps + 1, model.d))
     states[:, 0] = prev.states[:, -1]
@@ -181,11 +186,14 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
                 inc = tame(params, inc)
             for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
                 y, y_next = path[j], path[j + 1]
-                gate = np.greater(_norm(y), threshold, out=exceeded[j])
+                gate = np.greater(norm(y), threshold, out=exceeded[j])
                 upd = _update(kind, model, y, dw, h, h)
                 np.add(y, upd, out=y_next)
                 if stopped:
-                    if not np.isfinite(upd).all() and not np.isfinite(upd[~gate]).all():
+                    # a finite sum has no non-finite term; an infinite one
+                    # may come from finite terms, so the exact test decides
+                    if (not np.isfinite(upd.sum())
+                            and not np.isfinite(upd[~gate]).all()):
                         raise FloatingPointError(
                             "non-finite drift/diffusion inside the stopping region")
                 else:

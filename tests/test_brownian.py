@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from biteuler.brownian import (BrownianGrid, bridge_value, coarsen,
-                               coarsen_increments, dump_increments,
+from biteuler.brownian import (BlockStream, BrownianGrid, bridge_value,
+                               coarsen, coarsen_increments, dump_increments,
                                generate_block, generate_path, load_increments)
 
 
@@ -148,3 +148,24 @@ def test_grid_shape_validation():
     with pytest.raises(ValueError):
         BrownianGrid(T=1.0, N_fine=4, m=2, seed=0, path_index=0,
                      increments=np.zeros((4, 1)))
+
+
+# (argument, bad value): N_fine = 0 used to divide by zero, count = -1 made
+# an empty stream, m = 0 empty arrays and T < 0 a math domain error
+BAD_GRIDS = [("N_fine", 0), ("N_fine", -3), ("count", -1), ("m", 0),
+             ("T", 0.0), ("T", -1.0), ("T", math.nan)]
+
+
+@pytest.mark.parametrize("arg,value", BAD_GRIDS)
+@pytest.mark.parametrize("make", (generate_block, BlockStream))
+def test_block_draws_reject_bad_grids(make, arg, value):
+    args = dict(T=1.0, N_fine=8, m=1, seed=0, first_path=0, count=3)
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        make(**{**args, arg: value})
+
+
+@pytest.mark.parametrize("arg,value", [c for c in BAD_GRIDS if c[0] != "count"])
+def test_generate_path_rejects_bad_grids(arg, value):
+    args = dict(T=1.0, N_fine=8, m=1, seed=0, path_index=0)
+    with pytest.raises(ValueError, match=f"^{arg} must be"):
+        generate_path(**{**args, arg: value})

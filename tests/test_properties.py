@@ -1,15 +1,19 @@
 """Property tests of the taming map, the shared scheme kernel, the path-block
-layout and the chained coarsening.
+layout, the chained coarsening and the Brownian lookahead.
 
 Hypothesis draws the seeds, starts, grids and schemes; every property is
 an exact identity, so the comparisons are bit for bit.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biteuler.brownian import coarsen_increments, generate_block, generate_path
+from biteuler import brownian
+from biteuler.brownian import (BlockStream, coarsen_increments, generate_block,
+                               generate_path)
 from biteuler.core import BLOCK_PATHS, GridSpec, path_blocks
 from biteuler.experiments import _coarsen_levels
 from biteuler.models import catalog
@@ -113,3 +117,21 @@ def test_coarsen_levels_equal_direct_coarsening_on_ladders(log_fine, m, seed, da
     levels = _coarsen_levels(fine, counts)
     for n in counts:
         assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(m=st.integers(1, 3), count=st.integers(0, 4), n_fine=st.integers(1, 40),
+       seed=seeds, data=st.data())
+def test_block_stream_chunks_equal_generate_block_for_any_lookahead(
+        m, count, n_fine, seed, data):
+    # lookahead budgets of one value, of less than one step, of a width
+    # that need not divide the steps left, and of more than the horizon
+    values = max(count * m, 1)
+    budget = data.draw(st.one_of(st.just(1), st.integers(1, m),
+                                 st.integers(1, 3 * n_fine * values)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_fine), max_size=8)))
+    with mock.patch.object(brownian, "_LOOKAHEAD_VALUES", budget):
+        stream = BlockStream(1.5, n_fine, m, seed, 3, count)
+        parts = [stream.draw(int(n)) for n in np.diff([0, *cuts, n_fine])]
+    whole = generate_block(1.5, n_fine, m, seed, 3, count)
+    assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()

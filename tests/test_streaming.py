@@ -3,9 +3,10 @@
 strong_error steps blocks of up to 1000 paths (several batch-means batches)
 through time in short fine-grid chunks, carrying each run's state from one
 chunk to the next; the diagnostics and ``simulate`` step each block in
-64-step time slices.  Every test here demands bit-for-bit equality with the
-straightforward computation, or a memory bound that the whole-horizon
-computation does not meet.
+64-step time slices, and the Brownian streams draw ahead into a bounded
+lookahead.  Every test here demands bit-for-bit equality with the
+straightforward computation, a memory bound that the whole-horizon
+computation does not meet, or no more work than the result needs.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biteuler import cli, experiments, schemes
+from biteuler import brownian, cli, diagnostics, experiments, schemes
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
@@ -164,6 +165,37 @@ def test_block_stream_chunks_equal_one_draw():
         stream.draw(1)
 
 
+@pytest.mark.parametrize("budget", (brownian._LOOKAHEAD_VALUES, 7 * 4 * 2))
+def test_block_stream_draws_no_value_past_the_horizon(monkeypatch, budget):
+    # 7-step refills leave 1000 % 7 = 6 steps for the last one
+    monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", budget)
+    stream = BlockStream(1.0, 1000, 2, seed=3, first_path=5, count=4)
+    for n in (1, 300, 64, 635):
+        stream.draw(n)
+    for j, gen in enumerate(stream._gens):
+        once = brownian._path_generator(3, 5 + j)
+        once.standard_normal((1000, 2))
+        assert repr(gen.bit_generator.state) == repr(once.bit_generator.state)
+
+
+def _stream_peak(n_fine: int, B: int = 1000, chunk: int = 64) -> int:
+    tracemalloc.start()
+    try:
+        stream = BlockStream(1.0, n_fine, 1, seed=2, first_path=0, count=B)
+        for _ in range(0, n_fine, chunk):
+            stream.draw(chunk)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_stream_memory_is_flat_in_the_horizon():
+    # the lookahead holds at most 2^18 values (2 MB) whatever N_fine is
+    small, large = _stream_peak(2**13), _stream_peak(2**15)
+    assert large <= 1.05 * small, (small, large)
+    assert large <= 8 * brownian._LOOKAHEAD_VALUES + 8 * 1000 * 64 + 2**20
+
+
 # ---------------------------------------------------------------------------
 # the carried-state kernel
 
@@ -201,14 +233,26 @@ def reference_run(kind, model, grid, x0, dW):
     return np.stack(states, axis=1), tau, overflow
 
 
+# starts at the N = 40 threshold and one ulp either side of it, tiny enough
+# that y*y underflows, large enough that it overflows, and infinite; some
+# negative, since the gate reads the magnitude
+_THR40 = stopping_threshold(40, 1.0)
+EDGE_STARTS = [_THR40, np.nextafter(_THR40, 0.0), np.nextafter(_THR40, math.inf),
+               -np.nextafter(_THR40, math.inf), 1e-200, 1e200, -1e200,
+               math.inf]
+
+
 @pytest.mark.parametrize("name,x0", [("ginzburg-landau", [5.0]),
                                      ("ginzburg-landau", [-0.0]),
                                      ("vdp", [-0.0, -0.0]), ("vdp", [3.0, -2.0]),
-                                     ("gbm", [-0.0])])
+                                     ("gbm", [-0.0])]
+                         + [("ginzburg-landau", [v]) for v in EDGE_STARTS]
+                         + [("vdp", [v, 0.0]) for v in EDGE_STARTS])
 @pytest.mark.parametrize("kind", list(SchemeKind))
 def test_kernel_equals_step_by_step_reference(name, x0, kind):
     # signed zeros included: the one-term noise product must round -0.0
-    # to +0.0 the way the einsum contraction does
+    # to +0.0 the way the einsum contraction does; the edge starts check
+    # the d = 1 gate |y| against the reference's sqrt(y*y)
     model = catalog()[name].model
     grid = GridSpec(1.0, 40)
     dW = generate_block(1.0, 40, model.m, seed=6, first_path=0, count=9)
@@ -311,6 +355,34 @@ def test_nan_drift_at_live_state_raises_in_any_chunk():
     with pytest.raises(FloatingPointError):
         run_paths(SchemeKind.STOPPED_BIT, model, grid, first,
                   np.full((50, 63, 1), 0.25))
+
+
+def _nan_beyond(level: float, d: int) -> SdeModel:
+    """-x drift, NaN where a coordinate passes ``level``; unit noise."""
+    return SdeModel(name="nan-beyond", d=d, m=d,
+                    drift=lambda x: np.where(x > level, np.nan, -x),
+                    diffusion=lambda x: np.broadcast_to(
+                        np.eye(d), x.shape + (d,)).copy())
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_nan_drift_raises_at_the_step_that_meets_it(d):
+    # the reference recursion writes the NaN state instead of raising: the
+    # kernel must take the steps before it and raise on that one
+    model = _nan_beyond(1.4, d)
+    grid = GridSpec(1.0, 64)
+    dW = generate_block(1.0, 64, d, seed=11, first_path=0, count=50)
+    x0 = [1.0] * d
+    states, _, _ = reference_run(SchemeKind.STOPPED_BIT, model, grid, x0, dW)
+    first_nan = int(np.isnan(states).any(axis=(0, 2)).argmax())
+    assert first_nan > 1
+    for n in range(1, first_nan):
+        part = run_paths(SchemeKind.STOPPED_BIT, model, grid,
+                         BatchRuns.initial(grid, x0, 50, d), dW[:, :n])
+        assert part.states.tobytes() == states[:, :n + 1].tobytes()
+    with pytest.raises(FloatingPointError):
+        run_paths(SchemeKind.STOPPED_BIT, model, grid,
+                  BatchRuns.initial(grid, x0, 50, d), dW[:, :first_nan])
 
 
 def test_nan_drift_at_frozen_state_does_not_raise():
@@ -459,6 +531,30 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
             assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M)), j
         assert est.estimate == float(np.mean(vals)), j
         assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
+
+
+@pytest.mark.parametrize("j_t,steps", [(0, 64), (512, 512)])
+def test_exp_moment_estimate_steps_only_up_to_t(monkeypatch, j_t, steps):
+    # the blocks stop after t's slice: 64 steps for t = 0, 512 for T/2
+    model, grid = _case("ginzburg-landau", 1024)
+    spec = _wavy(model.lyapunov)
+    M = 1100  # two blocks
+    counted = []
+
+    def counting_run_paths(kind, model, grid, x0, dW):
+        counted.append(dW.shape[0] * dW.shape[1])
+        return run_paths(kind, model, grid, x0, dW)
+
+    monkeypatch.setattr(diagnostics, "run_paths", counting_run_paths)
+    est = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec, grid, M,
+                              j_t / 1024, 5, [1.0])
+    assert sum(counted) == M * steps
+    vals = np.concatenate([
+        functional_columns(spec, runs, use_tau=True, absolute=False)[j_t]
+        for _, runs, _ in whole_blocks(SchemeKind.STOPPED_BIT, model, grid,
+                                       [1.0], M, 5)])
+    assert est.estimate == float(np.mean(vals))
+    assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M))
 
 
 @pytest.mark.parametrize("use_tau", (True, False))
