@@ -3,9 +3,12 @@
 Each path is an independent counter-based stream: increments are a pure
 function of (seed, path_index), generated from a Philox4x64 generator keyed
 with the 128-bit value seed * 2**64 + path_index and numpy's ziggurat
-``standard_normal``.  Path j therefore never depends on how many other paths
-were generated or in which order, which is what makes ensemble runs
-deterministic under arbitrary parallel scheduling.
+``standard_normal``; ``_path_key`` builds the key, and rejects a seed or
+path index outside [0, 2**64), so distinct pairs never share a stream.
+Path j therefore never depends on how many other paths were generated or
+in which order, which is what makes ensemble runs deterministic under
+arbitrary parallel scheduling.  ``generate_path`` is ``generate_block``'s
+one-path case, and ``BlockStream`` draws the same values in time chunks.
 
 Coarsening sums adjacent increments by repeated pairwise halving, so for
 power-of-two ratios the chain property holds bit-for-bit: coarsening to N_b
@@ -15,6 +18,7 @@ and then to N_a equals coarsening directly to N_a.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -32,12 +36,19 @@ __all__ = [
     "load_increments",
 ]
 
-_MASK64 = (1 << 64) - 1
+def _path_key(seed: int, path_index: int) -> np.ndarray:
+    """Philox key of path ``path_index``'s stream: the 128-bit value
+    seed * 2**64 + path_index as two little-endian 64-bit words.  Raises
+    ValueError, naming the argument, unless both lie in [0, 2**64), and
+    TypeError unless both are integers."""
+    for name, value in (("seed", seed), ("path_index", path_index)):
+        if not 0 <= operator.index(value) < 1 << 64:
+            raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+    return np.array([path_index, seed], dtype=np.uint64)
 
 
 def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    key = ((seed & _MASK64) << 64) | (path_index & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_path_key(seed, path_index)))
 
 
 @dataclass(frozen=True)
@@ -79,26 +90,24 @@ def _check_grid(T: float, N_fine: int, m: int, count: int = 0) -> None:
 
 
 def generate_path(T: float, N_fine: int, m: int, seed: int, path_index: int) -> BrownianGrid:
-    """Generate one path's fine-grid increments, deterministically.
+    """Generate one path's fine-grid increments, deterministically: row 0
+    of ``generate_block(T, N_fine, m, seed, path_index, 1)``.
 
     The result depends only on (seed, path_index); calling twice returns
     identical arrays.
     """
-    _check_grid(T, N_fine, m)
-    gen = _path_generator(seed, path_index)
-    incr = gen.standard_normal((N_fine, m)) * math.sqrt(T / N_fine)
+    incr = generate_block(T, N_fine, m, seed, path_index, 1)[0]
     return BrownianGrid(T=T, N_fine=N_fine, m=m, seed=seed,
                         path_index=path_index, increments=incr)
 
 
 def _stream_start(seed: int, path_index: int) -> dict:
     """Philox state at the start of path ``path_index``'s stream: the state
-    of ``_path_generator(seed, path_index)``, whose 128-bit key is stored as
-    two little-endian 64-bit words, with counter 0 and an empty buffer."""
+    of ``_path_generator(seed, path_index)``, with counter 0 and an empty
+    buffer."""
     return {"bit_generator": "Philox",
             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([path_index & _MASK64, seed & _MASK64],
-                                      dtype=np.uint64)},
+                      "key": _path_key(seed, path_index)},
             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0}
 
@@ -106,7 +115,8 @@ def _stream_start(seed: int, path_index: int) -> dict:
 def generate_block(T: float, N_fine: int, m: int, seed: int,
                    first_path: int, count: int) -> np.ndarray:
     """Increments of paths [first_path, first_path+count) as one (count, N_fine, m)
-    array.  Row j is bit-identical to generate_path(..., first_path + j)."""
+    array: row j is path first_path + j's stream.  Raises ValueError for a
+    seed or path index outside [0, 2**64)."""
     _check_grid(T, N_fine, m, count)
     out = np.empty((count, N_fine, m))
     # one generator per call (never shared between threads), reset to each
@@ -225,12 +235,13 @@ def bridge_value(path: BrownianGrid, k: int, s: float, sub_seed: int) -> np.ndar
     return (s / h) * dw + math.sqrt(s * (h - s) / h) * z
 
 
-_HEADER = struct.Struct("<dqqqq")  # T, N_fine, m, seed, path_index
+_HEADER = struct.Struct("<dqqQQ")  # T, N_fine, m, seed, path_index
 
 
 def dump_increments(path: BrownianGrid, file) -> None:
     """Write a path to a binary file: little-endian header (T, N_fine, m,
-    seed, path_index) followed by the increments as row-major float64."""
+    seed, path_index; the last two unsigned) followed by the increments
+    as row-major float64."""
     close = False
     if isinstance(file, (str, bytes)):
         file = open(file, "wb")

@@ -63,21 +63,16 @@ class AssertionFailed(Exception):
 # emission
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _json_default(obj):
+    """``default=`` of json.dumps: arrays as nested lists, numpy scalars as
+    Python ones, dataclasses as field dicts and a SchemeKind as its value."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, SchemeKind):
         return obj.value
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _render(fmt: str, payload, csv_header: str = "", csv_rows=(),
@@ -85,7 +80,7 @@ def _render(fmt: str, payload, csv_header: str = "", csv_rows=(),
     """``payload`` as sorted-key JSON, or ``csv_header`` and ``csv_rows`` as
     CSV with every float to 17 significant digits."""
     if fmt == "json":
-        return json.dumps(_to_jsonable(payload), indent=indent,
+        return json.dumps(payload, default=_json_default, indent=indent,
                           sort_keys=True) + "\n"
     if fmt != "csv":
         raise UsageError(f"unknown format {fmt!r}")
@@ -358,8 +353,7 @@ def _cmd_simulate(s: argparse.Namespace) -> None:
     final, tau, overflow = (np.concatenate(p) for p in zip(*parts))
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bd,bd->b", final, final))
-    norms = np.minimum(np.nan_to_num(norms, nan=OVERFLOW_CAP,
-                                     posinf=OVERFLOW_CAP), OVERFLOW_CAP)
+    norms = np.fmin(norms, OVERFLOW_CAP)  # NaN and inf saturate at the cap
     payload = {
         "model": model.name, "scheme": s.scheme, "N": s.N, "M": s.M,
         "T": s.T, "seed": s.seed,

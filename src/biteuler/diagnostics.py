@@ -194,8 +194,12 @@ def _growth_lhs(model: SdeModel, spec: Optional[LyapunovSpec], x: np.ndarray) ->
     return lhs
 
 
+_GROWTH_POINTS = 10000  # default points and pairs of the growth samples
+_GROWTH_SEED = 7  # Philox key of the growth samples
+
+
 def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
-                    n_points: int, radius: float, seed: int):
+                    n_points: int):
     """The sampled terms of the two growth inequalities, c left out.
 
     Returns (lhs_lip, poly_lip, dist, lhs_gro, poly_gro): at the sampled
@@ -203,8 +207,8 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
     lhs_lip <= c * poly_lip * dist, and at the sampled points x the growth
     inequality reads lhs_gro <= c * poly_gro.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    sample = default_sampler(radius)
+    rng = np.random.Generator(np.random.Philox(key=_GROWTH_SEED))
+    sample = default_sampler()
     x = sample(rng, n_points, model.d)
     y = sample(rng, n_points, model.d)
     keep = np.einsum("...d,...d->...", x - y, x - y) > 0
@@ -221,9 +225,10 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
 
 
 def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
-                     consts: AnalysisConstants, n_points: int = 10000,
-                     radius: float = 10.0, seed: int = 7) -> GrowthReport:
-    """Sample the two growth inequalities at n_points points/pairs.
+                     consts: AnalysisConstants,
+                     n_points: int = _GROWTH_POINTS) -> GrowthReport:
+    """Sample the two growth inequalities at n_points points/pairs drawn
+    by ``default_sampler()`` from Philox key 7.
 
     Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
                <= c (1 + ||x||^p + ||y||^p) ||x-y||;
@@ -232,7 +237,7 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
                Lyapunov data is supplied).
     """
     lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
-        model, spec, consts.p, n_points, radius, seed)
+        model, spec, consts.p, n_points)
     lip_margin = float(np.max(lhs_lip - consts.c * poly_lip * dist))
     gro_margin = float(np.max(lhs_gro - consts.c * poly_gro))
     return GrowthReport(c=consts.c, p=consts.p, n_points=n_points,
@@ -240,16 +245,15 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
 
 
 def fit_growth_constant(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
-                        T: float = 1.0, n_points: int = 10000,
-                        radius: float = 10.0, seed: int = 7,
-                        headroom: float = 1.1) -> float:
-    """Smallest c (times ``headroom``) dominating the sampled growth
-    inequalities for the given degree p, floored at T**(1/32)."""
+                        T: float = 1.0) -> float:
+    """1.1 times the smallest c dominating the growth inequalities for the
+    given degree p, sampled as ``growth_preflight`` samples them by
+    default, floored at T**(1/32)."""
     lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
-        model, spec, p, n_points, radius, seed)
+        model, spec, p, _GROWTH_POINTS)
     c_lip = float(np.max(lhs_lip / (poly_lip * dist)))
     c_gro = float(np.max(lhs_gro / poly_gro))
-    return headroom * max(c_lip, c_gro, T ** (1.0 / 32.0))
+    return 1.1 * max(c_lip, c_gro, T ** (1.0 / 32.0))
 
 
 @dataclass(frozen=True)
@@ -266,9 +270,6 @@ class N0Report:
     N0: float
     log10_N0: float
     threshold_fit_all_N: bool  # no gap: the first inequality holds for all N >= T
-
-    def admissible_at(self, N: int) -> bool:
-        return N >= self.N0
 
 
 def n0_for(consts: AnalysisConstants) -> N0Report:
@@ -317,10 +318,6 @@ class RegularityReport:
     n0: N0Report
 
     @property
-    def pass_fraction(self) -> float:
-        return self.n_pass / self.n_samples if self.n_samples else 1.0
-
-    @property
     def all_passed(self) -> bool:
         return self.n_pass == self.n_samples
 
@@ -353,14 +350,14 @@ def regularity_bound(consts: AnalysisConstants) -> float:
 
 
 def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
-                     path, samples_per_step: int = 4,
-                     growth: Optional[GrowthReport] = None) -> RegularityReport:
+                     path, samples_per_step: int = 4) -> RegularityReport:
     """Check the intra-step regularity bound along one stopped-tamed run.
 
     ``path`` is the BrownianGrid that drove the run; its fine grid supplies
     the intra-step Brownian values exactly (partial sums of fine
     increments), so no auxiliary bridge sampling is needed.  path.N_fine
-    must be (samples_per_step+1) * grid.N or finer.
+    must be (samples_per_step+1) * grid.N or finer.  The growth preflight
+    runs at 2000 points.
     """
     grid = run.grid
     if path.N_fine % grid.N != 0:
@@ -369,8 +366,7 @@ def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
         raise ValueError("path is not fine enough for the requested samples")
     if consts.N != grid.N:
         consts = consts.at(grid.N)
-    if growth is None:
-        growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
+    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
     dev = _regularity_lhs(model, grid, run.states[None], path.increments[None])
     bound = regularity_bound(consts)
     n = dev.size
@@ -385,7 +381,9 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
                      x0, M: int, samples_per_step: int,
                      seed: int) -> RegularityReport:
     """Ensemble version of regularity_check: M stopped-tamed paths with
-    samples_per_step intra-step probes each."""
+    samples_per_step >= 1 intra-step probes each."""
+    if samples_per_step < 1:
+        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
     x0 = validate_start(model, x0, M)
     consts = consts.at(grid.N)
     growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
@@ -413,7 +411,6 @@ class MomentEstimate:
     estimate: float
     stderr: float
     saturated_fraction: float = 0.0
-    n_paths: int = 0
 
 
 def _grid_index(grid: GridSpec, t: float) -> int:
@@ -473,8 +470,7 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
-                          saturated_fraction=float(np.mean(vals >= OVERFLOW_CAP)),
-                          n_paths=M)
+                          saturated_fraction=float(np.mean(vals >= OVERFLOW_CAP)))
 
 
 def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
@@ -521,9 +517,14 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     The estimate is the fraction of paths whose stopping index precedes the
     final grid index.  When Lyapunov data is supplied, the report also
     evaluates the theoretical bound with C1 estimated as the product of the
-    two exponential-moment suprema (scheme at N, and a fine-grid run at
-    ref_refine*N standing in for the exact solution).
+    two exponential-moment suprema over bound_paths paths each (scheme at
+    N, and a fine-grid run at ref_refine*N standing in for the exact
+    solution), drawn at seeds seed + 1 and seed + 2, which must lie in
+    [0, 2**64) too.  bound_paths and ref_refine must be >= 1.
     """
+    for name, value in (("bound_paths", bound_paths), ("ref_refine", ref_refine)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     x0 = validate_start(model, x0, M)
     n_stopped = 0
     for _, runs, _ in _block_slices(SchemeKind.STOPPED_BIT, model, grid, x0,

@@ -40,6 +40,18 @@ __all__ = [
 
 _N_STAT_BATCHES = 10  # batch-means stderr uses this many fixed path batches
 _CHUNK_VALUES = 1 << 16  # fine increments per time chunk of a strong-error block
+_P_GROWTH = 3  # polynomial growth degree p of moment_sweep's constants
+
+
+def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
+    """Raise ValueError, naming the argument, unless Ns is nonempty with
+    every N >= 1, and T > 0."""
+    if not Ns:
+        raise ValueError("Ns must be nonempty")
+    if min(Ns) < 1:
+        raise ValueError(f"every N in Ns must be >= 1, got {min(Ns)}")
+    if not T > 0:
+        raise ValueError(f"T must be > 0, got {T}")
 
 
 def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list:
@@ -123,8 +135,8 @@ class ConvergenceConfig:
     Brownian path) or "fine" (the ``ref_scheme`` run on the N_ref grid);
     for a fine reference N_ref must be a multiple of every N and at least
     8 times the largest.  ``Ns`` should be powers of two when a rate fit is
-    intended.  ``M`` is at least 10, one path per batch-means batch.  ``x0``
-    of None uses the catalog default.
+    intended.  ``M`` is at least 10, one path per batch-means batch.
+    ``seed`` lies in [0, 2**64).  ``x0`` of None uses the catalog default.
     """
 
     model: str
@@ -141,18 +153,15 @@ class ConvergenceConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if not self.Ns:
-            raise ValueError("Ns must be nonempty")
-        if any(n < 1 for n in self.Ns):
-            raise ValueError("all Ns must be >= 1")
+        _check_sweep(self.Ns, self.T)
         if self.M < _N_STAT_BATCHES:
             # an empty batch-means batch would make the stderr NaN
             raise ValueError(f"M must be >= {_N_STAT_BATCHES}, one path per "
                              f"batch-means batch, got {self.M}")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.r <= 0:
-            raise ValueError("r must be positive")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        if not self.r > 0:
+            raise ValueError(f"r must be > 0, got {self.r}")
         worker_count(self.threads)
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")
@@ -335,8 +344,9 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     fraction exploded (flagged or exceeding magnitude 1e10 at any grid
     point), and the final-state second moment with each path's contribution
     capped at 1e300 (diverged paths are retained and reported, never
-    dropped).
+    dropped).  Raises ValueError for empty Ns, an N < 1 or T <= 0.
     """
+    _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
     kinds = (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT)
 
@@ -351,10 +361,8 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
                     mags = np.abs(runs.states).max(axis=(1, 2))
                     m2 = np.einsum("bd,bd->b", runs.states[:, -1],
                                    runs.states[:, -1])
-                m2 = np.where(runs.overflow, OVERFLOW_CAP,
-                              np.minimum(np.nan_to_num(m2, nan=OVERFLOW_CAP,
-                                                       posinf=OVERFLOW_CAP),
-                                         OVERFLOW_CAP))
+                # NaN and inf saturate at the cap (fmin drops the NaN operand)
+                m2 = np.where(runs.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
                 exploded = runs.overflow | (mags > _EXPLODE_MAGNITUDE)
                 for seg_acc, (_, s_lo, s_hi) in zip(acc, segs):
                     part = slice(s_lo - lo, s_hi - lo)
@@ -414,19 +422,21 @@ class MomentSweepReport:
 
 
 def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
-                 M: int, seed: int, x0, T: float = 1.0, p_growth: int = 3,
+                 M: int, seed: int, x0, T: float = 1.0,
                  threads: int = 1) -> MomentSweepReport:
     """Monte Carlo E[U(Y^N_T)] and the exponential-moment functional at
     t = T for each N, against the Gronwall moment bound.
 
-    The growth constant c is fitted once from the model (sampled, seeded);
-    the bound applies from the reported N0 onward and is typically vacuous
-    (infinite) at desk-scale N, which is reported as-is.
+    The growth constant c for degree p = 3 is fitted once from the model
+    (sampled, seeded); the bound applies from the reported N0 onward and is
+    typically vacuous (infinite) at desk-scale N, which is reported as-is.
+    Raises ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
     """
+    _check_sweep(Ns, T)
     if M < 2:
         raise ValueError(f"M must be >= 2 for a sample stderr, got {M}")
     x0 = validate_start(model, x0, M)
-    c_growth = fit_growth_constant(model, spec, p_growth, T=T)
+    c_growth = fit_growth_constant(model, spec, _P_GROWTH, T=T)
     eu0 = float(spec.U(x0))
 
     def one_n(N: int) -> MomentRow:
@@ -442,7 +452,7 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
         eu_se = float(np.std(u_vals, ddof=1) / math.sqrt(M))
         expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec,
                                    GridSpec(T, N), M, T, seed, x0)
-        consts = AnalysisConstants(c=c_growth, p=p_growth, T=T, m=model.m,
+        consts = AnalysisConstants(c=c_growth, p=_P_GROWTH, T=T, m=model.m,
                                    rho=spec.rho, N=N)
         return MomentRow(N=N, eu_estimate=eu, eu_stderr=eu_se,
                          exp_estimate=expm.estimate, exp_stderr=expm.stderr,
@@ -457,9 +467,9 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     rel = math.sqrt((rows[hi].eu_stderr / rows[hi].eu_estimate) ** 2
                     + (rows[lo].eu_stderr / rows[lo].eu_estimate) ** 2) \
         if eus[lo] > 0 else math.inf
-    consts0 = AnalysisConstants(c=c_growth, p=p_growth, T=T, m=model.m,
+    consts0 = AnalysisConstants(c=c_growth, p=_P_GROWTH, T=T, m=model.m,
                                 rho=spec.rho, N=max(Ns))
     return MomentSweepReport(model=model.name, M=M, seed=seed, rows=rows,
                              ratio=ratio, ratio_tolerance=1.0 + 5.0 * rel,
                              n0=n0_for(consts0), consts_c=c_growth,
-                             consts_p=p_growth)
+                             consts_p=_P_GROWTH)

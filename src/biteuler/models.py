@@ -62,8 +62,7 @@ def model_gbm(a: float, b: float) -> SdeModel:
                     exact_solution=exact)
 
 
-def _gl_lyapunov(alpha: float, beta: float, sigma0: float,
-                 eps: float, rho: float, c: float) -> LyapunovSpec:
+def _gl_lyapunov(eps: float, rho: float, c: float) -> LyapunovSpec:
     # U(x) = eps*(||x||^2 + 1).  The +1 makes U(0) > 0, which is what lets
     # the Ito correction eps*sigma0^2 at the origin sit below rho*U(0).
     def U(x):
@@ -140,7 +139,7 @@ def model_ginzburg_landau(alpha: float = 1.0, beta: float = 1.0,
         eps, rho, c = tune_ginzburg_landau_spec(alpha, beta, sigma0)
     return SdeModel(name="ginzburg-landau", d=1, m=1, drift=drift,
                     diffusion=diffusion,
-                    lyapunov=_gl_lyapunov(alpha, beta, sigma0, eps, rho, c))
+                    lyapunov=_gl_lyapunov(eps, rho, c))
 
 
 def _vdp_lyapunov(eps: float, u0: float, rho: float, c: float,
@@ -173,18 +172,21 @@ def _vdp_lyapunov(eps: float, u0: float, rho: float, c: float,
                         rho=rho, c=c, p=4, q0=4.0, q1=math.inf, r=2.0)
 
 
+_RADIUS = 10.0  # of the ball the conditions are tuned and sampled in
+_VDP_TUNE_POINTS = 401  # grid points per axis of tune_vdp_spec's scan
+
+
 def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
-                  T: float = 1.0, radius: float = 10.0,
-                  grid_points: int = 401) -> tuple[float, float, float, float]:
+                  T: float = 1.0) -> tuple[float, float, float, float]:
     """Pick (eps, u0, rho, c) for the oscillator.
 
     rho covers the closed-form supremum of the generator quotient.  c must
     dominate the local-monotonicity quotient minus its Lyapunov slack over
-    all pairs in the admissible ball; since the quotient for a pair is a
-    segment average of directional derivatives, its supremum is bounded by
-    the pointwise worst case lambda_max(sym Dmu) + coef*||Dsigma||^2, which
-    is scanned on a dense grid (this also covers the near-coincident pairs
-    the checker probes), with 15% headroom.
+    all pairs in the admissible ball of radius 10; since the quotient for a
+    pair is a segment average of directional derivatives, its supremum is
+    bounded by the pointwise worst case lambda_max(sym Dmu) +
+    coef*||Dsigma||^2, which is scanned on a 401 x 401 grid (this also
+    covers the near-coincident pairs the checker probes), with 15% headroom.
     """
     if c_damp <= 0:
         raise ValueError("c_damp must be positive for dissipation")
@@ -194,9 +196,9 @@ def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
     u0 = 0.5
     rho = 1.15 * max(2.0 * a, sigma0**2 / math.sqrt(2.0 * b * u0), 0.1)
 
-    g = np.linspace(-radius, radius, grid_points)
+    g = np.linspace(-_RADIUS, _RADIUS, _VDP_TUNE_POINTS)
     X, V = np.meshgrid(g, g, indexing="ij")
-    inside = X**2 + V**2 <= radius**2
+    inside = X**2 + V**2 <= _RADIUS**2
     # sym(Dmu) = [[0, j12], [j12, j22]] with j12 = (1 - 3b x^2 - 2 c_damp x v)/2
     j12 = 0.5 * (1.0 - 3.0 * b * X**2 - 2.0 * c_damp * X * V)
     j22 = a - c_damp * X**2
@@ -207,21 +209,6 @@ def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
     need = float(np.max(np.where(inside, quot - slack, -np.inf)))
     c = 1.15 * max(need, 1.0, T ** (1.0 / 32.0))
     return eps, u0, rho, c
-
-
-def _vdp_model_raw(a: float, b: float, c_damp: float, sigma0: float):
-    def drift(z):
-        z = np.asarray(z, dtype=float)
-        x, v = z[..., 0], z[..., 1]
-        return np.stack([v, a * v - b * x**3 - c_damp * x**2 * v], axis=-1)
-
-    def diffusion(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape[:-1] + (2, 1))
-        out[..., 1, 0] = sigma0 * z[..., 0]
-        return out
-
-    return SdeModel(name="vdp", d=2, m=1, drift=drift, diffusion=diffusion)
 
 
 _VDP_DEFAULT = (1.0, 1.0, 1.0, 0.5)
@@ -238,13 +225,23 @@ def model_vdp(a: float = 1.0, b: float = 1.0, c_damp: float = 1.0,
     """
     if sigma0 < 0:
         raise ValueError("sigma0 must be nonnegative")
-    raw = _vdp_model_raw(a, b, c_damp, sigma0)
+
+    def drift(z):
+        z = np.asarray(z, dtype=float)
+        x, v = z[..., 0], z[..., 1]
+        return np.stack([v, a * v - b * x**3 - c_damp * x**2 * v], axis=-1)
+
+    def diffusion(z):
+        z = np.asarray(z, dtype=float)
+        out = np.zeros(z.shape[:-1] + (2, 1))
+        out[..., 1, 0] = sigma0 * z[..., 0]
+        return out
+
     if (a, b, c_damp, sigma0) == _VDP_DEFAULT:
         eps, u0, rho, c = _VDP_DEFAULT_CONSTANTS
     else:
         eps, u0, rho, c = tune_vdp_spec(a, b, c_damp, sigma0)
-    return SdeModel(name="vdp", d=2, m=1, drift=raw.drift,
-                    diffusion=raw.diffusion,
+    return SdeModel(name="vdp", d=2, m=1, drift=drift, diffusion=diffusion,
                     lyapunov=_vdp_lyapunov(eps, u0, rho, c, b=b))
 
 
@@ -252,7 +249,7 @@ def model_vdp(a: float = 1.0, b: float = 1.0, c_damp: float = 1.0,
 # sampled condition checker
 
 
-def default_sampler(radius: float = 10.0) -> Callable:
+def default_sampler(radius: float = _RADIUS) -> Callable:
     """Point sampler over a centered ball: half uniform in the ball, half
     Gaussian with scale radius/3 (clipped to the ball)."""
 
@@ -390,20 +387,16 @@ def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
 class ModelCatalogEntry:
     model: SdeModel
     admissible_region: str
-    in_region: Callable[[np.ndarray], np.ndarray]
     default_x0: np.ndarray
     notes: str
 
 
 def catalog() -> dict[str, ModelCatalogEntry]:
     """The shipped model zoo, keyed by CLI model id."""
-    ball10 = lambda x: np.linalg.norm(np.asarray(x, dtype=float), axis=-1) <= 10.0
-    everywhere = lambda x: np.ones(np.asarray(x).shape[:-1], dtype=bool)
     return {
         "gbm": ModelCatalogEntry(
             model=model_gbm(0.05, 0.2),
             admissible_region="all of R",
-            in_region=everywhere,
             default_x0=np.array([1.0]),
             notes=("closed-form solution available; no Lyapunov data (the "
                    "squared-gradient generator term is quartic under any "
@@ -413,7 +406,6 @@ def catalog() -> dict[str, ModelCatalogEntry]:
         "ginzburg-landau": ModelCatalogEntry(
             model=model_ginzburg_landau(),
             admissible_region="ball of radius 10 (checker sampling region)",
-            in_region=ball10,
             default_x0=np.array([1.0]),
             notes=("cubic one-sided Lipschitz drift, additive noise; "
                    "Lyapunov constants tuned numerically, committed in "
@@ -422,7 +414,6 @@ def catalog() -> dict[str, ModelCatalogEntry]:
         "vdp": ModelCatalogEntry(
             model=model_vdp(),
             admissible_region="ball of radius 10 (checker sampling region)",
-            in_region=ball10,
             default_x0=np.array([1.0, 0.0]),
             notes=("Duffing-van der Pol oscillator with state-proportional "
                    "noise on the velocity; energy-style Lyapunov function"),

@@ -21,11 +21,22 @@ def test_distinct_paths_differ():
     assert not np.array_equal(a.increments, b.increments)
 
 
-def test_block_rows_match_single_paths():
-    block = generate_block(2.0, 32, 2, seed=5, first_path=10, count=4)
+# (seed, first path) of four consecutive paths: both ends of the seed range,
+# and a block that ends at the last path index
+KEY_EXTREMES = [(5, 10), (0, 0), (2**64 - 1, 10), (7, 2**64 - 4)]
+
+
+@pytest.mark.parametrize("seed,first", KEY_EXTREMES)
+def test_block_rows_match_single_paths(seed, first):
+    block = generate_block(2.0, 32, 2, seed=seed, first_path=first, count=4)
     for j in range(4):
-        single = generate_path(2.0, 32, 2, seed=5, path_index=10 + j)
-        np.testing.assert_array_equal(block[j], single.increments)
+        single = generate_path(2.0, 32, 2, seed=seed, path_index=first + j)
+        assert block[j].tobytes() == single.increments.tobytes()
+        # the documented key: the 128-bit value seed * 2**64 + path_index
+        gen = np.random.Generator(np.random.Philox(key=(seed << 64) + first + j))
+        assert (gen.standard_normal((32, 2)) * 0.25).tobytes() == block[j].tobytes()
+
+
 
 
 def test_single_increment_distribution():
@@ -124,8 +135,10 @@ def test_bridge_deterministic_in_sub_seed():
     assert not np.array_equal(a, c)
 
 
-def test_dump_load_round_trip():
-    path = generate_path(2.5, 32, 3, seed=123, path_index=9)
+# the largest key: a signed header rejected every seed from 2**63 on
+@pytest.mark.parametrize("seed,index", [(123, 9), (2**64 - 1, 2**64 - 1)])
+def test_dump_load_round_trip(seed, index):
+    path = generate_path(2.5, 32, 3, seed=seed, path_index=index)
     buf = io.BytesIO()
     dump_increments(path, buf)
     buf.seek(0)
@@ -151,9 +164,11 @@ def test_grid_shape_validation():
 
 
 # (argument, bad value): N_fine = 0 used to divide by zero, count = -1 made
-# an empty stream, m = 0 empty arrays and T < 0 a math domain error
+# an empty stream, m = 0 empty arrays and T < 0 a math domain error; seeds
+# were masked to 64 bits, so 2**64 ran seed 0's paths and -1 seed 2**64 - 1's
 BAD_GRIDS = [("N_fine", 0), ("N_fine", -3), ("count", -1), ("m", 0),
-             ("T", 0.0), ("T", -1.0), ("T", math.nan)]
+             ("T", 0.0), ("T", -1.0), ("T", math.nan), ("seed", -1),
+             ("seed", 2**64)]
 
 
 @pytest.mark.parametrize("arg,value", BAD_GRIDS)
@@ -164,7 +179,16 @@ def test_block_draws_reject_bad_grids(make, arg, value):
         make(**{**args, arg: value})
 
 
-@pytest.mark.parametrize("arg,value", [c for c in BAD_GRIDS if c[0] != "count"])
+@pytest.mark.parametrize("first", (-1, 2**64 - 2))
+@pytest.mark.parametrize("make", (generate_block, BlockStream))
+def test_block_draws_reject_path_indices_outside_64_bits(make, first):
+    # first = 2**64 - 2 with three paths reaches path index 2**64
+    with pytest.raises(ValueError, match="^path_index must be in"):
+        make(T=1.0, N_fine=8, m=1, seed=0, first_path=first, count=3)
+
+
+@pytest.mark.parametrize("arg,value", [c for c in BAD_GRIDS if c[0] != "count"]
+                         + [("path_index", -1), ("path_index", 2**64)])
 def test_generate_path_rejects_bad_grids(arg, value):
     args = dict(T=1.0, N_fine=8, m=1, seed=0, path_index=0)
     with pytest.raises(ValueError, match=f"^{arg} must be"):

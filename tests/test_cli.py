@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biteuler.cli import (CSV_HEADER, emit, main, table_from_json,
+from biteuler import diagnostics, experiments
+from biteuler.cli import (CSV_HEADER, _render, emit, main, table_from_json,
                           table_to_csv, table_to_json)
 from biteuler.core import ErrorRow, ErrorTable, RateFit
+from biteuler.schemes import SchemeKind
 
 
 def run_cli(args, capsys=None):
@@ -62,6 +64,19 @@ def test_json_round_trip_exact():
         else:
             np.testing.assert_array_equal(a.per_gridpoint_errors,
                                           b.per_gridpoint_errors)
+
+
+def test_json_encodes_numpy_values_dataclasses_and_scheme_kinds():
+    fit = RateFit(slope=np.float64(0.5), intercept=-1.0, residual=0.0,
+                  points=((1.0, 2.0),))
+    payload = {"kind": SchemeKind.STOPPED_BIT, "n": np.int64(3),
+               "a": np.array([[0.1, 2.0]]), "fit": fit}
+    assert json.loads(_render("json", payload)) == {
+        "kind": "bit", "n": 3, "a": [[0.1, 2.0]],
+        "fit": {"slope": 0.5, "intercept": -1.0, "residual": 0.0,
+                "points": [[1.0, 2.0]]}}
+    with pytest.raises(TypeError):
+        _render("json", {"x": object()})
 
 
 def test_emit_csv_with_ratefit_sidecar(tmp_path):
@@ -224,17 +239,45 @@ def test_simulate_keeps_increments_not_states(tmp_path):
     assert peak < 1.5 * 1000 * 2048 * 8
 
 
-def test_simulate_dumps_increments(tmp_path):
+@pytest.mark.parametrize("seed", (9, 2**64 - 1))  # the largest used to fail
+def test_simulate_dumps_increments(tmp_path, seed):
     from biteuler.brownian import generate_path, load_increments
 
     dump = tmp_path / "w.bin"
     code = main(["simulate", "--model", "gbm", "--scheme", "em", "--N", "16",
-                 "--M", "4", "--seed", "9", "--dump-increments", str(dump),
+                 "--M", "4", "--seed", str(seed), "--dump-increments", str(dump),
                  "--output", str(tmp_path / "s.json")])
     assert code == 0
     loaded = load_increments(str(dump))
-    oracle = generate_path(1.0, 16, 1, 9, 0)
+    assert loaded.seed == seed
+    oracle = generate_path(1.0, 16, 1, seed, 0)
     np.testing.assert_array_equal(loaded.increments, oracle.increments)
+
+
+@pytest.mark.parametrize("args,message", [
+    # seed 2**64 used to run seed 0's paths, and seed -1 seed 2**64 - 1's
+    (["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "10",
+      "--seed", str(2**64)], "error: seed must be in [0, 2**64)"),
+    (["divergence", "--model", "ginzburg-landau", "--Ns", "4,8", "--M", "10",
+      "--seed", "-1"], "error: seed must be in [0, 2**64)"),
+    (["simulate", "--model", "gbm", "--N", "8", "--M", "10", "--seed", "-1"],
+     "error: seed must be in [0, 2**64)"),
+    # used to print a TypeError traceback from the growth fit
+    (["moments", "--model", "ginzburg-landau", "--Ns", "4,8", "--M", "10",
+      "--T", "-1"], "error: T must be > 0"),
+    # used to run the whole study before the rate fit failed
+    (["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "10",
+      "--r", "nan"], "error: r must be > 0")])
+def test_out_of_range_settings_exit_1_before_stepping(monkeypatch, capsys,
+                                                      tmp_path, args, message):
+    def no_stepping(*a, **k):
+        raise AssertionError("a path was stepped")
+    for module in (experiments, diagnostics):
+        monkeypatch.setattr(module, "run_paths", no_stepping)
+    out = tmp_path / "o.json"
+    assert main(args + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and not out.exists()
 
 
 def test_convergence_command_and_band_assertions(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from biteuler import diagnostics
 from biteuler.brownian import generate_block, generate_path
 from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
@@ -372,6 +373,31 @@ def test_regularity_sweep_rejects_zero_paths():
     with pytest.raises(ValueError, match="M must be >= 1"):
         regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=0,
                          samples_per_step=4, seed=0)
+
+
+@pytest.mark.parametrize("samples,fault", [(0, "an empty reduction"),
+                                           (-1, "an N_fine message")])
+def test_regularity_sweep_rejects_no_samples_per_step(samples, fault):
+    # each used to fail with ``fault``
+    gl = model_ginzburg_landau()
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError,
+                       match=f"^samples_per_step must be >= 1, got {samples}$"):
+        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=10,
+                         samples_per_step=samples, seed=0)
+
+
+@pytest.mark.parametrize("arg", ("bound_paths", "ref_refine"))
+def test_stopping_probability_rejects_empty_bound_runs(monkeypatch, arg):
+    # bound_paths = 0 used to be reported as M, ref_refine = 0 as N, both
+    # after the stopped fraction had been estimated
+    def no_stepping(*args):
+        raise AssertionError("a path was stepped")
+    monkeypatch.setattr(diagnostics, "run_paths", no_stepping)
+    gl = model_ginzburg_landau()
+    with pytest.raises(ValueError, match=f"^{arg} must be >= 1, got 0$"):
+        stopping_probability(gl, GridSpec(1.0, 16), 10, seed=0, x0=[1.0],
+                             spec=gl.lyapunov, **{arg: 0})
 
 
 def test_exp_moment_estimators_reject_zero_paths():

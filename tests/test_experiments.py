@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from biteuler.brownian import generate_block
+from biteuler import experiments
 from biteuler.core import ErrorRow, ErrorTable, GridSpec
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   fit_rate, moment_sweep, strong_error)
@@ -28,6 +30,47 @@ def test_config_validation():
     with pytest.raises(ValueError, match="M must be >= 10"):
         ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT,
                           Ns=(16, 32), M=9, seed=0)  # an empty stderr batch
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("seed", 2**64, "seed must be in"),   # used to alias seed 0
+    ("seed", -1, "seed must be in"),
+    ("r", math.nan, "r must be > 0"),      # used to fail only at the rate fit
+    ("Ns", (0, 8), "every N in Ns must be >= 1, got 0"),
+    ("T", -1.0, "T must be > 0")])
+def test_config_rejects_out_of_range_settings(field, value, message):
+    args = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8), M=10,
+                seed=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        ConvergenceConfig(**{**args, field: value})
+
+
+_SWEEPS = {
+    "divergence_comparison": lambda Ns, T: divergence_comparison(
+        _GL, Ns, 10, [5.0], seed=0, T=T),
+    "moment_sweep": lambda Ns, T: moment_sweep(
+        _GL, _GL.lyapunov, Ns, 10, seed=0, x0=[1.0], T=T),
+}
+
+
+@pytest.mark.parametrize("Ns,T,message", [
+    ((4, 8), -1.0, "T must be > 0, got -1.0"),
+    ((4, 8), 0.0, "T must be > 0, got 0.0"),
+    ((4, 8), math.nan, "T must be > 0, got nan"),
+    ((), 1.0, "Ns must be nonempty"),
+    ((4, 0), 1.0, "every N in Ns must be >= 1, got 0")])
+@pytest.mark.parametrize("name", sorted(_SWEEPS))
+def test_sweeps_reject_bad_grids_before_stepping(monkeypatch, name, Ns, T,
+                                                 message):
+    # T < 0 used to end in a TypeError from the growth fit, empty Ns in
+    # max() of an empty sequence or an empty report, and N = 0 in an
+    # N_fine message
+    def no_paths(*args):
+        raise AssertionError("a path was drawn or stepped")
+    for binding in ("generate_block", "run_paths"):
+        monkeypatch.setattr(experiments, binding, no_paths)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SWEEPS[name](Ns, T)
 
 
 def test_reference_exact_requires_closed_form():

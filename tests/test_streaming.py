@@ -156,9 +156,12 @@ def test_coarsen_levels_equal_direct_coarsening(counts):
         assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()
 
 
-def test_block_stream_chunks_equal_one_draw():
-    whole = generate_block(2.0, 100, 2, seed=5, first_path=10, count=7)
-    stream = BlockStream(2.0, 100, 2, seed=5, first_path=10, count=7)
+@pytest.mark.parametrize("seed,first", [(5, 10), (0, 0), (2**64 - 1, 10),
+                                        (7, 2**64 - 7)])
+def test_block_stream_chunks_equal_one_draw(seed, first):
+    # both ends of the seed range, and a block ending at the last path index
+    whole = generate_block(2.0, 100, 2, seed=seed, first_path=first, count=7)
+    stream = BlockStream(2.0, 100, 2, seed=seed, first_path=first, count=7)
     parts = [stream.draw(n) for n in (1, 0, 33, 64, 2)]
     assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
     with pytest.raises(ValueError):
