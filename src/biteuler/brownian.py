@@ -10,6 +10,13 @@ in which order, which is what makes ensemble runs deterministic under
 arbitrary parallel scheduling.  ``generate_path`` is ``generate_block``'s
 one-path case, and ``BlockStream`` draws the same values in time chunks.
 
+Nor does a path's stream depend on how many steps are drawn from it: the
+first N values of a longer draw are the N-value draw.  So for N <= n,
+``generate_block(T, N, ...)`` equals ``generate_block(n, n, ...)[:, :N]``
+(unit-variance normals, the scale sqrt(n / n) being exactly 1.0) times
+``math.sqrt(T / N)``, bit for bit: one draw at the finest grid serves every
+coarser grid of a sweep.
+
 Coarsening sums adjacent increments by repeated pairwise halving, so for
 power-of-two ratios the chain property holds bit-for-bit: coarsening to N_b
 and then to N_a equals coarsening directly to N_a.
@@ -17,6 +24,7 @@ and then to N_a equals coarsening directly to N_a.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -47,8 +55,29 @@ def _path_key(seed: int, path_index: int) -> np.ndarray:
     return np.array([path_index, seed], dtype=np.uint64)
 
 
+@functools.cache
+def _key_sequence() -> type:
+    """A minimal ISeedSequence that hands Philox a ready key: Philox(key=...)
+    first seeds a SeedSequence from OS entropy and then ignores it, which
+    costs about three times the rest of the setup.  Built on first use, as
+    subclassing at import would load numpy.random with the package."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.key  # Philox asks for its two uint64 key words
+
+    return KeySequence
+
+
 def _path_generator(seed: int, path_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_path_key(seed, path_index)))
+    """A generator at the start of path ``path_index``'s stream: the stream
+    of ``Philox(key=_path_key(seed, path_index))``."""
+    key = _key_sequence()(_path_key(seed, path_index))
+    return np.random.Generator(np.random.Philox(key))
 
 
 @dataclass(frozen=True)
@@ -101,30 +130,25 @@ def generate_path(T: float, N_fine: int, m: int, seed: int, path_index: int) -> 
                         path_index=path_index, increments=incr)
 
 
-def _stream_start(seed: int, path_index: int) -> dict:
-    """Philox state at the start of path ``path_index``'s stream: the state
-    of ``_path_generator(seed, path_index)``, with counter 0 and an empty
-    buffer."""
-    return {"bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": _path_key(seed, path_index)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-
-
 def generate_block(T: float, N_fine: int, m: int, seed: int,
                    first_path: int, count: int) -> np.ndarray:
     """Increments of paths [first_path, first_path+count) as one (count, N_fine, m)
     array: row j is path first_path + j's stream.  Raises ValueError for a
-    seed or path index outside [0, 2**64)."""
+    seed or path index outside [0, 2**64) before any draw."""
     _check_grid(T, N_fine, m, count)
     out = np.empty((count, N_fine, m))
-    # one generator per call (never shared between threads), reset to each
-    # path's stream: much cheaper than constructing one per path
-    gen = np.random.Generator(np.random.Philox())
-    for j in range(count):
-        gen.bit_generator.state = _stream_start(seed, first_path + j)
-        gen.standard_normal(out=out[j])
+    if count:
+        # the last key here and the first below are checked before any
+        # draw.  One generator per call (never shared between threads) is
+        # reset to each path's stream by writing the path word of its key
+        # into one start state: much cheaper than constructing one per path
+        _path_key(seed, first_path + count - 1)
+        gen = _path_generator(seed, first_path)
+        start = gen.bit_generator.state
+        for j, row in enumerate(out):
+            start["state"]["key"][0] = first_path + j
+            gen.bit_generator.state = start
+            gen.standard_normal(out=row)
     out *= math.sqrt(T / N_fine)
     return out
 

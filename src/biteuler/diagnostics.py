@@ -56,14 +56,19 @@ def _block_slices(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
                   stop: Optional[int] = None):
     """Step paths [0, M) one block, then one time slice, at a time.
 
-    A block, from path lo, draws its increments over the whole refine*N
-    grid; each slice runs _SLICE_STEPS steps on from the last and yields
-    (lo, runs, fine): its nodes, the first repeating the previous slice's
-    last, and its (B, refine*n, m) fine increments.  A block ends with the
-    slice holding node ``stop`` (node N by default)."""
+    A block, from path lo, draws its increments on the refine*N grid up to
+    the end of its last slice; each slice runs _SLICE_STEPS steps on from
+    the last and yields (lo, runs, fine): its nodes, the first repeating
+    the previous slice's last, and its (B, refine*n, m) fine increments.  A
+    block ends with the slice holding node ``stop`` (node N by default)."""
     stop = max(1, grid.N if stop is None else stop)  # node 0: the first slice
+    # fine steps up to the end of the stop slice, drawn as unit normals and
+    # scaled to the refine*N grid: its increments' prefix, bit for bit
+    n_draw = refine * min(grid.N, -(-stop // _SLICE_STEPS) * _SLICE_STEPS)
+    scale = math.sqrt(grid.T / (refine * grid.N))
     for [(_, lo, hi)] in path_blocks(M):
-        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
+        fine = generate_block(n_draw, n_draw, model.m, seed, lo, hi - lo)
+        fine *= scale
         runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
         while runs.end < stop:
             k = refine * runs.end
@@ -355,19 +360,25 @@ def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
 
     ``path`` is the BrownianGrid that drove the run; its fine grid supplies
     the intra-step Brownian values exactly (partial sums of fine
-    increments), so no auxiliary bridge sampling is needed.  path.N_fine
-    must be (samples_per_step+1) * grid.N or finer.  The growth preflight
-    runs at 2000 points.
+    increments), so no auxiliary bridge sampling is needed.  Each step is
+    probed at the samples_per_step >= 1 interior nodes of the path
+    coarsened to (samples_per_step+1) * grid.N steps, as in
+    regularity_sweep, so that grid must divide path.N_fine.  The growth
+    preflight runs at 2000 points.
     """
     grid = run.grid
-    if path.N_fine % grid.N != 0:
-        raise ValueError("path fine grid does not refine the run grid")
-    if path.N_fine // grid.N < samples_per_step + 1:
-        raise ValueError("path is not fine enough for the requested samples")
+    if samples_per_step < 1:
+        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
+    n_probe = (samples_per_step + 1) * grid.N
+    if path.N_fine % n_probe != 0:
+        raise ValueError(f"the path's {path.N_fine}-step grid does not refine "
+                         f"the {n_probe}-step grid of {samples_per_step} "
+                         f"samples per step")
     if consts.N != grid.N:
         consts = consts.at(grid.N)
     growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
-    dev = _regularity_lhs(model, grid, run.states[None], path.increments[None])
+    dev = _regularity_lhs(model, grid, run.states[None],
+                          coarsen_increments(path.increments[None], n_probe))
     bound = regularity_bound(consts)
     n = dev.size
     return RegularityReport(
@@ -525,6 +536,10 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     for name, value in (("bound_paths", bound_paths), ("ref_refine", ref_refine)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if spec is not None and not seed + 2 < 1 << 64:
+        # checked before any path is stepped, as the seed itself is
+        raise ValueError(f"seed must be < 2**64 - 2 with spec (the bound "
+                         f"draws at seed + 1 and seed + 2), got {seed}")
     x0 = validate_start(model, x0, M)
     n_stopped = 0
     for _, runs, _ in _block_slices(SchemeKind.STOPPED_BIT, model, grid, x0,

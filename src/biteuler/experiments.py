@@ -121,6 +121,22 @@ def _coarsen_levels(fine: np.ndarray, counts: list[int]) -> dict:
     return levels
 
 
+def _sweep_increments(Ns: tuple[int, ...], T: float, m: int, seed: int,
+                      lo: int, count: int):
+    """Yield (N, increments of paths [lo, lo+count) on the N-step grid) for
+    each distinct N in Ns, in increasing N, from one draw: the unit-variance
+    normals of the largest grid, whose first N steps scaled by sqrt(T/N)
+    are ``generate_block(T, N, ...)`` bit for bit (the prefix rule of the
+    brownian module).  The largest N comes last and scales the draw in
+    place, so the draw costs no second copy at the largest grid."""
+    n = max(Ns)
+    z = generate_block(n, n, m, seed, lo, count)  # scale sqrt(n / n) = 1.0
+    for N in sorted(set(Ns) - {n}):
+        yield N, z[:, :N] * math.sqrt(T / N)
+    z *= math.sqrt(T / n)
+    yield n, z
+
+
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """Column sums of x adding its rows one after another, the order a
     (rows, k >= 2) sum uses; a single column would be summed pairwise."""
@@ -344,7 +360,9 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     fraction exploded (flagged or exceeding magnitude 1e10 at any grid
     point), and the final-state second moment with each path's contribution
     capped at 1e300 (diverged paths are retained and reported, never
-    dropped).  Raises ValueError for empty Ns, an N < 1 or T <= 0.
+    dropped).  Each path block draws its Brownian normals once, at the
+    largest N, and is stepped at every N.  Raises ValueError for empty Ns,
+    an N < 1 or T <= 0.
     """
     _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
@@ -353,8 +371,8 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     def one_block(segs):
         lo = segs[0][1]
         acc = [{} for _ in segs]
-        for N in Ns:
-            dw = generate_block(T, N, model.m, seed, lo, segs[-1][2] - lo)
+        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo,
+                                       segs[-1][2] - lo):
             for kind in kinds:
                 runs = run_paths(kind, model, GridSpec(T, N), x0, dw)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -430,7 +448,9 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     The growth constant c for degree p = 3 is fitted once from the model
     (sampled, seeded); the bound applies from the reported N0 onward and is
     typically vacuous (infinite) at desk-scale N, which is reported as-is.
-    Raises ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
+    Each path block draws its Brownian normals once, at the largest N, and
+    is stepped at every N before the next block is drawn.  Raises
+    ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
     """
     _check_sweep(Ns, T)
     if M < 2:
@@ -439,15 +459,18 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     c_growth = fit_growth_constant(model, spec, _P_GROWTH, T=T)
     eu0 = float(spec.U(x0))
 
+    def one_block(segs):
+        lo = segs[0][1]
+        return {N: np.minimum(spec.U(run_paths(
+                    SchemeKind.STOPPED_BIT, model, GridSpec(T, N), x0,
+                    dw).states[:, -1]), OVERFLOW_CAP)
+                for N, dw in _sweep_increments(Ns, T, model.m, seed, lo,
+                                               segs[-1][2] - lo)}
+    # values per path, so the blocks' results in path order are the merge
+    blocks = _batch_map(one_block, path_blocks(M, _N_STAT_BATCHES), threads)
+
     def one_n(N: int) -> MomentRow:
-        def one_block(segs):
-            lo = segs[0][1]
-            dw = generate_block(T, N, model.m, seed, lo, segs[-1][2] - lo)
-            runs = run_paths(SchemeKind.STOPPED_BIT, model, GridSpec(T, N), x0, dw)
-            return np.minimum(spec.U(runs.states[:, -1]), OVERFLOW_CAP)
-        # values per path, so the blocks' results in path order are the merge
-        u_vals = np.concatenate(_batch_map(
-            one_block, path_blocks(M, _N_STAT_BATCHES), threads))
+        u_vals = np.concatenate([u[N] for u in blocks])
         eu = float(np.mean(u_vals))
         eu_se = float(np.std(u_vals, ddof=1) / math.sqrt(M))
         expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec,

@@ -134,6 +134,23 @@ class BatchRuns:
 _SLICE_VALUES = 1 << 15
 
 
+def _check_finite(path: np.ndarray, gated: np.ndarray) -> None:
+    """Raise FloatingPointError if a stopped-tamed slice stepped a path to a
+    non-finite state.  ``path`` holds the slice's nodes time-major, row 0
+    the node before it, and ``gated`` the paths past the threshold there: a
+    gated path is held for the whole slice, so one gated at a non-finite
+    state was not stepped to it."""
+    # a finite sum has no non-finite term; an infinite one may come from
+    # finite terms, so the exact test decides
+    if np.isfinite(path[1:].sum()):
+        return
+    bad = ~np.isfinite(path[1:]).all(axis=(0, 2))
+    held = gated & ~np.isfinite(path[0]).all(axis=-1)
+    if (bad & ~held).any():
+        raise FloatingPointError(
+            "non-finite drift/diffusion inside the stopping region")
+
+
 def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
               dW: np.ndarray) -> BatchRuns:
     """Drive a batch of paths through the scheme recursion.
@@ -147,7 +164,9 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     tau_index is recorded against the stopping threshold for every scheme;
     only STOPPED_BIT freezes at it.  Euler-Maruyama and drift-tamed paths
     that produce non-finite states or pass magnitude 1e300 are frozen at
-    their last finite state and flagged in ``overflow``.
+    their last finite state and flagged in ``overflow``; a STOPPED_BIT path
+    stepped to a non-finite state inside the stopping region raises
+    FloatingPointError.
     """
     B, n_steps, m = dW.shape
     if isinstance(x0, BatchRuns):
@@ -187,20 +206,14 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
             for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
                 y, y_next = path[j], path[j + 1]
                 gate = np.greater(norm(y), threshold, out=exceeded[j])
-                upd = _update(kind, model, y, dw, h, h)
-                np.add(y, upd, out=y_next)
-                if stopped:
-                    # a finite sum has no non-finite term; an infinite one
-                    # may come from finite terms, so the exact test decides
-                    if (not np.isfinite(upd.sum())
-                            and not np.isfinite(upd[~gate]).all()):
-                        raise FloatingPointError(
-                            "non-finite drift/diffusion inside the stopping region")
-                else:
+                np.add(y, _update(kind, model, y, dw, h, h), out=y_next)
+                if not stopped:
                     overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
                     gate = overflow
                 np.copyto(y_next, y, where=gate[:, None])
             n = inc.shape[1]
+            if stopped:
+                _check_finite(path[:n + 1], exceeded[0])
             states[:, s0 + 1:s0 + n + 1] = path[1:n + 1].transpose(1, 0, 2)
             path[0] = path[n]
             hit = (tau == N) & exceeded[:n].any(axis=0)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from biteuler import brownian
 from biteuler.brownian import (BlockStream, BrownianGrid, bridge_value,
                                coarsen, coarsen_increments, dump_increments,
                                generate_block, generate_path, load_increments)
@@ -37,6 +38,30 @@ def test_block_rows_match_single_paths(seed, first):
         assert (gen.standard_normal((32, 2)) * 0.25).tobytes() == block[j].tobytes()
 
 
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("seed,first", [(5, 10), (2**64 - 1, 2**64 - 4)])
+def test_coarser_grids_draw_a_prefix_of_the_unit_normals(seed, first, m):
+    # the rule that lets a sweep draw each block once, at its largest N: the
+    # last block ends at seed and path index 2**64 - 1
+    n = 96
+    z = generate_block(n, n, m, seed=seed, first_path=first, count=4)
+    gen = np.random.Generator(np.random.Philox(key=(seed << 64) + first))
+    assert gen.standard_normal((n, m)).tobytes() == z[0].tobytes()  # scale 1.0
+    for N in (1, 7, 48, 95, 96):
+        coarse = generate_block(2.5, N, m, seed=seed, first_path=first, count=4)
+        assert (z[:, :N] * math.sqrt(2.5 / N)).tobytes() == coarse.tobytes()
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (2**64 - 1, 0), (5, 2**64 - 1),
+                                        (2**64 - 1, 2**64 - 1)])
+def test_path_generator_is_philox_keyed_by_the_path_key(seed, index):
+    fast = brownian._path_generator(seed, index)
+    plain = np.random.Generator(np.random.Philox(key=brownian._path_key(seed, index)))
+    assert repr(fast.bit_generator.state) == repr(plain.bit_generator.state)
+    assert fast.standard_normal(1001).tobytes() == plain.standard_normal(1001).tobytes()
+    assert repr(fast.bit_generator.state) == repr(plain.bit_generator.state)
 
 
 def test_single_increment_distribution():

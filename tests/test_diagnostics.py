@@ -186,6 +186,46 @@ def test_regularity_frozen_path_contributes_zero():
     assert rep.max_lhs == 0.0
 
 
+@pytest.mark.parametrize("samples", (1, 4, 9))
+def test_regularity_check_probes_samples_per_step_per_step(samples):
+    # a 160-step path under a 16-step run, coarsened to (samples + 1) * 16
+    # steps; every value used to probe all 9 interior fine nodes, 144 in all
+    gl = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=16)
+    path = generate_path(1.0, 160, 1, seed=5, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    rep = regularity_check(run, gl, consts, path, samples_per_step=samples)
+    assert rep.n_samples == 16 * samples
+
+
+def test_regularity_check_equals_the_one_path_sweep():
+    # the sweep draws (samples + 1) * N fine steps; the check on that path
+    # probes the same offsets of the same run
+    gl = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=16)
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    path = generate_path(1.0, 16 * 4, 1, seed=6, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
+    assert regularity_check(run, gl, consts, path, samples_per_step=3) == \
+        regularity_sweep(gl, consts, grid, [1.0], M=1, samples_per_step=3, seed=6)
+
+
+@pytest.mark.parametrize("samples", (0, -5))
+def test_regularity_check_rejects_no_samples_per_step(samples):
+    gl = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=16)
+    path = generate_path(1.0, 160, 1, seed=5, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError,
+                       match=f"^samples_per_step must be >= 1, got {samples}$"):
+        regularity_check(run, gl, consts, path, samples_per_step=samples)
+    # 2 probes per step need a 48-step grid, which 160 steps do not refine
+    with pytest.raises(ValueError, match="does not refine the 48-step grid"):
+        regularity_check(run, gl, consts, path, samples_per_step=2)
+
+
 def _flat_spec():
     return LyapunovSpec(
         U=lambda x: np.zeros(np.asarray(x).shape[:-1]),
@@ -398,6 +438,30 @@ def test_stopping_probability_rejects_empty_bound_runs(monkeypatch, arg):
     with pytest.raises(ValueError, match=f"^{arg} must be >= 1, got 0$"):
         stopping_probability(gl, GridSpec(1.0, 16), 10, seed=0, x0=[1.0],
                              spec=gl.lyapunov, **{arg: 0})
+
+
+@pytest.mark.parametrize("seed", (2**64 - 2, 2**64 - 1))
+def test_stopping_probability_checks_the_bound_seeds_first(monkeypatch, seed):
+    # the bound draws at seed + 1 and seed + 2; at 2**64 - 2 two passes used
+    # to be stepped before seed + 2 was rejected
+    def no_stepping(*args):
+        raise AssertionError("a path was stepped")
+    monkeypatch.setattr(diagnostics, "run_paths", no_stepping)
+    gl = model_ginzburg_landau()
+    with pytest.raises(ValueError, match=f"^seed must be < 2\\*\\*64 - 2 .*{seed}$"):
+        stopping_probability(gl, GridSpec(1.0, 256), 2000, seed=seed, x0=[1.0],
+                             spec=gl.lyapunov)
+
+
+def test_stopping_probability_takes_the_last_seed_whose_bound_seeds_fit():
+    gl = model_ginzburg_landau()
+    rep = stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 3,
+                               x0=[1.0], spec=gl.lyapunov, bound_paths=10,
+                               ref_refine=1)
+    assert rep.C1 is not None
+    # without spec the seed itself may reach the top of the range
+    assert stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 1,
+                                x0=[1.0]).C1 is None
 
 
 def test_exp_moment_estimators_reject_zero_paths():

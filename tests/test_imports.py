@@ -1,6 +1,10 @@
-"""Every module-level import of the package is used by the module."""
+"""Every module-level import of the package is used by the module, and
+importing the package loads no more of numpy than it needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,3 +52,15 @@ def test_module_level_imports_are_used(path):
             imported += [a.asname or a.name for a in node.names]
     assert imported
     assert sorted(set(imported) - _used_names(tree)) == []
+
+
+def test_import_and_catalog_leave_numpy_random_unloaded():
+    # numpy.random loads on the first draw: loading it at import would
+    # lengthen the start-up of every command, even one that draws nothing
+    code = ("import sys, biteuler; biteuler.catalog(); "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

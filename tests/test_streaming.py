@@ -397,6 +397,18 @@ def test_nan_drift_at_frozen_state_does_not_raise():
     assert (runs.tau_index == 0).all() and runs.frozen.all()
 
 
+def test_held_infinite_path_does_not_hide_a_live_one_going_nan():
+    # the slice check passes paths held at a non-finite start, and only them
+    grid = GridSpec(1.0, 64)
+    start = dataclasses.replace(BatchRuns.initial(grid, [0.0], 2, 1),
+                                states=np.array([[[math.inf]], [[1.0]]]))
+    dW = np.full((2, 64, 1), 0.25)
+    held = BatchRuns.initial(grid, [math.inf], 1, 1)
+    run_paths(SchemeKind.STOPPED_BIT, _nan_above(1.2), grid, held, dW[:1])
+    with pytest.raises(FloatingPointError):
+        run_paths(SchemeKind.STOPPED_BIT, _nan_above(1.2), grid, start, dW)
+
+
 def test_infinite_start_freezes_at_zero_without_raising():
     gl = catalog()["ginzburg-landau"].model
     grid = GridSpec(1.0, 16)
@@ -534,6 +546,22 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
             assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M)), j
         assert est.estimate == float(np.mean(vals)), j
         assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
+
+
+@pytest.mark.parametrize("j_t,steps", [(0, 64), (512, 512), (1000, 1024)])
+def test_exp_moment_estimate_draws_only_up_to_t(monkeypatch, j_t, steps):
+    # each block draws up to the end of t's slice: one slice at t = 0
+    model, grid = _case("ginzburg-landau", 1024)
+    asked = []
+
+    def counting_generate_block(T, N_fine, m, seed, first_path, count):
+        asked.append(N_fine)
+        return generate_block(T, N_fine, m, seed, first_path, count)
+
+    monkeypatch.setattr(diagnostics, "generate_block", counting_generate_block)
+    exp_moment_estimate(SchemeKind.STOPPED_BIT, model, model.lyapunov, grid,
+                        1100, j_t / 1024, 5, [1.0])
+    assert asked == [steps, steps]  # two blocks
 
 
 @pytest.mark.parametrize("j_t,steps", [(0, 64), (512, 512)])
