@@ -8,14 +8,17 @@ path index outside [0, 2**64), so distinct pairs never share a stream.
 Path j therefore never depends on how many other paths were generated or
 in which order, which is what makes ensemble runs deterministic under
 arbitrary parallel scheduling.  ``generate_path`` is ``generate_block``'s
-one-path case, and ``BlockStream`` draws the same values in time chunks.
+one-path case, and ``BlockStream`` draws the same values in time chunks,
+holding at most one bounded lookahead window of them: a horizon that fits
+the window is drawn by one ``generate_block`` call, a longer one by one
+generator per path, each continuing where its last window ended.
 
 Nor does a path's stream depend on how many steps are drawn from it: the
 first N values of a longer draw are the N-value draw.  So for N <= n,
 ``generate_block(T, N, ...)`` equals ``generate_block(n, n, ...)[:, :N]``
 (unit-variance normals, the scale sqrt(n / n) being exactly 1.0) times
-``math.sqrt(T / N)``, bit for bit: one draw at the finest grid serves every
-coarser grid of a sweep.
+``math.sqrt(T / N)``, bit for bit: one stream of the finest grid's unit
+normals serves every coarser grid of a sweep, chunk by chunk.
 
 Coarsening sums adjacent increments by repeated pairwise halving, so for
 power-of-two ratios the chain property holds bit-for-bit: coarsening to N_b
@@ -130,19 +133,28 @@ def generate_path(T: float, N_fine: int, m: int, seed: int, path_index: int) -> 
                         path_index=path_index, increments=incr)
 
 
+def _check_paths(seed: int, first_path: int, count: int) -> None:
+    """Raise as ``_path_key`` does unless the keys of paths [first_path,
+    first_path+count) all lie in range: the first and last are checked
+    (the first alone when count is 0), and every key between them then
+    lies in range too."""
+    _path_key(seed, first_path)
+    _path_key(seed, first_path + max(count, 1) - 1)
+
+
 def generate_block(T: float, N_fine: int, m: int, seed: int,
                    first_path: int, count: int) -> np.ndarray:
     """Increments of paths [first_path, first_path+count) as one (count, N_fine, m)
     array: row j is path first_path + j's stream.  Raises ValueError for a
-    seed or path index outside [0, 2**64) before any draw."""
+    seed or path index outside [0, 2**64) before any draw, also when
+    count is 0."""
     _check_grid(T, N_fine, m, count)
+    _check_paths(seed, first_path, count)
     out = np.empty((count, N_fine, m))
     if count:
-        # the last key here and the first below are checked before any
-        # draw.  One generator per call (never shared between threads) is
-        # reset to each path's stream by writing the path word of its key
-        # into one start state: much cheaper than constructing one per path
-        _path_key(seed, first_path + count - 1)
+        # one generator per call (never shared between threads) is reset
+        # to each path's stream by writing the path word of its key into
+        # one start state: much cheaper than constructing one per path
         gen = _path_generator(seed, first_path)
         start = gen.bit_generator.state
         for j, row in enumerate(out):
@@ -153,7 +165,7 @@ def generate_block(T: float, N_fine: int, m: int, seed: int,
     return out
 
 
-# values per lookahead buffer of a BlockStream: 2 MB, or 262 steps of each
+# values per lookahead window of a BlockStream: 2 MB, or 262 steps of each
 # of 1000 paths with m = 1.  Each generator call costs about 1.5 us beside
 # its draws, so a path that draws 64 steps per call pays about 50 ns a
 # draw, and one that draws 256 or more about 30 ns.
@@ -165,32 +177,51 @@ class BlockStream:
     grid, drawn in time chunks of any lengths.
 
     Concatenated along the step axis, the chunks equal
-    ``generate_block(T, N_fine, m, seed, first_path, count)`` bit for bit:
-    each path keeps its own generator, which continues where its last call
-    stopped.  The generators fill a lookahead buffer of at most
-    ``_LOOKAHEAD_VALUES`` values (at least one step of every path) in one
-    run per path, and ``draw`` copies from it, refilling it in place when it
-    runs dry.  So a path's generator is called for long runs even when the
-    chunks are short, no refill goes past step N_fine, and memory is
-    bounded by the buffer plus the chunk, not by N_fine.
+    ``generate_block(T, N_fine, m, seed, first_path, count)`` bit for bit.
+    The stream holds one lookahead window of the next steps of every path,
+    at most ``_LOOKAHEAD_VALUES`` values (but at least one step), and
+    ``draw`` copies from it, refilling it in place when it runs dry.  So
+    memory is bounded by the window plus the chunk, not by N_fine, and no
+    refill goes past step N_fine.
+
+    When the whole horizon fits one window, ``generate_block`` fills it
+    once and no path gets a generator of its own.  Otherwise each path
+    keeps its own generator, which continues where its last refill
+    stopped, so it is called for long runs even when the chunks are short.
+    The seed and the path range are checked up front, as
+    ``generate_block`` checks them.
     """
 
     def __init__(self, T: float, N_fine: int, m: int, seed: int,
                  first_path: int, count: int):
         _check_grid(T, N_fine, m, count)
-        self._scale = math.sqrt(T / N_fine)
-        self._undrawn = N_fine  # steps not yet drawn into the buffer
-        self._gens = [_path_generator(seed, first_path + j) for j in range(count)]
+        _check_paths(seed, first_path, count)
         width = max(1, min(N_fine, _LOOKAHEAD_VALUES // max(count * m, 1)))
+        self._scale = math.sqrt(T / N_fine)
+        self._pos = 0  # the window's unread steps: [pos, filled)
+        if width == N_fine:
+            self._gens = ()
+            self._buf = generate_block(T, N_fine, m, seed, first_path, count)
+            self._filled, self._undrawn = N_fine, 0
+            return
+        # path j's key is the first path's with j added to its path word
+        keys = np.repeat(_path_key(seed, first_path)[None], count, axis=0)
+        keys[:, 0] += np.arange(count, dtype=np.uint64)
+        seq = _key_sequence()
+        self._gens = [np.random.Generator(np.random.Philox(seq(key)))
+                      for key in keys]
         self._buf = np.empty((count, width, m))
-        self._pos = self._filled = 0  # the buffer's unread steps: [pos, filled)
+        # undrawn: the steps not yet drawn into the window
+        self._filled, self._undrawn = 0, N_fine
 
     def _refill(self) -> None:
-        n = min(self._buf.shape[1], self._undrawn)
+        width = self._buf.shape[1]
+        n = min(width, self._undrawn)
         self._undrawn -= n
-        for gen, row in zip(self._gens, self._buf):
-            gen.standard_normal(out=row[:n])
-        self._buf[:, :n] *= self._scale
+        rows = self._buf if n == width else self._buf[:, :n]
+        for gen, row in zip(self._gens, rows):
+            gen.standard_normal(out=row)
+        rows *= self._scale
         self._pos, self._filled = 0, n
 
     def draw(self, n_steps: int) -> np.ndarray:
@@ -199,7 +230,8 @@ class BlockStream:
         left = self._undrawn + self._filled - self._pos
         if not 0 <= n_steps <= left:
             raise ValueError(f"{n_steps} steps asked, {left} left")
-        out = np.empty((len(self._gens), n_steps, self._buf.shape[2]))
+        count, _, m = self._buf.shape
+        out = np.empty((count, n_steps, m))
         done = 0
         while done < n_steps:
             if self._pos == self._filled:

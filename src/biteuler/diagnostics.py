@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import coarsen_increments, generate_block
+from .brownian import BlockStream, coarsen_increments, generate_block
 from .core import (GridSpec, LyapunovSpec, SchemeRun, SdeModel, path_blocks,
                    validate_start)
 from .models import default_sampler
@@ -47,7 +47,7 @@ __all__ = [
     "StoppingReport",
 ]
 
-# grid steps per run_paths call of _block_slices
+# grid steps per run_paths call of _block_slices and of the sweeps
 _SLICE_STEPS = 64
 
 
@@ -56,28 +56,28 @@ def _block_slices(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
                   stop: Optional[int] = None):
     """Step paths [0, M) one block, then one time slice, at a time.
 
-    A block, from path lo, draws its increments on the refine*N grid up to
-    the end of its last slice; each slice runs _SLICE_STEPS steps on from
-    the last and yields (lo, runs, fine): its nodes, the first repeating
-    the previous slice's last, and its (B, refine*n, m) fine increments.  A
-    block ends with the slice holding node ``stop`` (node N by default)."""
+    Each slice runs _SLICE_STEPS steps on from the last and yields (lo,
+    runs, fine): the block's first path, its nodes, the first repeating
+    the previous slice's last, and its (B, refine*n, m) increments on the
+    refine*N grid.  A block ends with the slice holding node ``stop`` (node
+    N by default), and draws its increments slice by slice through a
+    ``BlockStream`` that ends there too: a block holds its lookahead window
+    and one slice, whatever N is, and draws no step past the stop slice."""
     stop = max(1, grid.N if stop is None else stop)  # node 0: the first slice
     # fine steps up to the end of the stop slice, drawn as unit normals and
     # scaled to the refine*N grid: its increments' prefix, bit for bit
     n_draw = refine * min(grid.N, -(-stop // _SLICE_STEPS) * _SLICE_STEPS)
     scale = math.sqrt(grid.T / (refine * grid.N))
     for [(_, lo, hi)] in path_blocks(M):
-        fine = generate_block(n_draw, n_draw, model.m, seed, lo, hi - lo)
-        fine *= scale
+        stream = BlockStream(n_draw, n_draw, model.m, seed, lo, hi - lo)
         runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
         while runs.end < stop:
-            k = refine * runs.end
-            # a copy: the slice a caller holds must not keep the block alive
-            part = fine[:, k:k + refine * _SLICE_STEPS].copy()
+            part = stream.draw(min(refine * _SLICE_STEPS,
+                                   n_draw - refine * runs.end))
+            part *= scale
             runs = run_paths(kind, model, grid, runs.tail(),
                              coarsen_increments(part, part.shape[1] // refine))
             yield lo, runs, part
-        del fine  # before the next block is drawn
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ import numpy as np
 from .brownian import BlockStream, coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
                    SdeModel, path_blocks, validate_start, worker_count)
-from .diagnostics import (AnalysisConstants, N0Report, exp_moment_estimate,
-                          fit_growth_constant, moment_bound, n0_for)
+from .diagnostics import (_SLICE_STEPS, AnalysisConstants, N0Report,
+                          exp_moment_estimate, fit_growth_constant,
+                          moment_bound, n0_for)
 from .models import catalog
 from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
 
@@ -123,18 +124,26 @@ def _coarsen_levels(fine: np.ndarray, counts: list[int]) -> dict:
 
 def _sweep_increments(Ns: tuple[int, ...], T: float, m: int, seed: int,
                       lo: int, count: int):
-    """Yield (N, increments of paths [lo, lo+count) on the N-step grid) for
-    each distinct N in Ns, in increasing N, from one draw: the unit-variance
-    normals of the largest grid, whose first N steps scaled by sqrt(T/N)
-    are ``generate_block(T, N, ...)`` bit for bit (the prefix rule of the
-    brownian module).  The largest N comes last and scales the draw in
-    place, so the draw costs no second copy at the largest grid."""
+    """Yield (N, the next steps of paths [lo, lo+count) on the N-step grid)
+    chunk by chunk, for each distinct N still running, in increasing N.
+
+    The chunks are _SLICE_STEPS-step pieces of one ``BlockStream`` of the
+    largest grid's unit-variance normals: their first N steps scaled by
+    sqrt(T/N) are ``generate_block(T, N, ...)`` bit for bit (the prefix
+    rule of the brownian module), so an N's chunks, concatenated, are its
+    whole draw.  A block therefore holds the stream's lookahead window and
+    one chunk, not a horizon.  The largest N comes last in each chunk and
+    scales it in place."""
     n = max(Ns)
-    z = generate_block(n, n, m, seed, lo, count)  # scale sqrt(n / n) = 1.0
-    for N in sorted(set(Ns) - {n}):
-        yield N, z[:, :N] * math.sqrt(T / N)
-    z *= math.sqrt(T / n)
-    yield n, z
+    stream = BlockStream(n, n, m, seed, lo, count)  # scale sqrt(n / n) = 1.0
+    coarser = sorted(set(Ns) - {n})
+    for k0 in range(0, n, _SLICE_STEPS):
+        z = stream.draw(min(_SLICE_STEPS, n - k0))
+        for N in coarser:
+            if N > k0:
+                yield N, z[:, :N - k0] * math.sqrt(T / N)
+        z *= math.sqrt(T / n)
+        yield n, z
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -360,34 +369,42 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     fraction exploded (flagged or exceeding magnitude 1e10 at any grid
     point), and the final-state second moment with each path's contribution
     capped at 1e300 (diverged paths are retained and reported, never
-    dropped).  Each path block draws its Brownian normals once, at the
-    largest N, and is stepped at every N.  Raises ValueError for empty Ns,
-    an N < 1 or T <= 0.
+    dropped).  Each path block streams its Brownian normals once, at the
+    largest N, through a bounded lookahead window, and every N still
+    running steps each 64-step chunk of them on from where the last one
+    ended, keeping a running max of |state|: a block never holds a whole
+    horizon.  Raises ValueError for empty Ns, an N < 1 or T <= 0.
     """
     _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
     kinds = (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT)
 
     def one_block(segs):
-        lo = segs[0][1]
-        acc = [{} for _ in segs]
-        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo,
-                                       segs[-1][2] - lo):
+        lo, B = segs[0][1], segs[-1][2] - segs[0][1]
+        runs = {(kind, N): BatchRuns.initial(GridSpec(T, N), x0, B, model.d)
+                for N in Ns for kind in kinds}
+        mags = {key: np.zeros(B) for key in runs}  # running max of |state|
+        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo, B):
             for kind in kinds:
-                runs = run_paths(kind, model, GridSpec(T, N), x0, dw)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mags = np.abs(runs.states).max(axis=(1, 2))
-                    m2 = np.einsum("bd,bd->b", runs.states[:, -1],
-                                   runs.states[:, -1])
-                # NaN and inf saturate at the cap (fmin drops the NaN operand)
-                m2 = np.where(runs.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
-                exploded = runs.overflow | (mags > _EXPLODE_MAGNITUDE)
-                for seg_acc, (_, s_lo, s_hi) in zip(acc, segs):
-                    part = slice(s_lo - lo, s_hi - lo)
-                    seg_acc[(kind.value, N)] = (int(runs.overflow[part].sum()),
-                                                int(exploded[part].sum()),
-                                                float(m2[part].sum()),
-                                                s_hi - s_lo)
+                step = run_paths(kind, model, runs[kind, N].grid,
+                                 runs[kind, N], dw)
+                np.maximum(mags[kind, N], np.abs(step.states).max(axis=(1, 2)),
+                           out=mags[kind, N])
+                runs[kind, N] = step.tail()
+        acc = [{} for _ in segs]
+        for (kind, N), run in runs.items():
+            final = run.states[:, -1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2 = np.einsum("bd,bd->b", final, final)
+            # NaN and inf saturate at the cap (fmin drops the NaN operand)
+            m2 = np.where(run.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
+            exploded = run.overflow | (mags[kind, N] > _EXPLODE_MAGNITUDE)
+            for seg_acc, (_, s_lo, s_hi) in zip(acc, segs):
+                part = slice(s_lo - lo, s_hi - lo)
+                seg_acc[(kind.value, N)] = (int(run.overflow[part].sum()),
+                                            int(exploded[part].sum()),
+                                            float(m2[part].sum()),
+                                            s_hi - s_lo)
         return acc
 
     zero = {(kind.value, N): (0, 0, 0.0, 0) for N in Ns for kind in kinds}
@@ -448,9 +465,11 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     The growth constant c for degree p = 3 is fitted once from the model
     (sampled, seeded); the bound applies from the reported N0 onward and is
     typically vacuous (infinite) at desk-scale N, which is reported as-is.
-    Each path block draws its Brownian normals once, at the largest N, and
-    is stepped at every N before the next block is drawn.  Raises
-    ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
+    Each path block streams its Brownian normals once, at the largest N,
+    through a bounded lookahead window, and every N still running steps
+    each 64-step chunk of them on from where the last one ended: a block
+    never holds a whole horizon.  Raises ValueError for empty Ns, an N < 1,
+    T <= 0 or M < 2.
     """
     _check_sweep(Ns, T)
     if M < 2:
@@ -460,12 +479,13 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     eu0 = float(spec.U(x0))
 
     def one_block(segs):
-        lo = segs[0][1]
-        return {N: np.minimum(spec.U(run_paths(
-                    SchemeKind.STOPPED_BIT, model, GridSpec(T, N), x0,
-                    dw).states[:, -1]), OVERFLOW_CAP)
-                for N, dw in _sweep_increments(Ns, T, model.m, seed, lo,
-                                               segs[-1][2] - lo)}
+        lo, B = segs[0][1], segs[-1][2] - segs[0][1]
+        runs = {N: BatchRuns.initial(GridSpec(T, N), x0, B, model.d) for N in Ns}
+        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo, B):
+            runs[N] = run_paths(SchemeKind.STOPPED_BIT, model, runs[N].grid,
+                                runs[N], dw).tail()
+        return {N: np.minimum(spec.U(run.states[:, -1]), OVERFLOW_CAP)
+                for N, run in runs.items()}
     # values per path, so the blocks' results in path order are the merge
     blocks = _batch_map(one_block, path_blocks(M, _N_STAT_BATCHES), threads)
 

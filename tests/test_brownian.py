@@ -212,6 +212,24 @@ def test_block_draws_reject_path_indices_outside_64_bits(make, first):
         make(T=1.0, N_fine=8, m=1, seed=0, first_path=first, count=3)
 
 
+@pytest.mark.parametrize("budget", (brownian._LOOKAHEAD_VALUES, 4))
+@pytest.mark.parametrize("arg,value,name", [
+    ("seed", -1, "seed"), ("seed", 2**64, "seed"),
+    ("first_path", -1, "path_index"), ("first_path", 2**64, "path_index")])
+@pytest.mark.parametrize("make", (generate_block, BlockStream))
+def test_empty_block_draws_check_the_seed_and_first_path(monkeypatch, make,
+                                                         arg, value, name,
+                                                         budget):
+    # count = 0 used to skip the key checks and return an empty draw; a
+    # 4-value budget splits the stream's 8 steps into two windows
+    monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", budget)
+    args = dict(T=1.0, N_fine=8, m=1, seed=0, first_path=0, count=0)
+    with pytest.raises(ValueError, match=f"^{name} must be in"):
+        make(**{**args, arg: value})
+    # the last seed and path index start an empty block
+    make(**{**args, "seed": 2**64 - 1, "first_path": 2**64 - 1})
+
+
 @pytest.mark.parametrize("arg,value", [c for c in BAD_GRIDS if c[0] != "count"]
                          + [("path_index", -1), ("path_index", 2**64)])
 def test_generate_path_rejects_bad_grids(arg, value):

@@ -67,7 +67,7 @@ def test_sweeps_reject_bad_grids_before_stepping(monkeypatch, name, Ns, T,
     # N_fine message
     def no_paths(*args):
         raise AssertionError("a path was drawn or stepped")
-    for binding in ("generate_block", "run_paths"):
+    for binding in ("generate_block", "BlockStream", "run_paths"):
         monkeypatch.setattr(experiments, binding, no_paths)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SWEEPS[name](Ns, T)

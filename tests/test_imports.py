@@ -41,6 +41,12 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+# names a module binds only for perfbench/tracing.py, which reads, swaps and
+# restores them by name: the module's own code no longer calls them
+TRACER_BINDINGS = {"diagnostics": ["generate_block"],
+                   "experiments": ["generate_block"]}
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_module_level_imports_are_used(path):
     tree = ast.parse(path.read_text())
@@ -51,7 +57,11 @@ def test_module_level_imports_are_used(path):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     assert imported
-    assert sorted(set(imported) - _used_names(tree)) == []
+    kept = TRACER_BINDINGS.get(path.stem, [])
+    assert sorted(set(imported) - _used_names(tree)) == kept
+    tracer = (PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text()
+    for name in kept:
+        assert f'({path.stem}, "{name}",' in tracer
 
 
 def test_import_and_catalog_leave_numpy_random_unloaded():

@@ -170,11 +170,30 @@ def test_block_stream_chunks_equal_one_draw(seed, first):
 
 @pytest.mark.parametrize("budget", (brownian._LOOKAHEAD_VALUES, 7 * 4 * 2))
 def test_block_stream_draws_no_value_past_the_horizon(monkeypatch, budget):
-    # 7-step refills leave 1000 % 7 = 6 steps for the last one
+    # the default budget holds the whole horizon: one generate_block call of
+    # exactly its 1000 steps fills it, and no path gets a generator of its
+    # own.  7-step refills leave 1000 % 7 = 6 steps for the last one
     monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", budget)
+    filled, made = [], []
+    generator = np.random.Generator
+
+    def counting_generate_block(T, N_fine, *args):
+        filled.append(N_fine)
+        return generate_block(T, N_fine, *args)
+
+    def counting_generator(bit_generator):
+        made.append(bit_generator)
+        return generator(bit_generator)
+
+    monkeypatch.setattr(brownian, "generate_block", counting_generate_block)
+    monkeypatch.setattr(np.random, "Generator", counting_generator)
     stream = BlockStream(1.0, 1000, 2, seed=3, first_path=5, count=4)
     for n in (1, 300, 64, 635):
         stream.draw(n)
+    if budget >= 1000 * 4 * 2:
+        assert filled == [1000] and len(made) == 1  # generate_block's own
+        return
+    assert filled == [] and len(made) == 4
     for j, gen in enumerate(stream._gens):
         once = brownian._path_generator(3, 5 + j)
         once.standard_normal((1000, 2))
@@ -448,6 +467,55 @@ def test_memory_stays_flat_as_the_grids_refine():
     assert fixed <= 1.25 * small, (small, fixed)
 
 
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+GL = catalog()["ginzburg-landau"].model
+
+# every estimator that draws through Brownian streams, on an N-step grid:
+# M = 200 paths are one block
+STREAMED_AT_N = {
+    "stopping": lambda N, out: stopping_probability(
+        GL, GridSpec(1.0, N), 200, 3, [1.0]),
+    "stopping-with-spec": lambda N, out: stopping_probability(
+        GL, GridSpec(1.0, N), 200, 3, [1.0], spec=GL.lyapunov, bound_paths=200),
+    "exp-moment-estimate": lambda N, out: exp_moment_estimate(
+        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), 200, 1.0, 3,
+        [1.0]),
+    "exp-moment-supremum": lambda N, out: exp_moment_supremum(
+        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), 200, 3,
+        [1.0]),
+    "regularity-sweep": lambda N, out: regularity_sweep(
+        GL, AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=N),
+        GridSpec(1.0, N), [1.0], 200, 4, 3),
+    "simulate": lambda N, out: cli.main(
+        ["simulate", "--model", "ginzburg-landau", "--N", str(N), "--M", "200",
+         "--seed", "3", "--output", str(out / f"{N}.json")]),
+    "moment-sweep": lambda N, out: experiments.moment_sweep(
+        GL, GL.lyapunov, (16, N), 200, 3, [1.0]),
+    "divergence": lambda N, out: experiments.divergence_comparison(
+        GL, (4, N), 200, [5.0], 3),
+}
+
+
+@pytest.mark.parametrize("name", STREAMED_AT_N)
+def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
+    # a 20-step lookahead window makes N = 256 and 1024 both many windows;
+    # drawing each block's whole horizon in one piece grows the peak with N
+    monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", 1 << 12)
+    run = STREAMED_AT_N[name]
+    run(64, tmp_path)  # one-time allocations stay out of the comparison
+    small = _peak_bytes(lambda: run(256, tmp_path))
+    large = _peak_bytes(lambda: run(1024, tmp_path))
+    assert large <= 1.05 * small, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # the sliced serial estimators
 
@@ -550,18 +618,26 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
 
 @pytest.mark.parametrize("j_t,steps", [(0, 64), (512, 512), (1000, 1024)])
 def test_exp_moment_estimate_draws_only_up_to_t(monkeypatch, j_t, steps):
-    # each block draws up to the end of t's slice: one slice at t = 0
+    # each block's stream ends at the end of t's slice (one slice at t = 0),
+    # and every step of it is drawn
     model, grid = _case("ginzburg-landau", 1024)
-    asked = []
+    streams = []
 
-    def counting_generate_block(T, N_fine, m, seed, first_path, count):
-        asked.append(N_fine)
-        return generate_block(T, N_fine, m, seed, first_path, count)
+    class CountingStream(BlockStream):
+        def __init__(self, T, N_fine, *args):
+            super().__init__(T, N_fine, *args)
+            self.horizon, self.drawn = N_fine, 0
+            streams.append(self)
 
-    monkeypatch.setattr(diagnostics, "generate_block", counting_generate_block)
+        def draw(self, n_steps):
+            self.drawn += n_steps
+            return super().draw(n_steps)
+
+    monkeypatch.setattr(diagnostics, "BlockStream", CountingStream)
     exp_moment_estimate(SchemeKind.STOPPED_BIT, model, model.lyapunov, grid,
                         1100, j_t / 1024, 5, [1.0])
-    assert asked == [steps, steps]  # two blocks
+    # two blocks
+    assert [(s.horizon, s.drawn) for s in streams] == [(steps, steps)] * 2
 
 
 @pytest.mark.parametrize("j_t,steps", [(0, 64), (512, 512)])
