@@ -14,9 +14,9 @@ from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
                    validate_start)
 from .taming import (TamingParams, stopping_threshold, tame,
                      tame_jacobian_diag, tame_laplacian, verify_taming_bounds)
-from .brownian import (BlockStream, BrownianGrid, bridge_value, coarsen,
-                       coarsen_increments, dump_increments, generate_block,
-                       generate_path, load_increments)
+from .brownian import (BlockStream, BrownianGrid, coarsen_increments,
+                       dump_increments, generate_block, generate_path,
+                       load_increments)
 from .schemes import BatchRuns, SchemeKind, interpolate, run_path, run_paths
 from .models import (catalog, check_conditions, default_sampler, model_gbm,
                      model_ginzburg_landau, model_vdp)

@@ -16,9 +16,9 @@ generator per path, each continuing where its last window ended.
 Nor does a path's stream depend on how many steps are drawn from it: the
 first N values of a longer draw are the N-value draw.  So for N <= n,
 ``generate_block(T, N, ...)`` equals ``generate_block(n, n, ...)[:, :N]``
-(unit-variance normals, the scale sqrt(n / n) being exactly 1.0) times
-``math.sqrt(T / N)``, bit for bit: one stream of the finest grid's unit
-normals serves every coarser grid of a sweep, chunk by chunk.
+(unit-variance normals: the scale sqrt(n / n) is exactly 1.0 and is not
+applied) times ``math.sqrt(T / N)``, bit for bit: one stream of the finest
+grid's unit normals serves every coarser grid of a sweep, chunk by chunk.
 
 Coarsening sums adjacent increments by repeated pairwise halving, so for
 power-of-two ratios the chain property holds bit-for-bit: coarsening to N_b
@@ -40,9 +40,7 @@ __all__ = [
     "generate_path",
     "generate_block",
     "BlockStream",
-    "coarsen",
     "coarsen_increments",
-    "bridge_value",
     "dump_increments",
     "load_increments",
 ]
@@ -103,10 +101,6 @@ class BrownianGrid:
         if self.increments.shape != (self.N_fine, self.m):
             raise ValueError("increments must have shape (N_fine, m)")
 
-    @property
-    def h(self) -> float:
-        return self.T / self.N_fine
-
 
 def _check_grid(T: float, N_fine: int, m: int, count: int = 0) -> None:
     """Raise ValueError, naming the argument, unless T > 0, N_fine >= 1,
@@ -161,7 +155,9 @@ def generate_block(T: float, N_fine: int, m: int, seed: int,
             start["state"]["key"][0] = first_path + j
             gen.bit_generator.state = start
             gen.standard_normal(out=row)
-    out *= math.sqrt(T / N_fine)
+    scale = math.sqrt(T / N_fine)
+    if scale != 1.0:  # x * 1.0 is x for every float: unit normals skip it
+        out *= scale
     return out
 
 
@@ -221,7 +217,8 @@ class BlockStream:
         rows = self._buf if n == width else self._buf[:, :n]
         for gen, row in zip(self._gens, rows):
             gen.standard_normal(out=row)
-        rows *= self._scale
+        if self._scale != 1.0:
+            rows *= self._scale
         self._pos, self._filled = 0, n
 
     def draw(self, n_steps: int) -> np.ndarray:
@@ -261,34 +258,6 @@ def coarsen_increments(increments: np.ndarray, N_coarse: int) -> np.ndarray:
     if a.shape[-2] > 1:
         a = np.add.reduce(a, axis=-2, keepdims=True)
     return a[..., 0, :]
-
-
-def coarsen(path: BrownianGrid, N_coarse: int) -> np.ndarray:
-    """Coarse increments of ``path`` over the N_coarse-subinterval grid."""
-    return coarsen_increments(path.increments, N_coarse)
-
-
-def bridge_value(path: BrownianGrid, k: int, s: float, sub_seed: int) -> np.ndarray:
-    """W_{t_k + s} - W_{t_k}, sampled by Brownian-bridge conditioning.
-
-    Conditioned on the stored endpoint increment dW of fine step k the value
-    is Normal((s/h)*dW, s*(h-s)/h * I_m); the endpoints s = 0 and s = h are
-    returned exactly.  Deterministic given (path identity, k, sub_seed); the
-    auxiliary stream is keyed independently of the path streams.
-    """
-    h = path.h
-    if not 0 <= s <= h:
-        raise ValueError(f"offset {s} outside [0, {h}]")
-    if not 0 <= k < path.N_fine:
-        raise IndexError(f"step index {k} out of range")
-    dw = path.increments[k]
-    if s == 0:
-        return np.zeros(path.m)
-    if s == h:
-        return dw.copy()
-    ss = np.random.SeedSequence(entropy=(path.seed, path.path_index, k, sub_seed))
-    z = np.random.Generator(np.random.Philox(ss)).standard_normal(path.m)
-    return (s / h) * dw + math.sqrt(s * (h - s) / h) * z
 
 
 _HEADER = struct.Struct("<dqqQQ")  # T, N_fine, m, seed, path_index

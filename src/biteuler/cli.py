@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, validate_start,
                    worker_count)
-from .diagnostics import _block_slices
+from .diagnostics import _finals, _Paths
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 from .models import catalog, check_conditions, default_sampler
@@ -346,11 +346,8 @@ def _cmd_simulate(s: argparse.Namespace) -> None:
     if s.dump_increments:
         dump_increments(generate_path(s.T, s.N, model.m, s.seed, 0),
                         s.dump_increments)
-    parts = []
-    for _, runs, _ in _block_slices(kind, model, grid, x0, s.M, s.seed):
-        if runs.end == s.N:
-            parts.append((runs.states[:, -1].copy(), runs.tau_index, runs.overflow))
-    final, tau, overflow = (np.concatenate(p) for p in zip(*parts))
+    paths = _Paths(model, x0, grid.T, s.seed, ((kind, grid.N),), grid.N)
+    [(final, tau, overflow)] = _finals(paths, s.M).values()
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.einsum("bd,bd->b", final, final))
     norms = np.fmin(norms, OVERFLOW_CAP)  # NaN and inf saturate at the cap

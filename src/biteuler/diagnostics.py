@@ -15,8 +15,10 @@ vacuously large, which the reports state rather than hide).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -47,37 +49,174 @@ __all__ = [
     "StoppingReport",
 ]
 
-# grid steps per run_paths call of _block_slices and of the sweeps
-_SLICE_STEPS = 64
+_SLICE_STEPS = 64  # steps of the finest run per chunk, unless chunk_values
 
 
-def _block_slices(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
-                  M: int, seed: int, refine: int = 1,
-                  stop: Optional[int] = None):
-    """Step paths [0, M) one block, then one time slice, at a time.
+@dataclass(frozen=True)
+class _Paths:
+    """The paths of an estimate and the runs stepped on them.  Path j is
+    driven by the unit normals keyed by (seed, j) on the n_fine-step grid
+    of [0, T], up to step ``horizon`` (n_fine by default), and every
+    (scheme, N) of ``runs`` starts at x0.  Coupled runs step on sums of
+    n_fine / N fine increments; otherwise n_fine is the largest N and run
+    N on the first N normals times sqrt(T / N), ``generate_block(T, N,
+    ...)`` bit for bit.  ``chunk_values`` bounds the fine values of a
+    chunk; ``spec`` is the Lyapunov data the reducer reads."""
 
-    Each slice runs _SLICE_STEPS steps on from the last and yields (lo,
-    runs, fine): the block's first path, its nodes, the first repeating
-    the previous slice's last, and its (B, refine*n, m) increments on the
-    refine*N grid.  A block ends with the slice holding node ``stop`` (node
-    N by default), and draws its increments slice by slice through a
-    ``BlockStream`` that ends there too: a block holds its lookahead window
-    and one slice, whatever N is, and draws no step past the stop slice."""
-    stop = max(1, grid.N if stop is None else stop)  # node 0: the first slice
-    # fine steps up to the end of the stop slice, drawn as unit normals and
-    # scaled to the refine*N grid: its increments' prefix, bit for bit
-    n_draw = refine * min(grid.N, -(-stop // _SLICE_STEPS) * _SLICE_STEPS)
-    scale = math.sqrt(grid.T / (refine * grid.N))
-    for [(_, lo, hi)] in path_blocks(M):
-        stream = BlockStream(n_draw, n_draw, model.m, seed, lo, hi - lo)
-        runs = BatchRuns.initial(grid, x0, hi - lo, model.d)
-        while runs.end < stop:
-            part = stream.draw(min(refine * _SLICE_STEPS,
-                                   n_draw - refine * runs.end))
-            part *= scale
-            runs = run_paths(kind, model, grid, runs.tail(),
-                             coarsen_increments(part, part.shape[1] // refine))
-            yield lo, runs, part
+    model: SdeModel
+    x0: np.ndarray
+    T: float
+    seed: int
+    runs: tuple[tuple[SchemeKind, int], ...]
+    n_fine: int
+    coupled: bool = True
+    horizon: Optional[int] = None
+    chunk_values: int = 0
+    spec: Optional[LyapunovSpec] = None
+
+
+@dataclass(frozen=True)
+class _Reducer:
+    """An estimator's reduction of one path block.  ``init`` takes the rows
+    of the block's segments; ``begin`` takes each chunk's fine increments
+    (unit normals under the prefix rule), from fine step f0 on, before its
+    runs step; ``update`` takes each run (scheme, N) as soon as it has
+    stepped the chunk, as a BatchRuns whose first node repeats the last
+    chunk's last, in the order of ``paths.runs`` grouped by N; ``partials``
+    takes the runs' last nodes and returns one result per segment, here
+    each run's last states, stopping indices and overflow flags.  A
+    reducer keeps plain values, so it pickles."""
+
+    def init(self, parts: list[slice]) -> SimpleNamespace:
+        return SimpleNamespace(parts=parts)
+
+    def begin(self, acc, paths: _Paths, fine: np.ndarray, f0: int) -> None:
+        pass
+
+    def update(self, acc, paths: _Paths, key: tuple, run: BatchRuns,
+               fine: np.ndarray, f0: int) -> None:
+        pass
+
+    def partials(self, acc, runs: dict) -> list:
+        return [{key: (run.states[p, -1], run.tau_index[p], run.overflow[p])
+                 for key, run in runs.items()} for p in acc.parts]
+
+
+def _time_chunk(strides: list[int], budget: int) -> int:
+    """Fine steps per chunk of coupled runs with these strides: a multiple
+    of every stride, or, when that exceeds ``budget``, a power of two c <=
+    budget that every stride divides or is a multiple of in its
+    power-of-two part.  A run whose step spans chunks then sums per-chunk
+    sums, which by the pairwise-halving chain property equals coarsening
+    the fine increments directly."""
+    lcm = math.lcm(*strides)
+    if budget >= lcm:
+        return lcm * (budget // lcm)
+    c = 1 << (budget.bit_length() - 1)
+    if all(c % s == 0 or (s & -s) % c == 0 for s in strides):
+        return c
+    return lcm
+
+
+def _coarsen_levels(fine: np.ndarray, counts: list[int],
+                    coarsen=coarsen_increments) -> dict:
+    """{n: coarsen_increments(fine, n)} for each n in counts, each summed
+    from the coarsest level already built whose ratio to the fine grid is
+    a power of two dividing the power-of-two part of its own ratio:
+    pairwise halving then performs exactly the additions of the direct
+    coarsening, at a fraction of the cost."""
+    n_fine = fine.shape[1]
+    levels = {n_fine: fine}
+    for n in sorted(set(counts) - {n_fine}, reverse=True):
+        q = n_fine // n
+        src = min(k for k in levels if k % n == 0 and (q & -q) % (n_fine // k) == 0)
+        levels[n] = coarsen(levels[src], n)
+    return levels
+
+
+def _coupled_increments(fine: np.ndarray, Ns: list[int], n_fine: int,
+                        carry: dict, coarsen) -> dict:
+    """{N: increments} of each N with whole steps in the fine chunk, from
+    ``_coarsen_levels``.  An N whose step outlasts the chunk adds the
+    chunk's sum to ``carry`` and steps on their sum once they cover it."""
+    n = fine.shape[1]
+    levels = _coarsen_levels(fine, [max(n * N // n_fine, 1) for N in Ns],
+                             coarsen)
+    dws = {}
+    for N in Ns:
+        stride = n_fine // N
+        if n % stride == 0:
+            dws[N] = levels[n // stride]
+        else:
+            carry[N].append(levels[1])
+            if len(carry[N]) * n >= stride:
+                dws[N] = coarsen(np.concatenate(carry[N], axis=1), 1)
+                carry[N] = []
+    return dws
+
+
+def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
+    """The reducer's partials for the segments ``segs`` of one block, whose
+    normals come chunk by chunk from one ``BlockStream`` ending at the
+    horizon: every run steps each chunk on from where the last one ended
+    and is cut back to its last node once the reducer has seen it, so a
+    block holds the stream's window, one chunk and one run's chunk of
+    states, not a horizon."""
+    lo, B = segs[0][1], segs[-1][2] - segs[0][1]
+    model, T, n_fine = paths.model, paths.T, paths.n_fine
+    horizon = paths.horizon or n_fine
+    Ns = sorted({N for _, N in paths.runs})
+    chunk = (_time_chunk([n_fine // N for N in Ns],
+                         max(1, paths.chunk_values // (B * model.m)))
+             if paths.chunk_values else n_fine // Ns[-1] * _SLICE_STEPS)
+    runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B, model.d)
+            for key in paths.runs}
+    by_N = {}  # the runs of each N, in the order of paths.runs
+    for key in runs:
+        by_N.setdefault(key[1], []).append(key)
+    acc = reducer.init([slice(s_lo - lo, s_hi - lo) for _, s_lo, s_hi in segs])
+    stream = BlockStream(horizon, horizon, model.m, paths.seed, lo, B)
+    carry = {N: [] for N in Ns}
+    for f0 in range(0, horizon, chunk):
+        fine = stream.draw(min(chunk, horizon - f0))
+        dws = None
+        if paths.coupled:
+            fine *= math.sqrt(T / n_fine)
+            dws = _coupled_increments(fine, Ns, n_fine, carry, coarsen)
+        reducer.begin(acc, paths, fine, f0)
+        for N, keys in by_N.items():
+            if dws is not None:
+                dw = dws.get(N)
+            else:  # the prefix rule: N's own steps from f0 on, if any are left
+                dw = fine[:, :N - f0] * math.sqrt(T / N) if N > f0 else None
+            for key in keys if dw is not None else ():
+                run = run_paths(key[0], model, runs[key].grid, runs[key], dw)
+                reducer.update(acc, paths, key, run, fine, f0)
+                runs[key] = run.tail()
+                del run  # one run's chunk of states at a time
+        del fine, dws, dw
+    return reducer.partials(acc, runs)
+
+
+def _drive(paths: _Paths, reducer: _Reducer, M: int, n_batches: int = 1,
+           block_map=map, coarsen=coarsen_increments) -> list:
+    """(batch, partial) of each segment of ``path_blocks(M, n_batches)``,
+    in path order.  ``block_map(fn, blocks)`` runs the blocks, each on its
+    own, in any order; ``coarsen`` sums coupled increments."""
+    blocks = path_blocks(M, n_batches)
+    results = block_map(functools.partial(_block, paths, reducer, coarsen),
+                        blocks)
+    return [(b, part) for segs, parts in zip(blocks, results)
+            for (b, _, _), part in zip(segs, parts)]
+
+
+def _finals(paths: _Paths, M: int, n_batches: int = 1, block_map=map) -> dict:
+    """{(scheme, N): (last states, stopping indices, overflow flags)} of
+    paths [0, M), in path order."""
+    parts = [part for _, part in _drive(paths, _Reducer(), M, n_batches,
+                                        block_map)]
+    return {key: tuple(map(np.concatenate, zip(*(p[key] for p in parts))))
+            for key in parts[0]}
 
 
 @dataclass(frozen=True)
@@ -354,38 +493,69 @@ def regularity_bound(consts: AnalysisConstants) -> float:
     return 2.0 * c ** (p + 1) * (T / N) ** (7.0 / 32.0) * (T**0.75 + math.sqrt(m))
 
 
+@dataclass(frozen=True)
+class _Regularity(_Reducer):
+    """Per segment: the intra-step probes within ``bound``, and the largest
+    deviation (0 for none)."""
+
+    bound: float
+
+    def init(self, parts):
+        return SimpleNamespace(parts=parts, counts=[(0, 0.0)] * len(parts))
+
+    def update(self, acc, paths, key, run, fine, f0):
+        dev = _regularity_lhs(paths.model, run.grid, run.states, fine)
+        acc.counts = [(n + int(np.sum(dev[p] <= self.bound)),
+                       max(top, float(dev[p].max())))
+                      for (n, top), p in zip(acc.counts, acc.parts)]
+
+    def partials(self, acc, runs):
+        return acc.counts
+
+
+def _regularity_report(model: SdeModel, consts: AnalysisConstants,
+                       n_samples: int, partials: list) -> RegularityReport:
+    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
+    return RegularityReport(
+        n_samples=n_samples, n_pass=sum(n for n, _ in partials),
+        max_lhs=max(top for _, top in partials), bound=regularity_bound(consts),
+        constants_admissible=growth.admissible, n0=n0_for(consts))
+
+
+def _check_samples(samples_per_step: int) -> None:
+    if samples_per_step < 1:
+        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
+
+
 def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
                      path, samples_per_step: int = 4) -> RegularityReport:
-    """Check the intra-step regularity bound along one stopped-tamed run.
+    """Check the intra-step regularity bound along one stopped-tamed run:
+    the one-path case of regularity_sweep's reduction.
 
     ``path`` is the BrownianGrid that drove the run; its fine grid supplies
     the intra-step Brownian values exactly (partial sums of fine
     increments), so no auxiliary bridge sampling is needed.  Each step is
     probed at the samples_per_step >= 1 interior nodes of the path
     coarsened to (samples_per_step+1) * grid.N steps, as in
-    regularity_sweep, so that grid must divide path.N_fine.  The growth
-    preflight runs at 2000 points.
+    regularity_sweep, so that grid must divide path.N_fine.
     """
-    grid = run.grid
-    if samples_per_step < 1:
-        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
+    grid, consts = run.grid, consts.at(run.grid.N)
+    _check_samples(samples_per_step)
     n_probe = (samples_per_step + 1) * grid.N
     if path.N_fine % n_probe != 0:
         raise ValueError(f"the path's {path.N_fine}-step grid does not refine "
                          f"the {n_probe}-step grid of {samples_per_step} "
                          f"samples per step")
-    if consts.N != grid.N:
-        consts = consts.at(grid.N)
-    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
-    dev = _regularity_lhs(model, grid, run.states[None],
-                          coarsen_increments(path.increments[None], n_probe))
-    bound = regularity_bound(consts)
-    n = dev.size
-    return RegularityReport(
-        n_samples=n, n_pass=int(np.sum(dev <= bound)),
-        max_lhs=float(dev.max()), bound=bound,
-        constants_admissible=growth.admissible, n0=n0_for(consts),
-    )
+    key = (SchemeKind.STOPPED_BIT, grid.N)
+    one = BatchRuns(grid, run.states[None], np.array([run.tau_index]),
+                    np.array([run.frozen]), np.array([run.overflow]))
+    reducer = _Regularity(regularity_bound(consts))
+    acc = reducer.init([slice(0, 1)])
+    reducer.update(acc, _Paths(model, run.states[0], grid.T, path.seed, (key,),
+                               n_probe), key, one,
+                   coarsen_increments(path.increments[None], n_probe), 0)
+    return _regularity_report(model, consts, grid.N * samples_per_step,
+                              reducer.partials(acc, {key: one}))
 
 
 def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
@@ -393,24 +563,14 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
                      seed: int) -> RegularityReport:
     """Ensemble version of regularity_check: M stopped-tamed paths with
     samples_per_step >= 1 intra-step probes each."""
-    if samples_per_step < 1:
-        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
+    _check_samples(samples_per_step)
     x0 = validate_start(model, x0, M)
     consts = consts.at(grid.N)
-    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
-    refine = samples_per_step + 1
-    bound = regularity_bound(consts)
-    n_pass = 0
-    max_lhs = 0.0
-    for _, runs, fine in _block_slices(SchemeKind.STOPPED_BIT, model, grid,
-                                       x0, M, seed, refine):
-        dev = _regularity_lhs(model, grid, runs.states, fine)
-        n_pass += int(np.sum(dev <= bound))
-        max_lhs = max(max_lhs, float(dev.max()))
-    return RegularityReport(n_samples=M * grid.N * samples_per_step,
-                            n_pass=n_pass, max_lhs=max_lhs,
-                            bound=bound, constants_admissible=growth.admissible,
-                            n0=n0_for(consts))
+    paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
+                   (samples_per_step + 1) * grid.N)
+    parts = _drive(paths, _Regularity(regularity_bound(consts)), M)
+    return _regularity_report(model, consts, M * grid.N * samples_per_step,
+                              [part for _, part in parts])
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +591,53 @@ def _grid_index(grid: GridSpec, t: float) -> int:
     return j
 
 
-def _functional(spec: LyapunovSpec, runs: BatchRuns, integral: np.ndarray,
-                nodes: slice, use_tau: bool, absolute: bool):
-    """Per-path exp(e^{-rho (t_j ^ tau)} U(Y_j) + I_j), capped at 1e300, at
-    a slice's ``nodes``, and I at its last node.  I_j is the left-endpoint
-    sum_{k < min(j, tau)} e^{-rho k h} U_bar(Y_k) h, ``integral`` at the
-    slice's first node.  ``absolute`` takes |U|, |U_bar|; ``use_tau`` off
-    puts tau at N."""
-    h = runs.grid.h
-    tau = runs.tau_index if use_tau else np.full(len(runs), runs.grid.N)
-    ubar = spec.U_bar(runs.states[:, :-1])
-    u = spec.U(runs.states[:, nodes])
-    if absolute:
-        ubar, u = np.abs(ubar), np.abs(u)
-    live = (tau[:, None] > np.arange(runs.start, runs.end)).astype(float)
-    decay = [math.exp(-spec.rho * k * h) for k in range(runs.start, runs.end)]
-    # cumsum adds one step after the other, as a per-node loop would
-    integrals = np.cumsum(np.concatenate(
-        [integral[:, None], live * decay * ubar * h], axis=1), axis=1)
-    t_eff = np.minimum(np.arange(runs.start, runs.end + 1)[nodes], tau[:, None]) * h
-    with np.errstate(over="ignore"):
-        vals = np.exp(np.exp(-spec.rho * t_eff) * u + integrals[:, nodes])
-    return np.minimum(vals, OVERFLOW_CAP), integrals[:, -1]
+@dataclass(frozen=True)
+class _Functional(_Reducer):
+    """The functional exp(e^{-rho (t_j ^ tau)} U(Y_j) + I_j) of each path,
+    capped at 1e300, with I_j = sum_{k < min(j, tau)} e^{-rho k h}
+    U_bar(Y_k) h summed one step after the other: at node ``j``, path by
+    path, or, for j None, with |U| and |U_bar| at every node, summed over
+    each segment's paths.  ``use_tau`` off puts tau at N."""
+
+    j: Optional[int]
+    use_tau: bool = True
+
+    def update(self, acc, paths, key, run, fine, f0):
+        spec, h, N = paths.spec, run.grid.h, run.grid.N
+        if run.start == 0:
+            acc.integral = np.zeros(len(run))
+            acc.sums = np.zeros((len(acc.parts), N + 1))  # for j None
+        if self.j is None:  # every node but the last chunk's last
+            nodes = slice(1 if run.start else 0, None)
+        else:  # node j, none before j's chunk
+            nodes = slice(self.j - run.start, self.j - run.start + 1)
+        tau = run.tau_index if self.use_tau else np.full(len(run), N)
+        ubar, u = spec.U_bar(run.states[:, :-1]), spec.U(run.states[:, nodes])
+        if self.j is None:
+            ubar, u = np.abs(ubar), np.abs(u)
+        live = (tau[:, None] > np.arange(run.start, run.end)).astype(float)
+        decay = [math.exp(-spec.rho * k * h) for k in range(run.start, run.end)]
+        # cumsum adds one step after the other, as a per-node loop would
+        integrals = np.cumsum(np.concatenate(
+            [acc.integral[:, None], live * decay * ubar * h], axis=1), axis=1)
+        acc.integral = integrals[:, -1]
+        t_eff = np.minimum(np.arange(run.start, run.end + 1)[nodes], tau[:, None]) * h
+        with np.errstate(over="ignore"):
+            vals = np.exp(np.exp(-spec.rho * t_eff) * u + integrals[:, nodes])
+        vals = np.minimum(vals, OVERFLOW_CAP)
+        if self.j is not None:
+            if vals.size:
+                acc.vals = vals.ravel()
+            return
+        for sums, p in zip(acc.sums, acc.parts):
+            # summed over each node's contiguous values, as np.sum of one node
+            sums[run.start + nodes.start:run.end + 1] += \
+                np.ascontiguousarray(vals[p].T).sum(1)
+
+    def partials(self, acc, runs):
+        if self.j is None:
+            return list(acc.sums)
+        return [acc.vals[p] for p in acc.parts]
 
 
 def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
@@ -464,20 +649,17 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
 
     with the time integral approximated by the left-endpoint rule on the
     scheme's own grid restricted to [0, t ^ tau], summed one step after the
-    other as the paths are stepped slice by slice, up to t's slice only.
+    other as the paths are stepped chunk by chunk, up to t's chunk only.
     Overflowing exponentials saturate at 1e300 and are counted in
     saturated_fraction.
     """
     x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
-    vals = np.empty(M)
-    for lo, runs, _ in _block_slices(kind, model, grid, x0, M, seed, stop=j_t):
-        if runs.start == 0:
-            integral = np.zeros(len(runs))
-        at = j_t - runs.start  # before t's slice, ``at`` selects no node
-        val, integral = _functional(spec, runs, integral, slice(at, at + 1),
-                                    use_tau=True, absolute=False)
-        vals[lo:lo + val.size] = val.ravel()
+    # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
+    horizon = min(grid.N, -(-max(j_t, 1) // _SLICE_STEPS) * _SLICE_STEPS)
+    paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
+                   horizon=horizon, spec=spec)
+    vals = np.concatenate([v for _, v in _drive(paths, _Functional(j_t), M)])
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
@@ -494,15 +676,9 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     stopping-probability bound.
     """
     x0 = validate_start(model, x0, M)
-    sums = np.zeros(grid.N + 1)
-    for _, runs, _ in _block_slices(kind, model, grid, x0, M, seed):
-        if runs.start == 0:
-            integral = np.zeros(len(runs))
-        first = 1 if runs.start else 0  # else the previous slice's last node
-        vals, integral = _functional(spec, runs, integral, slice(first, None),
-                                     use_tau=use_tau, absolute=True)
-        # summed over each node's contiguous values, as np.sum of one node
-        sums[runs.start + first:runs.end + 1] += np.ascontiguousarray(vals.T).sum(1)
+    paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
+                   spec=spec)
+    sums = sum(s for _, s in _drive(paths, _Functional(None, use_tau), M))
     return float(np.max(sums / M))
 
 
@@ -541,12 +717,10 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
         raise ValueError(f"seed must be < 2**64 - 2 with spec (the bound "
                          f"draws at seed + 1 and seed + 2), got {seed}")
     x0 = validate_start(model, x0, M)
-    n_stopped = 0
-    for _, runs, _ in _block_slices(SchemeKind.STOPPED_BIT, model, grid, x0,
-                                    M, seed):
-        if runs.end == grid.N:
-            n_stopped += int(np.sum(runs.tau_index < grid.N))
-    p_hat = n_stopped / M
+    paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
+                   grid.N)
+    [(_, tau, _)] = _finals(paths, M).values()
+    p_hat = int(np.sum(tau < grid.N)) / M
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / M)
 
     bound = None

@@ -13,19 +13,20 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .brownian import BlockStream, coarsen_increments, generate_block
+from .brownian import coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, path_blocks, validate_start, worker_count)
-from .diagnostics import (_SLICE_STEPS, AnalysisConstants, N0Report,
-                          exp_moment_estimate, fit_growth_constant,
-                          moment_bound, n0_for)
+                   SdeModel, validate_start, worker_count)
+from .diagnostics import (AnalysisConstants, N0Report, _drive, _finals,
+                          _Paths, _Reducer, exp_moment_estimate,
+                          fit_growth_constant, moment_bound, n0_for)
 from .models import catalog
-from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
+from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
 
 __all__ = [
     "ConvergenceConfig",
@@ -63,17 +64,18 @@ def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list
         return list(pool.map(fn, blocks))
 
 
-def _batch_totals(one_block: Callable[[list], list], M: int, threads: int,
+def _batch_totals(paths: _Paths, reducer: _Reducer, M: int, threads: int,
                   zero) -> list:
-    """Per-batch totals of an M-path estimate: ``one_block`` steps a block
-    of ``path_blocks(M, 10)`` and returns one result per segment, and each
-    batch adds its segments' results to ``zero`` in path order, whatever
-    worker ran which block."""
-    blocks = path_blocks(M, _N_STAT_BATCHES)
+    """Per-batch totals of an M-path estimate: each batch adds the
+    reducer's partials of its segments of ``path_blocks(M, 10)`` to
+    ``zero`` in path order, whatever worker ran which block.  The blocks
+    run on this module's thread pool and sum coupled increments with its
+    ``coarsen_increments``, the bindings that perfbench's tracer wraps."""
     totals = [zero] * _N_STAT_BATCHES
-    for segs, results in zip(blocks, _batch_map(one_block, blocks, threads)):
-        for (b, _, _), result in zip(segs, results):
-            totals[b] = _add(totals[b], result)
+    for b, result in _drive(paths, reducer, M, _N_STAT_BATCHES,
+                            partial(_batch_map, threads=threads),
+                            coarsen_increments):
+        totals[b] = _add(totals[b], result)
     return totals
 
 
@@ -84,66 +86,6 @@ def _add(a, b):
     if isinstance(a, tuple):
         return tuple(map(_add, a, b))
     return a + b
-
-
-def _time_chunk(strides: list[int], budget: int) -> int:
-    """Fine steps per time chunk of a streamed strong-error block.
-
-    A multiple of every N's stride gives each chunk whole steps of every
-    N.  When that exceeds ``budget``, a power of two c <= budget serves as
-    well if each stride is either a divisor of c or a multiple of c in its
-    power-of-two part: an N whose steps span several chunks then sums its
-    increment from per-chunk partial sums, which by the pairwise-halving
-    chain property equals coarsening the fine increments directly.
-    """
-    lcm = math.lcm(*strides)
-    if budget >= lcm:
-        return lcm * (budget // lcm)
-    c = 1 << (budget.bit_length() - 1)
-    if all(c % s == 0 or (s & -s) % c == 0 for s in strides):
-        return c
-    return lcm
-
-
-def _coarsen_levels(fine: np.ndarray, counts: list[int]) -> dict:
-    """{n: coarsen_increments(fine, n)} for each n in counts.
-
-    Each level is summed from the coarsest level already built whose
-    ratio to the fine grid is a power of two dividing the power-of-two part
-    of the level's own ratio: pairwise halving then performs exactly the
-    additions of the direct coarsening, at a fraction of the cost.
-    """
-    n_fine = fine.shape[1]
-    levels = {n_fine: fine}
-    for n in sorted(set(counts), reverse=True):
-        q = n_fine // n
-        src = min(k for k in levels if k % n == 0 and (q & -q) % (n_fine // k) == 0)
-        levels[n] = coarsen_increments(levels[src], n)
-    return levels
-
-
-def _sweep_increments(Ns: tuple[int, ...], T: float, m: int, seed: int,
-                      lo: int, count: int):
-    """Yield (N, the next steps of paths [lo, lo+count) on the N-step grid)
-    chunk by chunk, for each distinct N still running, in increasing N.
-
-    The chunks are _SLICE_STEPS-step pieces of one ``BlockStream`` of the
-    largest grid's unit-variance normals: their first N steps scaled by
-    sqrt(T/N) are ``generate_block(T, N, ...)`` bit for bit (the prefix
-    rule of the brownian module), so an N's chunks, concatenated, are its
-    whole draw.  A block therefore holds the stream's lookahead window and
-    one chunk, not a horizon.  The largest N comes last in each chunk and
-    scales it in place."""
-    n = max(Ns)
-    stream = BlockStream(n, n, m, seed, lo, count)  # scale sqrt(n / n) = 1.0
-    coarser = sorted(set(Ns) - {n})
-    for k0 in range(0, n, _SLICE_STEPS):
-        z = stream.draw(min(_SLICE_STEPS, n - k0))
-        for N in coarser:
-            if N > k0:
-                yield N, z[:, :N - k0] * math.sqrt(T / N)
-        z *= math.sqrt(T / n)
-        yield n, z
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -200,6 +142,68 @@ class ConvergenceConfig:
                 raise ValueError("N_ref must be a multiple of every N")
 
 
+@dataclass(frozen=True)
+class _StrongError(_Reducer):
+    """Per segment: its path count and, per N, its sums of the capped
+    ||Y^N - reference||^r at every node of N's grid, and its overflow
+    count.  The reference is the run ``ref`` on the fine grid or, without
+    one, the exact solution on the fine grid's Brownian path."""
+
+    scheme: SchemeKind
+    Ns: tuple[int, ...]
+    r: float
+    ref: Optional[tuple[SchemeKind, int]]
+
+    def init(self, parts):
+        return SimpleNamespace(parts=parts, w=None, ref=None, sums={
+            N: np.empty((len(parts), N + 1)) for N in self.Ns})
+
+    def begin(self, acc, paths, fine, f0):
+        if self.ref is None:
+            # W at the chunk's fine nodes, from the last chunk's last one
+            w = np.concatenate([acc.w if f0 else np.zeros_like(fine[:, :1]),
+                                fine], axis=1)
+            np.cumsum(w, axis=1, out=w)
+            acc.w = w[:, -1:].copy()
+            t = np.arange(f0, f0 + fine.shape[1] + 1) * (paths.T / paths.n_fine)
+            self._reference(acc, paths, paths.model.exact_solution(paths.x0, t, w),
+                            f0)
+
+    def update(self, acc, paths, key, run, fine, f0):
+        if key == self.ref:  # the first run of every chunk
+            self._reference(acc, paths, run.states, f0)
+        if key[0] is self.scheme and key[1] in acc.sums:
+            # the first node is the previous chunk's last, already summed
+            N, node = key[1], run.start + 1
+            stride = paths.n_fine // N
+            self._sum_nodes(acc, N, node, run.states[:, 1:]
+                            - acc.ref[:, node * stride - f0::stride])
+
+    def _reference(self, acc, paths, states: np.ndarray, f0: int) -> None:
+        """Take the reference's states at the chunk's fine nodes; in the
+        first chunk, sum node 0 of every N, stepped yet or not."""
+        acc.ref = states
+        if f0 == 0:
+            for N in self.Ns:
+                self._sum_nodes(acc, N, 0, paths.x0 - states[:, :1])
+
+    def _sum_nodes(self, acc, N: int, node: int, diff: np.ndarray) -> None:
+        dist_r = np.einsum("bkd,bkd->bk", diff, diff)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist_r **= self.r / 2.0
+        # NaN and inf saturate at the cap (fmin drops the NaN operand)
+        np.fmin(dist_r, OVERFLOW_CAP, out=dist_r)
+        nodes = slice(node, node + dist_r.shape[1])
+        for sums, p in zip(acc.sums[N], acc.parts):
+            sums[nodes] = _row_sum(dist_r[p])
+
+    def partials(self, acc, runs):
+        return [(p.stop - p.start,
+                 {N: (acc.sums[N][j], int(runs[self.scheme, N].overflow[p].sum()))
+                  for N in self.Ns})
+                for j, p in enumerate(acc.parts)]
+
+
 def strong_error(config: ConvergenceConfig) -> ErrorTable:
     """Coupled strong-error table: per N, the max over grid indices of the
     Monte Carlo L^r distance between the scheme and its reference.
@@ -212,7 +216,8 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
 
     Up to 1000 paths (whole batches, or 1000-path pieces of larger ones)
     are stepped together and streamed through time in short chunks of the
-    fine grid, carrying every run's state across chunks.  Each batch's sums
+    fine grid, about _CHUNK_VALUES fine increments each, carrying every
+    run's state across chunks (``diagnostics._drive``).  Each batch's sums
     are bit for bit those of running it alone over the whole horizon, so
     neither the blocking nor the thread count changes any output.
     """
@@ -222,76 +227,19 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
                         else entry.default_x0, config.M)
     if config.reference == "exact" and model.exact_solution is None:
         raise ValueError(f"model {config.model!r} has no closed-form solution")
-    T = config.T
-    Ns = tuple(config.Ns)
-    exact = config.reference == "exact"
-    n_fine = max(Ns) if exact else config.N_ref
-    ref_kind = config.ref_scheme or config.scheme
-    r = config.r
-
-    def one_block(segs):
-        lo = segs[0][1]
-        B = segs[-1][2] - lo
-        n_c = _time_chunk([n_fine // N for N in Ns],
-                          max(1, _CHUNK_VALUES // (B * model.m)))
-        stream = BlockStream(T, n_fine, model.m, config.seed, lo, B)
-        ref = BatchRuns.initial(GridSpec(T, n_fine), x0, B, model.d)  # "fine"
-        w_last = np.zeros((B, 1, model.m))  # "exact": W at the chunk start
-        runs = {N: BatchRuns.initial(GridSpec(T, N), x0, B, model.d) for N in Ns}
-        partial = {N: [] for N in Ns}
-        sums = {N: np.empty((len(segs), N + 1)) for N in Ns}
-
-        def accumulate(N: int, node: int, diff: np.ndarray) -> None:
-            dist_r = np.einsum("bkd,bkd->bk", diff, diff)
-            with np.errstate(over="ignore", invalid="ignore"):
-                dist_r **= r / 2.0
-            # NaN and inf saturate at the cap (fmin drops the NaN operand)
-            np.fmin(dist_r, OVERFLOW_CAP, out=dist_r)
-            nodes = slice(node, node + dist_r.shape[1])
-            for j, (_, s_lo, s_hi) in enumerate(segs):
-                sums[N][j, nodes] = _row_sum(dist_r[s_lo - lo:s_hi - lo])
-
-        for f0 in range(0, n_fine, n_c):
-            fine = stream.draw(min(n_c, n_fine - f0))
-            if exact:
-                w_nodes = np.concatenate([w_last, fine], axis=1)
-                np.cumsum(w_nodes, axis=1, out=w_nodes)
-                w_last = w_nodes[:, -1:].copy()
-                t_nodes = np.arange(f0, f0 + fine.shape[1] + 1) * (T / n_fine)
-                ref_states = model.exact_solution(x0, t_nodes, w_nodes)
-            else:
-                ref = run_paths(ref_kind, model, ref.grid, ref, fine)
-                ref_states, ref = ref.states, ref.tail()
-            n = fine.shape[1]
-            coarse = _coarsen_levels(fine, [max(n * N // n_fine, 1) for N in Ns])
-            for N in Ns:
-                if f0 == 0:
-                    accumulate(N, 0, runs[N].states - ref_states[:, :1])
-                stride = n_fine // N
-                if n % stride == 0:
-                    dw = coarse[n // stride]
-                else:
-                    partial[N].append(coarse[1])
-                    if len(partial[N]) * n < stride:
-                        continue
-                    dw = coarsen_increments(np.concatenate(partial[N], axis=1), 1)
-                    partial[N] = []
-                runs[N] = run_paths(config.scheme, model, runs[N].grid, runs[N], dw)
-                # the first node is the previous chunk's last, already summed
-                node = runs[N].start + 1
-                accumulate(N, node, runs[N].states[:, 1:]
-                           - ref_states[:, node * stride - f0::stride])
-                runs[N] = runs[N].tail()
-            # free this chunk's arrays before the next one is drawn
-            del fine, coarse, ref_states
-        # per segment: its path count and, per N, its sums and overflow count
-        return [(s_hi - s_lo,
-                 {N: (sums[N][j], int(runs[N].overflow[s_lo - lo:s_hi - lo].sum()))
-                  for N in Ns})
-                for j, (_, s_lo, s_hi) in enumerate(segs)]
-
+    Ns, r = tuple(config.Ns), config.r
+    runs = tuple((config.scheme, N) for N in Ns)
+    if config.reference == "exact":
+        n_fine, ref = max(Ns), None
+    else:  # the reference steps first in every chunk
+        n_fine = config.N_ref
+        ref = (config.ref_scheme or config.scheme, n_fine)
+        runs = (ref,) + runs
+    paths = _Paths(model, x0, config.T, config.seed, runs, n_fine,
+                   chunk_values=_CHUNK_VALUES)
     zero = (0, {N: (np.zeros(N + 1), 0) for N in Ns})
-    totals = _batch_totals(one_block, config.M, config.threads, zero)
+    totals = _batch_totals(paths, _StrongError(config.scheme, Ns, r, ref),
+                           config.M, config.threads, zero)
     _, pooled = reduce(_add, totals, zero)
 
     rows = []
@@ -306,7 +254,7 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
                              seed=config.seed, per_gridpoint_errors=per_k,
                              overflow_fraction=n_over / config.M))
     return ErrorTable(scheme=config.scheme.value, model=config.model,
-                      r=r, rows=tuple(rows), T=T)
+                      r=r, rows=tuple(rows), T=config.T)
 
 
 def fit_rate(table: ErrorTable) -> RateFit:
@@ -359,6 +307,34 @@ class DivergenceReport:
 _EXPLODE_MAGNITUDE = 1e10
 
 
+@dataclass(frozen=True)
+class _Divergence(_Reducer):
+    """Per segment and run: the overflowed and the exploded paths, the sum
+    of the capped final second moments, and the path count."""
+
+    def init(self, parts):
+        return SimpleNamespace(parts=parts, mags={})  # running max of |state|
+
+    def update(self, acc, paths, key, run, fine, f0):
+        mag = acc.mags.setdefault(key, np.zeros(len(run)))
+        np.maximum(mag, np.abs(run.states).max(axis=(1, 2)), out=mag)
+
+    def partials(self, acc, runs):
+        out = [{} for _ in acc.parts]
+        for (kind, N), run in runs.items():
+            final = run.states[:, -1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2 = np.einsum("bd,bd->b", final, final)
+            # NaN and inf saturate at the cap (fmin drops the NaN operand)
+            m2 = np.where(run.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
+            exploded = run.overflow | (acc.mags[kind, N] > _EXPLODE_MAGNITUDE)
+            for seg, p in zip(out, acc.parts):
+                seg[kind.value, N] = (int(run.overflow[p].sum()),
+                                      int(exploded[p].sum()),
+                                      float(m2[p].sum()), p.stop - p.start)
+        return out
+
+
 def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
                           x0, seed: int, T: float = 1.0,
                           threads: int = 1) -> DivergenceReport:
@@ -369,46 +345,20 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     fraction exploded (flagged or exceeding magnitude 1e10 at any grid
     point), and the final-state second moment with each path's contribution
     capped at 1e300 (diverged paths are retained and reported, never
-    dropped).  Each path block streams its Brownian normals once, at the
-    largest N, through a bounded lookahead window, and every N still
-    running steps each 64-step chunk of them on from where the last one
-    ended, keeping a running max of |state|: a block never holds a whole
-    horizon.  Raises ValueError for empty Ns, an N < 1 or T <= 0.
+    dropped).  Every N steps on the prefix of one stream of the largest
+    grid's normals per path block, chunk by chunk (``diagnostics._drive``),
+    with a running max of |state|.  Raises ValueError for empty Ns, an
+    N < 1 or T <= 0.
     """
     _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
     kinds = (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT)
-
-    def one_block(segs):
-        lo, B = segs[0][1], segs[-1][2] - segs[0][1]
-        runs = {(kind, N): BatchRuns.initial(GridSpec(T, N), x0, B, model.d)
-                for N in Ns for kind in kinds}
-        mags = {key: np.zeros(B) for key in runs}  # running max of |state|
-        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo, B):
-            for kind in kinds:
-                step = run_paths(kind, model, runs[kind, N].grid,
-                                 runs[kind, N], dw)
-                np.maximum(mags[kind, N], np.abs(step.states).max(axis=(1, 2)),
-                           out=mags[kind, N])
-                runs[kind, N] = step.tail()
-        acc = [{} for _ in segs]
-        for (kind, N), run in runs.items():
-            final = run.states[:, -1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                m2 = np.einsum("bd,bd->b", final, final)
-            # NaN and inf saturate at the cap (fmin drops the NaN operand)
-            m2 = np.where(run.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
-            exploded = run.overflow | (mags[kind, N] > _EXPLODE_MAGNITUDE)
-            for seg_acc, (_, s_lo, s_hi) in zip(acc, segs):
-                part = slice(s_lo - lo, s_hi - lo)
-                seg_acc[(kind.value, N)] = (int(run.overflow[part].sum()),
-                                            int(exploded[part].sum()),
-                                            float(m2[part].sum()),
-                                            s_hi - s_lo)
-        return acc
-
+    paths = _Paths(model, x0, T, seed,
+                   tuple((kind, N) for N in Ns for kind in kinds), max(Ns),
+                   coupled=False)
     zero = {(kind.value, N): (0, 0, 0.0, 0) for N in Ns for kind in kinds}
-    pooled = reduce(_add, _batch_totals(one_block, M, threads, zero), zero)
+    pooled = reduce(_add, _batch_totals(paths, _Divergence(), M, threads, zero),
+                    zero)
     rows = tuple(DivergenceRow(scheme=kind, N=N, overflow_fraction=o / n,
                                explode_fraction=e / n, second_moment_capped=s / n)
                  for (kind, N), (o, e, s, n) in pooled.items())
@@ -465,11 +415,9 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     The growth constant c for degree p = 3 is fitted once from the model
     (sampled, seeded); the bound applies from the reported N0 onward and is
     typically vacuous (infinite) at desk-scale N, which is reported as-is.
-    Each path block streams its Brownian normals once, at the largest N,
-    through a bounded lookahead window, and every N still running steps
-    each 64-step chunk of them on from where the last one ended: a block
-    never holds a whole horizon.  Raises ValueError for empty Ns, an N < 1,
-    T <= 0 or M < 2.
+    Every N steps on the prefix of one stream of the largest grid's normals
+    per path block, chunk by chunk (``diagnostics._drive``).  Raises
+    ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
     """
     _check_sweep(Ns, T)
     if M < 2:
@@ -478,19 +426,15 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     c_growth = fit_growth_constant(model, spec, _P_GROWTH, T=T)
     eu0 = float(spec.U(x0))
 
-    def one_block(segs):
-        lo, B = segs[0][1], segs[-1][2] - segs[0][1]
-        runs = {N: BatchRuns.initial(GridSpec(T, N), x0, B, model.d) for N in Ns}
-        for N, dw in _sweep_increments(Ns, T, model.m, seed, lo, B):
-            runs[N] = run_paths(SchemeKind.STOPPED_BIT, model, runs[N].grid,
-                                runs[N], dw).tail()
-        return {N: np.minimum(spec.U(run.states[:, -1]), OVERFLOW_CAP)
-                for N, run in runs.items()}
-    # values per path, so the blocks' results in path order are the merge
-    blocks = _batch_map(one_block, path_blocks(M, _N_STAT_BATCHES), threads)
+    paths = _Paths(model, x0, T, seed,
+                   tuple((SchemeKind.STOPPED_BIT, N) for N in Ns), max(Ns),
+                   coupled=False)
+    finals = _finals(paths, M, _N_STAT_BATCHES,
+                     partial(_batch_map, threads=threads))
 
     def one_n(N: int) -> MomentRow:
-        u_vals = np.concatenate([u[N] for u in blocks])
+        final = finals[SchemeKind.STOPPED_BIT, N][0]
+        u_vals = np.minimum(spec.U(final), OVERFLOW_CAP)
         eu = float(np.mean(u_vals))
         eu_se = float(np.std(u_vals, ddof=1) / math.sqrt(M))
         expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec,

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from biteuler import brownian
-from biteuler.brownian import (BlockStream, BrownianGrid, bridge_value,
-                               coarsen, coarsen_increments, dump_increments,
-                               generate_block, generate_path, load_increments)
+from biteuler.brownian import (BlockStream, BrownianGrid, coarsen_increments,
+                               dump_increments, generate_block, generate_path,
+                               load_increments)
 
 
 def test_same_key_reproduces_exactly():
@@ -93,15 +93,16 @@ def test_pooled_gaussianity():
 
 def test_coarsen_identity_and_total():
     path = generate_path(1.0, 8, 2, seed=2, path_index=0)
-    np.testing.assert_array_equal(coarsen(path, 8), path.increments)
-    total = coarsen(path, 1)[0]
+    np.testing.assert_array_equal(coarsen_increments(path.increments, 8),
+                                  path.increments)
+    total = coarsen_increments(path.increments, 1)[0]
     np.testing.assert_allclose(total, path.increments.sum(axis=0), rtol=1e-14)
 
 
 def test_coarsen_blocks_are_sums():
     # direct summation oracle
     path = generate_path(1.0, 8, 1, seed=2, path_index=5)
-    coarse = coarsen(path, 2)
+    coarse = coarsen_increments(path.increments, 2)
     oracle0 = np.sum(path.increments[0:4], axis=0)
     oracle1 = np.sum(path.increments[4:8], axis=0)
     np.testing.assert_allclose(coarse[0], oracle0, rtol=1e-14, atol=1e-300)
@@ -111,53 +112,16 @@ def test_coarsen_blocks_are_sums():
 def test_coarsen_telescoping_bitwise():
     # chain property for power-of-two ratios is exact, not approximate
     path = generate_path(3.0, 256, 3, seed=21, path_index=1)
+    direct = coarsen_increments(path.increments, 8)
     for mid in (128, 64, 32):
-        via = coarsen_increments(coarsen(path, mid), 8)
-        direct = coarsen(path, 8)
+        via = coarsen_increments(coarsen_increments(path.increments, mid), 8)
         np.testing.assert_array_equal(via, direct)
 
 
 def test_coarsen_rejects_non_divisor():
     path = generate_path(1.0, 8, 1, seed=2, path_index=0)
     with pytest.raises(ValueError):
-        coarsen(path, 3)
-
-
-def test_bridge_endpoints_exact():
-    path = generate_path(1.0, 16, 2, seed=4, path_index=2)
-    h = path.h
-    np.testing.assert_array_equal(bridge_value(path, 3, 0.0, sub_seed=0),
-                                  np.zeros(2))
-    np.testing.assert_array_equal(bridge_value(path, 3, h, sub_seed=0),
-                                  path.increments[3])
-
-
-def test_bridge_offset_validation():
-    path = generate_path(1.0, 16, 1, seed=4, path_index=2)
-    with pytest.raises(ValueError):
-        bridge_value(path, 3, 2.0 * path.h, sub_seed=0)
-
-
-def test_bridge_midpoint_moments():
-    # conditional law at s = h/2 is Normal(dW/2, h/4)
-    path = generate_path(1.0, 4, 1, seed=8, path_index=0)
-    h = path.h
-    dw = path.increments[1, 0]
-    n = 100000
-    vals = np.array([bridge_value(path, 1, h / 2, sub_seed=s)[0] for s in range(n)])
-    se_mean = math.sqrt(h / 4 / n)
-    assert abs(vals.mean() - dw / 2) < 4 * se_mean
-    var = vals.var(ddof=1)
-    assert abs(var - h / 4) < 4 * (h / 4) * math.sqrt(2.0 / n)
-
-
-def test_bridge_deterministic_in_sub_seed():
-    path = generate_path(1.0, 4, 2, seed=8, path_index=0)
-    a = bridge_value(path, 0, path.h / 3, sub_seed=11)
-    b = bridge_value(path, 0, path.h / 3, sub_seed=11)
-    c = bridge_value(path, 0, path.h / 3, sub_seed=12)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
+        coarsen_increments(path.increments, 3)
 
 
 # the largest key: a signed header rejected every seed from 2**63 on

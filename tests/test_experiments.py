@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from biteuler.brownian import generate_block
-from biteuler import experiments
+from biteuler import diagnostics, experiments
 from biteuler.core import ErrorRow, ErrorTable, GridSpec
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   fit_rate, moment_sweep, strong_error)
@@ -67,8 +67,11 @@ def test_sweeps_reject_bad_grids_before_stepping(monkeypatch, name, Ns, T,
     # N_fine message
     def no_paths(*args):
         raise AssertionError("a path was drawn or stepped")
-    for binding in ("generate_block", "BlockStream", "run_paths"):
-        monkeypatch.setattr(experiments, binding, no_paths)
+    for module, binding in ((experiments, "generate_block"),
+                            (experiments, "run_paths"),
+                            (diagnostics, "BlockStream"),
+                            (diagnostics, "run_paths")):
+        monkeypatch.setattr(module, binding, no_paths)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SWEEPS[name](Ns, T)
 

@@ -1,5 +1,7 @@
-"""Every module-level import of the package is used by the module, and
-importing the package loads no more of numpy than it needs."""
+"""Every module-level import of the package is used by the module,
+importing the package loads no more of numpy than it needs, and the
+layers perfbench's tracer times are reached through the bindings it
+patches."""
 
 import ast
 import os
@@ -41,10 +43,16 @@ def _used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def _tracer_patches(module: str, name: str) -> bool:
+    """Whether perfbench/tracing.py swaps ``module``'s binding ``name``."""
+    tracer = (PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text()
+    return f'({module}, "{name}",' in tracer
+
+
 # names a module binds only for perfbench/tracing.py, which reads, swaps and
 # restores them by name: the module's own code no longer calls them
 TRACER_BINDINGS = {"diagnostics": ["generate_block"],
-                   "experiments": ["generate_block"]}
+                   "experiments": ["generate_block", "run_paths"]}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
@@ -59,9 +67,8 @@ def test_module_level_imports_are_used(path):
     assert imported
     kept = TRACER_BINDINGS.get(path.stem, [])
     assert sorted(set(imported) - _used_names(tree)) == kept
-    tracer = (PACKAGE.parents[1] / "perfbench" / "tracing.py").read_text()
     for name in kept:
-        assert f'({path.stem}, "{name}",' in tracer
+        assert _tracer_patches(path.stem, name)
 
 
 def test_import_and_catalog_leave_numpy_random_unloaded():
@@ -74,3 +81,21 @@ def test_import_and_catalog_leave_numpy_random_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_traced_layers_are_reached_through_patched_bindings(path):
+    # perfbench/tracing.py times the scheme driver and the thread pool by
+    # swapping module bindings, so a call through any other binding would
+    # go untimed and only a benchmark run would notice
+    tree = ast.parse(path.read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    calls = {n.func.id for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    if path.stem != "schemes":
+        assert "run_paths" not in attrs
+        assert "run_paths" not in calls or _tracer_patches(path.stem, "run_paths")
+    assert "ThreadPoolExecutor" not in attrs
+    assert ("ThreadPoolExecutor" not in names
+            or _tracer_patches(path.stem, "ThreadPoolExecutor"))

@@ -15,7 +15,7 @@ from biteuler import brownian
 from biteuler.brownian import (BlockStream, coarsen_increments, generate_block,
                                generate_path)
 from biteuler.core import BLOCK_PATHS, GridSpec, path_blocks
-from biteuler.experiments import _coarsen_levels
+from biteuler.diagnostics import _coarsen_levels
 from biteuler.models import catalog
 from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
 from biteuler.taming import TamingParams, tame

@@ -12,6 +12,7 @@ computation does not meet, or no more work than the result needs.
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -138,6 +139,81 @@ def test_thread_count_does_not_change_any_bit():
     assert bits(one) == bits(two)
 
 
+# the sweeps: N = 100 and 256 cross 64-step chunks, and 100 ends in a short
+# one; 2500 paths make three blocks, whose batch-means segments end at the
+# block edges
+SWEEP_NS = (16, 100, 256)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_streamed_moment_sweep_equals_whole_horizon_oracle(threads):
+    gl = catalog()["ginzburg-landau"].model
+    M = 2500
+    report = experiments.moment_sweep(gl, gl.lyapunov, SWEEP_NS, M, seed=4,
+                                      x0=[1.0], threads=threads)
+    for N, row in zip(SWEEP_NS, report.rows):
+        dw = generate_block(1.0, N, 1, seed=4, first_path=0, count=M)
+        runs = run_paths(SchemeKind.STOPPED_BIT, gl, GridSpec(1.0, N), [1.0], dw)
+        u = np.minimum(gl.lyapunov.U(runs.states[:, -1]), OVERFLOW_CAP)
+        assert row.N == N
+        assert row.eu_estimate == float(np.mean(u))
+        assert row.eu_stderr == float(np.std(u, ddof=1) / math.sqrt(M))
+        expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
+                                   GridSpec(1.0, N), M, 1.0, 4, [1.0])
+        assert (row.exp_estimate, row.exp_stderr,
+                row.exp_saturated_fraction) == (expm.estimate, expm.stderr,
+                                                expm.saturated_fraction)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_streamed_divergence_equals_whole_horizon_oracle(threads):
+    gl = catalog()["ginzburg-landau"].model
+    M = 2500
+    # from 20 Euler-Maruyama overflows at N = 16 and 100, not at 256
+    report = experiments.divergence_comparison(gl, SWEEP_NS, M, [20.0], seed=6,
+                                               threads=threads)
+    for N in SWEEP_NS:
+        dw = generate_block(1.0, N, 1, seed=6, first_path=0, count=M)
+        for kind in (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT):
+            with np.errstate(over="ignore", invalid="ignore"):
+                runs = run_paths(kind, gl, GridSpec(1.0, N), [20.0], dw)
+            final = runs.states[:, -1, 0]
+            with np.errstate(over="ignore", invalid="ignore"):
+                m2 = np.where(runs.overflow, OVERFLOW_CAP,
+                              np.fmin(final * final, OVERFLOW_CAP))
+            exploded = runs.overflow | (np.abs(runs.states).max(axis=(1, 2))
+                                        > 1e10)
+            total = 0.0  # each 250-path batch summed alone, then in order
+            for b in range(10):
+                total += float(m2[250 * b:250 * (b + 1)].sum())
+            row = report.row(kind, N)
+            assert row.overflow_fraction == runs.overflow.sum() / M
+            assert row.explode_fraction == exploded.sum() / M
+            assert row.second_moment_capped == total / M
+    em = [report.row(SchemeKind.EULER_MARUYAMA, N) for N in SWEEP_NS]
+    assert [row.overflow_fraction > 0 for row in em] == [True, True, False]
+
+
+# one instance of every reducer the estimators hand the block driver
+REDUCERS = [
+    diagnostics._Reducer(), diagnostics._Functional(7),
+    diagnostics._Functional(None, use_tau=False), diagnostics._Regularity(0.5),
+    experiments._StrongError(SchemeKind.STOPPED_BIT, (4, 8), 3.0,
+                             (SchemeKind.DRIFT_TAMED, 64)),
+    experiments._Divergence()]
+
+
+@pytest.mark.parametrize("reducer", REDUCERS, ids=lambda r: repr(r))
+def test_reducers_round_trip_through_pickle(reducer):
+    # a worker process receives its reducer pickled
+    assert pickle.loads(pickle.dumps(reducer)) == reducer
+
+
+def test_every_reducer_is_listed():
+    kinds = {diagnostics._Reducer, *diagnostics._Reducer.__subclasses__()}
+    assert {type(r) for r in REDUCERS} == kinds
+
+
 def test_path_blocks_pack_whole_batches_in_path_order():
     blocks = path_blocks(2500, 10)
     assert [len(b) for b in blocks] == [4, 4, 2]
@@ -151,7 +227,7 @@ def test_path_blocks_pack_whole_batches_in_path_order():
 @pytest.mark.parametrize("counts", ([24, 12, 8, 6, 4, 3, 2, 1], [16, 8, 1]))
 def test_coarsen_levels_equal_direct_coarsening(counts):
     fine = generate_block(1.0, 48, 2, seed=4, first_path=0, count=5)
-    levels = experiments._coarsen_levels(fine, counts)
+    levels = diagnostics._coarsen_levels(fine, counts)
     for n in counts:
         assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()
 
