@@ -1,5 +1,5 @@
-"""Shared domain types: SDE models, uniform grids, trajectories, error tables,
-and the checks and path-block layout shared by every Monte Carlo estimator.
+"""Shared domain types: SDE models, uniform grids, error tables, and the
+checks and path-block layout shared by every Monte Carlo estimator.
 
 All state arrays are float64. Model callables are vectorized over leading
 axes: ``drift`` maps ``(..., d) -> (..., d)``, ``diffusion`` maps
@@ -172,30 +172,6 @@ def worker_count(threads: int) -> int:
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     return threads or os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class SchemeRun:
-    """One simulated path on a uniform grid.
-
-    ``states`` has shape (N+1, d).  ``tau_index`` is the first grid index
-    whose state norm exceeds the stopping threshold (N if none), so the
-    stopping time is tau_index*T/N.  ``frozen`` records whether the stopping
-    indicator ever switched off; ``overflow`` flags paths that left the
-    float64 range (possible for the untamed Euler scheme only).
-    """
-
-    grid: GridSpec
-    states: np.ndarray
-    tau_index: int
-    frozen: bool
-    overflow: bool = False
-
-    def __post_init__(self):
-        if self.states.shape != (self.grid.N + 1, len(self.states[0])):
-            raise ValueError("states must have shape (N+1, d)")
-        if not 0 <= self.tau_index <= self.grid.N:
-            raise ValueError("tau_index out of range")
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .brownian import BlockStream, coarsen_increments, generate_block
-from .core import (GridSpec, LyapunovSpec, SchemeRun, SdeModel, path_blocks,
-                   validate_start)
+from .core import GridSpec, LyapunovSpec, SdeModel, path_blocks, validate_start
 from .models import default_sampler
-from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, _update, run_paths
-from .taming import TamingParams, stopping_threshold, tame
+from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _check_path,
+                      _intra_step, run_paths)
 
 __all__ = [
     "AnalysisConstants",
@@ -468,7 +467,9 @@ class RegularityReport:
 
 def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
                     incr_fine: np.ndarray) -> np.ndarray:
-    """Intra-step deviations ||Y_{t_k+s_j} - Y_{t_k}|| for all fine offsets.
+    """Intra-step deviations ||Y_{t_k+s_j} - Y_{t_k}|| for all fine offsets:
+    the norms of the stopped tamed interpolant's moves, 0 past the stopping
+    threshold.
 
     states: (B, n+1, d), any n consecutive steps of a run on ``grid``;
     incr_fine: (B, refine*n, m), their fine increments.  Returns an array
@@ -476,16 +477,11 @@ def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
     """
     B, n = states.shape[0], states.shape[1] - 1
     refine = incr_fine.shape[1] // n
-    h = grid.h
-    thr = stopping_threshold(grid.N, grid.T)
-    y = states[:, :-1, None]                                 # (B, n, 1, d)
-    alive = np.sqrt(np.einsum("...d,...d->...", y, y)) <= thr
     partial = np.cumsum(incr_fine.reshape(B, n, refine, model.m), axis=2)
-    pi = tame(TamingParams(h=h, m=model.m), partial[:, :, :-1])
-    offsets = np.arange(1, refine)[:, None] * (h / refine)   # interior nodes
-    upd = _update(SchemeKind.STOPPED_BIT, model, y, pi, offsets, h)
-    dev = np.sqrt(np.einsum("...d,...d->...", upd, upd))     # (B, n, refine-1)
-    return np.where(alive, dev, 0.0)
+    offsets = np.arange(1, refine)[:, None] * (grid.h / refine)  # interior nodes
+    move = _intra_step(SchemeKind.STOPPED_BIT, model, grid, states[:, :-1, None],
+                       partial[:, :, :-1], offsets)
+    return np.sqrt(np.einsum("...d,...d->...", move, move))   # (B, n, refine-1)
 
 
 def regularity_bound(consts: AnalysisConstants) -> float:
@@ -527,35 +523,35 @@ def _check_samples(samples_per_step: int) -> None:
         raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
 
 
-def regularity_check(run: SchemeRun, model: SdeModel, consts: AnalysisConstants,
+def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
                      path, samples_per_step: int = 4) -> RegularityReport:
-    """Check the intra-step regularity bound along one stopped-tamed run:
-    the one-path case of regularity_sweep's reduction.
+    """Check the intra-step regularity bound along one stopped-tamed run, a
+    one-row BatchRuns over the whole grid such as ``run_path`` returns: the
+    one-path case of regularity_sweep's reduction.
 
     ``path`` is the BrownianGrid that drove the run; its fine grid supplies
     the intra-step Brownian values exactly (partial sums of fine
     increments), so no auxiliary bridge sampling is needed.  Each step is
     probed at the samples_per_step >= 1 interior nodes of the path
     coarsened to (samples_per_step+1) * grid.N steps, as in
-    regularity_sweep, so that grid must divide path.N_fine.
+    regularity_sweep.  ``path`` must span the run's T with model.m noise
+    components, and that grid must divide path.N_fine; otherwise
+    ValueError names ``path``.
     """
     grid, consts = run.grid, consts.at(run.grid.N)
     _check_samples(samples_per_step)
+    if run.states.shape[:2] != (1, grid.N + 1):
+        raise ValueError("run must hold one path over the whole grid")
     n_probe = (samples_per_step + 1) * grid.N
-    if path.N_fine % n_probe != 0:
-        raise ValueError(f"the path's {path.N_fine}-step grid does not refine "
-                         f"the {n_probe}-step grid of {samples_per_step} "
-                         f"samples per step")
+    _check_path(path, grid, model.m, n_probe)
     key = (SchemeKind.STOPPED_BIT, grid.N)
-    one = BatchRuns(grid, run.states[None], np.array([run.tau_index]),
-                    np.array([run.frozen]), np.array([run.overflow]))
     reducer = _Regularity(regularity_bound(consts))
     acc = reducer.init([slice(0, 1)])
-    reducer.update(acc, _Paths(model, run.states[0], grid.T, path.seed, (key,),
-                               n_probe), key, one,
+    reducer.update(acc, _Paths(model, run.states[0, 0], grid.T, path.seed,
+                               (key,), n_probe), key, run,
                    coarsen_increments(path.increments[None], n_probe), 0)
     return _regularity_report(model, consts, grid.N * samples_per_step,
-                              reducer.partials(acc, {key: one}))
+                              reducer.partials(acc, {key: run}))
 
 
 def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,

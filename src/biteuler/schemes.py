@@ -15,9 +15,12 @@ Schemes:
 
 The schemes differ only in how they transform the drift, how they transform
 the increment and which gate they apply, so the update mu*s + sigma@dW is
-written once (``_update``) and shared by the batched driver ``run_paths``,
-the single-path ``run_path`` and the interpolant ``interpolate``, which
-therefore perform bit-identical arithmetic.
+written once (``_update``).  Two callers share it, and so perform
+bit-identical arithmetic: the batched driver ``run_paths``, and the
+intra-step evaluator ``_intra_step``, which serves both the interpolant
+``interpolate`` and the regularity probes of ``diagnostics``.  One path is
+a one-row ``BatchRuns``: ``run_path`` is ``run_paths`` on one Brownian
+path.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .brownian import BrownianGrid, coarsen_increments
-from .core import GridSpec, SchemeRun, SdeModel
+from .core import GridSpec, SdeModel
 from .taming import TamingParams, stopping_threshold, tame
 
 __all__ = [
@@ -119,12 +122,6 @@ class BatchRuns:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def path(self, j: int) -> SchemeRun:
-        return SchemeRun(grid=self.grid, states=self.states[j],
-                         tau_index=int(self.tau_index[j]),
-                         frozen=bool(self.frozen[j]),
-                         overflow=bool(self.overflow[j]))
 
 
 # values per slice of increments tamed and made time-major at once: 256 KB,
@@ -225,44 +222,74 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
                      overflow=overflow, start=k0)
 
 
+def _check_path(path: BrownianGrid, grid: GridSpec, m: int, n: int) -> None:
+    """Raise ValueError, naming ``path``, unless the Brownian path spans the
+    grid's horizon with m noise components on a grid refining n steps."""
+    if path.T != grid.T:
+        raise ValueError(f"path spans T = {path.T}, the grid T = {grid.T}")
+    if path.m != m:
+        raise ValueError(f"path has m = {path.m} noise components, "
+                         f"the model m = {m}")
+    if path.N_fine % n != 0:
+        raise ValueError(f"path's {path.N_fine}-step grid does not refine the "
+                         f"{n}-step grid")
+
+
 def run_path(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
-             path: BrownianGrid) -> SchemeRun:
-    """Run one path of the scheme, driven by a coarsening of ``path``.
-
-    grid.N must divide path.N_fine so the scheme's increments are exact
-    block sums of the fine ones (reference and approximation share one
-    Brownian path).
-    """
-    if path.N_fine % grid.N != 0:
-        raise ValueError(f"grid N={grid.N} does not divide N_fine={path.N_fine}")
-    if path.m != model.m:
-        raise ValueError("path and model noise dimensions differ")
-    dw = coarsen_increments(path.increments[None, :, :], grid.N)
-    runs = run_paths(kind, model, grid, x0, dw)
-    return runs.path(0)
+             path: BrownianGrid) -> BatchRuns:
+    """Run one path of the scheme: the one-row ``run_paths`` run on the
+    increments of ``path`` summed in blocks to the grid's steps, so that
+    reference and approximation can share one Brownian path.  ``path`` must
+    span grid.T with model.m noise components, and grid.N must divide
+    path.N_fine; otherwise ValueError names ``path``."""
+    _check_path(path, grid, model.m, grid.N)
+    return run_paths(kind, model, grid, x0,
+                     coarsen_increments(path.increments[None], grid.N))
 
 
-def interpolate(kind: SchemeKind, model: SdeModel, grid: GridSpec,
-                run: SchemeRun, k: int, s: float, bridge: np.ndarray) -> np.ndarray:
-    """Continuous-time interpolant value Y_{t_k + s}.
-
-    ``bridge`` must be W_{t_k+s} - W_{t_k}.  Frozen steps interpolate to
-    the frozen state: the stopped tamed scheme gates the update as run_paths
-    does, and an overflowed path is frozen on the constant stretch ending
-    it.  The other schemes take the increment untamed (and the drift-tamed
-    one keeps its tamed drift).  At s = T/N with the full step increment
-    the value equals states[k+1] exactly.
+def _intra_step(kind: SchemeKind, model: SdeModel, grid: GridSpec,
+                y: np.ndarray, bridge: np.ndarray, s) -> np.ndarray:
+    """The interpolant's move Y_{t_k+s} - Y_{t_k} from nodes ``y`` (..., d)
+    with bridge values W_{t_k+s} - W_{t_k} (..., m) at offsets ``s``, all
+    broadcast together.  The stopped tamed scheme tames the bridge with
+    the step's TamingParams and moves no path past the stopping threshold.
+    Floating-point warnings are silenced, as in run_paths: the values of
+    gated or overflowed paths are computed too and then dropped.
     """
     h = grid.h
-    if not 0 <= s <= h:
-        raise ValueError(f"offset {s} outside [0, {h}]")
-    if not 0 <= k < grid.N:
-        raise IndexError(f"step index {k} out of range")
-    y = run.states[k]
-    if kind is SchemeKind.STOPPED_BIT:
-        if _norm(y) > stopping_threshold(grid.N, grid.T):
-            return y.copy()
-        bridge = tame(TamingParams(h=h, m=model.m), bridge)
-    elif run.overflow and (run.states[k:] == y).all():
-        return y.copy()
-    return y + _update(kind, model, y, bridge, s, h)
+    with np.errstate(all="ignore"):
+        if kind is not SchemeKind.STOPPED_BIT:
+            return _update(kind, model, y, bridge, s, h)
+        move = _update(kind, model, y, tame(TamingParams(h=h, m=model.m), bridge),
+                       s, h)
+    gated = _norm(y) > stopping_threshold(grid.N, grid.T)
+    # -0.0 leaves every y bit for bit when added; +0.0 turns -0.0 into +0.0
+    return np.where(gated[..., None], -0.0, move)
+
+
+def interpolate(kind: SchemeKind, model: SdeModel, run: BatchRuns, k: int,
+                s: float, bridge: np.ndarray) -> np.ndarray:
+    """Continuous-time interpolant values Y_{t_k + s}, shape (len(run), d):
+    each path's node plus its intra-step move.
+
+    ``bridge`` must have shape (len(run), m), row j holding path j's
+    W_{t_k+s} - W_{t_k}; the step k must lie in the run (run.start <= k <
+    run.end) and 0 <= s <= T/N.  A stopped tamed path past the threshold
+    stays at its node, as does an overflowed path on the constant stretch
+    ending it.  At s = T/N with the full step increment the value equals
+    states[:, k+1] exactly.
+    """
+    grid = run.grid
+    if not 0 <= s <= grid.h:
+        raise ValueError(f"offset {s} outside [0, {grid.h}]")
+    if not run.start <= k < run.end:
+        raise IndexError(f"step index {k} out of range [{run.start}, {run.end})")
+    bridge = np.asarray(bridge, dtype=float)
+    if bridge.shape != (len(run), model.m):
+        raise ValueError(f"bridge must have shape {(len(run), model.m)}, "
+                         f"got {bridge.shape}")
+    later = run.states[:, k - run.start:]
+    y = later[:, 0]
+    held = run.overflow & (later == y[:, None]).all(axis=(1, 2))
+    return np.where(held[:, None], y,
+                    y + _intra_step(kind, model, grid, y, bridge, s))

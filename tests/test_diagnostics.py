@@ -14,7 +14,7 @@ from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   moment_bound, n0_for, regularity_check,
                                   regularity_sweep, stopping_probability)
 from biteuler.models import catalog, model_gbm, model_ginzburg_landau
-from biteuler.schemes import SchemeKind, run_path, run_paths
+from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
 from biteuler.taming import stopping_threshold
 
 # mpmath reference values (40 digits) for the closed-form evaluations
@@ -180,7 +180,7 @@ def test_regularity_frozen_path_contributes_zero():
     grid = GridSpec(T=1.0, N=16)
     path = generate_path(1.0, 80, 1, seed=5, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [50.0], path)
-    assert run.tau_index == 0
+    assert run.tau_index.tolist() == [0]
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
     rep = regularity_check(run, gl, consts, path, samples_per_step=4)
     assert rep.max_lhs == 0.0
@@ -224,6 +224,51 @@ def test_regularity_check_rejects_no_samples_per_step(samples):
     # 2 probes per step need a 48-step grid, which 160 steps do not refine
     with pytest.raises(ValueError, match="does not refine the 48-step grid"):
         regularity_check(run, gl, consts, path, samples_per_step=2)
+
+
+def test_regularity_check_rejects_a_path_that_does_not_fit_the_run():
+    # a T = 2 path used to pass for a T = 1 run, and an m = 2 path failed
+    # inside numpy's reshape
+    gl = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=16)
+    path = generate_path(1.0, 80, 1, seed=5, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    for bad, message in (
+            (generate_path(2.0, 80, 1, seed=5, path_index=0),
+             r"^path spans T = 2.0, the grid T = 1.0$"),
+            (generate_path(1.0, 80, 2, seed=5, path_index=0),
+             r"^path has m = 2 noise components, the model m = 1$")):
+        with pytest.raises(ValueError, match=message):
+            regularity_check(run, gl, consts, bad, samples_per_step=4)
+    two = run_paths(SchemeKind.STOPPED_BIT, gl, grid, [1.0],
+                    generate_block(1.0, 16, 1, seed=5, first_path=0, count=2))
+    with pytest.raises(ValueError, match="^run must hold one path over the "
+                                         "whole grid"):
+        regularity_check(two, gl, consts, path, samples_per_step=4)
+
+
+@pytest.mark.parametrize("x0", (1.0, 50.0))
+def test_regularity_probes_are_interpolant_deviations(x0):
+    # the check's deviations are ||Y_{t_k+s_j} - Y_{t_k}|| of the scheme's
+    # interpolant at every interior probe, for a path that stays inside the
+    # stopping region and for one frozen at its start
+    gl = model_ginzburg_landau()
+    grid, samples = GridSpec(T=1.0, N=16), 4
+    path = generate_path(1.0, 16 * (samples + 1), 1, seed=5, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [x0], path)
+    assert run.frozen.tolist() == [x0 == 50.0]
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    rep = regularity_check(run, gl, consts, path, samples_per_step=samples)
+    fine = path.increments.reshape(grid.N, samples + 1, 1)
+    devs = [float(np.linalg.norm(
+        interpolate(SchemeKind.STOPPED_BIT, gl, run, k,
+                    (j + 1) * grid.h / (samples + 1),
+                    fine[None, k, :j + 1].sum(axis=1)) - run.states[:, k]))
+        for k in range(grid.N) for j in range(samples)]
+    assert rep.max_lhs == pytest.approx(max(devs), rel=1e-12, abs=0.0)
+    assert rep.n_pass == sum(dev <= rep.bound for dev in devs)
+    assert (max(devs) > 0) == (x0 == 1.0)
 
 
 def _flat_spec():

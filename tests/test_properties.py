@@ -55,10 +55,10 @@ def test_run_path_equals_its_row_of_run_paths(name, kind, x0, seed, log_n,
     runs = run_paths(kind, model, grid, x0, coarsen_increments(fine, N))
     one = run_path(kind, model, grid, x0,
                    generate_path(1.0, refine * N, model.m, seed, j))
-    row = runs.path(j)
-    assert one.states.tobytes() == row.states.tobytes()
-    assert (one.tau_index, one.frozen, one.overflow) == \
-        (row.tau_index, row.frozen, row.overflow)
+    row = slice(j, j + 1)
+    assert one.states.tobytes() == runs.states[row].tobytes()
+    for field in ("tau_index", "frozen", "overflow"):
+        assert getattr(one, field).tolist() == getattr(runs, field)[row].tolist()
 
 
 @settings(deadline=None, max_examples=25)
@@ -71,14 +71,13 @@ def test_interpolate_hits_both_nodes_of_every_step(name, x0, seed, log_n):
     path = generate_path(1.0, grid.N, model.m, seed, 0)
     for kind in SchemeKind:
         run = run_path(kind, model, grid, x0, path)
-        assert not run.overflow
+        assert not run.overflow.any()
         for k in range(grid.N):
-            left = interpolate(kind, model, grid, run, k, 0.0,
-                               np.zeros(model.m))
-            assert left.tobytes() == run.states[k].tobytes()
-            right = interpolate(kind, model, grid, run, k, grid.h,
-                                path.increments[k])
-            assert right.tobytes() == run.states[k + 1].tobytes()
+            left = interpolate(kind, model, run, k, 0.0, np.zeros((1, model.m)))
+            assert left.tobytes() == run.states[:, k].tobytes()
+            right = interpolate(kind, model, run, k, grid.h,
+                                path.increments[None, k])
+            assert right.tobytes() == run.states[:, k + 1].tobytes()
 
 
 @settings(deadline=None, max_examples=200)

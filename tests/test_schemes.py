@@ -118,8 +118,8 @@ def test_run_path_trivial_two_states():
     grid = GridSpec(T=1.0, N=1)
     path = generate_path(1.0, 1, 1, seed=0, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, model, grid, [0.5], path)
-    np.testing.assert_array_equal(run.states, [[0.5], [0.5]])
-    assert run.tau_index == 1 and not run.frozen
+    np.testing.assert_array_equal(run.states, [[[0.5], [0.5]]])
+    assert run.tau_index.tolist() == [1] and run.frozen.tolist() == [False]
 
 
 def test_run_path_stopped_immediately():
@@ -128,8 +128,8 @@ def test_run_path_stopped_immediately():
     path = generate_path(1.0, 8, 1, seed=1, path_index=0)
     x0 = [stopping_threshold(8, 1.0) + 1.0]
     run = run_path(SchemeKind.STOPPED_BIT, model, grid, x0, path)
-    assert run.tau_index == 0 and run.frozen
-    np.testing.assert_array_equal(run.states, np.tile(x0, (9, 1)))
+    assert run.tau_index.tolist() == [0] and run.frozen.tolist() == [True]
+    np.testing.assert_array_equal(run.states, np.tile(x0, (1, 9, 1)))
 
 
 def test_run_path_matches_hand_rolled_euler_loop():
@@ -146,7 +146,7 @@ def test_run_path_matches_hand_rolled_euler_loop():
         dw = path.increments[k, 0]
         y = y + ((0.05 * y) * h + (0.2 * y) * dw)
         expected.append(y)
-    np.testing.assert_array_equal(run.states[:, 0], expected)
+    np.testing.assert_array_equal(run.states[0, :, 0], expected)
 
 
 def test_freeze_invariant_past_tau():
@@ -155,9 +155,9 @@ def test_freeze_invariant_past_tau():
     # start far outside the threshold so freezing kicks in at index 0
     path = generate_path(1.0, 16, 1, seed=3, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, model, grid, [20.0], path)
-    assert run.tau_index == 0
-    for k in range(run.tau_index, 16):
-        np.testing.assert_array_equal(run.states[k + 1], run.states[run.tau_index])
+    assert run.tau_index.tolist() == [0]
+    for k in range(16):
+        np.testing.assert_array_equal(run.states[:, k + 1], run.states[:, 0])
 
 
 def test_noise_contribution_bounded_by_increment_bound():
@@ -219,11 +219,11 @@ def test_interpolate_endpoints_bitwise():
                  SchemeKind.DRIFT_TAMED):
         run = run_path(kind, model, grid, [1.0], path)
         for k in (0, 3, 7):
-            at_left = interpolate(kind, model, grid, run, k, 0.0, np.zeros(1))
-            np.testing.assert_array_equal(at_left, run.states[k])
-            at_right = interpolate(kind, model, grid, run, k, grid.h,
-                                    path.increments[k])
-            np.testing.assert_array_equal(at_right, run.states[k + 1])
+            at_left = interpolate(kind, model, run, k, 0.0, np.zeros((1, 1)))
+            np.testing.assert_array_equal(at_left, run.states[:, k])
+            at_right = interpolate(kind, model, run, k, grid.h,
+                                   path.increments[None, k])
+            np.testing.assert_array_equal(at_right, run.states[:, k + 1])
 
 
 def test_interpolate_frozen_step_constant():
@@ -231,10 +231,10 @@ def test_interpolate_frozen_step_constant():
     grid = GridSpec(T=1.0, N=8)
     path = generate_path(1.0, 8, 1, seed=6, path_index=1)
     run = run_path(SchemeKind.STOPPED_BIT, model, grid, [30.0], path)
-    assert run.tau_index == 0
-    mid = interpolate(SchemeKind.STOPPED_BIT, model, grid, run, 2, grid.h / 2,
-                      np.array([0.4]))
-    np.testing.assert_array_equal(mid, run.states[2])
+    assert run.tau_index.tolist() == [0]
+    mid = interpolate(SchemeKind.STOPPED_BIT, model, run, 2, grid.h / 2,
+                      np.array([[0.4]]))
+    np.testing.assert_array_equal(mid, run.states[:, 2])
 
 
 def _squared_noise() -> SdeModel:
@@ -252,19 +252,19 @@ def test_interpolate_overflowed_run_stays_frozen(kind, model, x0, seed,
     grid = GridSpec(T=1.0, N=8)
     path = generate_path(1.0, 8, 1, seed=seed, path_index=0)
     run = run_path(kind, model, grid, [x0], path)
-    assert run.overflow
+    assert run.overflow.tolist() == [True]
     # the update of step frozen_from overflows; the path is constant after
     k0 = frozen_from
-    assert (run.states[k0:] == run.states[k0]).all()
-    assert run.states[k0 - 1, 0] != run.states[k0, 0]
+    assert (run.states[0, k0:] == run.states[0, k0]).all()
+    assert run.states[0, k0 - 1, 0] != run.states[0, k0, 0]
     for k in range(grid.N):
-        at_right = interpolate(kind, model, grid, run, k, grid.h,
-                               path.increments[k])
-        np.testing.assert_array_equal(at_right, run.states[k + 1])
+        at_right = interpolate(kind, model, run, k, grid.h,
+                               path.increments[None, k])
+        np.testing.assert_array_equal(at_right, run.states[:, k + 1])
     for k in range(k0, grid.N):
-        mid = interpolate(kind, model, grid, run, k, grid.h / 2,
-                          path.increments[k] / 2)
-        np.testing.assert_array_equal(mid, run.states[k])
+        mid = interpolate(kind, model, run, k, grid.h / 2,
+                          path.increments[None, k] / 2)
+        np.testing.assert_array_equal(mid, run.states[:, k])
 
 
 def test_interpolate_offset_validation():
@@ -273,7 +273,58 @@ def test_interpolate_offset_validation():
     path = generate_path(1.0, 8, 1, seed=6, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, model, grid, [1.0], path)
     with pytest.raises(ValueError):
-        interpolate(SchemeKind.STOPPED_BIT, model, grid, run, 0, 1.0, np.zeros(1))
+        interpolate(SchemeKind.STOPPED_BIT, model, run, 0, 1.0, np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 3), (1, 1, 1)])
+def test_interpolate_rejects_a_bridge_not_one_row_per_path(shape):
+    # a (3,) bridge used to broadcast into three noise terms for an m = 1
+    # model, and a (2, 1) bridge into two states for one path
+    model = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=8)
+    path = generate_path(1.0, 8, 1, seed=3, path_index=0)
+    run = run_path(SchemeKind.EULER_MARUYAMA, model, grid, [1.0], path)
+    bridge = np.full(shape, 0.1)
+    with pytest.raises(ValueError, match=r"^bridge must have shape \(1, 1\)"):
+        interpolate(SchemeKind.EULER_MARUYAMA, model, run, 2, 0.1, bridge)
+    assert interpolate(SchemeKind.EULER_MARUYAMA, model, run, 2, 0.1,
+                       np.full((1, 1), 0.1)).shape == (1, 1)
+
+
+def test_interpolate_steps_every_row_as_its_one_path_run():
+    # B paths at once give, row by row, the one-path runs' values
+    model = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=8)
+    x0 = [1.0]
+    dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=6)
+    bridge = np.linspace(-0.3, 0.3, 6)[:, None]
+    for kind in SchemeKind:
+        runs = run_paths(kind, model, grid, [30.0] if kind is
+                         SchemeKind.STOPPED_BIT else x0, dw)
+        for k in (0, 5):
+            vals = interpolate(kind, model, runs, k, grid.h / 3, bridge)
+            for j in range(6):
+                one = run_paths(kind, model, grid, runs.states[j, 0],
+                                dw[j:j + 1])
+                assert vals[j:j + 1].tobytes() == interpolate(
+                    kind, model, one, k, grid.h / 3, bridge[j:j + 1]).tobytes()
+
+
+def test_interpolate_rejects_a_step_outside_the_run():
+    model = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=8)
+    dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=2)
+    first = run_paths(SchemeKind.STOPPED_BIT, model, grid,
+                      BatchRuns.initial(grid, [1.0], 2, 1), dw[:, :4])
+    rest = run_paths(SchemeKind.STOPPED_BIT, model, grid, first.tail(), dw[:, 4:])
+    bridge = np.zeros((2, 1))
+    for run, k in ((first, 4), (first, -1), (rest, 3), (rest, 8)):
+        with pytest.raises(IndexError):
+            interpolate(SchemeKind.STOPPED_BIT, model, run, k, 0.0, bridge)
+    # a continued run reads step k from its own nodes
+    np.testing.assert_array_equal(
+        interpolate(SchemeKind.STOPPED_BIT, model, rest, 5, 0.0, bridge),
+        rest.states[:, 1])
 
 
 def test_deterministic_euler_order_one_for_ode():
@@ -300,3 +351,20 @@ def test_run_path_requires_divisible_grid():
     path = generate_path(1.0, 8, 1, seed=0, path_index=0)
     with pytest.raises(ValueError):
         run_path(SchemeKind.STOPPED_BIT, model, GridSpec(1.0, 3), [0.0], path)
+
+
+@pytest.mark.parametrize("T, m, message", [
+    (1.0, 1, r"^path spans T = 1.0, the grid T = 2.0$"),
+    (2.0, 2, r"^path has m = 2 noise components, the model m = 1$"),
+])
+def test_run_path_rejects_a_path_that_does_not_fit_the_grid(T, m, message):
+    # a T = 1 path used to step a T = 2 grid without complaint, and an m = 2
+    # path failed inside numpy's reshape
+    model = model_ginzburg_landau()
+    path = generate_path(T, 8, m, seed=0, path_index=0)
+    with pytest.raises(ValueError, match=message):
+        run_path(SchemeKind.STOPPED_BIT, model, GridSpec(2.0, 8), [1.0], path)
+    with pytest.raises(ValueError, match=r"^path's 8-step grid does not refine "
+                                         r"the 3-step grid$"):
+        run_path(SchemeKind.STOPPED_BIT, model, GridSpec(T, 3), [1.0],
+                 generate_path(T, 8, 1, seed=0, path_index=0))
