@@ -10,7 +10,7 @@ convergence rates.
 """
 
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, floor_index, grid_point, validate_start)
+                   SdeModel, validate_start)
 from .taming import (TamingParams, stopping_threshold, tame,
                      tame_jacobian_diag, tame_laplacian, verify_taming_bounds)
 from .brownian import (BlockStream, BrownianGrid, coarsen_increments,

@@ -23,6 +23,11 @@ grid's unit normals serves every coarser grid of a sweep, chunk by chunk.
 Coarsening sums adjacent increments by repeated pairwise halving, so for
 power-of-two ratios the chain property holds bit-for-bit: coarsening to N_b
 and then to N_a equals coarsening directly to N_a.
+
+The sampled checks of the other modules (the growth samples,
+``check_conditions`` and ``verify_taming_bounds``) draw from
+``_seed_generator(seed)`` under the same key rule and seed range: no
+module but this one builds a generator.
 """
 
 from __future__ import annotations
@@ -79,6 +84,15 @@ def _path_generator(seed: int, path_index: int) -> np.random.Generator:
     of ``Philox(key=_path_key(seed, path_index))``."""
     key = _key_sequence()(_path_key(seed, path_index))
     return np.random.Generator(np.random.Philox(key))
+
+
+def _seed_generator(seed: int) -> np.random.Generator:
+    """The generator of a sampled check keyed by ``seed`` alone: the stream
+    of ``Philox(key=seed)``, whose key words [seed, 0] are those of path
+    ``seed`` under seed 0.  Raises ValueError, naming ``seed``, unless it
+    lies in [0, 2**64)."""
+    _path_key(seed, 0)  # checks the seed under its own name
+    return _path_generator(0, seed)
 
 
 @dataclass(frozen=True)

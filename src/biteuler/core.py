@@ -38,35 +38,6 @@ class GridSpec:
         return self.T / self.N
 
 
-def grid_point(grid: GridSpec, k: int) -> float:
-    """Return the grid node t_k = k*T/N.
-
-    Raises IndexError unless 0 <= k <= N.
-    """
-    if not 0 <= k <= grid.N:
-        raise IndexError(f"grid index {k} out of range [0, {grid.N}]")
-    return k * grid.T / grid.N
-
-
-def floor_index(grid: GridSpec, t: float) -> int:
-    """Index of the left-open grid floor of t.
-
-    Uses the half-open convention: the floor of t > 0 is the largest grid
-    node strictly below t, so a t sitting exactly on node k (k >= 1) maps to
-    index k-1, while the floor of 0 is 0.  Raises ValueError for t outside
-    [0, T].
-    """
-    if not 0 <= t <= grid.T:
-        raise ValueError(f"time {t} outside [0, {grid.T}]")
-    if t == 0:
-        return 0
-    s = t * grid.N / grid.T
-    k = math.floor(s)
-    if s == k:
-        k -= 1
-    return min(max(k, 0), grid.N - 1)
-
-
 @dataclass(frozen=True)
 class LyapunovSpec:
     """Lyapunov data attached to a model: U, its derivatives, and constants.

@@ -23,7 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import BlockStream, coarsen_increments, generate_block
+from .brownian import (BlockStream, _seed_generator, coarsen_increments,
+                       generate_block)
 from .core import GridSpec, LyapunovSpec, SdeModel, path_blocks, validate_start
 from .models import default_sampler
 from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _check_path,
@@ -48,19 +49,20 @@ __all__ = [
     "StoppingReport",
 ]
 
-_SLICE_STEPS = 64  # steps of the finest run per chunk, unless chunk_values
+_SLICE_STEPS = 64  # steps of the finest run per chunk
 
 
 @dataclass(frozen=True)
 class _Paths:
     """The paths of an estimate and the runs stepped on them.  Path j is
     driven by the unit normals keyed by (seed, j) on the n_fine-step grid
-    of [0, T], up to step ``horizon`` (n_fine by default), and every
-    (scheme, N) of ``runs`` starts at x0.  Coupled runs step on sums of
-    n_fine / N fine increments; otherwise n_fine is the largest N and run
-    N on the first N normals times sqrt(T / N), ``generate_block(T, N,
-    ...)`` bit for bit.  ``chunk_values`` bounds the fine values of a
-    chunk; ``spec`` is the Lyapunov data the reducer reads."""
+    of [0, T], and every (scheme, N) of ``runs`` starts at x0.  Coupled
+    runs step on sums of n_fine / N fine increments; otherwise n_fine is
+    the largest N and run N on the first N normals times sqrt(T / N),
+    ``generate_block(T, N, ...)`` bit for bit.  ``horizon`` (n_fine by
+    default, at least 1) is the last fine node a reducer reads: the blocks
+    step up to the end of its chunk.  ``spec`` is the Lyapunov data the
+    reducer reads."""
 
     model: SdeModel
     x0: np.ndarray
@@ -70,7 +72,6 @@ class _Paths:
     n_fine: int
     coupled: bool = True
     horizon: Optional[int] = None
-    chunk_values: int = 0
     spec: Optional[LyapunovSpec] = None
 
 
@@ -102,12 +103,12 @@ class _Reducer:
 
 
 def _time_chunk(strides: list[int], budget: int) -> int:
-    """Fine steps per chunk of coupled runs with these strides: a multiple
-    of every stride, or, when that exceeds ``budget``, a power of two c <=
-    budget that every stride divides or is a multiple of in its
-    power-of-two part.  A run whose step spans chunks then sums per-chunk
-    sums, which by the pairwise-halving chain property equals coarsening
-    the fine increments directly."""
+    """Fine steps per chunk of runs with these strides: the largest
+    multiple of every stride within ``budget``; when their lcm exceeds it,
+    a power of two c <= budget that every stride divides or is a multiple
+    of in its power-of-two part, or else the lcm.  A run whose step spans
+    chunks then sums per-chunk sums, which by the pairwise-halving chain
+    property equals coarsening the fine increments directly."""
     lcm = math.lcm(*strides)
     if budget >= lcm:
         return lcm * (budget // lcm)
@@ -157,17 +158,18 @@ def _coupled_increments(fine: np.ndarray, Ns: list[int], n_fine: int,
 def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
     """The reducer's partials for the segments ``segs`` of one block, whose
     normals come chunk by chunk from one ``BlockStream`` ending at the
-    horizon: every run steps each chunk on from where the last one ended
-    and is cut back to its last node once the reducer has seen it, so a
-    block holds the stream's window, one chunk and one run's chunk of
-    states, not a horizon."""
+    horizon's chunk: every run steps each chunk on from where the last one
+    ended and is cut back to its last node once the reducer has seen it,
+    so a block holds the stream's window, one chunk and one run's chunk of
+    states, not a horizon.  A chunk is about _SLICE_STEPS steps of the
+    finest run: the stride of a coupled run N is n_fine / N, and 1 under
+    the prefix rule, where every run steps on the chunk's own normals."""
     lo, B = segs[0][1], segs[-1][2] - segs[0][1]
     model, T, n_fine = paths.model, paths.T, paths.n_fine
-    horizon = paths.horizon or n_fine
     Ns = sorted({N for _, N in paths.runs})
-    chunk = (_time_chunk([n_fine // N for N in Ns],
-                         max(1, paths.chunk_values // (B * model.m)))
-             if paths.chunk_values else n_fine // Ns[-1] * _SLICE_STEPS)
+    strides = [n_fine // N if paths.coupled else 1 for N in Ns]
+    chunk = _time_chunk(strides, min(strides) * _SLICE_STEPS)
+    horizon = min(n_fine, -(-(paths.horizon or n_fine) // chunk) * chunk)
     runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B, model.d)
             for key in paths.runs}
     by_N = {}  # the runs of each N, in the order of paths.runs
@@ -338,7 +340,7 @@ def _growth_lhs(model: SdeModel, spec: Optional[LyapunovSpec], x: np.ndarray) ->
 
 
 _GROWTH_POINTS = 10000  # default points and pairs of the growth samples
-_GROWTH_SEED = 7  # Philox key of the growth samples
+_GROWTH_SEED = 7  # seed of the growth samples' generator
 
 
 def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
@@ -350,7 +352,7 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
     lhs_lip <= c * poly_lip * dist, and at the sampled points x the growth
     inequality reads lhs_gro <= c * poly_gro.
     """
-    rng = np.random.Generator(np.random.Philox(key=_GROWTH_SEED))
+    rng = _seed_generator(_GROWTH_SEED)
     sample = default_sampler()
     x = sample(rng, n_points, model.d)
     y = sample(rng, n_points, model.d)
@@ -371,7 +373,7 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
                      consts: AnalysisConstants,
                      n_points: int = _GROWTH_POINTS) -> GrowthReport:
     """Sample the two growth inequalities at n_points points/pairs drawn
-    by ``default_sampler()`` from Philox key 7.
+    by ``default_sampler()`` from ``brownian._seed_generator(7)``.
 
     Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
                <= c (1 + ||x||^p + ||y||^p) ||x-y||;
@@ -652,9 +654,8 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
     # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
-    horizon = min(grid.N, -(-max(j_t, 1) // _SLICE_STEPS) * _SLICE_STEPS)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
-                   horizon=horizon, spec=spec)
+                   horizon=max(j_t, 1), spec=spec)
     vals = np.concatenate([v for _, v in _drive(paths, _Functional(j_t), M)])
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0

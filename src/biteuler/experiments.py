@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _N_STAT_BATCHES = 10  # batch-means stderr uses this many fixed path batches
-_CHUNK_VALUES = 1 << 16  # fine increments per time chunk of a strong-error block
 _P_GROWTH = 3  # polynomial growth degree p of moment_sweep's constants
 
 
@@ -216,8 +215,8 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
 
     Up to 1000 paths (whole batches, or 1000-path pieces of larger ones)
     are stepped together and streamed through time in short chunks of the
-    fine grid, about _CHUNK_VALUES fine increments each, carrying every
-    run's state across chunks (``diagnostics._drive``).  Each batch's sums
+    fine grid, about 64 steps of the finest run each, carrying every run's
+    state across chunks (``diagnostics._drive``).  Each batch's sums
     are bit for bit those of running it alone over the whole horizon, so
     neither the blocking nor the thread count changes any output.
     """
@@ -235,8 +234,7 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
         n_fine = config.N_ref
         ref = (config.ref_scheme or config.scheme, n_fine)
         runs = (ref,) + runs
-    paths = _Paths(model, x0, config.T, config.seed, runs, n_fine,
-                   chunk_values=_CHUNK_VALUES)
+    paths = _Paths(model, x0, config.T, config.seed, runs, n_fine)
     zero = (0, {N: (np.zeros(N + 1), 0) for N in Ns})
     totals = _batch_totals(paths, _StrongError(config.scheme, Ns, r, ref),
                            config.M, config.threads, zero)

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from .brownian import _seed_generator
 from .core import LyapunovSpec, SdeModel
 
 __all__ = [
@@ -344,10 +345,12 @@ def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
     local-monotonicity quotient against c plus its Lyapunov slack; and the
     coercivity (1/c)||x||**(1/c) <= 1 + |U(x)|.  Pairs include
     near-coincident ones (||x - y|| = 1e-3) where cancellation in the
-    quotient is worst.  Returns per-condition violation counts and worst
-    margins.
+    quotient is worst.  The points are drawn from
+    ``brownian._seed_generator(seed)``, so ValueError names ``seed`` unless
+    it lies in [0, 2**64).  Returns per-condition violation counts and
+    worst margins.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _seed_generator(seed)
     d = model.d
     pts = sampler(rng, n_points, d)
 

@@ -157,6 +157,9 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     whole grid (n = N); with a ``BatchRuns`` from an earlier call in place
     of ``x0`` they continue its paths for the next n steps, and the chained
     calls compute bit for bit what one call over all the steps computes.
+    An initial state must have model.d components, none NaN (an infinite
+    one freezes a stopped tamed path at node 0); otherwise ValueError
+    names ``x0``.
 
     tau_index is recorded against the stopping threshold for every scheme;
     only STOPPED_BIT freezes at it.  Euler-Maruyama and drift-tamed paths
@@ -171,9 +174,13 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
         if prev.grid != grid or len(prev) != B:
             raise ValueError("continued runs do not match the grid or batch")
     else:
+        x = np.asarray(x0, dtype=float)
+        if x.shape != (model.d,) or np.isnan(x).any():
+            raise ValueError(f"x0 must have {model.d} component(s), none NaN, "
+                             f"for model {model.name!r}, got {x.tolist()}")
         if n_steps != grid.N:
             raise ValueError("increment array shape does not match grid/model")
-        prev = BatchRuns.initial(grid, x0, B, model.d)
+        prev = BatchRuns.initial(grid, x, B, model.d)
     if m != model.m or prev.end + n_steps > grid.N:
         raise ValueError("increment array shape does not match grid/model")
     N, h, k0 = grid.N, grid.h, prev.end

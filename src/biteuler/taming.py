@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .brownian import _seed_generator
+
 __all__ = [
     "TamingParams",
     "tame",
@@ -167,12 +169,14 @@ def verify_taming_bounds(params: TamingParams, sample_count: int, seed: int) -> 
     - the L2 norm of the vector LapPi(W)     against 32*sqrt(h*m).
 
     The first bound is deterministic and must hold for every sample; the
-    other two are moment estimates reported with delta-method stderr.
+    other two are moment estimates reported with delta-method stderr.  The
+    samples are drawn from ``brownian._seed_generator(seed)``, so
+    ValueError names ``seed`` unless it lies in [0, 2**64).
     """
     if sample_count < 1000:
         raise ValueError("sample_count must be >= 1000")
     h, m = params.h, params.m
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = _seed_generator(seed)
     W = rng.standard_normal((sample_count, m)) * math.sqrt(h)
 
     pi = tame(params, W)

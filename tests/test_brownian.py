@@ -64,6 +64,21 @@ def test_path_generator_is_philox_keyed_by_the_path_key(seed, index):
     assert repr(fast.bit_generator.state) == repr(plain.bit_generator.state)
 
 
+@pytest.mark.parametrize("seed", (0, 7, 2**64 - 1))
+def test_seed_generator_is_philox_keyed_by_the_seed(seed):
+    # the sampled checks' generator: Philox(key=seed), key words [seed, 0]
+    ours = brownian._seed_generator(seed)
+    plain = np.random.Generator(np.random.Philox(key=seed))
+    assert ours.standard_normal(1001).tobytes() == plain.standard_normal(1001).tobytes()
+    assert repr(ours.bit_generator.state) == repr(plain.bit_generator.state)
+
+
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_seed_generator_names_the_seed_out_of_range(seed):
+    with pytest.raises(ValueError, match=rf"^seed must be in \[0, 2\*\*64\), got {seed}$"):
+        brownian._seed_generator(seed)
+
+
 def test_single_increment_distribution():
     # N_fine = 1: one increment ~ Normal(0, T)
     vals = generate_block(4.0, 1, 1, seed=1, first_path=0, count=50000)[:, 0, 0]

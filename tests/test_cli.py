@@ -280,6 +280,26 @@ def test_out_of_range_settings_exit_1_before_stepping(monkeypatch, capsys,
     assert captured.err.startswith(message) and not out.exists()
 
 
+@pytest.mark.parametrize("seed", (-1, 2**64))
+@pytest.mark.parametrize("command", (
+    ["check-conditions", "--model", "vdp", "--n-points", "100"],
+    ["taming-check", "--samples", "1000"]), ids=lambda c: c[0])
+def test_sampled_checks_reject_a_seed_outside_the_key_range(capsys, tmp_path,
+                                                            command, seed):
+    # both used to key Philox with the seed itself: 2**64 ran and exited 0
+    out = tmp_path / "o.json"
+    assert main(command + ["--seed", str(seed), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"error: seed must be in [0, 2**64), got {seed}") and not out.exists()
+
+
+def test_catalog_ignores_the_seed(capsys):
+    # catalog draws nothing, so no seed is out of range for it
+    assert main(["catalog", "--seed", str(2**64)]) == 0
+    assert "ginzburg-landau" in capsys.readouterr().out
+
+
 def test_convergence_command_and_band_assertions(tmp_path):
     args = ["convergence", "--model", "gbm", "--scheme", "em",
             "--Ns", "16,32,64,128", "--M", "400", "--seed", "11",

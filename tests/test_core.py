@@ -3,52 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from biteuler.core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec,
-                           floor_index, grid_point)
-
-
-def test_grid_point_endpoints():
-    g = GridSpec(T=1.0, N=4)
-    assert grid_point(g, 0) == 0.0
-    assert grid_point(g, 4) == 1.0
-
-
-def test_grid_point_interior():
-    # 3*2/8 by arithmetic
-    assert grid_point(GridSpec(T=2.0, N=8), 3) == 0.75
-
-
-def test_grid_point_out_of_range():
-    g = GridSpec(T=1.0, N=4)
-    with pytest.raises(IndexError):
-        grid_point(g, 5)
-    with pytest.raises(IndexError):
-        grid_point(g, -1)
-
-
-def test_floor_index_left_open_convention():
-    g = GridSpec(T=1.0, N=4)
-    assert floor_index(g, 0.0) == 0
-    assert floor_index(g, 0.3) == 1   # 0.3 in (0.25, 0.5)
-    assert floor_index(g, 0.5) == 1   # grid point maps one step back
-    assert floor_index(g, 1.0) == 3
-
-
-def test_floor_index_outside_domain():
-    g = GridSpec(T=1.0, N=4)
-    with pytest.raises(ValueError):
-        floor_index(g, -0.1)
-    with pytest.raises(ValueError):
-        floor_index(g, 1.1)
-
-
-@pytest.mark.parametrize("T,N", [(1.0, 4), (2.0, 8), (0.5, 16), (3.0, 7)])
-def test_floor_of_point_plus_epsilon_recovers_index(T, N):
-    g = GridSpec(T=T, N=N)
-    for k in range(N):
-        for frac in (0.25, 0.5, 0.9):
-            t = grid_point(g, k) + frac * (T / N)
-            assert floor_index(g, t) == k
+from biteuler.core import ErrorRow, ErrorTable, GridSpec, LyapunovSpec
 
 
 def test_grid_spec_validation():

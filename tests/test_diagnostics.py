@@ -112,6 +112,26 @@ def test_fit_growth_constant_is_minimal_with_headroom():
     assert c_fit < 3.0  # cubic drift over the radius-10 ball needs c ~ 1.4
 
 
+# the fitted c with the growth samples drawn at both ends of the seed range
+# and between (7 is the default), as it was when they came from Philox
+# keyed with the seed itself
+GROWTH_PINS = {
+    ("ginzburg-landau", 0): 2.4067385582153835,
+    ("ginzburg-landau", 7): 2.4067401469257828,
+    ("ginzburg-landau", 2**64 - 1): 2.4067405826965715,
+    ("vdp", 0): 5.294348337555637,
+    ("vdp", 7): 5.307854183482409,
+    ("vdp", 2**64 - 1): 5.308388411347842,
+}
+
+
+@pytest.mark.parametrize("name,seed", GROWTH_PINS)
+def test_fit_growth_constant_pinned_values(monkeypatch, name, seed):
+    model = catalog()[name].model
+    monkeypatch.setattr(diagnostics, "_GROWTH_SEED", seed)
+    assert fit_growth_constant(model, model.lyapunov, 3) == GROWTH_PINS[name, seed]
+
+
 def test_n0_inequalities_hold_from_n0_on():
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=0.0, N=16)
     rep = n0_for(consts)

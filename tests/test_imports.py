@@ -1,7 +1,7 @@
 """Every module-level import of the package is used by the module,
 importing the package loads no more of numpy than it needs, and the
 layers perfbench's tracer times are reached through the bindings it
-patches."""
+patches, and no module but brownian builds a random generator."""
 
 import ast
 import os
@@ -99,3 +99,14 @@ def test_traced_layers_are_reached_through_patched_bindings(path):
     assert "ThreadPoolExecutor" not in attrs
     assert ("ThreadPoolExecutor" not in names
             or _tracer_patches(path.stem, "ThreadPoolExecutor"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_brownian_builds_a_generator(path):
+    # every draw is keyed by brownian's one key rule and seed range; a
+    # generator built elsewhere would key its own way
+    tree = ast.parse(path.read_text())
+    called = {getattr(n.func, "attr", getattr(n.func, "id", None))
+              for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    builders = called & {"Philox", "Generator", "default_rng"}
+    assert not builders or path.stem == "brownian", sorted(builders)

@@ -191,3 +191,30 @@ def test_tuned_constants_for_nondefault_parameters():
 def test_beta_must_be_positive():
     with pytest.raises(ValueError):
         model_ginzburg_landau(beta=0.0)
+
+
+# the reports at both ends of the seed range and between, as they were when
+# check_conditions keyed Philox with the seed itself: its key words [seed, 0]
+# are the sampled-check generator's
+CONDITION_PINS = {
+    ("ginzburg-landau", 0): (-0.09375006331092156, -0.5829483732334636,
+                             -0.8309916376492981),
+    ("ginzburg-landau", 7): (-0.09375000976233044, -0.5201297466054852,
+                             -0.8309777909361931),
+    ("ginzburg-landau", 2**64 - 1): (-0.09379606300900739, -0.5273233853039263,
+                                     -0.8309751573758279),
+    ("vdp", 0): (-0.6752603242468415, -37.45598488913687, -1.3967768937191587),
+    ("vdp", 7): (-0.5774184387748901, -34.804811852662056, -1.2486470490365869),
+    ("vdp", 2**64 - 1): (-0.5768048400989737, -41.34475498895327,
+                         -1.2560070194126294),
+}
+
+
+@pytest.mark.parametrize("name,seed", CONDITION_PINS)
+def test_check_conditions_pinned_values(name, seed):
+    model = catalog()[name].model
+    report = check_conditions(model, model.lyapunov, 1.0, default_sampler(),
+                              400, seed=seed)
+    stats = (report.generator, report.monotonicity, report.coercivity)
+    assert [(c.n_checked, c.n_violations) for c in stats] == [(400, 0)] * 3
+    assert tuple(c.worst_margin for c in stats) == CONDITION_PINS[name, seed]

@@ -5,7 +5,7 @@ import pytest
 
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
 from biteuler.core import GridSpec, SdeModel
-from biteuler.models import model_gbm, model_ginzburg_landau
+from biteuler.models import model_gbm, model_ginzburg_landau, model_vdp
 from biteuler.schemes import (BatchRuns, SchemeKind, interpolate, run_path,
                               run_paths)
 from biteuler.taming import stopping_threshold
@@ -368,3 +368,20 @@ def test_run_path_rejects_a_path_that_does_not_fit_the_grid(T, m, message):
                                          r"the 3-step grid$"):
         run_path(SchemeKind.STOPPED_BIT, model, GridSpec(T, 3), [1.0],
                  generate_path(T, 8, 1, seed=0, path_index=0))
+
+
+@pytest.mark.parametrize("model,x0", [
+    (model_vdp(), [1.0]), (model_vdp(), [[1.0, 0.0]]),
+    (model_ginzburg_landau(), [math.nan]), (model_vdp(), [0.0, math.nan])])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_runs_reject_a_start_of_the_wrong_shape_or_nan(kind, model, x0):
+    # a one-component vdp start used to be broadcast to both components; a
+    # NaN start gave a NaN run flagged overflowed (Euler-Maruyama) or a
+    # misleading FloatingPointError (the stopped scheme)
+    path = generate_path(1.0, 8, model.m, seed=0, path_index=0)
+    dw = path.increments[None]
+    message = rf"^x0 must have {model.d} component\(s\), none NaN"
+    with pytest.raises(ValueError, match=message):
+        run_paths(kind, model, GridSpec(1.0, 8), x0, dw)
+    with pytest.raises(ValueError, match=message):
+        run_path(kind, model, GridSpec(1.0, 8), x0, path)

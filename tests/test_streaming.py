@@ -91,18 +91,19 @@ def bits(table: ErrorTable) -> list:
             for row in table.rows]
 
 
-# budgets of fine increments per time chunk: the default; 16 steps for a
-# 37-path block, which gives N=4 exactly one node per chunk; and one step
-# per chunk, so every N carries partial increment sums across chunks
-CHUNK_VALUES = (experiments._CHUNK_VALUES, 16 * 37, 1)
+# steps of the finest run per time chunk: the default; 16, which gives N=4
+# of the fine reference exactly one node per chunk; and one step per chunk,
+# so every N coarser than the finest carries partial increment sums across
+# chunks
+SLICE_STEPS = (diagnostics._SLICE_STEPS, 16, 1)
 
 
-@pytest.mark.parametrize("chunk_values", CHUNK_VALUES)
+@pytest.mark.parametrize("slice_steps", SLICE_STEPS)
 @pytest.mark.parametrize("M", (10, 37, 2500))  # 10: one path per stderr batch
 @pytest.mark.parametrize("reference", ("fine", "exact"))
 @pytest.mark.parametrize("scheme", list(SchemeKind))
 def test_streamed_strong_error_equals_whole_horizon_oracle(
-        monkeypatch, scheme, reference, M, chunk_values):
+        monkeypatch, scheme, reference, M, slice_steps):
     if reference == "exact":
         config = ConvergenceConfig(model="gbm", scheme=scheme, Ns=(4, 8, 16),
                                    M=M, seed=3, reference="exact")
@@ -111,7 +112,7 @@ def test_streamed_strong_error_equals_whole_horizon_oracle(
         config = ConvergenceConfig(model="ginzburg-landau", scheme=scheme,
                                    Ns=(4, 8), M=M, seed=5, reference="fine",
                                    N_ref=64, x0=(5.0,))
-    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
     with np.errstate(invalid="ignore", divide="ignore"):
         streamed = strong_error(config)
     assert bits(streamed) == bits(oracle_strong_error(config))
@@ -119,14 +120,18 @@ def test_streamed_strong_error_equals_whole_horizon_oracle(
         assert streamed.rows[-1].overflow_fraction > 0
 
 
-@pytest.mark.parametrize("chunk_values", CHUNK_VALUES)
-def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, chunk_values):
-    # strides 16 and 8 from N_ref = 48, a drift-tamed reference and r = 3
+# strides 16 and 8 from N_ref = 48; and strides 24 and 12, whose chunk at
+# 16 slice steps falls back to their lcm 24, as 16 divides neither stride
+# nor their power-of-two parts 8 and 4
+@pytest.mark.parametrize("Ns", ((3, 6), (2, 4)))
+@pytest.mark.parametrize("slice_steps", SLICE_STEPS)
+def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, slice_steps, Ns):
+    # a drift-tamed reference and r = 3
     config = ConvergenceConfig(model="vdp", scheme=SchemeKind.STOPPED_BIT,
-                               Ns=(3, 6), M=40, seed=2, reference="fine",
+                               Ns=Ns, M=40, seed=2, reference="fine",
                                N_ref=48, r=3.0, x0=(2.0, -1.0),
                                ref_scheme=SchemeKind.DRIFT_TAMED)
-    monkeypatch.setattr(experiments, "_CHUNK_VALUES", chunk_values)
+    monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
     assert bits(strong_error(config)) == bits(oracle_strong_error(config))
 
 

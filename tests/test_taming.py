@@ -165,3 +165,24 @@ def test_laplacian_bound_fails_below_crossover_scale():
     assert not rep.laplacian.passed
     assert rep.laplacian.estimate == pytest.approx(4.1888, rel=0.02)
     assert rep.laplacian.bound == pytest.approx(3.2, rel=1e-12)
+
+
+# (linf estimate, linf fraction, jacobian estimate and stderr, laplacian
+# estimate and stderr) at both ends of the seed range and between, as they
+# were when the samples came from Philox keyed with the seed itself
+TAMING_PINS = {
+    0: (0.4372812990553087, 1.0, 1.1072573944498283, 0.022176041778282068,
+        5.490519232614295, 0.08830181069812588),
+    7: (0.4378279658170534, 1.0, 1.1001215136532467, 0.021765568147366635,
+        5.703028581506477, 0.08606739096858876),
+    2**64 - 1: (0.43663800333251507, 1.0, 1.1023787361263178,
+                0.02217940132290476, 5.562438731242619, 0.08689272641939787),
+}
+
+
+@pytest.mark.parametrize("seed", TAMING_PINS)
+def test_verify_taming_bounds_pinned_values(seed):
+    r = verify_taming_bounds(TamingParams(h=0.1, m=2), 1000, seed)
+    assert (r.linf.estimate, r.linf_pathwise_fraction, r.jacobian.estimate,
+            r.jacobian.stderr, r.laplacian.estimate,
+            r.laplacian.stderr) == TAMING_PINS[seed]
