@@ -32,12 +32,12 @@ def show(table, fit):
 
 for scheme in (SchemeKind.EULER_MARUYAMA, SchemeKind.STOPPED_BIT):
     config = ConvergenceConfig(model="gbm", scheme=scheme, Ns=NS, M=M,
-                               seed=42, reference="exact", threads=0)
+                               seed=42, reference="exact")
     table = strong_error(config)
     show(table, fit_rate(table))
 
 config = ConvergenceConfig(model="ginzburg-landau",
                            scheme=SchemeKind.STOPPED_BIT, Ns=NS, M=M,
-                           seed=42, reference="fine", N_ref=2**13, threads=0)
+                           seed=42, reference="fine", N_ref=2**13)
 table = strong_error(config)
 show(table, fit_rate(table))

@@ -13,7 +13,7 @@ from biteuler.schemes import SchemeKind
 
 model = model_ginzburg_landau()
 Ns = tuple(2**k for k in range(2, 11))
-report = divergence_comparison(model, Ns, M=4000, x0=[5.0], seed=42, threads=0)
+report = divergence_comparison(model, Ns, M=4000, x0=[5.0], seed=42)
 
 print(f"model {report.model}, x0 = {report.x0}, M = {report.M}")
 print(f"{'N':>6} {'scheme':>6} {'overflow':>10} {'exploded':>10} "

@@ -18,7 +18,7 @@ model = entry.model
 Ns = (16, 32, 64, 128, 256, 512, 1024)
 
 report = moment_sweep(model, model.lyapunov, Ns, M=4000, seed=42,
-                      x0=entry.default_x0, threads=0)
+                      x0=entry.default_x0)
 print(f"moment sweep on {report.model} (M = {report.M}):")
 print(f"{'N':>6} {'E[U(Y_T)]':>12} {'stderr':>10} {'exp functional':>15} "
       f"{'bound':>10}")

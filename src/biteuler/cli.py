@@ -161,9 +161,12 @@ def emit(table: ErrorTable, fmt: str, path: Optional[str],
 
 
 def _list_of(cast):
-    """``type=`` for a comma-separated list such as ``1,0.1,0.01``."""
+    """``type=`` for a nonempty comma-separated list such as ``1,0.1,0.01``."""
     def parse(text: str) -> tuple:
-        return tuple(cast(v) for v in text.split(",") if v)
+        values = tuple(cast(v) for v in text.split(",") if v)
+        if not values:
+            raise ValueError(f"empty list {text!r}")
+        return values
     parse.__name__ = f"comma-separated {cast.__name__}"  # names it in errors
     return parse
 

@@ -78,17 +78,22 @@ class _Paths:
 @dataclass(frozen=True)
 class _Reducer:
     """An estimator's reduction of one path block.  ``init`` takes the rows
-    of the block's segments; ``begin`` takes each chunk's fine increments
-    (unit normals under the prefix rule), from fine step f0 on, before its
-    runs step; ``update`` takes each run (scheme, N) as soon as it has
-    stepped the chunk, as a BatchRuns whose first node repeats the last
-    chunk's last, in the order of ``paths.runs`` grouped by N; ``partials``
-    takes the runs' last nodes and returns one result per segment, here
-    each run's last states, stopping indices and overflow flags.  A
-    reducer keeps plain values, so it pickles."""
+    of the block's segments, one per batch-means batch it holds; ``begin``
+    takes each chunk's fine increments (unit normals under the prefix
+    rule), from fine step f0 on, before its runs step; ``update`` takes
+    each run (scheme, N) as soon as it has stepped the chunk, as a
+    BatchRuns whose first node repeats the last chunk's last, in the order
+    of ``paths.runs``; ``partials`` takes the runs' last nodes and returns
+    one result per segment.  The reducers of this module reduce a block of
+    one segment and reject more; this one's partial is each run's last
+    states, stopping indices and overflow flags.  A reducer keeps plain
+    values, so it pickles."""
 
     def init(self, parts: list[slice]) -> SimpleNamespace:
-        return SimpleNamespace(parts=parts)
+        if len(parts) > 1:
+            raise ValueError(f"{type(self).__name__} reduces a block of one "
+                             f"segment, got {len(parts)}")
+        return SimpleNamespace()
 
     def begin(self, acc, paths: _Paths, fine: np.ndarray, f0: int) -> None:
         pass
@@ -98,8 +103,8 @@ class _Reducer:
         pass
 
     def partials(self, acc, runs: dict) -> list:
-        return [{key: (run.states[p, -1], run.tau_index[p], run.overflow[p])
-                 for key, run in runs.items()} for p in acc.parts]
+        return [{key: (run.states[:, -1], run.tau_index, run.overflow)
+                 for key, run in runs.items()}]
 
 
 def _time_chunk(strides: list[int], budget: int) -> int:
@@ -172,9 +177,6 @@ def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
     horizon = min(n_fine, -(-(paths.horizon or n_fine) // chunk) * chunk)
     runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B, model.d)
             for key in paths.runs}
-    by_N = {}  # the runs of each N, in the order of paths.runs
-    for key in runs:
-        by_N.setdefault(key[1], []).append(key)
     acc = reducer.init([slice(s_lo - lo, s_hi - lo) for _, s_lo, s_hi in segs])
     stream = BlockStream(horizon, horizon, model.m, paths.seed, lo, B)
     carry = {N: [] for N in Ns}
@@ -185,37 +187,42 @@ def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
             fine *= math.sqrt(T / n_fine)
             dws = _coupled_increments(fine, Ns, n_fine, carry, coarsen)
         reducer.begin(acc, paths, fine, f0)
-        for N, keys in by_N.items():
-            if dws is not None:
+        for key, last in runs.items():  # paths.runs in order, each once
+            N = key[1]
+            if paths.coupled:
                 dw = dws.get(N)
             else:  # the prefix rule: N's own steps from f0 on, if any are left
                 dw = fine[:, :N - f0] * math.sqrt(T / N) if N > f0 else None
-            for key in keys if dw is not None else ():
-                run = run_paths(key[0], model, runs[key].grid, runs[key], dw)
-                reducer.update(acc, paths, key, run, fine, f0)
-                runs[key] = run.tail()
-                del run  # one run's chunk of states at a time
-        del fine, dws, dw
+            if dw is None:
+                continue
+            run = run_paths(key[0], model, last.grid, last, dw)
+            del dw
+            reducer.update(acc, paths, key, run, fine, f0)
+            runs[key] = run.tail()
+            del run  # one run's chunk of states at a time
+        del fine, dws
     return reducer.partials(acc, runs)
 
 
 def _drive(paths: _Paths, reducer: _Reducer, M: int, n_batches: int = 1,
            block_map=map, coarsen=coarsen_increments) -> list:
-    """(batch, partial) of each segment of ``path_blocks(M, n_batches)``,
-    in path order.  ``block_map(fn, blocks)`` runs the blocks, each on its
-    own, in any order; ``coarsen`` sums coupled increments."""
+    """The partials of each batch of ``path_blocks(M, n_batches)``, in path
+    order.  ``block_map(fn, blocks)`` runs the blocks, each on its own, in
+    any order; ``coarsen`` sums coupled increments."""
     blocks = path_blocks(M, n_batches)
     results = block_map(functools.partial(_block, paths, reducer, coarsen),
                         blocks)
-    return [(b, part) for segs, parts in zip(blocks, results)
-            for (b, _, _), part in zip(segs, parts)]
+    batches = [[] for _ in range(n_batches)]
+    for segs, parts in zip(blocks, results):
+        for (b, _, _), part in zip(segs, parts):
+            batches[b].append(part)
+    return batches
 
 
-def _finals(paths: _Paths, M: int, n_batches: int = 1, block_map=map) -> dict:
+def _finals(paths: _Paths, M: int, block_map=map) -> dict:
     """{(scheme, N): (last states, stopping indices, overflow flags)} of
     paths [0, M), in path order."""
-    parts = [part for _, part in _drive(paths, _Reducer(), M, n_batches,
-                                        block_map)]
+    [parts] = _drive(paths, _Reducer(), M, block_map=block_map)
     return {key: tuple(map(np.concatenate, zip(*(p[key] for p in parts))))
             for key in parts[0]}
 
@@ -380,7 +387,10 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
     growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
                <= c (1 + ||x||^p)  (the U terms are dropped when no
                Lyapunov data is supplied).
+    ValueError names ``n_points`` unless it is >= 1.
     """
+    if n_points < 1:
+        raise ValueError(f"n_points must be >= 1, got {n_points}")
     lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
         model, spec, consts.p, n_points)
     lip_margin = float(np.max(lhs_lip - consts.c * poly_lip * dist))
@@ -493,22 +503,20 @@ def regularity_bound(consts: AnalysisConstants) -> float:
 
 @dataclass(frozen=True)
 class _Regularity(_Reducer):
-    """Per segment: the intra-step probes within ``bound``, and the largest
-    deviation (0 for none)."""
+    """The intra-step probes within ``bound``, and the largest deviation
+    (0 for none)."""
 
     bound: float
 
-    def init(self, parts):
-        return SimpleNamespace(parts=parts, counts=[(0, 0.0)] * len(parts))
-
     def update(self, acc, paths, key, run, fine, f0):
+        if run.start == 0:
+            acc.n_pass, acc.top = 0, 0.0
         dev = _regularity_lhs(paths.model, run.grid, run.states, fine)
-        acc.counts = [(n + int(np.sum(dev[p] <= self.bound)),
-                       max(top, float(dev[p].max())))
-                      for (n, top), p in zip(acc.counts, acc.parts)]
+        acc.n_pass += int(np.sum(dev <= self.bound))
+        acc.top = max(acc.top, float(dev.max()))
 
     def partials(self, acc, runs):
-        return acc.counts
+        return [(acc.n_pass, acc.top)]
 
 
 def _regularity_report(model: SdeModel, consts: AnalysisConstants,
@@ -566,9 +574,9 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     consts = consts.at(grid.N)
     paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
                    (samples_per_step + 1) * grid.N)
-    parts = _drive(paths, _Regularity(regularity_bound(consts)), M)
+    [parts] = _drive(paths, _Regularity(regularity_bound(consts)), M)
     return _regularity_report(model, consts, M * grid.N * samples_per_step,
-                              [part for _, part in parts])
+                              parts)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +603,7 @@ class _Functional(_Reducer):
     capped at 1e300, with I_j = sum_{k < min(j, tau)} e^{-rho k h}
     U_bar(Y_k) h summed one step after the other: at node ``j``, path by
     path, or, for j None, with |U| and |U_bar| at every node, summed over
-    each segment's paths.  ``use_tau`` off puts tau at N."""
+    the block's paths.  ``use_tau`` off puts tau at N."""
 
     j: Optional[int]
     use_tau: bool = True
@@ -604,7 +612,7 @@ class _Functional(_Reducer):
         spec, h, N = paths.spec, run.grid.h, run.grid.N
         if run.start == 0:
             acc.integral = np.zeros(len(run))
-            acc.sums = np.zeros((len(acc.parts), N + 1))  # for j None
+            acc.sums = np.zeros(N + 1)  # for j None
         if self.j is None:  # every node but the last chunk's last
             nodes = slice(1 if run.start else 0, None)
         else:  # node j, none before j's chunk
@@ -627,15 +635,12 @@ class _Functional(_Reducer):
             if vals.size:
                 acc.vals = vals.ravel()
             return
-        for sums, p in zip(acc.sums, acc.parts):
-            # summed over each node's contiguous values, as np.sum of one node
-            sums[run.start + nodes.start:run.end + 1] += \
-                np.ascontiguousarray(vals[p].T).sum(1)
+        # summed over each node's contiguous values, as np.sum of one node
+        acc.sums[run.start + nodes.start:run.end + 1] += \
+            np.ascontiguousarray(vals.T).sum(1)
 
     def partials(self, acc, runs):
-        if self.j is None:
-            return list(acc.sums)
-        return [acc.vals[p] for p in acc.parts]
+        return [acc.sums if self.j is None else acc.vals]
 
 
 def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
@@ -656,7 +661,8 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    horizon=max(j_t, 1), spec=spec)
-    vals = np.concatenate([v for _, v in _drive(paths, _Functional(j_t), M)])
+    [parts] = _drive(paths, _Functional(j_t), M)
+    vals = np.concatenate(parts)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
@@ -675,8 +681,8 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     x0 = validate_start(model, x0, M)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    spec=spec)
-    sums = sum(s for _, s in _drive(paths, _Functional(None, use_tau), M))
-    return float(np.max(sums / M))
+    [parts] = _drive(paths, _Functional(None, use_tau), M)
+    return float(np.max(sum(parts) / M))
 
 
 @dataclass(frozen=True)

@@ -46,11 +46,13 @@ _P_GROWTH = 3  # polynomial growth degree p of moment_sweep's constants
 
 def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
     """Raise ValueError, naming the argument, unless Ns is nonempty with
-    every N >= 1, and T > 0."""
+    distinct N >= 1, and T > 0."""
     if not Ns:
         raise ValueError("Ns must be nonempty")
     if min(Ns) < 1:
         raise ValueError(f"every N in Ns must be >= 1, got {min(Ns)}")
+    if len(set(Ns)) < len(Ns):
+        raise ValueError(f"Ns must not repeat an N, got {tuple(Ns)}")
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T}")
 
@@ -63,19 +65,16 @@ def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list
         return list(pool.map(fn, blocks))
 
 
-def _batch_totals(paths: _Paths, reducer: _Reducer, M: int, threads: int,
-                  zero) -> list:
-    """Per-batch totals of an M-path estimate: each batch adds the
-    reducer's partials of its segments of ``path_blocks(M, 10)`` to
-    ``zero`` in path order, whatever worker ran which block.  The blocks
+def _batch_totals(paths: _Paths, reducer: _Reducer, M: int,
+                  threads: int) -> list:
+    """The totals of an M-path estimate, one per nonempty batch of
+    ``path_blocks(M, 10)``: each adds the reducer's partials of its
+    segments in path order, whatever worker ran which block.  The blocks
     run on this module's thread pool and sum coupled increments with its
     ``coarsen_increments``, the bindings that perfbench's tracer wraps."""
-    totals = [zero] * _N_STAT_BATCHES
-    for b, result in _drive(paths, reducer, M, _N_STAT_BATCHES,
-                            partial(_batch_map, threads=threads),
-                            coarsen_increments):
-        totals[b] = _add(totals[b], result)
-    return totals
+    batches = _drive(paths, reducer, M, _N_STAT_BATCHES,
+                     partial(_batch_map, threads=threads), coarsen_increments)
+    return [reduce(_add, parts) for parts in batches if parts]
 
 
 def _add(a, b):
@@ -235,10 +234,9 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
         ref = (config.ref_scheme or config.scheme, n_fine)
         runs = (ref,) + runs
     paths = _Paths(model, x0, config.T, config.seed, runs, n_fine)
-    zero = (0, {N: (np.zeros(N + 1), 0) for N in Ns})
     totals = _batch_totals(paths, _StrongError(config.scheme, Ns, r, ref),
-                           config.M, config.threads, zero)
-    _, pooled = reduce(_add, totals, zero)
+                           config.M, config.threads)
+    _, pooled = reduce(_add, totals)
 
     rows = []
     for N in Ns:
@@ -345,8 +343,8 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     capped at 1e300 (diverged paths are retained and reported, never
     dropped).  Every N steps on the prefix of one stream of the largest
     grid's normals per path block, chunk by chunk (``diagnostics._drive``),
-    with a running max of |state|.  Raises ValueError for empty Ns, an
-    N < 1 or T <= 0.
+    with a running max of |state|.  Raises ValueError for empty Ns, a
+    repeated N, an N < 1 or T <= 0.
     """
     _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
@@ -354,9 +352,7 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     paths = _Paths(model, x0, T, seed,
                    tuple((kind, N) for N in Ns for kind in kinds), max(Ns),
                    coupled=False)
-    zero = {(kind.value, N): (0, 0, 0.0, 0) for N in Ns for kind in kinds}
-    pooled = reduce(_add, _batch_totals(paths, _Divergence(), M, threads, zero),
-                    zero)
+    pooled = reduce(_add, _batch_totals(paths, _Divergence(), M, threads))
     rows = tuple(DivergenceRow(scheme=kind, N=N, overflow_fraction=o / n,
                                explode_fraction=e / n, second_moment_capped=s / n)
                  for (kind, N), (o, e, s, n) in pooled.items())
@@ -415,7 +411,7 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     typically vacuous (infinite) at desk-scale N, which is reported as-is.
     Every N steps on the prefix of one stream of the largest grid's normals
     per path block, chunk by chunk (``diagnostics._drive``).  Raises
-    ValueError for empty Ns, an N < 1, T <= 0 or M < 2.
+    ValueError for empty Ns, a repeated N, an N < 1, T <= 0 or M < 2.
     """
     _check_sweep(Ns, T)
     if M < 2:
@@ -427,8 +423,7 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     paths = _Paths(model, x0, T, seed,
                    tuple((SchemeKind.STOPPED_BIT, N) for N in Ns), max(Ns),
                    coupled=False)
-    finals = _finals(paths, M, _N_STAT_BATCHES,
-                     partial(_batch_map, threads=threads))
+    finals = _finals(paths, M, partial(_batch_map, threads=threads))
 
     def one_n(N: int) -> MomentRow:
         final = finals[SchemeKind.STOPPED_BIT, N][0]

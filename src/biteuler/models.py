@@ -252,7 +252,10 @@ def model_vdp(a: float = 1.0, b: float = 1.0, c_damp: float = 1.0,
 
 def default_sampler(radius: float = _RADIUS) -> Callable:
     """Point sampler over a centered ball: half uniform in the ball, half
-    Gaussian with scale radius/3 (clipped to the ball)."""
+    Gaussian with scale radius/3 (clipped to the ball).  ValueError names
+    ``radius`` unless it is finite and > 0."""
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
 
     def sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
         n_unif = n // 2
@@ -347,9 +350,11 @@ def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
     near-coincident ones (||x - y|| = 1e-3) where cancellation in the
     quotient is worst.  The points are drawn from
     ``brownian._seed_generator(seed)``, so ValueError names ``seed`` unless
-    it lies in [0, 2**64).  Returns per-condition violation counts and
-    worst margins.
+    it lies in [0, 2**64), and ``n_points`` unless it is >= 2, one pair of
+    each kind.  Returns per-condition violation counts and worst margins.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points must be >= 2, got {n_points}")
     rng = _seed_generator(seed)
     d = model.d
     pts = sampler(rng, n_points, d)

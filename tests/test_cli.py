@@ -267,7 +267,12 @@ def test_simulate_dumps_increments(tmp_path, seed):
       "--T", "-1"], "error: T must be > 0"),
     # used to run the whole study before the rate fit failed
     (["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "10",
-      "--r", "nan"], "error: r must be > 0")])
+      "--r", "nan"], "error: r must be > 0"),
+    # a repeated N used to print moments' row twice and divergence's once
+    (["moments", "--model", "ginzburg-landau", "--Ns", "16,16", "--M", "10"],
+     "error: Ns must not repeat an N, got (16, 16)"),
+    (["divergence", "--model", "ginzburg-landau", "--Ns", "4,4", "--M", "10"],
+     "error: Ns must not repeat an N, got (4, 4)")])
 def test_out_of_range_settings_exit_1_before_stepping(monkeypatch, capsys,
                                                       tmp_path, args, message):
     def no_stepping(*a, **k):
@@ -292,6 +297,48 @@ def test_sampled_checks_reject_a_seed_outside_the_key_range(capsys, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith(
         f"error: seed must be in [0, 2**64), got {seed}") and not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    # 0 and 1 used to exit 1 with numpy's "zero-size array to reduction
+    # operation", -5 with "negative dimensions are not allowed"
+    (["--n-points", "0"], "n_points must be >= 2, got 0"),
+    (["--n-points", "1"], "n_points must be >= 2, got 1"),
+    (["--n-points=-5"], "n_points must be >= 2, got -5"),
+    # 0 sampled only the origin, -1 a reflected ball, and inf reported NaN
+    # margins with no violation, so --strict exited 0
+    (["--radius", "0"], "radius must be finite and > 0, got 0.0"),
+    (["--radius=-1"], "radius must be finite and > 0, got -1.0"),
+    (["--radius", "inf", "--strict"], "radius must be finite and > 0, got inf")])
+def test_check_conditions_rejects_what_it_cannot_sample(capsys, tmp_path,
+                                                        args, message):
+    out = tmp_path / "o.json"
+    assert main(["check-conditions", "--model", "vdp", *args,
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and not out.exists()
+
+
+@pytest.mark.parametrize("flag,text", [("--h-values", ","), ("--m-values", "")])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_taming_check_rejects_an_empty_list(capsys, tmp_path, monkeypatch,
+                                            source, flag, text):
+    # used to print the CSV header alone and exit 0, even with --strict
+    out = tmp_path / "o.csv"
+    args = ["taming-check", "--strict", "--format", "csv", "--output", str(out)]
+    dest = flag.lstrip("-")
+    if source == "flag":
+        args.append(f"{flag}={text}")
+    elif source == "config":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[taming-check]\n{dest} = {text}\n")
+        args += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("BITEULER_" + dest.replace("-", "_").upper(), text)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid comma-separated" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_catalog_ignores_the_seed(capsys):

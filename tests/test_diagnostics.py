@@ -104,6 +104,16 @@ def test_growth_preflight_gl():
     assert not growth_preflight(gl, gl.lyapunov, tight).admissible
 
 
+@pytest.mark.parametrize("n_points", (0, -5))
+def test_growth_preflight_rejects_an_empty_sample(n_points):
+    # used to end in numpy's "zero-size array to reduction operation"
+    gl = model_ginzburg_landau()
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
+    with pytest.raises(ValueError, match=f"^n_points must be >= 1, got {n_points}$"):
+        growth_preflight(gl, gl.lyapunov, consts, n_points=n_points)
+    assert growth_preflight(gl, gl.lyapunov, consts, n_points=1).n_points == 1
+
+
 def test_fit_growth_constant_is_minimal_with_headroom():
     gl = model_ginzburg_landau()
     c_fit = fit_growth_constant(gl, gl.lyapunov, p=3)

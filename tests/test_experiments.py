@@ -37,6 +37,7 @@ def test_config_validation():
     ("seed", -1, "seed must be in"),
     ("r", math.nan, "r must be > 0"),      # used to fail only at the rate fit
     ("Ns", (0, 8), "every N in Ns must be >= 1, got 0"),
+    ("Ns", (4, 8, 4), "Ns must not repeat an N, got (4, 8, 4)"),
     ("T", -1.0, "T must be > 0")])
 def test_config_rejects_out_of_range_settings(field, value, message):
     args = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8), M=10,
@@ -58,7 +59,9 @@ _SWEEPS = {
     ((4, 8), 0.0, "T must be > 0, got 0.0"),
     ((4, 8), math.nan, "T must be > 0, got nan"),
     ((), 1.0, "Ns must be nonempty"),
-    ((4, 0), 1.0, "every N in Ns must be >= 1, got 0")])
+    ((4, 0), 1.0, "every N in Ns must be >= 1, got 0"),
+    # moment_sweep used to report a repeated N twice, divergence once
+    ((16, 16), 1.0, "Ns must not repeat an N, got (16, 16)")])
 @pytest.mark.parametrize("name", sorted(_SWEEPS))
 def test_sweeps_reject_bad_grids_before_stepping(monkeypatch, name, Ns, T,
                                                  message):

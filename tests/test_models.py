@@ -218,3 +218,21 @@ def test_check_conditions_pinned_values(name, seed):
     stats = (report.generator, report.monotonicity, report.coercivity)
     assert [(c.n_checked, c.n_violations) for c in stats] == [(400, 0)] * 3
     assert tuple(c.worst_margin for c in stats) == CONDITION_PINS[name, seed]
+
+
+@pytest.mark.parametrize("n_points", (1, 0, -5))
+def test_check_conditions_rejects_fewer_than_two_points(n_points):
+    # one point makes no pair: 0 and 1 used to end in numpy's "zero-size
+    # array to reduction operation", -5 in "negative dimensions"
+    vdp = catalog()["vdp"].model
+    with pytest.raises(ValueError, match=f"^n_points must be >= 2, got {n_points}$"):
+        check_conditions(vdp, vdp.lyapunov, 1.0, default_sampler(), n_points)
+    report = check_conditions(vdp, vdp.lyapunov, 1.0, default_sampler(), 2)
+    assert report.monotonicity.n_checked == 2
+
+
+@pytest.mark.parametrize("radius", (0.0, -1.0, math.inf, math.nan))
+def test_default_sampler_rejects_a_radius_without_a_ball(radius):
+    # 0 sampled only the origin, -1 a reflected ball, and inf NaN points
+    with pytest.raises(ValueError, match="^radius must be finite and > 0"):
+        default_sampler(radius)

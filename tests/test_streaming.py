@@ -10,6 +10,7 @@ computation does not meet, or no more work than the result needs.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -217,6 +218,68 @@ def test_reducers_round_trip_through_pickle(reducer):
 def test_every_reducer_is_listed():
     kinds = {diagnostics._Reducer, *diagnostics._Reducer.__subclasses__()}
     assert {type(r) for r in REDUCERS} == kinds
+
+
+@pytest.mark.parametrize("reducer", [
+    r for r in REDUCERS if not isinstance(r, (experiments._StrongError,
+                                              experiments._Divergence))],
+    ids=lambda r: repr(r))
+def test_single_batch_reducers_reject_a_block_of_two_segments(reducer):
+    with pytest.raises(ValueError, match="reduces a block of one segment, got 2"):
+        reducer.init([slice(0, 3), slice(3, 5)])
+    gbm = catalog()["gbm"].model
+    paths = diagnostics._Paths(gbm, np.ones(1), 1.0, 0,
+                               ((SchemeKind.STOPPED_BIT, 4),), 4)
+    with pytest.raises(ValueError, match="got 2"):
+        diagnostics._drive(paths, reducer, 5, n_batches=2)
+
+
+# outputs computed when every reducer took a block's segments, at the two
+# layouts where blocks and batches differ: at M = 1500 the 10 batches of 150
+# paths fill blocks of 900 and 600 (six and four segments), and at M = 12345
+# each batch is cut into blocks of 1000 and 234 or 235 paths
+LAYOUT_PINS = {
+    (1500, "strong_error exact"): "eefa52437205e2ae",
+    (1500, "strong_error fine"): "375864ba0fa04995",
+    (1500, "divergence_comparison"): "68b6f8f944759f12",
+    (1500, "moment_sweep"): "57df2262b25c2e4f",
+    (12345, "strong_error exact"): "85e5d3c7494e7e74",
+    (12345, "strong_error fine"): "4190941688e086a3",
+    (12345, "divergence_comparison"): "27de66977432d4cf",
+    (12345, "moment_sweep"): "99e1f5dc9e918aaa",
+}
+
+
+def _layout_outputs(M: int, threads: int) -> dict:
+    """Every number the three batched experiments report, row by row."""
+    gl = catalog()["ginzburg-landau"].model
+    exact = strong_error(ConvergenceConfig(
+        model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8, 16), M=M,
+        seed=3, threads=threads))
+    fine = strong_error(ConvergenceConfig(
+        model="ginzburg-landau", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8),
+        M=M, seed=5, reference="fine", N_ref=64, x0=(2.0,), threads=threads))
+    div = experiments.divergence_comparison(gl, (4, 16, 100), M, [20.0],
+                                            seed=6, threads=threads)
+    mom = experiments.moment_sweep(gl, gl.lyapunov, (4, 16, 100), M, seed=4,
+                                   x0=[1.0], threads=threads)
+    return {
+        "strong_error exact": [(r.sup_error, r.std_error, r.overflow_fraction,
+                                *r.per_gridpoint_errors) for r in exact.rows],
+        "strong_error fine": [(r.sup_error, r.std_error, r.overflow_fraction,
+                               *r.per_gridpoint_errors) for r in fine.rows],
+        "divergence_comparison": [dataclasses.astuple(r)[1:] for r in div.rows],
+        "moment_sweep": [dataclasses.astuple(r)[1:] for r in mom.rows]}
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+@pytest.mark.parametrize("M", (1500, 12345))
+def test_batched_layouts_keep_their_pinned_outputs(M, threads):
+    for name, rows in _layout_outputs(M, threads).items():
+        # every value's shortest round-trip repr, so any changed bit shows
+        text = repr([[float(v) for v in row] for row in rows])
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == LAYOUT_PINS[M, name], name
 
 
 def test_path_blocks_pack_whole_batches_in_path_order():
