@@ -6,9 +6,7 @@ into the corresponding _*_DEFAULT_CONSTANTS tuple.  The sampled condition
 checker then has to pass with margin, which the final section verifies.
 """
 
-import numpy as np
-
-from biteuler.models import (catalog, check_conditions, default_sampler,
+from biteuler.models import (catalog, check_conditions,
                              tune_ginzburg_landau_spec, tune_vdp_spec)
 
 eps, rho, c = tune_ginzburg_landau_spec(1.0, 1.0, 1.0)
@@ -27,8 +25,8 @@ for name, entry in sorted(catalog().items()):
     if entry.model.lyapunov is None:
         print(f"  {name}: no Lyapunov data (by design)")
         continue
-    report = check_conditions(entry.model, entry.model.lyapunov, 1.0,
-                              default_sampler(10.0), 10000, seed=99)
+    report = check_conditions(entry.model, entry.model.lyapunov, 1.0, 10.0,
+                              10000, seed=99)
     worst = max(report.generator.worst_margin,
                 report.monotonicity.worst_margin,
                 report.coercivity.worst_margin)

@@ -17,7 +17,7 @@ from .brownian import (BlockStream, BrownianGrid, coarsen_increments,
                        dump_increments, generate_block, generate_path,
                        load_increments)
 from .schemes import BatchRuns, SchemeKind, interpolate, run_path, run_paths
-from .models import (catalog, check_conditions, default_sampler, model_gbm,
+from .models import (catalog, check_conditions, model_gbm,
                      model_ginzburg_landau, model_vdp)
 from .diagnostics import (AnalysisConstants, epsilon_n, exp_moment_estimate,
                           moment_bound, n0_for, regularity_check,

@@ -34,7 +34,7 @@ from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, validate_start,
 from .diagnostics import _finals, _Paths
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
-from .models import catalog, check_conditions, default_sampler
+from .models import catalog, check_conditions
 from .schemes import OVERFLOW_CAP, SchemeKind
 from .brownian import generate_path, dump_increments
 from .taming import TamingParams, verify_taming_bounds
@@ -468,9 +468,8 @@ def _cmd_check_conditions(s: argparse.Namespace) -> None:
     model = entry.model
     if model.lyapunov is None:
         raise UsageError(f"model {s.model!r} ships no Lyapunov data")
-    report = check_conditions(model, model.lyapunov, s.T,
-                              default_sampler(s.radius), s.n_points,
-                              seed=s.seed)
+    report = check_conditions(model, model.lyapunov, s.T, s.radius,
+                              s.n_points, seed=s.seed)
     _write_payload({"conditions": report}, s.format, s.output,
                    csv_header="condition,n_checked,n_violations,worst_margin",
                    csv_rows=[[c.name, c.n_checked, c.n_violations, c.worst_margin]

@@ -98,6 +98,12 @@ class SdeModel:
             raise ValueError("state and noise dimensions must be positive")
 
 
+def _check_horizon(T: float) -> None:
+    """Raise ValueError, naming ``T``, unless T > 0 (NaN included)."""
+    if not T > 0:
+        raise ValueError(f"T must be > 0, got {T}")
+
+
 def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
     """The start state of an M-path ensemble as a float (d,) array.
 

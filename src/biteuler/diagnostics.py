@@ -25,8 +25,9 @@ import numpy as np
 
 from .brownian import (BlockStream, _seed_generator, coarsen_increments,
                        generate_block)
-from .core import GridSpec, LyapunovSpec, SdeModel, path_blocks, validate_start
-from .models import default_sampler
+from .core import (GridSpec, LyapunovSpec, SdeModel, _check_horizon,
+                   path_blocks, validate_start)
+from .models import _RADIUS, _pair_gaps, _sample_ball
 from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _check_path,
                       _intra_step, run_paths)
 
@@ -230,7 +231,7 @@ def _finals(paths: _Paths, M: int, block_map=map) -> dict:
 @dataclass(frozen=True)
 class AnalysisConstants:
     """Growth constants (c, p) with the horizon, dimensions and rate they
-    are used with.  Requires c >= T**(1/32)."""
+    are used with.  Requires T > 0, c >= T**(1/32) and m >= 1."""
 
     c: float
     p: int
@@ -240,6 +241,9 @@ class AnalysisConstants:
     N: int
 
     def __post_init__(self):
+        _check_horizon(self.T)
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
         if self.c < self.T ** (1.0 / 32.0):
             raise ValueError(f"c must be >= T**(1/32) = {self.T ** (1.0/32.0)}")
         if self.p < 1:
@@ -360,14 +364,10 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
     inequality reads lhs_gro <= c * poly_gro.
     """
     rng = _seed_generator(_GROWTH_SEED)
-    sample = default_sampler()
-    x = sample(rng, n_points, model.d)
-    y = sample(rng, n_points, model.d)
-    keep = np.einsum("...d,...d->...", x - y, x - y) > 0
-    x_p, y_p = x[keep], y[keep]
-    dmu = model.drift(x_p) - model.drift(y_p)
-    dsig = model.diffusion(x_p) - model.diffusion(y_p)
-    dist = np.sqrt(np.einsum("...d,...d->...", x_p - y_p, x_p - y_p))
+    x = _sample_ball(rng, n_points, model.d, _RADIUS)
+    y = _sample_ball(rng, n_points, model.d, _RADIUS)
+    x_p, y_p, dz, dmu, dsig = _pair_gaps(model, x, y)
+    dist = np.sqrt(np.einsum("...d,...d->...", dz, dz))
     lhs_lip = (np.sqrt(np.einsum("...d,...d->...", dmu, dmu))
                + np.sqrt(np.einsum("...dm,...dm->...", dsig, dsig)))
     poly_lip = (1.0 + np.linalg.norm(x_p, axis=-1) ** p
@@ -380,7 +380,8 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
                      consts: AnalysisConstants,
                      n_points: int = _GROWTH_POINTS) -> GrowthReport:
     """Sample the two growth inequalities at n_points points/pairs drawn
-    by ``default_sampler()`` from ``brownian._seed_generator(7)``.
+    by ``models._sample_ball`` in the ball of radius 10 from
+    ``brownian._seed_generator(7)``.
 
     Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
                <= c (1 + ||x||^p + ||y||^p) ||x-y||;
@@ -403,7 +404,8 @@ def fit_growth_constant(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
                         T: float = 1.0) -> float:
     """1.1 times the smallest c dominating the growth inequalities for the
     given degree p, sampled as ``growth_preflight`` samples them by
-    default, floored at T**(1/32)."""
+    default, floored at T**(1/32).  ValueError names ``T`` unless T > 0."""
+    _check_horizon(T)
     lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
         model, spec, p, _GROWTH_POINTS)
     c_lip = float(np.max(lhs_lip / (poly_lip * dist)))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .brownian import coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, validate_start, worker_count)
+                   SdeModel, _check_horizon, validate_start, worker_count)
 from .diagnostics import (AnalysisConstants, N0Report, _drive, _finals,
                           _Paths, _Reducer, exp_moment_estimate,
                           fit_growth_constant, moment_bound, n0_for)
@@ -53,8 +53,7 @@ def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
         raise ValueError(f"every N in Ns must be >= 1, got {min(Ns)}")
     if len(set(Ns)) < len(Ns):
         raise ValueError(f"Ns must not repeat an N, got {tuple(Ns)}")
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    _check_horizon(T)
 
 
 def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list:

@@ -5,18 +5,21 @@ demos/tune_lyapunov_constants.py, which re-derives and prints them); the
 chosen values are committed below and verified by the sampled condition
 checker in the test suite.  Constructing a model with non-default
 parameters re-runs the same tuning at construction time.
+
+The sampled checks (``check_conditions`` and the growth samples of
+``diagnostics``) share one ball sampler, ``_sample_ball``, and one pair
+rule, ``_pair_gaps``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .brownian import _seed_generator
-from .core import LyapunovSpec, SdeModel
+from .core import LyapunovSpec, SdeModel, _check_horizon
 
 __all__ = [
     "model_gbm",
@@ -25,7 +28,6 @@ __all__ = [
     "tune_ginzburg_landau_spec",
     "tune_vdp_spec",
     "check_conditions",
-    "default_sampler",
     "ConditionReport",
     "ConditionStats",
     "ModelCatalogEntry",
@@ -95,10 +97,12 @@ def tune_ginzburg_landau_spec(alpha: float, beta: float, sigma0: float,
     eps keeps the x**2 v**2-free quartic term dominant; rho is 1.15 times
     the exact supremum of the generator quotient (a 1-d scan in u = x**2);
     c covers the one-sided Lipschitz constant alpha, the coercivity guard
-    4*eps*c**2 >= 1, and the constraint c >= T**(1/32).
+    4*eps*c**2 >= 1, and the constraint c >= T**(1/32).  ValueError names
+    ``T`` unless T > 0.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    _check_horizon(T)
     eps = 0.25 if sigma0 == 0 else min(0.25, beta / (2.0 * sigma0**2))
     u_hi = max(10.0, 10.0 * (alpha + sigma0**2 + 1.0) / beta)
     u = np.linspace(0.0, u_hi, 200001)
@@ -188,11 +192,13 @@ def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
     bounded by the pointwise worst case lambda_max(sym Dmu) +
     coef*||Dsigma||^2, which is scanned on a 401 x 401 grid (this also
     covers the near-coincident pairs the checker probes), with 15% headroom.
+    ValueError names ``T`` unless T > 0.
     """
     if c_damp <= 0:
         raise ValueError("c_damp must be positive for dissipation")
     if b <= 0:
         raise ValueError("b must be positive")
+    _check_horizon(T)
     eps = 0.5 if sigma0 == 0 else min(0.5, 0.5 * c_damp / sigma0**2)
     u0 = 0.5
     rho = 1.15 * max(2.0 * a, sigma0**2 / math.sqrt(2.0 * b * u0), 0.1)
@@ -250,25 +256,27 @@ def model_vdp(a: float = 1.0, b: float = 1.0, c_damp: float = 1.0,
 # sampled condition checker
 
 
-def default_sampler(radius: float = _RADIUS) -> Callable:
-    """Point sampler over a centered ball: half uniform in the ball, half
-    Gaussian with scale radius/3 (clipped to the ball).  ValueError names
-    ``radius`` unless it is finite and > 0."""
-    if not 0 < radius < math.inf:
-        raise ValueError(f"radius must be finite and > 0, got {radius}")
+def _sample_ball(rng: np.random.Generator, n: int, d: int,
+                 radius: float) -> np.ndarray:
+    """n points of the centered ball of the given radius: half uniform in
+    the ball, half Gaussian with scale radius/3 (clipped to the ball)."""
+    n_unif = n // 2
+    dirs = rng.standard_normal((n_unif, d))
+    dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
+    unif = dirs * (radius * rng.random(n_unif) ** (1.0 / d))[:, None]
+    gauss = rng.standard_normal((n - n_unif, d)) * (radius / 3.0)
+    nrm = np.linalg.norm(gauss, axis=1, keepdims=True)
+    gauss = np.where(nrm > radius, gauss * (radius / nrm), gauss)
+    return np.concatenate([unif, gauss], axis=0)
 
-    def sample(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
-        n_unif = n // 2
-        dirs = rng.standard_normal((n_unif, d))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        radii = radius * rng.random(n_unif) ** (1.0 / d)
-        unif = dirs * radii[:, None]
-        gauss = rng.standard_normal((n - n_unif, d)) * (radius / 3.0)
-        nrm = np.linalg.norm(gauss, axis=1, keepdims=True)
-        gauss = np.where(nrm > radius, gauss * (radius / nrm), gauss)
-        return np.concatenate([unif, gauss], axis=0)
 
-    return sample
+def _pair_gaps(model: SdeModel, x: np.ndarray, y: np.ndarray):
+    """(x, y, x - y, drift(x) - drift(y), diffusion(x) - diffusion(y)) over
+    the pairs with x != y: a coincident pair has no quotient to check."""
+    keep = np.einsum("...d,...d->...", x - y, x - y) > 0
+    x, y = x[keep], y[keep]
+    return (x, y, x - y, model.drift(x) - model.drift(y),
+            model.diffusion(x) - model.diffusion(y))
 
 
 @dataclass(frozen=True)
@@ -283,6 +291,13 @@ class ConditionStats:
     @property
     def passed(self) -> bool:
         return self.n_violations == 0
+
+
+def _condition_stats(name: str, margin: np.ndarray) -> ConditionStats:
+    """The stats of sampled margins LHS - RHS: a margin that is not <= 0,
+    NaN included, is an inequality not verified there."""
+    return ConditionStats(name, margin.size, int(np.sum(~(margin <= 0))),
+                          float(np.max(margin)))
 
 
 @dataclass(frozen=True)
@@ -313,34 +328,11 @@ def _generator_lhs(model: SdeModel, spec: LyapunovSpec, x: np.ndarray) -> np.nda
     return term_drift + term_hess + term_grad + spec.U_bar(x)
 
 
-def _monotonicity_parts(model: SdeModel, spec: LyapunovSpec, T: float,
-                        x: np.ndarray, y: np.ndarray):
-    """Quotient of the local-monotonicity condition and its Lyapunov slack.
-
-    Degenerate pairs x == y are dropped by the caller via the mask of
-    nonzero distances; here distances are assumed positive.
-    """
-    dz = x - y
-    dist2 = np.einsum("...d,...d->...", dz, dz)
-    dmu = model.drift(x) - model.drift(y)
-    dsig = model.diffusion(x) - model.diffusion(y)
-    coef = (spec.p - 1.0) * (1.0 + 1.0 / spec.c) / 2.0
-    num = (np.einsum("...d,...d->...", dz, dmu)
-           + coef * np.einsum("...dm,...dm->...", dsig, dsig))
-    quot = num / dist2
-    slack = np.zeros_like(quot)
-    scale = 2.0 * math.exp(spec.rho * T)
-    if not math.isinf(spec.q0):
-        slack = slack + (np.abs(spec.U(x)) + np.abs(spec.U(y))) / (spec.q0 * T * scale)
-    if not math.isinf(spec.q1):
-        slack = slack + (np.abs(spec.U_bar(x)) + np.abs(spec.U_bar(y))) / (spec.q1 * scale)
-    return quot, slack
-
-
 def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
-                     sampler: Callable, n_points: int,
+                     radius: float, n_points: int,
                      seed: int = 0) -> ConditionReport:
-    """Sampled check of the three Lyapunov-side conditions.
+    """Sampled check of the three Lyapunov-side conditions in the centered
+    ball of the given radius.
 
     At each sampled point x: the generator inequality
     <grad U, mu> + (1/2)<sigma, Hess U sigma>_F + (1/2)||sigma^T grad U||^2
@@ -348,42 +340,48 @@ def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
     local-monotonicity quotient against c plus its Lyapunov slack; and the
     coercivity (1/c)||x||**(1/c) <= 1 + |U(x)|.  Pairs include
     near-coincident ones (||x - y|| = 1e-3) where cancellation in the
-    quotient is worst.  The points are drawn from
-    ``brownian._seed_generator(seed)``, so ValueError names ``seed`` unless
-    it lies in [0, 2**64), and ``n_points`` unless it is >= 2, one pair of
-    each kind.  Returns per-condition violation counts and worst margins.
+    quotient is worst.  The points are drawn by ``_sample_ball`` from
+    ``brownian._seed_generator(seed)``.  ValueError, raised before any
+    draw, names ``T`` unless T > 0, ``radius`` unless it is finite and
+    > 0, ``n_points`` unless it is >= 2, one pair of each kind, and
+    ``seed`` unless it lies in [0, 2**64).  Returns per-condition
+    violation counts and worst margins; a NaN margin counts as a violation.
     """
+    _check_horizon(T)
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     rng = _seed_generator(seed)
     d = model.d
-    pts = sampler(rng, n_points, d)
-
-    gen_margin = _generator_lhs(model, spec, pts) - spec.rho * spec.U(pts)
-    gen = ConditionStats("generator", n_points, int(np.sum(gen_margin > 0)),
-                         float(np.max(gen_margin)))
+    pts = _sample_ball(rng, n_points, d, radius)
+    gen = _condition_stats(
+        "generator", _generator_lhs(model, spec, pts) - spec.rho * spec.U(pts))
 
     n_pairs = n_points // 2
-    x = sampler(rng, n_pairs, d)
-    y = sampler(rng, n_pairs, d)
+    x = _sample_ball(rng, n_pairs, d, radius)
+    y = _sample_ball(rng, n_pairs, d, radius)
     dirs = rng.standard_normal((n_pairs, d))
     dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-    x_near = sampler(rng, n_pairs, d)
-    y_near = x_near + 1e-3 * dirs
-    xs = np.concatenate([x, x_near], axis=0)
-    ys = np.concatenate([y, y_near], axis=0)
-    keep = np.einsum("...d,...d->...", xs - ys, xs - ys) > 0
-    xs, ys = xs[keep], ys[keep]
-    quot, slack = _monotonicity_parts(model, spec, T, xs, ys)
-    mono_margin = quot - (spec.c + slack)
-    mono = ConditionStats("local-monotonicity", int(keep.sum()),
-                          int(np.sum(mono_margin > 0)), float(np.max(mono_margin)))
+    x_near = _sample_ball(rng, n_pairs, d, radius)
+    x, y, dz, dmu, dsig = _pair_gaps(model, np.concatenate([x, x_near]),
+                                     np.concatenate([y, x_near + 1e-3 * dirs]))
+    # the local-monotonicity quotient, against c plus its Lyapunov slack
+    coef = (spec.p - 1.0) * (1.0 + 1.0 / spec.c) / 2.0
+    quot = ((np.einsum("...d,...d->...", dz, dmu)
+             + coef * np.einsum("...dm,...dm->...", dsig, dsig))
+            / np.einsum("...d,...d->...", dz, dz))
+    slack = np.zeros_like(quot)
+    scale = 2.0 * math.exp(spec.rho * T)
+    if not math.isinf(spec.q0):
+        slack = slack + (np.abs(spec.U(x)) + np.abs(spec.U(y))) / (spec.q0 * T * scale)
+    if not math.isinf(spec.q1):
+        slack = slack + (np.abs(spec.U_bar(x)) + np.abs(spec.U_bar(y))) / (spec.q1 * scale)
+    mono = _condition_stats("local-monotonicity", quot - (spec.c + slack))
 
     nrm = np.linalg.norm(pts, axis=-1)
-    coer_margin = (1.0 / spec.c) * nrm ** (1.0 / spec.c) - 1.0 - np.abs(spec.U(pts))
-    coer = ConditionStats("coercivity", n_points, int(np.sum(coer_margin > 0)),
-                          float(np.max(coer_margin)))
-
+    coer = _condition_stats("coercivity", (1.0 / spec.c) * nrm ** (1.0 / spec.c)
+                            - 1.0 - np.abs(spec.U(pts)))
     return ConditionReport(generator=gen, monotonicity=mono, coercivity=coer)
 
 

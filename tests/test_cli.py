@@ -309,7 +309,11 @@ def test_sampled_checks_reject_a_seed_outside_the_key_range(capsys, tmp_path,
     # margins with no violation, so --strict exited 0
     (["--radius", "0"], "radius must be finite and > 0, got 0.0"),
     (["--radius=-1"], "radius must be finite and > 0, got -1.0"),
-    (["--radius", "inf", "--strict"], "radius must be finite and > 0, got inf")])
+    (["--radius", "inf", "--strict"], "radius must be finite and > 0, got inf"),
+    # 0 divided the monotonicity slack by zero (margin -inf, exit 0 under
+    # --strict), and -1 reported violations that do not exist
+    (["--T", "0", "--strict"], "T must be > 0, got 0.0"),
+    (["--T=-1"], "T must be > 0, got -1.0")])
 def test_check_conditions_rejects_what_it_cannot_sample(capsys, tmp_path,
                                                         args, message):
     out = tmp_path / "o.json"
@@ -317,6 +321,23 @@ def test_check_conditions_rejects_what_it_cannot_sample(capsys, tmp_path,
                  "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}") and not out.exists()
+
+
+@pytest.mark.parametrize("model,radius", [("vdp", "1e80"),
+                                          ("ginzburg-landau", "1e200")])
+def test_check_conditions_strict_fails_on_a_nan_margin(capsys, tmp_path,
+                                                       model, radius):
+    # the quartic terms overflow to inf - inf; the NaN margins used to count
+    # as 0 violations, so --strict exited 0
+    out = tmp_path / "o.csv"
+    with np.errstate(all="ignore"):
+        code = main(["check-conditions", "--model", model, "--radius", radius,
+                     "--n-points", "400", "--strict", "--format", "csv",
+                     "--output", str(out)])
+    assert code == 2
+    assert "condition violations" in capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert any(r[3] == "nan" and int(r[2]) > 0 for r in rows)
 
 
 @pytest.mark.parametrize("flag,text", [("--h-values", ","), ("--m-values", "")])

@@ -95,6 +95,25 @@ def test_moment_bound_overflow_is_inf():
     assert moment_bound(consts, 1.0, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("T", (0.0, -1.0, math.nan))
+def test_analysis_constants_and_growth_fit_reject_a_horizon_that_is_not_positive(T):
+    # T = -1 raised TypeError comparing c with the complex T**(1/32); T = 0
+    # was accepted, and epsilon_n and n0_for then divided by zero or took
+    # the log of zero
+    message = f"^T must be > 0, got {T}$"
+    with pytest.raises(ValueError, match=message):
+        AnalysisConstants(c=2.5, p=3, T=T, m=1, rho=1.5, N=16)
+    gl = model_ginzburg_landau()
+    with pytest.raises(ValueError, match=message):
+        fit_growth_constant(gl, gl.lyapunov, 3, T=T)
+
+
+@pytest.mark.parametrize("m", (0, -1))
+def test_analysis_constants_reject_no_noise(m):
+    with pytest.raises(ValueError, match=f"^m must be >= 1, got {m}$"):
+        AnalysisConstants(c=2.5, p=3, T=1.0, m=m, rho=1.5, N=16)
+
+
 def test_growth_preflight_gl():
     gl = model_ginzburg_landau()
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
@@ -378,6 +397,39 @@ def test_stopping_probability_bound_reported_with_spec():
     assert rep.bound is not None and rep.C1 is not None
     assert rep.C1 >= 1.0
     assert rep.bound >= 0.0
+
+
+@pytest.mark.parametrize("T,N", [(1.0, 16), (0.5, 64), (2.0, 32)])
+def test_stopping_bound_is_the_displayed_formula(T, N):
+    # C1 exp(min(1 - log(N/T)^2 / (24 c^5 e^{rho T}), 709)) with the
+    # report's own C1, evaluated by mpmath at 40 digits
+    import mpmath as mp
+
+    gl = model_ginzburg_landau()
+    spec = gl.lyapunov
+    rep = stopping_probability(gl, GridSpec(T, N), 20, seed=4, x0=[1.0],
+                               spec=spec, bound_paths=20)
+    with mp.workdps(40):
+        expo = 1 - mp.log(mp.mpf(N) / T) ** 2 / (
+            24 * mp.mpf(spec.c) ** 5 * mp.exp(mp.mpf(spec.rho) * T))
+        want = mp.mpf(rep.C1) * mp.exp(min(expo, 709))
+    assert rep.bound == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("c,p,T,m,N", [(1.5, 3, 1.0, 1, 16),
+                                       (2.5, 4, 0.5, 2, 1024),
+                                       (1.2, 1, 3.0, 5, 7)])
+def test_regularity_bound_is_the_displayed_formula(c, p, T, m, N):
+    # 2 c^{p+1} (T/N)^{7/32} (T^{3/4} + sqrt(m)), by mpmath at 40 digits
+    import mpmath as mp
+
+    consts = AnalysisConstants(c=c, p=p, T=T, m=m, rho=0.0, N=N)
+    with mp.workdps(40):
+        T_ = mp.mpf(T)
+        want = (2 * mp.mpf(c) ** (p + 1) * (T_ / N) ** (mp.mpf(7) / 32)
+                * (T_ ** (mp.mpf(3) / 4) + mp.sqrt(m)))
+    assert diagnostics.regularity_bound(consts) == pytest.approx(float(want),
+                                                                 rel=1e-12)
 
 
 def test_stopping_probability_keeps_increments_not_states():

@@ -244,6 +244,20 @@ def test_moment_sweep_gl_flat():
     assert report.n0.log10_N0 > 3  # honest constants put N0 beyond the sweep
 
 
+@pytest.mark.parametrize("Ns,seed", [((16, 64), 2), ((8, 32, 128), 5)])
+def test_moment_sweep_ratio_tolerance_is_five_combined_relative_stderrs(Ns, seed):
+    # 1 + 5 sqrt((se_hi/eu_hi)^2 + (se_lo/eu_lo)^2) from the report's rows
+    gl = model_ginzburg_landau()
+    report = moment_sweep(gl, gl.lyapunov, Ns, 200, seed=seed, x0=[1.0])
+    hi = max(report.rows, key=lambda r: r.eu_estimate)
+    lo = min(report.rows, key=lambda r: r.eu_estimate)
+    rel = math.sqrt((hi.eu_stderr / hi.eu_estimate) ** 2
+                    + (lo.eu_stderr / lo.eu_estimate) ** 2)
+    assert report.ratio_tolerance == pytest.approx(1.0 + 5.0 * rel, rel=1e-12)
+    assert report.ratio == pytest.approx(hi.eu_estimate / lo.eu_estimate,
+                                         rel=1e-12)
+
+
 def test_determinism_across_thread_counts():
     base = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT,
                 Ns=(16, 64), M=300, seed=9, reference="exact")

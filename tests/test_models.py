@@ -5,8 +5,9 @@ import pytest
 
 from biteuler.brownian import generate_block
 from biteuler.core import GridSpec, LyapunovSpec
-from biteuler.models import (catalog, check_conditions, default_sampler,
-                             model_gbm, model_ginzburg_landau, model_vdp)
+from biteuler.models import (catalog, check_conditions, model_gbm,
+                             model_ginzburg_landau, model_vdp,
+                             tune_ginzburg_landau_spec, tune_vdp_spec)
 from biteuler.schemes import SchemeKind, run_paths
 
 
@@ -103,8 +104,7 @@ def test_shipped_lyapunov_specs_pass_checker():
     for name in ("ginzburg-landau", "vdp"):
         entry = catalog()[name]
         spec = entry.model.lyapunov
-        report = check_conditions(entry.model, spec, 1.0, default_sampler(10.0),
-                                  10000, seed=13)
+        report = check_conditions(entry.model, spec, 1.0, 10.0, 10000, seed=13)
         assert report.passed, (name, report)
 
 
@@ -123,7 +123,7 @@ def test_checker_trivial_model_no_violations():
         hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
         rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
-    report = check_conditions(zero, spec, 1.0, default_sampler(10.0), 2000, seed=1)
+    report = check_conditions(zero, spec, 1.0, 10.0, 2000, seed=1)
     assert report.passed
     assert report.generator.worst_margin == 0.0
 
@@ -140,7 +140,7 @@ def test_checker_flags_forced_gbm_quadratic_u():
         rho=1.0, c=2.0, p=4, q0=4.0, q1=math.inf, r=2.0)
     # with rho = 1 the quartic term wins from |x| ~ 3.3 on, well inside the
     # sampled ball; larger rho only pushes the crossover outward
-    report = check_conditions(gbm, spec, 1.0, default_sampler(10.0), 5000, seed=3)
+    report = check_conditions(gbm, spec, 1.0, 10.0, 5000, seed=3)
     assert report.generator.n_violations > 0
     # symbolic expansion oracle at x = 10
     x = np.array([10.0])
@@ -179,12 +179,10 @@ def test_holder_triple_of_shipped_specs():
 
 def test_tuned_constants_for_nondefault_parameters():
     gl = model_ginzburg_landau(alpha=0.5, beta=2.0, sigma0=0.7)
-    report = check_conditions(gl, gl.lyapunov, 1.0, default_sampler(10.0),
-                              5000, seed=5)
+    report = check_conditions(gl, gl.lyapunov, 1.0, 10.0, 5000, seed=5)
     assert report.passed
     vdp = model_vdp(a=0.5, b=1.0, c_damp=2.0, sigma0=0.3)
-    report = check_conditions(vdp, vdp.lyapunov, 1.0, default_sampler(10.0),
-                              5000, seed=5)
+    report = check_conditions(vdp, vdp.lyapunov, 1.0, 10.0, 5000, seed=5)
     assert report.passed
 
 
@@ -213,8 +211,7 @@ CONDITION_PINS = {
 @pytest.mark.parametrize("name,seed", CONDITION_PINS)
 def test_check_conditions_pinned_values(name, seed):
     model = catalog()[name].model
-    report = check_conditions(model, model.lyapunov, 1.0, default_sampler(),
-                              400, seed=seed)
+    report = check_conditions(model, model.lyapunov, 1.0, 10.0, 400, seed=seed)
     stats = (report.generator, report.monotonicity, report.coercivity)
     assert [(c.n_checked, c.n_violations) for c in stats] == [(400, 0)] * 3
     assert tuple(c.worst_margin for c in stats) == CONDITION_PINS[name, seed]
@@ -226,13 +223,44 @@ def test_check_conditions_rejects_fewer_than_two_points(n_points):
     # array to reduction operation", -5 in "negative dimensions"
     vdp = catalog()["vdp"].model
     with pytest.raises(ValueError, match=f"^n_points must be >= 2, got {n_points}$"):
-        check_conditions(vdp, vdp.lyapunov, 1.0, default_sampler(), n_points)
-    report = check_conditions(vdp, vdp.lyapunov, 1.0, default_sampler(), 2)
+        check_conditions(vdp, vdp.lyapunov, 1.0, 10.0, n_points)
+    report = check_conditions(vdp, vdp.lyapunov, 1.0, 10.0, 2)
     assert report.monotonicity.n_checked == 2
 
 
 @pytest.mark.parametrize("radius", (0.0, -1.0, math.inf, math.nan))
-def test_default_sampler_rejects_a_radius_without_a_ball(radius):
+def test_check_conditions_rejects_a_radius_without_a_ball(radius):
     # 0 sampled only the origin, -1 a reflected ball, and inf NaN points
+    vdp = catalog()["vdp"].model
     with pytest.raises(ValueError, match="^radius must be finite and > 0"):
-        default_sampler(radius)
+        check_conditions(vdp, vdp.lyapunov, 1.0, radius, 400)
+
+
+@pytest.mark.parametrize("T", (0.0, -1.0, math.nan))
+def test_sampled_checks_and_tuners_reject_a_horizon_that_is_not_positive(T):
+    # T = 0 divided the monotonicity slack by zero (margin -inf, passed),
+    # T = -1 reported violations that do not exist, and the tuners raised
+    # TypeError on a complex T**(1/32) or returned c from a divide by zero
+    gl, vdp = catalog()["ginzburg-landau"].model, catalog()["vdp"].model
+    message = f"^T must be > 0, got {T}$"
+    for model in (gl, vdp):
+        with pytest.raises(ValueError, match=message):
+            check_conditions(model, model.lyapunov, T, 10.0, 400)
+    with pytest.raises(ValueError, match=message):
+        tune_ginzburg_landau_spec(1.0, 1.0, 1.0, T=T)
+    with pytest.raises(ValueError, match=message):
+        tune_vdp_spec(1.0, 1.0, 1.0, 0.5, T=T)
+
+
+@pytest.mark.parametrize("name,radius", [("vdp", 1e80),
+                                         ("ginzburg-landau", 1e200)])
+def test_a_nan_margin_is_a_violation(name, radius):
+    # the quartic terms overflow to inf - inf: a NaN margin is an inequality
+    # that was not verified, and used to count as 0 violations
+    model = catalog()[name].model
+    with np.errstate(all="ignore"):
+        report = check_conditions(model, model.lyapunov, 1.0, radius, 400)
+    stats = (report.generator, report.monotonicity, report.coercivity)
+    nan = [c for c in stats if math.isnan(c.worst_margin)]
+    assert nan and all(c.n_violations > 0 for c in nan)
+    assert not report.passed
