@@ -40,6 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_horizon
+
 __all__ = [
     "BrownianGrid",
     "generate_path",
@@ -117,10 +119,9 @@ class BrownianGrid:
 
 
 def _check_grid(T: float, N_fine: int, m: int, count: int = 0) -> None:
-    """Raise ValueError, naming the argument, unless T > 0, N_fine >= 1,
-    m >= 1 and count >= 0."""
-    if not T > 0:
-        raise ValueError(f"T must be > 0, got {T}")
+    """Raise ValueError, naming the argument, unless 0 < T < inf,
+    N_fine >= 1, m >= 1 and count >= 0."""
+    _check_horizon(T)
     if N_fine < 1:
         raise ValueError(f"N_fine must be >= 1, got {N_fine}")
     if m < 1:

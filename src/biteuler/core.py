@@ -27,8 +27,7 @@ class GridSpec:
     N: int
 
     def __post_init__(self):
-        if not (self.T > 0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        _check_horizon(self.T)
         if self.N < 1:
             raise ValueError(f"subdivision count N must be >= 1, got {self.N}")
 
@@ -61,12 +60,15 @@ class LyapunovSpec:
     r: float
 
     def __post_init__(self):
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.p < 1:
+        # each comparison fails for NaN
+        if not self.rho >= 0:
+            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not self.c > 0:
+            raise ValueError(f"c must be > 0, got {self.c}")
+        if not self.p >= 1:
             raise ValueError("p must be a positive integer")
-        if self.r < 2:
-            raise ValueError("r must be >= 2")
+        if not self.r >= 2:
+            raise ValueError(f"r must be >= 2, got {self.r}")
         if not (self.q0 > 0 and self.q1 > 0):
             raise ValueError("q0, q1 must lie in (0, inf]")
 
@@ -99,9 +101,11 @@ class SdeModel:
 
 
 def _check_horizon(T: float) -> None:
-    """Raise ValueError, naming ``T``, unless T > 0 (NaN included)."""
+    """Raise ValueError, naming ``T``, unless 0 < T < inf (NaN fails)."""
     if not T > 0:
         raise ValueError(f"T must be > 0, got {T}")
+    if T == math.inf:
+        raise ValueError(f"T must be finite, got {T}")
 
 
 def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:

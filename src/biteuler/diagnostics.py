@@ -85,10 +85,11 @@ class _Reducer:
     each run (scheme, N) as soon as it has stepped the chunk, as a
     BatchRuns whose first node repeats the last chunk's last, in the order
     of ``paths.runs``; ``partials`` takes the runs' last nodes and returns
-    one result per segment.  The reducers of this module reduce a block of
-    one segment and reject more; this one's partial is each run's last
-    states, stopping indices and overflow flags.  A reducer keeps plain
-    values, so it pickles."""
+    one result per segment, for ``_drive`` to ``_add``: a per-path result
+    is a one-element list, which the total concatenates.  The reducers of
+    this module reduce a block of one segment and reject more; this one's
+    partial is each run's last states, stopping indices and overflow
+    flags.  A reducer keeps plain values, so it pickles."""
 
     def init(self, parts: list[slice]) -> SimpleNamespace:
         if len(parts) > 1:
@@ -104,7 +105,7 @@ class _Reducer:
         pass
 
     def partials(self, acc, runs: dict) -> list:
-        return [{key: (run.states[:, -1], run.tau_index, run.overflow)
+        return [{key: ([run.states[:, -1]], [run.tau_index], [run.overflow])
                  for key, run in runs.items()}]
 
 
@@ -205,33 +206,44 @@ def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
     return reducer.partials(acc, runs)
 
 
+def _add(a, b):
+    """a + b, entry by entry for dicts and tuples."""
+    if isinstance(a, dict):
+        return {k: _add(v, b[k]) for k, v in a.items()}
+    if isinstance(a, tuple):
+        return tuple(map(_add, a, b))
+    return a + b
+
+
 def _drive(paths: _Paths, reducer: _Reducer, M: int, n_batches: int = 1,
            block_map=map, coarsen=coarsen_increments) -> list:
-    """The partials of each batch of ``path_blocks(M, n_batches)``, in path
-    order.  ``block_map(fn, blocks)`` runs the blocks, each on its own, in
-    any order; ``coarsen`` sums coupled increments."""
+    """The total of each nonempty batch of ``path_blocks(M, n_batches)``:
+    its segments' partials ``_add``-ed in path order as their blocks come.
+    ``block_map(fn, blocks)`` runs the blocks in any order and yields their
+    results in block order; ``coarsen`` sums coupled increments."""
     blocks = path_blocks(M, n_batches)
-    results = block_map(functools.partial(_block, paths, reducer, coarsen),
-                        blocks)
-    batches = [[] for _ in range(n_batches)]
-    for segs, parts in zip(blocks, results):
-        for (b, _, _), part in zip(segs, parts):
-            batches[b].append(part)
-    return batches
+    results = iter(block_map(functools.partial(_block, paths, reducer, coarsen),
+                             blocks))
+    totals = {}
+    for segs in blocks:  # no name holds a partial while the next block runs
+        totals.update({b: _add(totals[b], part) if b in totals else part
+                       for (b, _, _), part in zip(segs, next(results))})
+    return list(totals.values())
 
 
 def _finals(paths: _Paths, M: int, block_map=map) -> dict:
     """{(scheme, N): (last states, stopping indices, overflow flags)} of
     paths [0, M), in path order."""
-    [parts] = _drive(paths, _Reducer(), M, block_map=block_map)
-    return {key: tuple(map(np.concatenate, zip(*(p[key] for p in parts))))
-            for key in parts[0]}
+    [total] = _drive(paths, _Reducer(), M, block_map=block_map)
+    return {key: tuple(map(np.concatenate, fields))
+            for key, fields in total.items()}
 
 
 @dataclass(frozen=True)
 class AnalysisConstants:
     """Growth constants (c, p) with the horizon, dimensions and rate they
-    are used with.  Requires T > 0, c >= T**(1/32) and m >= 1."""
+    are used with.  Requires 0 < T < inf, c >= T**(1/32), rho >= 0 and
+    p, m, N >= 1."""
 
     c: float
     p: int
@@ -241,17 +253,18 @@ class AnalysisConstants:
     N: int
 
     def __post_init__(self):
-        _check_horizon(self.T)
-        if self.m < 1:
+        _check_horizon(self.T)  # each comparison here fails for NaN
+        if not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.c < self.T ** (1.0 / 32.0):
-            raise ValueError(f"c must be >= T**(1/32) = {self.T ** (1.0/32.0)}")
-        if self.p < 1:
+        if not self.c >= self.T ** (1.0 / 32.0):
+            raise ValueError(f"c must be >= T**(1/32) = "
+                             f"{self.T ** (1.0/32.0)}, got {self.c}")
+        if not self.p >= 1:
             raise ValueError("p must be a positive integer")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
+        if not self.rho >= 0:
+            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not self.N >= 1:
+            raise ValueError(f"N must be >= 1, got {self.N}")
 
     def at(self, N: int) -> "AnalysisConstants":
         return replace(self, N=N)
@@ -506,7 +519,7 @@ def regularity_bound(consts: AnalysisConstants) -> float:
 @dataclass(frozen=True)
 class _Regularity(_Reducer):
     """The intra-step probes within ``bound``, and the largest deviation
-    (0 for none)."""
+    (0 for none) in a one-element list."""
 
     bound: float
 
@@ -518,16 +531,17 @@ class _Regularity(_Reducer):
         acc.top = max(acc.top, float(dev.max()))
 
     def partials(self, acc, runs):
-        return [(acc.n_pass, acc.top)]
+        return [(acc.n_pass, [acc.top])]
 
 
 def _regularity_report(model: SdeModel, consts: AnalysisConstants,
-                       n_samples: int, partials: list) -> RegularityReport:
+                       n_samples: int, total: tuple) -> RegularityReport:
     growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
+    n_pass, tops = total
     return RegularityReport(
-        n_samples=n_samples, n_pass=sum(n for n, _ in partials),
-        max_lhs=max(top for _, top in partials), bound=regularity_bound(consts),
-        constants_admissible=growth.admissible, n0=n0_for(consts))
+        n_samples=n_samples, n_pass=n_pass, max_lhs=max(tops),
+        bound=regularity_bound(consts), constants_admissible=growth.admissible,
+        n0=n0_for(consts))
 
 
 def _check_samples(samples_per_step: int) -> None:
@@ -562,8 +576,8 @@ def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
     reducer.update(acc, _Paths(model, run.states[0, 0], grid.T, path.seed,
                                (key,), n_probe), key, run,
                    coarsen_increments(path.increments[None], n_probe), 0)
-    return _regularity_report(model, consts, grid.N * samples_per_step,
-                              reducer.partials(acc, {key: run}))
+    [total] = reducer.partials(acc, {key: run})
+    return _regularity_report(model, consts, grid.N * samples_per_step, total)
 
 
 def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
@@ -576,9 +590,9 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     consts = consts.at(grid.N)
     paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
                    (samples_per_step + 1) * grid.N)
-    [parts] = _drive(paths, _Regularity(regularity_bound(consts)), M)
+    [total] = _drive(paths, _Regularity(regularity_bound(consts)), M)
     return _regularity_report(model, consts, M * grid.N * samples_per_step,
-                              parts)
+                              total)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +649,7 @@ class _Functional(_Reducer):
         vals = np.minimum(vals, OVERFLOW_CAP)
         if self.j is not None:
             if vals.size:
-                acc.vals = vals.ravel()
+                acc.vals = [vals.ravel()]
             return
         # summed over each node's contiguous values, as np.sum of one node
         acc.sums[run.start + nodes.start:run.end + 1] += \
@@ -663,8 +677,8 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    horizon=max(j_t, 1), spec=spec)
-    [parts] = _drive(paths, _Functional(j_t), M)
-    vals = np.concatenate(parts)
+    [vals] = _drive(paths, _Functional(j_t), M)
+    vals = np.concatenate(vals)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
     return MomentEstimate(estimate=est, stderr=se,
@@ -683,8 +697,8 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     x0 = validate_start(model, x0, M)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    spec=spec)
-    [parts] = _drive(paths, _Functional(None, use_tau), M)
-    return float(np.max(sum(parts) / M))
+    [sums] = _drive(paths, _Functional(None, use_tau), M)
+    return float(np.max(sums / M))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@ flatness sweeps.
 
 All experiments are deterministic functions of their config (seed
 included): per-path randomness is keyed by (seed, path_index), paths are
-stepped in the blocks of ``core.path_blocks``, and results are merged in
-path order (``_batch_totals``), so the thread count never changes any output.
+stepped in the blocks of ``core.path_blocks``, and ``_drive`` adds each
+batch's partials in path order, so no thread count changes any output.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
 from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .brownian import coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
                    SdeModel, _check_horizon, validate_start, worker_count)
-from .diagnostics import (AnalysisConstants, N0Report, _drive, _finals,
+from .diagnostics import (AnalysisConstants, N0Report, _add, _drive, _finals,
                           _Paths, _Reducer, exp_moment_estimate,
                           fit_growth_constant, moment_bound, n0_for)
 from .models import catalog
@@ -56,33 +56,21 @@ def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
     _check_horizon(T)
 
 
-def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> list:
+def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> Iterable:
     threads = worker_count(threads)
     if threads <= 1:
-        return [fn(blk) for blk in blocks]
+        return map(fn, blocks)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, blocks))
 
 
 def _batch_totals(paths: _Paths, reducer: _Reducer, M: int,
                   threads: int) -> list:
-    """The totals of an M-path estimate, one per nonempty batch of
-    ``path_blocks(M, 10)``: each adds the reducer's partials of its
-    segments in path order, whatever worker ran which block.  The blocks
-    run on this module's thread pool and sum coupled increments with its
-    ``coarsen_increments``, the bindings that perfbench's tracer wraps."""
-    batches = _drive(paths, reducer, M, _N_STAT_BATCHES,
-                     partial(_batch_map, threads=threads), coarsen_increments)
-    return [reduce(_add, parts) for parts in batches if parts]
-
-
-def _add(a, b):
-    """a + b, entry by entry for dicts and tuples."""
-    if isinstance(a, dict):
-        return {k: _add(v, b[k]) for k, v in a.items()}
-    if isinstance(a, tuple):
-        return tuple(map(_add, a, b))
-    return a + b
+    """``_drive``'s totals of an M-path estimate in ``path_blocks(M, 10)``,
+    run on this module's thread pool and summing coupled increments with
+    its ``coarsen_increments``, the bindings that perfbench's tracer wraps."""
+    return _drive(paths, reducer, M, _N_STAT_BATCHES,
+                  partial(_batch_map, threads=threads), coarsen_increments)
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
@@ -124,8 +112,8 @@ class ConvergenceConfig:
                              f"batch-means batch, got {self.M}")
         if not 0 <= self.seed < 1 << 64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not self.r > 0:
-            raise ValueError(f"r must be > 0, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"r must be > 0 and finite, got {self.r}")
         worker_count(self.threads)
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")

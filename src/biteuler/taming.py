@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _seed_generator
+from .core import _check_horizon
 
 __all__ = [
     "TamingParams",
@@ -36,8 +37,8 @@ class TamingParams:
     m: int
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("taming scale h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError(f"h must be finite and > 0, got {self.h}")
         if self.m < 1:
             raise ValueError("noise dimension m must be >= 1")
 
@@ -101,8 +102,7 @@ def stopping_threshold(N: int, T: float) -> float:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if not T > 0:
-        raise ValueError("T must be positive")
+    _check_horizon(T)
     return math.exp(math.sqrt(abs(math.log(N / T))))
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from biteuler import diagnostics, experiments
-from biteuler.cli import (CSV_HEADER, _render, emit, main, table_from_json,
-                          table_to_csv, table_to_json)
+from biteuler.cli import (_COMMANDS, CSV_HEADER, _render, emit, main,
+                          table_from_json, table_to_csv, table_to_json)
 from biteuler.core import ErrorRow, ErrorTable, RateFit
 from biteuler.schemes import SchemeKind
 
@@ -268,6 +268,12 @@ def test_simulate_dumps_increments(tmp_path, seed):
     # used to run the whole study before the rate fit failed
     (["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "10",
       "--r", "nan"], "error: r must be > 0"),
+    # r = inf printed sup_error 1 at every N and slope 0, and exited 0
+    (["convergence", "--model", "gbm", "--Ns", "4,8,16", "--M", "10",
+      "--r", "inf"], "error: r must be > 0 and finite, got inf"),
+    # h = inf printed NaN estimates and exited 0, or 2 under --strict
+    (["taming-check", "--h-values", "inf", "--samples", "100", "--strict"],
+     "error: h must be finite and > 0, got inf"),
     # a repeated N used to print moments' row twice and divergence's once
     (["moments", "--model", "ginzburg-landau", "--Ns", "16,16", "--M", "10"],
      "error: Ns must not repeat an N, got (16, 16)"),
@@ -283,6 +289,30 @@ def test_out_of_range_settings_exit_1_before_stepping(monkeypatch, capsys,
     assert main(args + ["--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(message) and not out.exists()
+
+
+# what each command that takes --T needs besides it
+WITH_T = {
+    "simulate": ["--model", "gbm", "--N", "8", "--M", "10"],
+    "convergence": ["--model", "gbm", "--Ns", "4,8,16", "--M", "10"],
+    "divergence": ["--model", "ginzburg-landau", "--Ns", "4,8", "--M", "10"],
+    "moments": ["--model", "ginzburg-landau", "--Ns", "4,8", "--M", "10"],
+    "check-conditions": ["--model", "vdp", "--n-points", "100", "--strict"],
+}
+
+
+@pytest.mark.parametrize("command", WITH_T)
+def test_an_infinite_horizon_exits_1_naming_T(capsys, tmp_path, command):
+    # check-conditions exited 0 with no violation, the others 1 with
+    # "math domain error"
+    assert set(WITH_T) == {c for c, (_, _, flags) in _COMMANDS.items()
+                           if "--T" in flags}
+    out = tmp_path / "o.json"
+    assert main([command, *WITH_T[command], "--T", "inf",
+                 "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: T must be finite, got inf\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", (-1, 2**64))

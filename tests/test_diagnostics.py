@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -93,6 +94,72 @@ def test_moment_bound_small_c_limit_linear():
 def test_moment_bound_overflow_is_inf():
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
     assert moment_bound(consts, 1.0, 1.0) == math.inf
+
+
+# c != 1, p >= 2, m > 1 and T != 1, so that every exponent of c, m and T
+# shows in the value; the frozen values above, at c = p = m = T = 1, pin none
+EXPONENT_POINTS = [
+    AnalysisConstants(c=1.3, p=2, T=2.0, m=3, rho=0.4, N=2**20),
+    AnalysisConstants(c=1.1, p=3, T=0.5, m=2, rho=1.2, N=2**30),
+    AnalysisConstants(c=1.6, p=2, T=3.0, m=4, rho=0.0, N=2**40)]
+
+
+def _mp_constants(consts):
+    """c, m, rho, T/N, N/T and T^(3/4) + sqrt(m) in mpmath numbers."""
+    import mpmath as mp
+    c, T, m, N, rho = (mp.mpf(v) for v in (consts.c, consts.T, consts.m,
+                                          consts.N, consts.rho))
+    return c, m, rho, T / N, N / T, T ** mp.mpf(0.75) + mp.sqrt(m)
+
+
+@pytest.mark.parametrize("consts", EXPONENT_POINTS, ids=lambda k: f"c{k.c}")
+def test_epsilon_n_equals_its_display_in_mpmath(consts):
+    import mpmath as mp
+    with mp.workdps(40):
+        c, m, _, tn, nt, s = _mp_constants(consts)
+        p, q = consts.p, lambda a, b: mp.mpf(a) / b
+        expo = (4 ** (p + q(1, 2)) * c ** (2 * p + 3) * tn ** q(3, 16) * s
+                + (c**2 + 3**p * c ** (2 * p + 1)) * tn ** q(31, 32))
+        term_a = (4 * c ** (2 * p + 2) * 3 ** (2 * p) * nt ** q(1, 16)
+                  * (2 * c ** (p + 1) * tn ** q(7, 32) * s
+                     + 16 * mp.sqrt(m) * mp.sqrt(tn)))
+        term_b = (104 * mp.sqrt(m) * c ** (p + 1) * tn ** q(15, 32)
+                  + 2 * c ** (2 * p + 2) * 3**p * tn ** q(3, 16) * s)
+        tail = 3 ** (2 * p) * 4 * c ** (4 * p + 2) * nt ** q(1, 16)
+        exact = (mp.exp(expo) * tail
+                 * (term_a + term_b * (term_b + 4 * c**2 * nt ** q(1, 32))))
+    assert epsilon_n(consts) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("consts", EXPONENT_POINTS, ids=lambda k: f"c{k.c}")
+def test_moment_bound_equals_its_display_in_mpmath(consts):
+    import mpmath as mp
+    t, eu0 = 0.7 * consts.T, 1.7
+    with mp.workdps(40):
+        c, _, rho, tn, _, _ = _mp_constants(consts)
+        p = consts.p
+        C = (rho + 2 * c ** (p + 3) * tn ** (mp.mpf(15) / 16)
+             + 32 * c ** (3 * p + 4) * tn ** (mp.mpf(13) / 32))
+        Cbar = tn ** (mp.mpf(13) / 32) * (
+            32 * c ** (3 * p + 4)
+            + 4 ** (p + 3) / mp.mpf(2) * c ** (p * p + 4 * p + 4) * tn**p)
+        growth = mp.exp(C * mp.mpf(t))
+        exact = eu0 * growth + Cbar / C * (growth - 1)
+    assert moment_bound(consts, t, eu0) == pytest.approx(float(exact), rel=1e-12)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c", math.nan, "c must be >= T**(1/32) = 1.0, got nan"),
+    ("rho", math.nan, "rho must be nonnegative, got nan"),
+    ("N", math.nan, "N must be >= 1, got nan"),
+    ("m", math.nan, "m must be >= 1, got nan"),
+    ("p", math.nan, "p must be a positive integer")])
+def test_analysis_constants_reject_nan(field, value, message):
+    # c, rho and N = NaN were accepted, and epsilon_n and moment_bound then
+    # returned NaN or inf
+    args = dict(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnalysisConstants(**{**args, field: value})
 
 
 @pytest.mark.parametrize("T", (0.0, -1.0, math.nan))

@@ -36,6 +36,7 @@ def test_config_validation():
     ("seed", 2**64, "seed must be in"),   # used to alias seed 0
     ("seed", -1, "seed must be in"),
     ("r", math.nan, "r must be > 0"),      # used to fail only at the rate fit
+    ("r", math.inf, "r must be > 0 and finite, got inf"),  # slope 0 at error 1
     ("Ns", (0, 8), "every N in Ns must be >= 1, got 0"),
     ("Ns", (4, 8, 4), "Ns must not repeat an N, got (4, 8, 4)"),
     ("T", -1.0, "T must be > 0")])

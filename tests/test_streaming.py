@@ -20,7 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biteuler import brownian, cli, diagnostics, experiments, schemes
+from biteuler import brownian, cli, core, diagnostics, experiments, schemes
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
@@ -669,6 +669,36 @@ def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
     small = _peak_bytes(lambda: run(256, tmp_path))
     large = _peak_bytes(lambda: run(1024, tmp_path))
     assert large <= 1.05 * small, (small, large)
+
+
+# (block paths, N, smaller M, larger M) of two estimators whose partial is
+# an (N + 1)-float node array: the supremum's three and five blocks of
+# one batch, and strong_error's ten batches of 50 paths, one block each, of
+# which five take a second, one-path block at M = 505
+TOTALS_IN_M = {
+    "exp-moment-supremum": ((20, 2048, 60, 100), lambda N, M: exp_moment_supremum(
+        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), M, 3, [1.0])),
+    "strong-error": ((50, 1024, 500, 505), lambda N, M: strong_error(
+        ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(N,),
+                          M=M, seed=1))),
+}
+
+
+@pytest.mark.parametrize("name", TOTALS_IN_M)
+def test_block_partials_are_added_as_they_come(monkeypatch, name):
+    # holding every block's partial until the last block ends grew the peak
+    # by one node array per block past a batch's first; added into the
+    # batch's total as each block ends, they leave it flat in M.  Small
+    # blocks make many of them cheap, and a collection before each run
+    # starts both from the same free lists.
+    (block_paths, N, small_M, large_M), run = TOTALS_IN_M[name]
+    monkeypatch.setattr(core, "BLOCK_PATHS", block_paths)
+    run(N, small_M)  # one-time allocations stay out of the comparison
+    gc.collect()
+    small = _peak_bytes(lambda: run(N, small_M))
+    gc.collect()
+    large = _peak_bytes(lambda: run(N, large_M))
+    assert large - small < 8 * (N + 1), (small, large)
 
 
 # ---------------------------------------------------------------------------

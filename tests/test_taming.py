@@ -129,6 +129,13 @@ def test_stopping_threshold_validation():
         stopping_threshold(4, 0.0)
 
 
+@pytest.mark.parametrize("h", (math.inf, 0.0, -1.0, math.nan))
+def test_taming_params_want_a_finite_positive_h(h):
+    # h = inf was accepted, and its bound checks returned NaN estimates
+    with pytest.raises(ValueError, match=f"^h must be finite and > 0, got {h}$"):
+        TamingParams(h=h, m=1)
+
+
 def test_verify_taming_bounds_rejects_small_samples():
     with pytest.raises(ValueError):
         verify_taming_bounds(TamingParams(h=0.1, m=1), 10, seed=0)
