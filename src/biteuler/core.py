@@ -43,9 +43,10 @@ class LyapunovSpec:
 
     ``q0`` and ``q1`` may be ``math.inf``; when all of p, q0, q1 are finite
     they must satisfy the Hoelder triple 1/p + 1/q0 + 1/q1 = 1/r.  ``c`` is
-    the growth/monotonicity constant (must satisfy c >= T**(1/32) for the
-    horizon it is used with), ``rho`` the generator-inequality rate, ``p``
-    the polynomial growth degree, ``r`` the error-norm exponent.
+    the finite growth/monotonicity constant (must satisfy c >= T**(1/32)
+    for the horizon it is used with), ``rho`` the finite
+    generator-inequality rate, ``p`` the polynomial growth degree, ``r``
+    the error-norm exponent.
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -61,10 +62,10 @@ class LyapunovSpec:
 
     def __post_init__(self):
         # each comparison fails for NaN
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be >= 0 and finite, got {self.rho}")
+        if not 0 < self.c < math.inf:
+            raise ValueError(f"c must be > 0 and finite, got {self.c}")
         if not self.p >= 1:
             raise ValueError("p must be a positive integer")
         if not self.r >= 2:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -76,37 +75,11 @@ class _Paths:
     spec: Optional[LyapunovSpec] = None
 
 
-@dataclass(frozen=True)
-class _Reducer:
-    """An estimator's reduction of one path block.  ``init`` takes the rows
-    of the block's segments, one per batch-means batch it holds; ``begin``
-    takes each chunk's fine increments (unit normals under the prefix
-    rule), from fine step f0 on, before its runs step; ``update`` takes
-    each run (scheme, N) as soon as it has stepped the chunk, as a
-    BatchRuns whose first node repeats the last chunk's last, in the order
-    of ``paths.runs``; ``partials`` takes the runs' last nodes and returns
-    one result per segment, for ``_drive`` to ``_add``: a per-path result
-    is a one-element list, which the total concatenates.  The reducers of
-    this module reduce a block of one segment and reject more; this one's
-    partial is each run's last states, stopping indices and overflow
-    flags.  A reducer keeps plain values, so it pickles."""
-
-    def init(self, parts: list[slice]) -> SimpleNamespace:
-        if len(parts) > 1:
-            raise ValueError(f"{type(self).__name__} reduces a block of one "
-                             f"segment, got {len(parts)}")
-        return SimpleNamespace()
-
-    def begin(self, acc, paths: _Paths, fine: np.ndarray, f0: int) -> None:
-        pass
-
-    def update(self, acc, paths: _Paths, key: tuple, run: BatchRuns,
-               fine: np.ndarray, f0: int) -> None:
-        pass
-
-    def partials(self, acc, runs: dict) -> list:
-        return [{key: ([run.states[:, -1]], [run.tau_index], [run.overflow])
-                 for key, run in runs.items()}]
+def _one_segment(parts: list) -> None:
+    """Raise ValueError unless a one-batch reducer's block is one segment."""
+    if len(parts) > 1:
+        raise ValueError(f"a one-batch reducer reduces a block of one "
+                         f"segment, got {len(parts)}")
 
 
 def _time_chunk(strides: list[int], budget: int) -> int:
@@ -162,9 +135,19 @@ def _coupled_increments(fine: np.ndarray, Ns: list[int], n_fine: int,
     return dws
 
 
-def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
-    """The reducer's partials for the segments ``segs`` of one block, whose
-    normals come chunk by chunk from one ``BlockStream`` ending at the
+def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
+    """``reducer(paths, parts, steps)`` on the segments ``segs`` of one
+    block: ``parts`` are the rows of its segments, one per batch-means
+    batch it holds, and ``steps`` yields (key, run, fine, f0) for each run
+    key = (scheme, N) as soon as it has stepped a chunk, in the order of
+    ``paths.runs``: the run as a BatchRuns whose first node repeats the last
+    chunk's last, and the chunk's fine increments (unit normals under the
+    prefix rule) from fine step f0 on.  The reducer drops each step before
+    it asks for the next and returns one partial per segment, for
+    ``_drive`` to ``_add``: a per-path result is a one-element list, which
+    the total concatenates.
+
+    The normals come chunk by chunk from one ``BlockStream`` ending at the
     horizon's chunk: every run steps each chunk on from where the last one
     ended and is cut back to its last node once the reducer has seen it,
     so a block holds the stream's window, one chunk and one run's chunk of
@@ -177,33 +160,35 @@ def _block(paths: _Paths, reducer: _Reducer, coarsen, segs: list) -> list:
     strides = [n_fine // N if paths.coupled else 1 for N in Ns]
     chunk = _time_chunk(strides, min(strides) * _SLICE_STEPS)
     horizon = min(n_fine, -(-(paths.horizon or n_fine) // chunk) * chunk)
-    runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B, model.d)
-            for key in paths.runs}
-    acc = reducer.init([slice(s_lo - lo, s_hi - lo) for _, s_lo, s_hi in segs])
-    stream = BlockStream(horizon, horizon, model.m, paths.seed, lo, B)
-    carry = {N: [] for N in Ns}
-    for f0 in range(0, horizon, chunk):
-        fine = stream.draw(min(chunk, horizon - f0))
-        dws = None
-        if paths.coupled:
-            fine *= math.sqrt(T / n_fine)
-            dws = _coupled_increments(fine, Ns, n_fine, carry, coarsen)
-        reducer.begin(acc, paths, fine, f0)
-        for key, last in runs.items():  # paths.runs in order, each once
-            N = key[1]
+
+    def steps():
+        runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B,
+                                       model.d) for key in paths.runs}
+        stream = BlockStream(horizon, horizon, model.m, paths.seed, lo, B)
+        carry = {N: [] for N in Ns}
+        for f0 in range(0, horizon, chunk):
+            fine = stream.draw(min(chunk, horizon - f0))
+            dws = None
             if paths.coupled:
-                dw = dws.get(N)
-            else:  # the prefix rule: N's own steps from f0 on, if any are left
-                dw = fine[:, :N - f0] * math.sqrt(T / N) if N > f0 else None
-            if dw is None:
-                continue
-            run = run_paths(key[0], model, last.grid, last, dw)
-            del dw
-            reducer.update(acc, paths, key, run, fine, f0)
-            runs[key] = run.tail()
-            del run  # one run's chunk of states at a time
-        del fine, dws
-    return reducer.partials(acc, runs)
+                fine *= math.sqrt(T / n_fine)
+                dws = _coupled_increments(fine, Ns, n_fine, carry, coarsen)
+            for key, last in runs.items():  # paths.runs in order, each once
+                N = key[1]
+                if paths.coupled:
+                    dw = dws.get(N)
+                else:  # the prefix rule: N's steps from f0 on, if any are left
+                    dw = fine[:, :N - f0] * math.sqrt(T / N) if N > f0 else None
+                if dw is None:
+                    continue
+                run = run_paths(key[0], model, last.grid, last, dw)
+                del dw
+                yield key, run, fine, f0
+                runs[key] = run.tail()
+                del run  # one run's chunk of states at a time
+            del fine, dws
+
+    parts = [slice(s_lo - lo, s_hi - lo) for _, s_lo, s_hi in segs]
+    return reducer(paths, parts, steps())
 
 
 def _add(a, b):
@@ -215,12 +200,14 @@ def _add(a, b):
     return a + b
 
 
-def _drive(paths: _Paths, reducer: _Reducer, M: int, n_batches: int = 1,
+def _drive(paths: _Paths, reducer, M: int, n_batches: int = 1,
            block_map=map, coarsen=coarsen_increments) -> list:
     """The total of each nonempty batch of ``path_blocks(M, n_batches)``:
     its segments' partials ``_add``-ed in path order as their blocks come.
-    ``block_map(fn, blocks)`` runs the blocks in any order and yields their
-    results in block order; ``coarsen`` sums coupled increments."""
+    ``reducer`` reduces one block (see ``_block``); a module-level function
+    or a ``functools.partial`` of one, it pickles.  ``block_map(fn,
+    blocks)`` runs the blocks in any order and yields their results in
+    block order; ``coarsen`` sums coupled increments."""
     blocks = path_blocks(M, n_batches)
     results = iter(block_map(functools.partial(_block, paths, reducer, coarsen),
                              blocks))
@@ -231,10 +218,21 @@ def _drive(paths: _Paths, reducer: _Reducer, M: int, n_batches: int = 1,
     return list(totals.values())
 
 
+def _last_nodes(paths: _Paths, parts: list, steps) -> list:
+    """Each run's last states, stopping indices and overflow flags."""
+    _one_segment(parts)
+    tails = {}
+    for key, run, fine, _ in steps:
+        tails[key] = run.tail()
+        del run, fine
+    return [{key: ([run.states[:, -1]], [run.tau_index], [run.overflow])
+             for key, run in tails.items()}]
+
+
 def _finals(paths: _Paths, M: int, block_map=map) -> dict:
     """{(scheme, N): (last states, stopping indices, overflow flags)} of
     paths [0, M), in path order."""
-    [total] = _drive(paths, _Reducer(), M, block_map=block_map)
+    [total] = _drive(paths, _last_nodes, M, block_map=block_map)
     return {key: tuple(map(np.concatenate, fields))
             for key, fields in total.items()}
 
@@ -242,8 +240,8 @@ def _finals(paths: _Paths, M: int, block_map=map) -> dict:
 @dataclass(frozen=True)
 class AnalysisConstants:
     """Growth constants (c, p) with the horizon, dimensions and rate they
-    are used with.  Requires 0 < T < inf, c >= T**(1/32), rho >= 0 and
-    p, m, N >= 1."""
+    are used with.  Requires 0 < T < inf, T**(1/32) <= c < inf,
+    0 <= rho < inf and p, m, N >= 1."""
 
     c: float
     p: int
@@ -256,13 +254,13 @@ class AnalysisConstants:
         _check_horizon(self.T)  # each comparison here fails for NaN
         if not self.m >= 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if not self.c >= self.T ** (1.0 / 32.0):
+        if not self.T ** (1.0 / 32.0) <= self.c < math.inf:
             raise ValueError(f"c must be >= T**(1/32) = "
-                             f"{self.T ** (1.0/32.0)}, got {self.c}")
+                             f"{self.T ** (1.0/32.0)} and finite, got {self.c}")
         if not self.p >= 1:
             raise ValueError("p must be a positive integer")
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be nonnegative, got {self.rho}")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError(f"rho must be >= 0 and finite, got {self.rho}")
         if not self.N >= 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
 
@@ -516,22 +514,17 @@ def regularity_bound(consts: AnalysisConstants) -> float:
     return 2.0 * c ** (p + 1) * (T / N) ** (7.0 / 32.0) * (T**0.75 + math.sqrt(m))
 
 
-@dataclass(frozen=True)
-class _Regularity(_Reducer):
+def _regularity(bound: float, paths: _Paths, parts: list, steps) -> list:
     """The intra-step probes within ``bound``, and the largest deviation
     (0 for none) in a one-element list."""
-
-    bound: float
-
-    def update(self, acc, paths, key, run, fine, f0):
-        if run.start == 0:
-            acc.n_pass, acc.top = 0, 0.0
+    _one_segment(parts)
+    n_pass, top = 0, 0.0
+    for _, run, fine, _ in steps:
         dev = _regularity_lhs(paths.model, run.grid, run.states, fine)
-        acc.n_pass += int(np.sum(dev <= self.bound))
-        acc.top = max(acc.top, float(dev.max()))
-
-    def partials(self, acc, runs):
-        return [(acc.n_pass, [acc.top])]
+        n_pass += int(np.sum(dev <= bound))
+        top = max(top, float(dev.max()))
+        del run, fine, dev
+    return [(n_pass, [top])]
 
 
 def _regularity_report(model: SdeModel, consts: AnalysisConstants,
@@ -571,12 +564,10 @@ def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
     n_probe = (samples_per_step + 1) * grid.N
     _check_path(path, grid, model.m, n_probe)
     key = (SchemeKind.STOPPED_BIT, grid.N)
-    reducer = _Regularity(regularity_bound(consts))
-    acc = reducer.init([slice(0, 1)])
-    reducer.update(acc, _Paths(model, run.states[0, 0], grid.T, path.seed,
-                               (key,), n_probe), key, run,
-                   coarsen_increments(path.increments[None], n_probe), 0)
-    [total] = reducer.partials(acc, {key: run})
+    fine = coarsen_increments(path.increments[None], n_probe)
+    [total] = _regularity(regularity_bound(consts), _Paths(
+        model, run.states[0, 0], grid.T, path.seed, (key,), n_probe),
+        [slice(0, 1)], [(key, run, fine, 0)])
     return _regularity_report(model, consts, grid.N * samples_per_step, total)
 
 
@@ -590,7 +581,8 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
     consts = consts.at(grid.N)
     paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
                    (samples_per_step + 1) * grid.N)
-    [total] = _drive(paths, _Regularity(regularity_bound(consts)), M)
+    [total] = _drive(paths, functools.partial(
+        _regularity, regularity_bound(consts)), M)
     return _regularity_report(model, consts, M * grid.N * samples_per_step,
                               total)
 
@@ -613,50 +605,45 @@ def _grid_index(grid: GridSpec, t: float) -> int:
     return j
 
 
-@dataclass(frozen=True)
-class _Functional(_Reducer):
+def _functional(j: Optional[int], use_tau: bool, paths: _Paths, parts: list,
+                steps) -> list:
     """The functional exp(e^{-rho (t_j ^ tau)} U(Y_j) + I_j) of each path,
     capped at 1e300, with I_j = sum_{k < min(j, tau)} e^{-rho k h}
     U_bar(Y_k) h summed one step after the other: at node ``j``, path by
     path, or, for j None, with |U| and |U_bar| at every node, summed over
     the block's paths.  ``use_tau`` off puts tau at N."""
-
-    j: Optional[int]
-    use_tau: bool = True
-
-    def update(self, acc, paths, key, run, fine, f0):
-        spec, h, N = paths.spec, run.grid.h, run.grid.N
-        if run.start == 0:
-            acc.integral = np.zeros(len(run))
-            acc.sums = np.zeros(N + 1)  # for j None
-        if self.j is None:  # every node but the last chunk's last
+    _one_segment(parts)
+    spec = paths.spec
+    for _, run, fine, _ in steps:
+        h, N = run.grid.h, run.grid.N
+        if run.start == 0:  # sums for j None
+            integral, sums = np.zeros(len(run)), np.zeros(N + 1)
+        if j is None:  # every node but the last chunk's last
             nodes = slice(1 if run.start else 0, None)
         else:  # node j, none before j's chunk
-            nodes = slice(self.j - run.start, self.j - run.start + 1)
-        tau = run.tau_index if self.use_tau else np.full(len(run), N)
+            nodes = slice(j - run.start, j - run.start + 1)
+        tau = run.tau_index if use_tau else np.full(len(run), N)
         ubar, u = spec.U_bar(run.states[:, :-1]), spec.U(run.states[:, nodes])
-        if self.j is None:
+        if j is None:
             ubar, u = np.abs(ubar), np.abs(u)
         live = (tau[:, None] > np.arange(run.start, run.end)).astype(float)
         decay = [math.exp(-spec.rho * k * h) for k in range(run.start, run.end)]
         # cumsum adds one step after the other, as a per-node loop would
         integrals = np.cumsum(np.concatenate(
-            [acc.integral[:, None], live * decay * ubar * h], axis=1), axis=1)
-        acc.integral = integrals[:, -1]
+            [integral[:, None], live * decay * ubar * h], axis=1), axis=1)
+        integral = integrals[:, -1]
         t_eff = np.minimum(np.arange(run.start, run.end + 1)[nodes], tau[:, None]) * h
         with np.errstate(over="ignore"):
             vals = np.exp(np.exp(-spec.rho * t_eff) * u + integrals[:, nodes])
         vals = np.minimum(vals, OVERFLOW_CAP)
-        if self.j is not None:
-            if vals.size:
-                acc.vals = [vals.ravel()]
-            return
-        # summed over each node's contiguous values, as np.sum of one node
-        acc.sums[run.start + nodes.start:run.end + 1] += \
-            np.ascontiguousarray(vals.T).sum(1)
-
-    def partials(self, acc, runs):
-        return [acc.sums if self.j is None else acc.vals]
+        if j is None:
+            # summed over each node's contiguous values, as np.sum of one node
+            sums[run.start + nodes.start:run.end + 1] += \
+                np.ascontiguousarray(vals.T).sum(1)
+        elif vals.size:
+            at_j = [vals.ravel()]
+        del run, fine, tau, ubar, u, live, integrals, t_eff, vals
+    return [sums if j is None else at_j]
 
 
 def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
@@ -677,7 +664,7 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    horizon=max(j_t, 1), spec=spec)
-    [vals] = _drive(paths, _Functional(j_t), M)
+    [vals] = _drive(paths, functools.partial(_functional, j_t, True), M)
     vals = np.concatenate(vals)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
@@ -697,7 +684,7 @@ def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     x0 = validate_start(model, x0, M)
     paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
                    spec=spec)
-    [sums] = _drive(paths, _Functional(None, use_tau), M)
+    [sums] = _drive(paths, functools.partial(_functional, None, use_tau), M)
     return float(np.max(sums / M))
 
 

@@ -3,8 +3,11 @@ flatness sweeps.
 
 All experiments are deterministic functions of their config (seed
 included): per-path randomness is keyed by (seed, path_index), paths are
-stepped in the blocks of ``core.path_blocks``, and ``_drive`` adds each
-batch's partials in path order, so no thread count changes any output.
+stepped in the blocks of ``core.path_blocks`` by ``diagnostics._drive``,
+each block reduced by a module-level function of its stepped runs, and
+``_drive`` adds each batch's partials in path order as the thread pool
+hands the blocks' results back in block order, so no thread count changes
+any output.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial, reduce
-from types import SimpleNamespace
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .brownian import coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
                    SdeModel, _check_horizon, validate_start, worker_count)
 from .diagnostics import (AnalysisConstants, N0Report, _add, _drive, _finals,
-                          _Paths, _Reducer, exp_moment_estimate,
+                          _Paths, exp_moment_estimate,
                           fit_growth_constant, moment_bound, n0_for)
 from .models import catalog
 from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
@@ -56,16 +58,19 @@ def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
     _check_horizon(T)
 
 
-def _batch_map(fn: Callable[[list], object], blocks: list, threads: int) -> Iterable:
+def _batch_map(fn: Callable[[list], object], blocks: list,
+               threads: int) -> Iterator:
+    """fn of each block, yielded in block order as the consumer asks, so
+    no more finished results wait than the workers run ahead."""
     threads = worker_count(threads)
     if threads <= 1:
-        return map(fn, blocks)
+        yield from map(fn, blocks)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, blocks))
+        yield from pool.map(fn, blocks)
 
 
-def _batch_totals(paths: _Paths, reducer: _Reducer, M: int,
-                  threads: int) -> list:
+def _batch_totals(paths: _Paths, reducer, M: int, threads: int) -> list:
     """``_drive``'s totals of an M-path estimate in ``path_blocks(M, 10)``,
     run on this module's thread pool and summing coupled increments with
     its ``coarsen_increments``, the bindings that perfbench's tracer wraps."""
@@ -127,66 +132,55 @@ class ConvergenceConfig:
                 raise ValueError("N_ref must be a multiple of every N")
 
 
-@dataclass(frozen=True)
-class _StrongError(_Reducer):
+def _strong_error(scheme: SchemeKind, Ns: tuple[int, ...], r: float,
+                  ref: Optional[tuple[SchemeKind, int]], paths: _Paths,
+                  parts: list, steps) -> list:
     """Per segment: its path count and, per N, its sums of the capped
     ||Y^N - reference||^r at every node of N's grid, and its overflow
-    count.  The reference is the run ``ref`` on the fine grid or, without
-    one, the exact solution on the fine grid's Brownian path."""
+    count.  The reference is the run ``ref`` on the fine grid, which steps
+    first in every chunk, or, without one, the exact solution on the fine
+    grid's Brownian path."""
+    sums = {N: np.empty((len(parts), N + 1)) for N in Ns}
+    overflow, f_last = {}, None
 
-    scheme: SchemeKind
-    Ns: tuple[int, ...]
-    r: float
-    ref: Optional[tuple[SchemeKind, int]]
-
-    def init(self, parts):
-        return SimpleNamespace(parts=parts, w=None, ref=None, sums={
-            N: np.empty((len(parts), N + 1)) for N in self.Ns})
-
-    def begin(self, acc, paths, fine, f0):
-        if self.ref is None:
-            # W at the chunk's fine nodes, from the last chunk's last one
-            w = np.concatenate([acc.w if f0 else np.zeros_like(fine[:, :1]),
-                                fine], axis=1)
-            np.cumsum(w, axis=1, out=w)
-            acc.w = w[:, -1:].copy()
-            t = np.arange(f0, f0 + fine.shape[1] + 1) * (paths.T / paths.n_fine)
-            self._reference(acc, paths, paths.model.exact_solution(paths.x0, t, w),
-                            f0)
-
-    def update(self, acc, paths, key, run, fine, f0):
-        if key == self.ref:  # the first run of every chunk
-            self._reference(acc, paths, run.states, f0)
-        if key[0] is self.scheme and key[1] in acc.sums:
-            # the first node is the previous chunk's last, already summed
-            N, node = key[1], run.start + 1
-            stride = paths.n_fine // N
-            self._sum_nodes(acc, N, node, run.states[:, 1:]
-                            - acc.ref[:, node * stride - f0::stride])
-
-    def _reference(self, acc, paths, states: np.ndarray, f0: int) -> None:
-        """Take the reference's states at the chunk's fine nodes; in the
-        first chunk, sum node 0 of every N, stepped yet or not."""
-        acc.ref = states
-        if f0 == 0:
-            for N in self.Ns:
-                self._sum_nodes(acc, N, 0, paths.x0 - states[:, :1])
-
-    def _sum_nodes(self, acc, N: int, node: int, diff: np.ndarray) -> None:
+    def sum_nodes(N: int, node: int, diff: np.ndarray) -> None:
         dist_r = np.einsum("bkd,bkd->bk", diff, diff)
         with np.errstate(over="ignore", invalid="ignore"):
-            dist_r **= self.r / 2.0
+            dist_r **= r / 2.0
         # NaN and inf saturate at the cap (fmin drops the NaN operand)
         np.fmin(dist_r, OVERFLOW_CAP, out=dist_r)
         nodes = slice(node, node + dist_r.shape[1])
-        for sums, p in zip(acc.sums[N], acc.parts):
-            sums[nodes] = _row_sum(dist_r[p])
+        for row, p in zip(sums[N], parts):
+            row[nodes] = _row_sum(dist_r[p])
 
-    def partials(self, acc, runs):
-        return [(p.stop - p.start,
-                 {N: (acc.sums[N][j], int(runs[self.scheme, N].overflow[p].sum()))
-                  for N in self.Ns})
-                for j, p in enumerate(acc.parts)]
+    for key, run, fine, f0 in steps:
+        if f0 != f_last:  # the first run of a chunk: the reference's states
+            f_last = f0
+            if ref is None:
+                # W at the chunk's fine nodes, from the last chunk's last one
+                w = np.concatenate([w_end if f0 else np.zeros_like(fine[:, :1]),
+                                    fine], axis=1)
+                np.cumsum(w, axis=1, out=w)
+                w_end = w[:, -1:].copy()
+                t = np.arange(f0, f0 + fine.shape[1] + 1) * (paths.T / paths.n_fine)
+                reference = paths.model.exact_solution(paths.x0, t, w)
+                del w
+            else:
+                reference = run.states
+            if f0 == 0:  # node 0 of every N, stepped yet or not
+                for N in Ns:
+                    sum_nodes(N, 0, paths.x0 - reference[:, :1])
+        if key[0] is scheme and key[1] in sums:
+            # the first node is the previous chunk's last, already summed
+            N, node = key[1], run.start + 1
+            stride = paths.n_fine // N
+            sum_nodes(N, node, run.states[:, 1:]
+                      - reference[:, node * stride - f0::stride])
+            overflow[N] = run.overflow
+        del run, fine
+    return [(p.stop - p.start, {N: (sums[N][j], int(overflow[N][p].sum()))
+                                for N in Ns})
+            for j, p in enumerate(parts)]
 
 
 def strong_error(config: ConvergenceConfig) -> ErrorTable:
@@ -221,8 +215,8 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
         ref = (config.ref_scheme or config.scheme, n_fine)
         runs = (ref,) + runs
     paths = _Paths(model, x0, config.T, config.seed, runs, n_fine)
-    totals = _batch_totals(paths, _StrongError(config.scheme, Ns, r, ref),
-                           config.M, config.threads)
+    totals = _batch_totals(paths, partial(_strong_error, config.scheme, Ns, r,
+                                          ref), config.M, config.threads)
     _, pooled = reduce(_add, totals)
 
     rows = []
@@ -290,32 +284,28 @@ class DivergenceReport:
 _EXPLODE_MAGNITUDE = 1e10
 
 
-@dataclass(frozen=True)
-class _Divergence(_Reducer):
+def _divergence(paths: _Paths, parts: list, steps) -> list:
     """Per segment and run: the overflowed and the exploded paths, the sum
     of the capped final second moments, and the path count."""
-
-    def init(self, parts):
-        return SimpleNamespace(parts=parts, mags={})  # running max of |state|
-
-    def update(self, acc, paths, key, run, fine, f0):
-        mag = acc.mags.setdefault(key, np.zeros(len(run)))
+    mags, tails = {}, {}  # running max of |state|, and the last node
+    for key, run, fine, _ in steps:
+        mag = mags.setdefault(key, np.zeros(len(run)))
         np.maximum(mag, np.abs(run.states).max(axis=(1, 2)), out=mag)
-
-    def partials(self, acc, runs):
-        out = [{} for _ in acc.parts]
-        for (kind, N), run in runs.items():
-            final = run.states[:, -1]
-            with np.errstate(over="ignore", invalid="ignore"):
-                m2 = np.einsum("bd,bd->b", final, final)
-            # NaN and inf saturate at the cap (fmin drops the NaN operand)
-            m2 = np.where(run.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
-            exploded = run.overflow | (acc.mags[kind, N] > _EXPLODE_MAGNITUDE)
-            for seg, p in zip(out, acc.parts):
-                seg[kind.value, N] = (int(run.overflow[p].sum()),
-                                      int(exploded[p].sum()),
-                                      float(m2[p].sum()), p.stop - p.start)
-        return out
+        tails[key] = run.tail()
+        del run, fine
+    out = [{} for _ in parts]
+    for (kind, N), run in tails.items():
+        final = run.states[:, -1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            m2 = np.einsum("bd,bd->b", final, final)
+        # NaN and inf saturate at the cap (fmin drops the NaN operand)
+        m2 = np.where(run.overflow, OVERFLOW_CAP, np.fmin(m2, OVERFLOW_CAP))
+        exploded = run.overflow | (mags[kind, N] > _EXPLODE_MAGNITUDE)
+        for seg, p in zip(out, parts):
+            seg[kind.value, N] = (int(run.overflow[p].sum()),
+                                  int(exploded[p].sum()),
+                                  float(m2[p].sum()), p.stop - p.start)
+    return out
 
 
 def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
@@ -339,7 +329,7 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     paths = _Paths(model, x0, T, seed,
                    tuple((kind, N) for N in Ns for kind in kinds), max(Ns),
                    coupled=False)
-    pooled = reduce(_add, _batch_totals(paths, _Divergence(), M, threads))
+    pooled = reduce(_add, _batch_totals(paths, _divergence, M, threads))
     rows = tuple(DivergenceRow(scheme=kind, N=N, overflow_fraction=o / n,
                                explode_fraction=e / n, second_moment_capped=s / n)
                  for (kind, N), (o, e, s, n) in pooled.items())

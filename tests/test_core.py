@@ -46,10 +46,10 @@ def test_lyapunov_spec_validation():
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("rho", math.nan, "rho must be nonnegative, got nan"),
-    ("c", math.nan, "c must be > 0, got nan"),
-    ("c", -1.0, "c must be > 0, got -1.0"),
-    ("c", 0.0, "c must be > 0, got 0.0"),
+    ("rho", math.nan, "rho must be >= 0 and finite, got nan"),
+    ("c", math.nan, "c must be > 0 and finite, got nan"),
+    ("c", -1.0, "c must be > 0 and finite, got -1.0"),
+    ("c", 0.0, "c must be > 0 and finite, got 0.0"),
     ("r", math.nan, "r must be >= 2, got nan"),
     ("p", math.nan, "p must be a positive integer")])
 def test_lyapunov_spec_rejects_nan_and_a_constant_c_not_above_0(field, value,
@@ -58,6 +58,16 @@ def test_lyapunov_spec_rejects_nan_and_a_constant_c_not_above_0(field, value,
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(_quadratic_spec(), **{field: value})
 
+
+
+@pytest.mark.parametrize("field,message", [
+    ("rho", "rho must be >= 0 and finite, got inf"),
+    ("c", "c must be > 0 and finite, got inf")])
+def test_lyapunov_spec_rejects_an_infinite_c_or_rho(field, message):
+    # both were accepted, and check_conditions then passed with 0
+    # violations: the margins that c and rho scale became -inf
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(_quadratic_spec(), **{field: math.inf})
 
 _VDP = catalog()["vdp"].model
 

@@ -149,8 +149,8 @@ def test_moment_bound_equals_its_display_in_mpmath(consts):
 
 
 @pytest.mark.parametrize("field,value,message", [
-    ("c", math.nan, "c must be >= T**(1/32) = 1.0, got nan"),
-    ("rho", math.nan, "rho must be nonnegative, got nan"),
+    ("c", math.nan, "c must be >= T**(1/32) = 1.0 and finite, got nan"),
+    ("rho", math.nan, "rho must be >= 0 and finite, got nan"),
     ("N", math.nan, "N must be >= 1, got nan"),
     ("m", math.nan, "m must be >= 1, got nan"),
     ("p", math.nan, "p must be a positive integer")])
@@ -161,6 +161,16 @@ def test_analysis_constants_reject_nan(field, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         AnalysisConstants(**{**args, field: value})
 
+
+@pytest.mark.parametrize("field,message", [
+    ("c", "c must be >= T**(1/32) = 1.0 and finite, got inf"),
+    ("rho", "rho must be >= 0 and finite, got inf")])
+def test_analysis_constants_reject_an_infinite_c_or_rho(field, message):
+    # both were accepted: moment_bound then returned NaN, and with c = inf
+    # n0_for reported log10_N0 = inf, which N0Report states is finite
+    args = dict(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AnalysisConstants(**{**args, field: math.inf})
 
 @pytest.mark.parametrize("T", (0.0, -1.0, math.nan))
 def test_analysis_constants_and_growth_fit_reject_a_horizon_that_is_not_positive(T):
@@ -249,6 +259,33 @@ def test_n0_inequalities_hold_from_n0_on():
     assert rep_big.threshold_fit_all_N
     assert math.isfinite(rep_big.N0)
 
+
+
+# (c, p, T, m) and n0_for's (log N0, threshold_fit_all_N), derived by hand:
+# sqrt(u) <= log c + u / (32p) in u = log(N/T) holds for every u once
+# log c >= 8p, and else from u = (16p (1 + sqrt(1 - log c / (8p))))^2 on;
+# the step-size fit holds from u = (p log c + log(T^{3/4} + sqrt(m))) /
+# (7/32 + 1/(32p)) on.  At c = 1 and p = 2 the threshold fit rules:
+# u = 64^2.  At c = e^{16} = e^{8p}, where math.log gives 8p exactly, it
+# holds for all N and the step-size fit rules: u = 64 (32 + log 2) / 15.
+# At c = e^9, p = 1, T = 4 and m = 9: T^{3/4} + 3 = (1 + sqrt 2)^2.
+N0_POINTS = {
+    (1.0, 2, 1.0, 1): (4096.0, False),
+    (math.exp(16.0), 2, 1.0, 1): (64.0 * (32.0 + math.log(2.0)) / 15.0, True),
+    (math.exp(9.0), 1, 4.0, 9): (
+        4.0 * (9.0 + 2.0 * math.log(1.0 + math.sqrt(2.0))) + math.log(4.0), True),
+}
+
+
+@pytest.mark.parametrize("point", N0_POINTS)
+def test_n0_for_is_the_hand_derived_crossover(point):
+    c, p, T, m = point
+    log_n0, no_gap = N0_POINTS[point]
+    rep = n0_for(AnalysisConstants(c=c, p=p, T=T, m=m, rho=0.0, N=16))
+    assert rep.threshold_fit_all_N is no_gap
+    assert rep.log10_N0 == pytest.approx(log_n0 / math.log(10.0), rel=1e-12)
+    expected = math.exp(log_n0) if log_n0 < 709.0 else math.inf
+    assert rep.N0 == pytest.approx(expected, rel=1e-12)
 
 def test_regularity_single_run_passes():
     gl = model_ginzburg_landau()

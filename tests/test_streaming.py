@@ -9,13 +9,17 @@ straightforward computation, a memory bound that the whole-horizon
 computation does not meet, or no more work than the result needs.
 """
 
+import ast
 import dataclasses
+import functools
 import gc
 import hashlib
 import json
 import math
 import pickle
 import tracemalloc
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,37 +205,69 @@ def test_streamed_divergence_equals_whole_horizon_oracle(threads):
     assert [row.overflow_fraction > 0 for row in em] == [True, True, False]
 
 
-# one instance of every reducer the estimators hand the block driver
+# every reducer the estimators hand the block driver, bound as they bind it
 REDUCERS = [
-    diagnostics._Reducer(), diagnostics._Functional(7),
-    diagnostics._Functional(None, use_tau=False), diagnostics._Regularity(0.5),
-    experiments._StrongError(SchemeKind.STOPPED_BIT, (4, 8), 3.0,
-                             (SchemeKind.DRIFT_TAMED, 64)),
-    experiments._Divergence()]
+    diagnostics._last_nodes, functools.partial(diagnostics._functional, 7, True),
+    functools.partial(diagnostics._functional, None, False),
+    functools.partial(diagnostics._regularity, 0.5),
+    functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
+                      3.0, (SchemeKind.DRIFT_TAMED, 64)),
+    experiments._divergence]
 
 
-@pytest.mark.parametrize("reducer", REDUCERS, ids=lambda r: repr(r))
+def _binding(reducer) -> tuple:
+    """A reducer's function and the values bound to it."""
+    return (getattr(reducer, "func", reducer), getattr(reducer, "args", ()),
+            getattr(reducer, "keywords", {}))
+
+
+def _reducer_id(reducer) -> str:
+    func, args, _ = _binding(reducer)
+    return func.__name__ + repr(args)
+
+
+@pytest.mark.parametrize("reducer", REDUCERS, ids=_reducer_id)
 def test_reducers_round_trip_through_pickle(reducer):
-    # a worker process receives its reducer pickled
-    assert pickle.loads(pickle.dumps(reducer)) == reducer
+    # a worker process receives its reducer pickled, which takes a
+    # module-level function
+    assert _binding(pickle.loads(pickle.dumps(reducer))) == _binding(reducer)
+
+
+def _reducers_handed_to_the_driver() -> set:
+    """The names of the functions that the package's calls of ``_drive``
+    and ``_batch_totals`` hand on as their reducer, bare or bound by
+    ``partial``; a caller's own parameter is handed on, not chosen."""
+    names = set()
+    for path in sorted(Path(diagnostics.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            params = {a.arg for a in fn.args.args}
+            for call in ast.walk(fn):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None)
+                        in ("_drive", "_batch_totals")):
+                    arg = call.args[1]
+                    if isinstance(arg, ast.Call):  # partial(reducer, ...)
+                        arg = arg.args[0]
+                    if arg.id not in params:
+                        names.add(arg.id)
+    return names
 
 
 def test_every_reducer_is_listed():
-    kinds = {diagnostics._Reducer, *diagnostics._Reducer.__subclasses__()}
-    assert {type(r) for r in REDUCERS} == kinds
+    listed = {_binding(r)[0].__name__ for r in REDUCERS}
+    assert _reducers_handed_to_the_driver() == listed
 
 
 @pytest.mark.parametrize("reducer", [
-    r for r in REDUCERS if not isinstance(r, (experiments._StrongError,
-                                              experiments._Divergence))],
-    ids=lambda r: repr(r))
+    r for r in REDUCERS if _binding(r)[0].__module__ == diagnostics.__name__],
+    ids=_reducer_id)
 def test_single_batch_reducers_reject_a_block_of_two_segments(reducer):
-    with pytest.raises(ValueError, match="reduces a block of one segment, got 2"):
-        reducer.init([slice(0, 3), slice(3, 5)])
     gbm = catalog()["gbm"].model
     paths = diagnostics._Paths(gbm, np.ones(1), 1.0, 0,
                                ((SchemeKind.STOPPED_BIT, 4),), 4)
-    with pytest.raises(ValueError, match="got 2"):
+    with pytest.raises(ValueError,
+                       match="reduces a block of one segment, got 2$"):
         diagnostics._drive(paths, reducer, 5, n_batches=2)
 
 
@@ -671,16 +707,23 @@ def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
     assert large <= 1.05 * small, (small, large)
 
 
-# (block paths, N, smaller M, larger M) of two estimators whose partial is
-# an (N + 1)-float node array: the supremum's three and five blocks of
-# one batch, and strong_error's ten batches of 50 paths, one block each, of
-# which five take a second, one-path block at M = 505
+# (block paths, N, smaller M, larger M, node arrays the peak may grow by)
+# of two estimators whose partial is an (N + 1)-float node array: the
+# supremum's three and five blocks of one batch, and strong_error's ten
+# batches of 50 paths, one block each, of which five take a second,
+# one-path block at M = 505.  On two threads strong_error's 10 blocks
+# become 30: the pool's map makes a small future per block up front (2.5
+# to 4.4 node arrays for the 20 more), and handing back a list of every
+# block's result grew the peak by 21 to 25 node arrays
 TOTALS_IN_M = {
-    "exp-moment-supremum": ((20, 2048, 60, 100), lambda N, M: exp_moment_supremum(
+    "exp-moment-supremum": ((20, 2048, 60, 100, 1), lambda N, M: exp_moment_supremum(
         SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), M, 3, [1.0])),
-    "strong-error": ((50, 1024, 500, 505), lambda N, M: strong_error(
+    "strong-error": ((50, 1024, 500, 505, 1), lambda N, M: strong_error(
         ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(N,),
                           M=M, seed=1))),
+    "strong-error-threads": ((50, 1024, 500, 1500, 8), lambda N, M: strong_error(
+        ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(N,),
+                          M=M, seed=1, threads=2))),
 }
 
 
@@ -691,14 +734,52 @@ def test_block_partials_are_added_as_they_come(monkeypatch, name):
     # batch's total as each block ends, they leave it flat in M.  Small
     # blocks make many of them cheap, and a collection before each run
     # starts both from the same free lists.
-    (block_paths, N, small_M, large_M), run = TOTALS_IN_M[name]
+    (block_paths, N, small_M, large_M, arrays), run = TOTALS_IN_M[name]
     monkeypatch.setattr(core, "BLOCK_PATHS", block_paths)
     run(N, small_M)  # one-time allocations stay out of the comparison
     gc.collect()
     small = _peak_bytes(lambda: run(N, small_M))
     gc.collect()
     large = _peak_bytes(lambda: run(N, large_M))
-    assert large - small < 8 * (N + 1), (small, large)
+    assert large - small < arrays * 8 * (N + 1), (small, large)
+
+
+# every estimator, on a grid of four chunks of 64 steps, and strong_error
+# with either reference
+DRIVEN = {**{name: functools.partial(run, 256) for name, run in STREAMED_AT_N.items()},
+          "strong-error-fine": lambda out: strong_error(ConvergenceConfig(
+              model="ginzburg-landau", scheme=SchemeKind.STOPPED_BIT,
+              Ns=(16, 64), M=20, seed=1, reference="fine", N_ref=512)),
+          "strong-error-exact": lambda out: strong_error(ConvergenceConfig(
+              model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(16, 256), M=20,
+              seed=1))}
+
+
+@pytest.mark.parametrize("name", DRIVEN)
+def test_reducers_drop_each_step_before_the_next(monkeypatch, tmp_path, name):
+    # a reducer's loop names hold the run and chunk it was handed while the
+    # driver steps the next run, unless it drops them first: then of the
+    # earlier runs' states only the fine reference's are alive when a run
+    # steps, and no earlier chunk when one is drawn
+    states, chunks = [], []
+    draw = BlockStream.draw
+
+    def stepped(*args):
+        assert sum(ref() is not None for ref in states) <= 1
+        run = run_paths(*args)
+        states.append(weakref.ref(run.states))
+        return run
+
+    def drawn(stream, n):
+        assert all(ref() is None for ref in chunks)
+        fine = draw(stream, n)
+        chunks.append(weakref.ref(fine))
+        return fine
+
+    monkeypatch.setattr(diagnostics, "run_paths", stepped)
+    monkeypatch.setattr(BlockStream, "draw", drawn)
+    DRIVEN[name](tmp_path)
+    assert len(states) >= len(chunks) > 1
 
 
 # ---------------------------------------------------------------------------

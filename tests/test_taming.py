@@ -174,6 +174,17 @@ def test_laplacian_bound_fails_below_crossover_scale():
     assert rep.laplacian.bound == pytest.approx(3.2, rel=1e-12)
 
 
+
+# h**(1/4) sqrt(m), 52 h sqrt(m) and 32 sqrt(h m) at (h, m), by hand
+TAMING_BOUNDS = {(0.0625, 4): (1.0, 6.5, 16.0), (0.0016, 9): (0.6, 0.2496, 3.84)}
+
+
+@pytest.mark.parametrize("h,m", TAMING_BOUNDS)
+def test_verify_taming_bounds_reports_the_displayed_bounds(h, m):
+    rep = verify_taming_bounds(TamingParams(h=h, m=m), 1000, seed=0)
+    bounds = (rep.linf.bound, rep.jacobian.bound, rep.laplacian.bound)
+    assert bounds == pytest.approx(TAMING_BOUNDS[h, m], rel=1e-12)
+
 # (linf estimate, linf fraction, jacobian estimate and stderr, laplacian
 # estimate and stderr) at both ends of the seed range and between, as they
 # were when the samples came from Philox keyed with the seed itself
