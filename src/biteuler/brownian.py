@@ -177,9 +177,9 @@ def generate_block(T: float, N_fine: int, m: int, seed: int,
 
 
 # values per lookahead window of a BlockStream: 2 MB, or 262 steps of each
-# of 1000 paths with m = 1.  Each generator call costs about 1.5 us beside
-# its draws, so a path that draws 64 steps per call pays about 50 ns a
-# draw, and one that draws 256 or more about 30 ns.
+# of 1000 paths with m = 1.  Each generator call has a fixed cost beside
+# its draws: a path drawing one 32-step chunk per call paid 38 ns a draw,
+# and one drawing 256 steps or more 16-18 ns (2-vCPU host, numpy 2.4).
 _LOOKAHEAD_VALUES = 1 << 18
 
 

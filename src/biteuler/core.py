@@ -12,6 +12,7 @@ workers.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -28,6 +29,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_horizon(self.T)
+        _check_integer("N", self.N)
         if self.N < 1:
             raise ValueError(f"subdivision count N must be >= 1, got {self.N}")
 
@@ -101,6 +103,15 @@ class SdeModel:
             raise ValueError("state and noise dimensions must be positive")
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise ValueError, naming ``name``, unless value is an integer: a
+    Python or numpy int, or whatever else ``operator.index`` takes."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_horizon(T: float) -> None:
     """Raise ValueError, naming ``T``, unless 0 < T < inf (NaN fails)."""
     if not T > 0:
@@ -113,7 +124,7 @@ def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
     """The start state of an M-path ensemble as a float (d,) array.
 
     Raises ValueError unless x0 has exactly model.d components, all finite,
-    and M >= 1.
+    and M is an integer >= 1.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.d,):
@@ -121,6 +132,7 @@ def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
                          f"{model.name!r}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 must be finite, got {x.tolist()}")
+    _check_integer("M", M)
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     return x

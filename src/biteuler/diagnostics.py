@@ -49,7 +49,7 @@ __all__ = [
     "StoppingReport",
 ]
 
-_SLICE_STEPS = 64  # steps of the finest run per chunk
+_SLICE_STEPS = 32  # steps of the finest run per chunk
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .brownian import coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, _check_horizon, validate_start, worker_count)
+                   SdeModel, _check_horizon, _check_integer, validate_start,
+                   worker_count)
 from .diagnostics import (AnalysisConstants, N0Report, _add, _drive, _finals,
                           _Paths, exp_moment_estimate,
                           fit_growth_constant, moment_bound, n0_for)
@@ -48,9 +49,11 @@ _P_GROWTH = 3  # polynomial growth degree p of moment_sweep's constants
 
 def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
     """Raise ValueError, naming the argument, unless Ns is nonempty with
-    distinct N >= 1, and T > 0."""
+    distinct integers N >= 1, and T > 0."""
     if not Ns:
         raise ValueError("Ns must be nonempty")
+    for N in Ns:
+        _check_integer("every N in Ns", N)
     if min(Ns) < 1:
         raise ValueError(f"every N in Ns must be >= 1, got {min(Ns)}")
     if len(set(Ns)) < len(Ns):
@@ -91,8 +94,10 @@ class ConvergenceConfig:
     ``reference`` is "exact" (closed form, coupled through the same
     Brownian path) or "fine" (the ``ref_scheme`` run on the N_ref grid);
     for a fine reference N_ref must be a multiple of every N and at least
-    8 times the largest.  ``Ns`` should be powers of two when a rate fit is
-    intended.  ``M`` is at least 10, one path per batch-means batch.
+    8 times the largest, and for an exact one the largest N must be (the
+    reference runs on its grid).  ``Ns`` should be powers of two when a
+    rate fit is intended.  ``M`` is an integer of at least 10, one path
+    per batch-means batch.
     ``seed`` lies in [0, 2**64).  ``x0`` of None uses the catalog default.
     """
 
@@ -111,6 +116,7 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         _check_sweep(self.Ns, self.T)
+        _check_integer("M", self.M)
         if self.M < _N_STAT_BATCHES:
             # an empty batch-means batch would make the stderr NaN
             raise ValueError(f"M must be >= {_N_STAT_BATCHES}, one path per "
@@ -122,6 +128,9 @@ class ConvergenceConfig:
         worker_count(self.threads)
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")
+        if self.reference == "exact" and any(max(self.Ns) % n for n in self.Ns):
+            raise ValueError(f"with an exact reference the largest N must be "
+                             f"a multiple of every N, got Ns = {tuple(self.Ns)}")
         if self.reference == "fine":
             # the reference resolution itself may appear in Ns (its error is
             # exactly zero); every other N needs the 8x separation
@@ -195,7 +204,7 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
 
     Up to 1000 paths (whole batches, or 1000-path pieces of larger ones)
     are stepped together and streamed through time in short chunks of the
-    fine grid, about 64 steps of the finest run each, carrying every run's
+    fine grid, about 32 steps of the finest run each, carrying every run's
     state across chunks (``diagnostics._drive``).  Each batch's sums
     are bit for bit those of running it alone over the whole horizon, so
     neither the blocking nor the thread count changes any output.

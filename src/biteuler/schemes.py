@@ -124,18 +124,11 @@ class BatchRuns:
         return self.states.shape[0]
 
 
-# values per slice of increments tamed and made time-major at once: 256 KB,
-# enough steps that the per-slice calls cost little beside the per-step
-# ones (32 steps of a 1000-path block), few enough that the slice's buffers
-# stay small and in cache
-_SLICE_VALUES = 1 << 15
-
-
 def _check_finite(path: np.ndarray, gated: np.ndarray) -> None:
-    """Raise FloatingPointError if a stopped-tamed slice stepped a path to a
-    non-finite state.  ``path`` holds the slice's nodes time-major, row 0
+    """Raise FloatingPointError if a stopped-tamed call stepped a path to a
+    non-finite state.  ``path`` holds the call's nodes time-major, row 0
     the node before it, and ``gated`` the paths past the threshold there: a
-    gated path is held for the whole slice, so one gated at a non-finite
+    gated path is held for the whole call, so one gated at a non-finite
     state was not stepped to it."""
     # a finite sum has no non-finite term; an infinite one may come from
     # finite terms, so the exact test decides
@@ -157,6 +150,8 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     whole grid (n = N); with a ``BatchRuns`` from an earlier call in place
     of ``x0`` they continue its paths for the next n steps, and the chained
     calls compute bit for bit what one call over all the steps computes.
+    One call holds all its increments, tamed and time-major: chain calls of
+    a few dozen steps over a long grid, as ``diagnostics._drive`` does.
     An initial state must have model.d components, none NaN (an infinite
     one freezes a stopped tamed path at node 0); otherwise ValueError
     names ``x0``.
@@ -186,44 +181,34 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     N, h, k0 = grid.N, grid.h, prev.end
     threshold = stopping_threshold(N, grid.T)
     stopped = kind is SchemeKind.STOPPED_BIT
-    params = TamingParams(h=h, m=m)
     # for d = 1 the norm is |y|: sqrt(y*y) equals it wherever y*y neither
     # overflows nor underflows, and where it does both lie on the same side
     # of the threshold, which is at least 1 and far below 1e154
     norm = (lambda y: np.abs(y[:, 0])) if model.d == 1 else _norm
 
-    states = np.empty((B, n_steps + 1, model.d))
-    states[:, 0] = prev.states[:, -1]
-    width = max(1, min(n_steps, _SLICE_VALUES // max(B * m, 1)))
-    # the current slice's nodes, time-major so that each step reads and
-    # writes contiguous rows; row 0 is the node before the slice
-    path = np.empty((width + 1, B, model.d))
-    path[0] = states[:, 0]
-    exceeded = np.empty((width, B), dtype=bool)
+    # the call's nodes, time-major so that each step reads and writes
+    # contiguous rows; row 0 is the node before the call
+    path = np.empty((n_steps + 1, B, model.d))
+    path[0] = prev.states[:, -1]
+    exceeded = np.empty((n_steps, B), dtype=bool)
     tau = prev.tau_index.copy()
     overflow = prev.overflow.copy()
     with np.errstate(all="ignore"):
-        for s0 in range(0, n_steps, width):
-            inc = dW[:, s0:s0 + width]
-            if stopped:
-                inc = tame(params, inc)
-            for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
-                y, y_next = path[j], path[j + 1]
-                gate = np.greater(norm(y), threshold, out=exceeded[j])
-                np.add(y, _update(kind, model, y, dw, h, h), out=y_next)
-                if not stopped:
-                    overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
-                    gate = overflow
-                np.copyto(y_next, y, where=gate[:, None])
-            n = inc.shape[1]
-            if stopped:
-                _check_finite(path[:n + 1], exceeded[0])
-            states[:, s0 + 1:s0 + n + 1] = path[1:n + 1].transpose(1, 0, 2)
-            path[0] = path[n]
-            hit = (tau == N) & exceeded[:n].any(axis=0)
-            if hit.any():
-                tau[hit] = k0 + s0 + exceeded[:n, hit].argmax(axis=0)
-
+        inc = tame(TamingParams(h=h, m=m), dW) if stopped else dW
+        for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
+            y, y_next = path[j], path[j + 1]
+            gate = np.greater(norm(y), threshold, out=exceeded[j])
+            np.add(y, _update(kind, model, y, dw, h, h), out=y_next)
+            if not stopped:
+                overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
+                gate = overflow
+            np.copyto(y_next, y, where=gate[:, None])
+        if stopped and n_steps:
+            _check_finite(path, exceeded[0])
+    hit = (tau == N) & exceeded.any(axis=0)
+    if hit.any():
+        tau[hit] = k0 + exceeded[:, hit].argmax(axis=0)
+    states = np.ascontiguousarray(path.transpose(1, 0, 2))
     frozen = tau < N if stopped else np.zeros(B, dtype=bool)
     return BatchRuns(grid=grid, states=states, tau_index=tau, frozen=frozen,
                      overflow=overflow, start=k0)

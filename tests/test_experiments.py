@@ -80,6 +80,44 @@ def test_sweeps_reject_bad_grids_before_stepping(monkeypatch, name, Ns, T,
         _SWEEPS[name](Ns, T)
 
 
+_COUNTS = {
+    "GridSpec": lambda N, M: GridSpec(1.0, N),
+    "stopping_probability": lambda N, M: diagnostics.stopping_probability(
+        _GL, GridSpec(1.0, N), M, seed=0, x0=[20.0]),
+    "strong_error": lambda N, M: strong_error(ConvergenceConfig(
+        model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, N), M=M, seed=0)),
+    "divergence_comparison": lambda N, M: divergence_comparison(
+        _GL, (N, 8), M, [5.0], seed=0),
+    "moment_sweep": lambda N, M: moment_sweep(
+        _GL, _GL.lyapunov, (N, 8), M, seed=0, x0=[1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_entry_points_take_integer_counts(name):
+    # stopping_probability and strong_error used to divide their sums by
+    # M = 10.5, GridSpec(1.0, 2.5) failed only once stepped, and Ns = (4.0, 8)
+    # ended in a TypeError from a slice
+    run = _COUNTS[name]
+    if name != "GridSpec":
+        with pytest.raises(ValueError, match=r"^M must be an integer, got 10\.5$"):
+            run(16, 10.5)
+    n = "N" if name in ("GridSpec", "stopping_probability") else "every N in Ns"
+    with pytest.raises(ValueError, match=f"^{n} must be an integer, got 4\\.0$"):
+        run(4.0, 10)
+    run(np.int64(16), np.int64(10))  # numpy integers are integers
+
+
+@pytest.mark.parametrize("Ns", [(3, 4), (4, 6)])
+def test_exact_reference_needs_ns_dividing_the_largest(Ns):
+    # the exact reference runs on the largest N's grid; these used to end
+    # in "min() arg is an empty sequence" from the coarsening levels
+    with pytest.raises(ValueError, match=re.escape(
+            f"the largest N must be a multiple of every N, got Ns = {Ns}")):
+        ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=Ns,
+                          M=10, seed=0)
+
+
 def test_reference_exact_requires_closed_form():
     config = ConvergenceConfig(model="ginzburg-landau",
                                scheme=SchemeKind.STOPPED_BIT,
