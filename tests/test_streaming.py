@@ -487,13 +487,17 @@ CHAIN_CASES = [(catalog()["ginzburg-landau"].model, [5.0]),
                (model_gbm(0.0, 1.0), [4.0])]
 
 
+@pytest.mark.parametrize("cuts", [(1, 8, 77, 149), tuple(range(3, 150, 3))],
+                         ids=["uneven-calls", "3-step-calls"])
 @pytest.mark.parametrize("model,x0", CHAIN_CASES)
 @pytest.mark.parametrize("kind", list(SchemeKind))
-def test_chained_run_paths_equals_one_call(kind, model, x0):
+def test_chained_run_paths_equals_one_call(kind, model, x0, cuts):
+    # 3-step calls: a path can first pass the threshold in any step of any
+    # call, so each call must offset its tau by the call's first node
     grid = GridSpec(1.0, 150)
     dW = generate_block(1.0, 150, model.m, seed=8, first_path=0, count=23)
     whole = run_paths(kind, model, grid, x0, dW)
-    states, last = chained(kind, model, grid, x0, dW, (1, 8, 77, 149))
+    states, last = chained(kind, model, grid, x0, dW, cuts)
     assert states.tobytes() == whole.states.tobytes()
     for field in ("tau_index", "frozen", "overflow"):
         assert getattr(last, field).tobytes() == getattr(whole, field).tobytes()
