@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_horizon
+from .core import _check_count, _check_horizon
 
 __all__ = [
     "BrownianGrid",
@@ -55,10 +54,11 @@ __all__ = [
 def _path_key(seed: int, path_index: int) -> np.ndarray:
     """Philox key of path ``path_index``'s stream: the 128-bit value
     seed * 2**64 + path_index as two little-endian 64-bit words.  Raises
-    ValueError, naming the argument, unless both lie in [0, 2**64), and
-    TypeError unless both are integers."""
+    ValueError, naming the argument, unless both are integers in
+    [0, 2**64)."""
     for name, value in (("seed", seed), ("path_index", path_index)):
-        if not 0 <= operator.index(value) < 1 << 64:
+        _check_count(name, value, least=-math.inf)  # the range is checked next
+        if not 0 <= value < 1 << 64:
             raise ValueError(f"{name} must be in [0, 2**64), got {value}")
     return np.array([path_index, seed], dtype=np.uint64)
 
@@ -114,20 +114,19 @@ class BrownianGrid:
     increments: np.ndarray
 
     def __post_init__(self):
+        _check_grid(self.T, self.N_fine, self.m)
+        _path_key(self.seed, self.path_index)
         if self.increments.shape != (self.N_fine, self.m):
             raise ValueError("increments must have shape (N_fine, m)")
 
 
 def _check_grid(T: float, N_fine: int, m: int, count: int = 0) -> None:
-    """Raise ValueError, naming the argument, unless 0 < T < inf,
-    N_fine >= 1, m >= 1 and count >= 0."""
+    """Raise ValueError, naming the argument, unless 0 < T < inf and
+    N_fine >= 1, m >= 1 and count >= 0 are integers."""
     _check_horizon(T)
-    if N_fine < 1:
-        raise ValueError(f"N_fine must be >= 1, got {N_fine}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    _check_count("N_fine", N_fine)
+    _check_count("m", m)
+    _check_count("count", count, 0)
 
 
 def generate_path(T: float, N_fine: int, m: int, seed: int, path_index: int) -> BrownianGrid:
@@ -264,7 +263,8 @@ def coarsen_increments(increments: np.ndarray, N_coarse: int) -> np.ndarray:
     remainder.
     """
     *lead, n_fine, m = increments.shape
-    if N_coarse < 1 or n_fine % N_coarse != 0:
+    _check_count("N_coarse", N_coarse)
+    if n_fine % N_coarse != 0:
         raise ValueError(f"N_coarse {N_coarse} does not divide N_fine {n_fine}")
     q = n_fine // N_coarse
     a = increments.reshape(*lead, N_coarse, q, m)
@@ -295,17 +295,27 @@ def dump_increments(path: BrownianGrid, file) -> None:
 
 
 def load_increments(file) -> BrownianGrid:
-    """Read a path written by dump_increments; the round trip is exact."""
+    """Read a path written by dump_increments; the round trip is exact.
+    The header is checked as a drawn path's arguments are, and ValueError
+    is raised unless exactly its N_fine * m increments follow it."""
     close = False
     if isinstance(file, (str, bytes)):
         file = open(file, "rb")
         close = True
     try:
-        T, n_fine, m, seed, path_index = _HEADER.unpack(file.read(_HEADER.size))
-        data = np.frombuffer(file.read(8 * n_fine * m), dtype="<f8")
-        incr = data.reshape(n_fine, m).astype(float)
+        head = file.read(_HEADER.size)
+        if len(head) != _HEADER.size:
+            raise ValueError(f"a path file starts with a {_HEADER.size}-byte "
+                             f"header, got {len(head)} bytes")
+        T, n_fine, m, seed, path_index = _HEADER.unpack(head)
+        _check_grid(T, n_fine, m)  # before its size is trusted
+        data = file.read()
     finally:
         if close:
             file.close()
+    if len(data) != 8 * n_fine * m:
+        raise ValueError(f"a path file's header promises {8 * n_fine * m} "
+                         f"bytes of increments, got {len(data)}")
+    incr = np.frombuffer(data, dtype="<f8").reshape(n_fine, m).astype(float)
     return BrownianGrid(T=T, N_fine=n_fine, m=m, seed=seed,
                         path_index=path_index, increments=incr)

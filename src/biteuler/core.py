@@ -29,9 +29,7 @@ class GridSpec:
 
     def __post_init__(self):
         _check_horizon(self.T)
-        _check_integer("N", self.N)
-        if self.N < 1:
-            raise ValueError(f"subdivision count N must be >= 1, got {self.N}")
+        _check_count("N", self.N)
 
     @property
     def h(self) -> float:
@@ -68,8 +66,7 @@ class LyapunovSpec:
             raise ValueError(f"rho must be >= 0 and finite, got {self.rho}")
         if not 0 < self.c < math.inf:
             raise ValueError(f"c must be > 0 and finite, got {self.c}")
-        if not self.p >= 1:
-            raise ValueError("p must be a positive integer")
+        _check_count("p", self.p)
         if not self.r >= 2:
             raise ValueError(f"r must be >= 2, got {self.r}")
         if not (self.q0 > 0 and self.q1 > 0):
@@ -99,17 +96,20 @@ class SdeModel:
     lyapunov: Optional[LyapunovSpec] = None
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ValueError("state and noise dimensions must be positive")
+        _check_count("d", self.d)
+        _check_count("m", self.m)
 
 
-def _check_integer(name: str, value) -> None:
-    """Raise ValueError, naming ``name``, unless value is an integer: a
-    Python or numpy int, or whatever else ``operator.index`` takes."""
+def _check_count(name: str, value, least=1) -> None:
+    """Raise ValueError, naming ``name``, unless value is an integer (a
+    Python or numpy int, or whatever else ``operator.index`` takes) of at
+    least ``least``.  The one rule for every count setting."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_horizon(T: float) -> None:
@@ -123,8 +123,8 @@ def _check_horizon(T: float) -> None:
 def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
     """The start state of an M-path ensemble as a float (d,) array.
 
-    Raises ValueError unless x0 has exactly model.d components, all finite,
-    and M is an integer >= 1.
+    ValueError names ``x0`` unless it has exactly model.d components, all
+    finite, and ``M`` unless it is an integer >= 1.
     """
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.d,):
@@ -132,9 +132,7 @@ def validate_start(model: SdeModel, x0, M: int) -> np.ndarray:
                          f"{model.name!r}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError(f"x0 must be finite, got {x.tolist()}")
-    _check_integer("M", M)
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
+    _check_count("M", M)
     return x
 
 
@@ -161,10 +159,9 @@ def path_blocks(M: int, n_batches: int = 1) -> list[list[tuple[int, int, int]]]:
 
 
 def worker_count(threads: int) -> int:
-    """Workers for a ``threads`` setting, 0 meaning one per core; a
-    negative setting raises ValueError."""
-    if threads < 0:
-        raise ValueError(f"threads must be >= 0, got {threads}")
+    """Workers for a ``threads`` setting, 0 meaning one per core;
+    ValueError names ``threads`` unless it is an integer >= 0."""
+    _check_count("threads", threads, 0)
     return threads or os.cpu_count() or 1
 
 

@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (BlockStream, _seed_generator, coarsen_increments,
-                       generate_block)
-from .core import (GridSpec, LyapunovSpec, SdeModel, _check_horizon,
-                   path_blocks, validate_start)
+from .brownian import (BlockStream, _path_key, _seed_generator,
+                       coarsen_increments, generate_block)
+from .core import (GridSpec, LyapunovSpec, SdeModel, _check_count,
+                   _check_horizon, path_blocks, validate_start)
 from .models import _RADIUS, _pair_gaps, _sample_ball
 from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _check_path,
                       _intra_step, run_paths)
@@ -241,7 +241,7 @@ def _finals(paths: _Paths, M: int, block_map=map) -> dict:
 class AnalysisConstants:
     """Growth constants (c, p) with the horizon, dimensions and rate they
     are used with.  Requires 0 < T < inf, T**(1/32) <= c < inf,
-    0 <= rho < inf and p, m, N >= 1."""
+    0 <= rho < inf and integers p, m, N >= 1."""
 
     c: float
     p: int
@@ -252,17 +252,14 @@ class AnalysisConstants:
 
     def __post_init__(self):
         _check_horizon(self.T)  # each comparison here fails for NaN
-        if not self.m >= 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        _check_count("m", self.m)
         if not self.T ** (1.0 / 32.0) <= self.c < math.inf:
             raise ValueError(f"c must be >= T**(1/32) = "
                              f"{self.T ** (1.0/32.0)} and finite, got {self.c}")
-        if not self.p >= 1:
-            raise ValueError("p must be a positive integer")
+        _check_count("p", self.p)
         if not 0 <= self.rho < math.inf:
             raise ValueError(f"rho must be >= 0 and finite, got {self.rho}")
-        if not self.N >= 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        _check_count("N", self.N)
 
     def at(self, N: int) -> "AnalysisConstants":
         return replace(self, N=N)
@@ -304,11 +301,12 @@ def moment_bound(consts: AnalysisConstants, t: float, EU0: float) -> float:
     C = rho + 2 c^{p+3} (T/N)^{15/16} + 32 c^{3p+4} (T/N)^{13/32} and
     Cbar = (T/N)^{13/32} (32 c^{3p+4} + (4^{p+3}/2) c^{p^2+4p+4} (T/N)^p);
     the C -> 0 limit is EU0 + Cbar*t.  Overflowing values return +inf.
+    ValueError names ``EU0`` and ``t`` unless each is >= 0 (NaN is not).
     """
-    if EU0 < 0:
-        raise ValueError("EU0 must be nonnegative")
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not EU0 >= 0:
+        raise ValueError(f"EU0 must be >= 0, got {EU0}")
+    if not t >= 0:
+        raise ValueError(f"t must be >= 0, got {t}")
     c, p, T, N, rho = consts.c, consts.p, consts.T, consts.N, consts.rho
     tn = T / N
     try:
@@ -399,10 +397,9 @@ def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
     growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
                <= c (1 + ||x||^p)  (the U terms are dropped when no
                Lyapunov data is supplied).
-    ValueError names ``n_points`` unless it is >= 1.
+    ValueError names ``n_points`` unless it is an integer >= 1.
     """
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
+    _check_count("n_points", n_points)
     lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
         model, spec, consts.p, n_points)
     lip_margin = float(np.max(lhs_lip - consts.c * poly_lip * dist))
@@ -537,11 +534,6 @@ def _regularity_report(model: SdeModel, consts: AnalysisConstants,
         n0=n0_for(consts))
 
 
-def _check_samples(samples_per_step: int) -> None:
-    if samples_per_step < 1:
-        raise ValueError(f"samples_per_step must be >= 1, got {samples_per_step}")
-
-
 def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
                      path, samples_per_step: int = 4) -> RegularityReport:
     """Check the intra-step regularity bound along one stopped-tamed run, a
@@ -551,14 +543,14 @@ def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
     ``path`` is the BrownianGrid that drove the run; its fine grid supplies
     the intra-step Brownian values exactly (partial sums of fine
     increments), so no auxiliary bridge sampling is needed.  Each step is
-    probed at the samples_per_step >= 1 interior nodes of the path
-    coarsened to (samples_per_step+1) * grid.N steps, as in
-    regularity_sweep.  ``path`` must span the run's T with model.m noise
-    components, and that grid must divide path.N_fine; otherwise
-    ValueError names ``path``.
+    probed at the samples_per_step interior nodes of the path coarsened
+    to (samples_per_step+1) * grid.N steps, as in regularity_sweep;
+    ValueError names ``samples_per_step`` unless it is an integer >= 1.
+    ``path`` must span the run's T with model.m noise components, and
+    that grid must divide path.N_fine; otherwise ValueError names ``path``.
     """
     grid, consts = run.grid, consts.at(run.grid.N)
-    _check_samples(samples_per_step)
+    _check_count("samples_per_step", samples_per_step)
     if run.states.shape[:2] != (1, grid.N + 1):
         raise ValueError("run must hold one path over the whole grid")
     n_probe = (samples_per_step + 1) * grid.N
@@ -575,8 +567,9 @@ def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
                      x0, M: int, samples_per_step: int,
                      seed: int) -> RegularityReport:
     """Ensemble version of regularity_check: M stopped-tamed paths with
-    samples_per_step >= 1 intra-step probes each."""
-    _check_samples(samples_per_step)
+    samples_per_step intra-step probes each; ValueError names
+    ``samples_per_step`` and ``M`` unless each is an integer >= 1."""
+    _check_count("samples_per_step", samples_per_step)
     x0 = validate_start(model, x0, M)
     consts = consts.at(grid.N)
     paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
@@ -599,10 +592,14 @@ class MomentEstimate:
 
 
 def _grid_index(grid: GridSpec, t: float) -> int:
-    j = round(t / grid.h)
-    if not 0 <= j <= grid.N or abs(j * grid.h - t) > 1e-9 * max(grid.T, 1.0):
-        raise ValueError(f"t = {t} is not a grid time of {grid}")
-    return j
+    """The index j of the grid time t = j*h; ValueError names ``t`` unless
+    it is one (NaN and inf are not)."""
+    q = t / grid.h
+    if math.isfinite(q):
+        j = round(q)
+        if 0 <= j <= grid.N and abs(j * grid.h - t) <= 1e-9 * max(grid.T, 1.0):
+            return j
+    raise ValueError(f"t = {t} is not a grid time of {grid}")
 
 
 def _functional(j: Optional[int], use_tau: bool, paths: _Paths, parts: list,
@@ -713,11 +710,12 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     two exponential-moment suprema over bound_paths paths each (scheme at
     N, and a fine-grid run at ref_refine*N standing in for the exact
     solution), drawn at seeds seed + 1 and seed + 2, which must lie in
-    [0, 2**64) too.  bound_paths and ref_refine must be >= 1.
+    [0, 2**64) too.  ValueError names ``bound_paths`` and ``ref_refine``
+    unless each is an integer >= 1.
     """
-    for name, value in (("bound_paths", bound_paths), ("ref_refine", ref_refine)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_count("bound_paths", bound_paths)
+    _check_count("ref_refine", ref_refine)
+    _path_key(seed, 0)  # checks the seed under its own name
     if spec is not None and not seed + 2 < 1 << 64:
         # checked before any path is stepped, as the seed itself is
         raise ValueError(f"seed must be < 2**64 - 2 with spec (the bound "

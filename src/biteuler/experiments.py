@@ -21,9 +21,9 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .brownian import coarsen_increments, generate_block
+from .brownian import _path_key, coarsen_increments, generate_block
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
-                   SdeModel, _check_horizon, _check_integer, validate_start,
+                   SdeModel, _check_count, _check_horizon, validate_start,
                    worker_count)
 from .diagnostics import (AnalysisConstants, N0Report, _add, _drive, _finals,
                           _Paths, exp_moment_estimate,
@@ -53,9 +53,7 @@ def _check_sweep(Ns: tuple[int, ...], T: float) -> None:
     if not Ns:
         raise ValueError("Ns must be nonempty")
     for N in Ns:
-        _check_integer("every N in Ns", N)
-    if min(Ns) < 1:
-        raise ValueError(f"every N in Ns must be >= 1, got {min(Ns)}")
+        _check_count("every N in Ns", N)
     if len(set(Ns)) < len(Ns):
         raise ValueError(f"Ns must not repeat an N, got {tuple(Ns)}")
     _check_horizon(T)
@@ -96,9 +94,9 @@ class ConvergenceConfig:
     for a fine reference N_ref must be a multiple of every N and at least
     8 times the largest, and for an exact one the largest N must be (the
     reference runs on its grid).  ``Ns`` should be powers of two when a
-    rate fit is intended.  ``M`` is an integer of at least 10, one path
-    per batch-means batch.
-    ``seed`` lies in [0, 2**64).  ``x0`` of None uses the catalog default.
+    rate fit is intended.  ``M`` is an integer >= 10, one path per
+    batch-means batch, and ``seed`` an integer in [0, 2**64).  ``x0`` of
+    None uses the catalog default.
     """
 
     model: str
@@ -116,13 +114,10 @@ class ConvergenceConfig:
 
     def __post_init__(self):
         _check_sweep(self.Ns, self.T)
-        _check_integer("M", self.M)
-        if self.M < _N_STAT_BATCHES:
-            # an empty batch-means batch would make the stderr NaN
-            raise ValueError(f"M must be >= {_N_STAT_BATCHES}, one path per "
-                             f"batch-means batch, got {self.M}")
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        # an empty batch-means batch would make the stderr NaN
+        _check_count("M", self.M, _N_STAT_BATCHES)
+        _check_count("N_ref", self.N_ref, 0)
+        _path_key(self.seed, 0)  # checks the seed under its own name
         if not 0 < self.r < math.inf:
             raise ValueError(f"r must be > 0 and finite, got {self.r}")
         worker_count(self.threads)
@@ -330,7 +325,7 @@ def divergence_comparison(model: SdeModel, Ns: tuple[int, ...], M: int,
     dropped).  Every N steps on the prefix of one stream of the largest
     grid's normals per path block, chunk by chunk (``diagnostics._drive``),
     with a running max of |state|.  Raises ValueError for empty Ns, a
-    repeated N, an N < 1 or T <= 0.
+    repeated N, an N that is not an integer >= 1 or T <= 0.
     """
     _check_sweep(Ns, T)
     x0 = validate_start(model, x0, M)
@@ -396,12 +391,14 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
     (sampled, seeded); the bound applies from the reported N0 onward and is
     typically vacuous (infinite) at desk-scale N, which is reported as-is.
     Every N steps on the prefix of one stream of the largest grid's normals
-    per path block, chunk by chunk (``diagnostics._drive``).  Raises
-    ValueError for empty Ns, a repeated N, an N < 1, T <= 0 or M < 2.
+    per path block, chunk by chunk (``diagnostics._drive``).  ValueError
+    names the argument for empty or repeated Ns, T <= 0, M < 2 (no sample
+    stderr), or a count or seed that is not an integer in its range.
     """
     _check_sweep(Ns, T)
-    if M < 2:
-        raise ValueError(f"M must be >= 2 for a sample stderr, got {M}")
+    _check_count("M", M, 2)
+    _path_key(seed, 0)  # the seed and threads before the growth fit
+    worker_count(threads)
     x0 = validate_start(model, x0, M)
     c_growth = fit_growth_constant(model, spec, _P_GROWTH, T=T)
     eu0 = float(spec.U(x0))

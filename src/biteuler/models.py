@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _seed_generator
-from .core import LyapunovSpec, SdeModel, _check_horizon
+from .core import LyapunovSpec, SdeModel, _check_count, _check_horizon
 
 __all__ = [
     "model_gbm",
@@ -343,15 +343,15 @@ def check_conditions(model: SdeModel, spec: LyapunovSpec, T: float,
     quotient is worst.  The points are drawn by ``_sample_ball`` from
     ``brownian._seed_generator(seed)``.  ValueError, raised before any
     draw, names ``T`` unless T > 0, ``radius`` unless it is finite and
-    > 0, ``n_points`` unless it is >= 2, one pair of each kind, and
-    ``seed`` unless it lies in [0, 2**64).  Returns per-condition
-    violation counts and worst margins; a NaN margin counts as a violation.
+    > 0, ``n_points`` unless it is an integer >= 2, one pair of each
+    kind, and ``seed`` unless it is an integer in [0, 2**64).  Returns
+    per-condition violation counts and worst margins; a NaN margin counts
+    as a violation.
     """
     _check_horizon(T)
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be >= 2, got {n_points}")
+    _check_count("n_points", n_points, 2)
     rng = _seed_generator(seed)
     d = model.d
     pts = _sample_ball(rng, n_points, d, radius)

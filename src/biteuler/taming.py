@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .brownian import _seed_generator
-from .core import _check_horizon
+from .core import _check_count, _check_horizon
 
 __all__ = [
     "TamingParams",
@@ -39,8 +39,7 @@ class TamingParams:
     def __post_init__(self):
         if not 0 < self.h < math.inf:
             raise ValueError(f"h must be finite and > 0, got {self.h}")
-        if self.m < 1:
-            raise ValueError("noise dimension m must be >= 1")
+        _check_count("m", self.m)
 
 
 def _quartic(x: np.ndarray, h: float) -> np.ndarray:
@@ -100,8 +99,7 @@ def stopping_threshold(N: int, T: float) -> float:
 
     Nondecreasing in N for N >= T.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_count("N", N)
     _check_horizon(T)
     return math.exp(math.sqrt(abs(math.log(N / T))))
 
@@ -171,10 +169,9 @@ def verify_taming_bounds(params: TamingParams, sample_count: int, seed: int) -> 
     The first bound is deterministic and must hold for every sample; the
     other two are moment estimates reported with delta-method stderr.  The
     samples are drawn from ``brownian._seed_generator(seed)``, so
-    ValueError names ``seed`` unless it lies in [0, 2**64).
+    ValueError names ``seed`` unless it is an integer in [0, 2**64).
     """
-    if sample_count < 1000:
-        raise ValueError("sample_count must be >= 1000")
+    _check_count("sample_count", sample_count, 1000)
     h, m = params.h, params.m
     rng = _seed_generator(seed)
     W = rng.standard_normal((sample_count, m)) * math.sqrt(h)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,47 @@ def test_dump_load_file_round_trip(tmp_path):
     dump_increments(path, fname)
     back = load_increments(fname)
     np.testing.assert_array_equal(back.increments, path.increments)
+
+
+def _path_file(T=1.0, N_fine=4, m=1, seed=0, path_index=0, n_values=4):
+    return io.BytesIO(brownian._HEADER.pack(T, N_fine, m, seed, path_index)
+                      + np.zeros(n_values).tobytes())
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"", "a path file starts with a 40-byte header, got 0 bytes"),
+    (b"\0" * 39, "a path file starts with a 40-byte header, got 39 bytes"),
+    (_path_file(T=-1.0).getvalue(), "T must be > 0, got -1.0"),
+    (_path_file(T=math.nan).getvalue(), "T must be > 0, got nan"),
+    (_path_file(N_fine=0, n_values=0).getvalue(),
+     "N_fine must be >= 1, got 0"),
+    (_path_file(m=0, n_values=0).getvalue(), "m must be >= 1, got 0"),
+    (_path_file(n_values=3).getvalue(),
+     "a path file's header promises 32 bytes of increments, got 24"),
+    (_path_file(n_values=5).getvalue(),
+     "a path file's header promises 32 bytes of increments, got 40")],
+    ids=["empty", "short-header", "T=-1", "T=nan", "N_fine=0", "m=0",
+         "short", "long"])
+def test_load_checks_a_path_file_as_a_drawn_path(data, message):
+    # an empty file raised struct.error; T = -1 and N_fine = 0 were loaded,
+    # and bytes past the increments were ignored
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_increments(io.BytesIO(data))
+    assert load_increments(_path_file()).increments.shape == (4, 1)
+
+
+@pytest.mark.parametrize("arg,value,message", [
+    ("T", math.nan, "T must be > 0, got nan"),
+    ("T", math.inf, "T must be finite, got inf"),
+    ("N_fine", 0, "N_fine must be >= 1, got 0"),
+    ("seed", -1, "seed must be in [0, 2**64), got -1"),
+    ("path_index", 2**64, f"path_index must be in [0, 2**64), got {2**64}")])
+def test_brownian_grid_checks_its_grid_and_key(arg, value, message):
+    # each was constructed
+    args = dict(T=1.0, N_fine=1, m=1, seed=0, path_index=0,
+                increments=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BrownianGrid(**{**args, arg: value})
 
 
 def test_grid_shape_validation():

@@ -96,6 +96,29 @@ def test_moment_bound_overflow_is_inf():
     assert moment_bound(consts, 1.0, 1.0) == math.inf
 
 
+@pytest.mark.parametrize("t,EU0,message", [
+    (math.nan, 1.0, "t must be >= 0, got nan"),
+    (-1.0, 1.0, "t must be >= 0, got -1.0"),
+    (1.0, math.nan, "EU0 must be >= 0, got nan"),
+    (1.0, -1.0, "EU0 must be >= 0, got -1.0")])
+def test_moment_bound_rejects_a_negative_or_nan_time_or_start(t, EU0, message):
+    # t = NaN returned NaN and EU0 = NaN returned inf
+    consts = AnalysisConstants(c=1.1, p=1, T=1.0, m=1, rho=0.0, N=2**20)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        moment_bound(consts, t, EU0)
+
+
+@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, 1e308))
+def test_exp_moment_estimate_rejects_nan_and_infinite_times(t):
+    # NaN raised "cannot convert float NaN to integer", and inf (or a time
+    # whose index t/h overflows) an OverflowError
+    gl = model_ginzburg_landau()
+    message = f"^{re.escape(f't = {t}')} is not a grid time of "
+    with pytest.raises(ValueError, match=message):
+        exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
+                            GridSpec(1.0, 16), 10, t, seed=0, x0=[1.0])
+
+
 # c != 1, p >= 2, m > 1 and T != 1, so that every exponent of c, m and T
 # shows in the value; the frozen values above, at c = p = m = T = 1, pin none
 EXPONENT_POINTS = [
@@ -151,9 +174,9 @@ def test_moment_bound_equals_its_display_in_mpmath(consts):
 @pytest.mark.parametrize("field,value,message", [
     ("c", math.nan, "c must be >= T**(1/32) = 1.0 and finite, got nan"),
     ("rho", math.nan, "rho must be >= 0 and finite, got nan"),
-    ("N", math.nan, "N must be >= 1, got nan"),
-    ("m", math.nan, "m must be >= 1, got nan"),
-    ("p", math.nan, "p must be a positive integer")])
+    ("N", math.nan, "N must be an integer, got nan"),
+    ("m", math.nan, "m must be an integer, got nan"),
+    ("p", math.nan, "p must be an integer, got nan")])
 def test_analysis_constants_reject_nan(field, value, message):
     # c, rho and N = NaN were accepted, and epsilon_n and moment_bound then
     # returned NaN or inf

@@ -371,6 +371,21 @@ def test_threaded_estimators_reject_negative_threads():
             THREADED[name](10, -1)
 
 
+@pytest.mark.parametrize("arg,value,message", [
+    ("threads", -1, "threads must be >= 0, got -1"),
+    ("seed", -1, "seed must be in [0, 2**64), got -1")])
+def test_moment_sweep_checks_threads_and_seed_before_its_growth_fit(
+        monkeypatch, arg, value, message):
+    # the growth fit (10,000 sampled points) used to run before a bad
+    # setting was found at the first block
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the growth constant was fitted")
+    monkeypatch.setattr(experiments, "fit_growth_constant", no_fit)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        moment_sweep(_GL, _GL.lyapunov, (4, 8), 10, x0=[1.0],
+                     **{"seed": 0, "threads": 1, arg: value})
+
+
 def test_stderr_scales_with_path_count():
     base = dict(model="gbm", scheme=SchemeKind.EULER_MARUYAMA,
                 Ns=(16, 32, 64, 128, 256), seed=12, reference="exact")

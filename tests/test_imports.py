@@ -1,7 +1,8 @@
 """Every module-level import of the package is used by the module,
 importing the package loads no more of numpy than it needs, and the
 layers perfbench's tracer times are reached through the bindings it
-patches, and no module but brownian builds a random generator."""
+patches, no module but brownian builds a random generator, and no module
+but core reads an integer by ``operator.index``."""
 
 import ast
 import os
@@ -110,3 +111,15 @@ def test_only_brownian_builds_a_generator(path):
               for n in ast.walk(tree) if isinstance(n, ast.Call)}
     builders = called & {"Philox", "Generator", "default_rng"}
     assert not builders or path.stem == "brownian", sorted(builders)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_core_calls_operator_index(path):
+    # every count setting is checked by core._check_count, one rule with
+    # one message; an integer check written elsewhere would drift from it
+    tree = ast.parse(path.read_text())
+    reads = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "index"
+             and getattr(n.value, "id", None) == "operator"
+             or isinstance(n, ast.ImportFrom) and n.module == "operator"]
+    assert not reads or path.stem == "core"

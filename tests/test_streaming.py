@@ -319,6 +319,22 @@ def test_batched_layouts_keep_their_pinned_outputs(M, threads):
         assert digest == LAYOUT_PINS[M, name], name
 
 
+def test_prefix_runs_step_only_the_chunks_that_hold_their_steps(monkeypatch):
+    # under the prefix rule N = 32 ends where the second 32-step chunk
+    # starts: it is not stepped there, not even by zero steps
+    calls = []
+
+    def counting_run_paths(kind, model, grid, x0, dW):
+        calls.append((grid.N, dW.shape[1]))
+        return run_paths(kind, model, grid, x0, dW)
+
+    monkeypatch.setattr(diagnostics, "run_paths", counting_run_paths)
+    gl = catalog()["ginzburg-landau"].model
+    experiments.divergence_comparison(gl, (32, 64), 10, [1.0], seed=0)
+    # one block, two schemes per N
+    assert sorted(calls) == [(32, 32)] * 2 + [(64, 32)] * 4
+
+
 def test_path_blocks_pack_whole_batches_in_path_order():
     blocks = path_blocks(2500, 10)
     assert [len(b) for b in blocks] == [4, 4, 2]
@@ -329,12 +345,37 @@ def test_path_blocks_pack_whole_batches_in_path_order():
     assert big[:3] == [[(0, 0, 1000)], [(0, 1000, 2000)], [(0, 2000, 2500)]]
 
 
+@pytest.mark.parametrize("strides,budget,chunk", [
+    ([1], 32, 32), ([3, 6, 12], 96, 96), ([3, 96], 96, 96),
+    # the lcm exceeds the budget: a power of two within it, which 8 divides
+    # and which divides the power-of-two part of every other stride
+    ([8, 512], 256, 256), ([8, 1024, 2048], 300, 256),
+    ([4, 6], 10, 12)])  # no power of two suits 6: the lcm
+def test_time_chunk_is_the_documented_rule(strides, budget, chunk):
+    # every chunk gives the same bits, so only the chunk itself shows a
+    # rule that steps more than the budget
+    assert diagnostics._time_chunk(strides, budget) == chunk
+
+
 @pytest.mark.parametrize("counts", ([24, 12, 8, 6, 4, 3, 2, 1], [16, 8, 1]))
 def test_coarsen_levels_equal_direct_coarsening(counts):
     fine = generate_block(1.0, 48, 2, seed=4, first_path=0, count=5)
     levels = diagnostics._coarsen_levels(fine, counts)
     for n in counts:
         assert levels[n].tobytes() == coarsen_increments(fine, n).tobytes()
+
+
+def test_coarsen_levels_sum_each_level_from_the_coarsest_it_may():
+    # summing a level from a finer one gives the same bits at a multiple of
+    # the cost, so only the level each is summed from shows the rule
+    fine = generate_block(1.0, 48, 1, seed=4, first_path=0, count=2)
+    sources = {}
+
+    def coarsen(a, n):
+        sources[n] = a.shape[1]
+        return coarsen_increments(a, n)
+    diagnostics._coarsen_levels(fine, [24, 12, 8, 6, 4, 3, 2, 1], coarsen)
+    assert sources == {24: 48, 12: 24, 8: 24, 6: 12, 4: 12, 3: 6, 2: 6, 1: 3}
 
 
 @pytest.mark.parametrize("seed,first", [(5, 10), (0, 0), (2**64 - 1, 10),
