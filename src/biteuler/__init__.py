@@ -16,12 +16,12 @@ from .taming import (TamingParams, stopping_threshold, tame,
 from .brownian import (BlockStream, BrownianGrid, coarsen_increments,
                        dump_increments, generate_block, generate_path,
                        load_increments)
-from .schemes import BatchRuns, SchemeKind, interpolate, run_path, run_paths
+from .schemes import BatchRuns, SchemeKind, run_path, run_paths
 from .models import (catalog, check_conditions, model_gbm,
                      model_ginzburg_landau, model_vdp)
 from .diagnostics import (AnalysisConstants, epsilon_n, exp_moment_estimate,
-                          moment_bound, n0_for, regularity_check,
-                          regularity_sweep, stopping_probability)
+                          moment_bound, n0_for, regularity_sweep,
+                          stopping_probability)
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 

@@ -19,6 +19,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
+__all__ = [
+    "GridSpec",
+    "LyapunovSpec",
+    "SdeModel",
+    "validate_start",
+    "ErrorRow",
+    "ErrorTable",
+    "RateFit",
+]
+
 
 @dataclass(frozen=True)
 class GridSpec:

@@ -27,8 +27,8 @@ from .brownian import (BlockStream, _path_key, _seed_generator,
 from .core import (GridSpec, LyapunovSpec, SdeModel, _check_count,
                    _check_horizon, path_blocks, validate_start)
 from .models import _RADIUS, _pair_gaps, _sample_ball
-from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _check_path,
-                      _intra_step, run_paths)
+from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _intra_step,
+                      run_paths)
 
 __all__ = [
     "AnalysisConstants",
@@ -39,7 +39,6 @@ __all__ = [
     "fit_growth_constant",
     "n0_for",
     "N0Report",
-    "regularity_check",
     "regularity_sweep",
     "RegularityReport",
     "exp_moment_estimate",
@@ -467,10 +466,12 @@ def n0_for(consts: AnalysisConstants) -> N0Report:
 
 @dataclass(frozen=True)
 class RegularityReport:
-    """Intra-step deviation check ||Y_t - Y_floor(t)|| <= bound.
+    """What ``regularity_sweep`` found: ``n_pass`` of its ``n_samples``
+    intra-step deviations ||Y_t - Y_floor(t)|| lie within ``bound``, and
+    the largest is ``max_lhs``.
 
-    ``bound`` is 2 c^{p+1} (T/N)^{7/32} (T^{3/4} + sqrt(m)).  When the
-    sampled growth preflight fails, ``constants_admissible`` is False and a
+    ``bound`` is 2 c^{p+1} (T/N)^{7/32} (T^{3/4} + sqrt(m)).  When
+    ``growth_preflight`` fails, ``constants_admissible`` is False and a
     failed sample indicates inadmissible constants rather than a bound
     violation; ``n0`` restricts the guaranteed regime to N >= N0.
     """
@@ -501,8 +502,8 @@ def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
     refine = incr_fine.shape[1] // n
     partial = np.cumsum(incr_fine.reshape(B, n, refine, model.m), axis=2)
     offsets = np.arange(1, refine)[:, None] * (grid.h / refine)  # interior nodes
-    move = _intra_step(SchemeKind.STOPPED_BIT, model, grid, states[:, :-1, None],
-                       partial[:, :, :-1], offsets)
+    move = _intra_step(model, grid, states[:, :-1, None], partial[:, :, :-1],
+                       offsets)
     return np.sqrt(np.einsum("...d,...d->...", move, move))   # (B, n, refine-1)
 
 
@@ -524,60 +525,30 @@ def _regularity(bound: float, paths: _Paths, parts: list, steps) -> list:
     return [(n_pass, [top])]
 
 
-def _regularity_report(model: SdeModel, consts: AnalysisConstants,
-                       n_samples: int, total: tuple) -> RegularityReport:
-    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
-    n_pass, tops = total
-    return RegularityReport(
-        n_samples=n_samples, n_pass=n_pass, max_lhs=max(tops),
-        bound=regularity_bound(consts), constants_admissible=growth.admissible,
-        n0=n0_for(consts))
-
-
-def regularity_check(run: BatchRuns, model: SdeModel, consts: AnalysisConstants,
-                     path, samples_per_step: int = 4) -> RegularityReport:
-    """Check the intra-step regularity bound along one stopped-tamed run, a
-    one-row BatchRuns over the whole grid such as ``run_path`` returns: the
-    one-path case of regularity_sweep's reduction.
-
-    ``path`` is the BrownianGrid that drove the run; its fine grid supplies
-    the intra-step Brownian values exactly (partial sums of fine
-    increments), so no auxiliary bridge sampling is needed.  Each step is
-    probed at the samples_per_step interior nodes of the path coarsened
-    to (samples_per_step+1) * grid.N steps, as in regularity_sweep;
-    ValueError names ``samples_per_step`` unless it is an integer >= 1.
-    ``path`` must span the run's T with model.m noise components, and
-    that grid must divide path.N_fine; otherwise ValueError names ``path``.
-    """
-    grid, consts = run.grid, consts.at(run.grid.N)
-    _check_count("samples_per_step", samples_per_step)
-    if run.states.shape[:2] != (1, grid.N + 1):
-        raise ValueError("run must hold one path over the whole grid")
-    n_probe = (samples_per_step + 1) * grid.N
-    _check_path(path, grid, model.m, n_probe)
-    key = (SchemeKind.STOPPED_BIT, grid.N)
-    fine = coarsen_increments(path.increments[None], n_probe)
-    [total] = _regularity(regularity_bound(consts), _Paths(
-        model, run.states[0, 0], grid.T, path.seed, (key,), n_probe),
-        [slice(0, 1)], [(key, run, fine, 0)])
-    return _regularity_report(model, consts, grid.N * samples_per_step, total)
-
-
 def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
                      x0, M: int, samples_per_step: int,
                      seed: int) -> RegularityReport:
-    """Ensemble version of regularity_check: M stopped-tamed paths with
-    samples_per_step intra-step probes each; ValueError names
-    ``samples_per_step`` and ``M`` unless each is an integer >= 1."""
+    """Check the intra-step regularity bound on M stopped-tamed paths, each
+    step probed at the samples_per_step interior nodes of the path's
+    (samples_per_step + 1) * grid.N-step grid.  ValueError names
+    ``samples_per_step`` and ``M`` unless each is an integer >= 1, and
+    ``consts`` unless its T and m are the grid's and the model's."""
     _check_count("samples_per_step", samples_per_step)
+    if consts.T != grid.T or consts.m != model.m:
+        raise ValueError(f"consts must have the grid's T = {grid.T} and the "
+                         f"model's m = {model.m}, got T = {consts.T} and "
+                         f"m = {consts.m}")
     x0 = validate_start(model, x0, M)
     consts = consts.at(grid.N)
     paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
                    (samples_per_step + 1) * grid.N)
-    [total] = _drive(paths, functools.partial(
-        _regularity, regularity_bound(consts)), M)
-    return _regularity_report(model, consts, M * grid.N * samples_per_step,
-                              total)
+    bound = regularity_bound(consts)
+    [(n_pass, tops)] = _drive(paths, functools.partial(_regularity, bound), M)
+    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
+    return RegularityReport(
+        n_samples=M * grid.N * samples_per_step, n_pass=n_pass,
+        max_lhs=max(tops), bound=bound, constants_admissible=growth.admissible,
+        n0=n0_for(consts))
 
 
 # ---------------------------------------------------------------------------
@@ -654,8 +625,10 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     scheme's own grid restricted to [0, t ^ tau], summed one step after the
     other as the paths are stepped chunk by chunk, up to t's chunk only.
     Overflowing exponentials saturate at 1e300 and are counted in
-    saturated_fraction.
+    saturated_fraction.  ValueError names ``M`` unless it is an integer
+    >= 2: one path has no standard error.
     """
+    _check_count("M", M, 2)
     x0 = validate_start(model, x0, M)
     j_t = _grid_index(grid, t)
     # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
@@ -664,7 +637,7 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
     [vals] = _drive(paths, functools.partial(_functional, j_t, True), M)
     vals = np.concatenate(vals)
     est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(M)) if M > 1 else 0.0
+    se = float(np.std(vals, ddof=1) / math.sqrt(M))
     return MomentEstimate(estimate=est, stderr=se,
                           saturated_fraction=float(np.mean(vals >= OVERFLOW_CAP)))
 

@@ -17,10 +17,9 @@ The schemes differ only in how they transform the drift, how they transform
 the increment and which gate they apply, so the update mu*s + sigma@dW is
 written once (``_update``).  Two callers share it, and so perform
 bit-identical arithmetic: the batched driver ``run_paths``, and the
-intra-step evaluator ``_intra_step``, which serves both the interpolant
-``interpolate`` and the regularity probes of ``diagnostics``.  One path is
-a one-row ``BatchRuns``: ``run_path`` is ``run_paths`` on one Brownian
-path.
+stopped tamed scheme's intra-step evaluator ``_intra_step``, behind the
+regularity probes of ``diagnostics``.  One path is a one-row
+``BatchRuns``: ``run_path`` is ``run_paths`` on one Brownian path.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ __all__ = [
     "run_path",
     "run_paths",
     "BatchRuns",
-    "interpolate",
 ]
 
 # States whose components pass this magnitude count as diverged; estimators
@@ -214,19 +212,6 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
                      overflow=overflow, start=k0)
 
 
-def _check_path(path: BrownianGrid, grid: GridSpec, m: int, n: int) -> None:
-    """Raise ValueError, naming ``path``, unless the Brownian path spans the
-    grid's horizon with m noise components on a grid refining n steps."""
-    if path.T != grid.T:
-        raise ValueError(f"path spans T = {path.T}, the grid T = {grid.T}")
-    if path.m != m:
-        raise ValueError(f"path has m = {path.m} noise components, "
-                         f"the model m = {m}")
-    if path.N_fine % n != 0:
-        raise ValueError(f"path's {path.N_fine}-step grid does not refine the "
-                         f"{n}-step grid")
-
-
 def run_path(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
              path: BrownianGrid) -> BatchRuns:
     """Run one path of the scheme: the one-row ``run_paths`` run on the
@@ -234,54 +219,33 @@ def run_path(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     reference and approximation can share one Brownian path.  ``path`` must
     span grid.T with model.m noise components, and grid.N must divide
     path.N_fine; otherwise ValueError names ``path``."""
-    _check_path(path, grid, model.m, grid.N)
+    if path.T != grid.T:
+        raise ValueError(f"path spans T = {path.T}, the grid T = {grid.T}")
+    if path.m != model.m:
+        raise ValueError(f"path has m = {path.m} noise components, "
+                         f"the model m = {model.m}")
+    if path.N_fine % grid.N != 0:
+        raise ValueError(f"path's {path.N_fine}-step grid does not refine the "
+                         f"{grid.N}-step grid")
     return run_paths(kind, model, grid, x0,
                      coarsen_increments(path.increments[None], grid.N))
 
 
-def _intra_step(kind: SchemeKind, model: SdeModel, grid: GridSpec,
-                y: np.ndarray, bridge: np.ndarray, s) -> np.ndarray:
-    """The interpolant's move Y_{t_k+s} - Y_{t_k} from nodes ``y`` (..., d)
-    with bridge values W_{t_k+s} - W_{t_k} (..., m) at offsets ``s``, all
-    broadcast together.  The stopped tamed scheme tames the bridge with
-    the step's TamingParams and moves no path past the stopping threshold.
-    Floating-point warnings are silenced, as in run_paths: the values of
-    gated or overflowed paths are computed too and then dropped.
+def _intra_step(model: SdeModel, grid: GridSpec, y: np.ndarray,
+                bridge: np.ndarray, s) -> np.ndarray:
+    """The stopped tamed interpolant's move Y_{t_k+s} - Y_{t_k} from nodes
+    ``y`` (..., d) with bridge values W_{t_k+s} - W_{t_k} (..., m) at
+    offsets ``s``, all broadcast together: the bridge tamed with the
+    step's TamingParams, and no move for a path past the stopping
+    threshold.  At s = T/N with the full step increment, y plus the move is
+    run_paths' next node bit for bit.  Floating-point warnings are
+    silenced, as in run_paths: the moves of gated paths are computed too
+    and then dropped.
     """
     h = grid.h
     with np.errstate(all="ignore"):
-        if kind is not SchemeKind.STOPPED_BIT:
-            return _update(kind, model, y, bridge, s, h)
-        move = _update(kind, model, y, tame(TamingParams(h=h, m=model.m), bridge),
-                       s, h)
+        move = _update(SchemeKind.STOPPED_BIT, model, y,
+                       tame(TamingParams(h=h, m=model.m), bridge), s, h)
     gated = _norm(y) > stopping_threshold(grid.N, grid.T)
     # -0.0 leaves every y bit for bit when added; +0.0 turns -0.0 into +0.0
     return np.where(gated[..., None], -0.0, move)
-
-
-def interpolate(kind: SchemeKind, model: SdeModel, run: BatchRuns, k: int,
-                s: float, bridge: np.ndarray) -> np.ndarray:
-    """Continuous-time interpolant values Y_{t_k + s}, shape (len(run), d):
-    each path's node plus its intra-step move.
-
-    ``bridge`` must have shape (len(run), m), row j holding path j's
-    W_{t_k+s} - W_{t_k}; the step k must lie in the run (run.start <= k <
-    run.end) and 0 <= s <= T/N.  A stopped tamed path past the threshold
-    stays at its node, as does an overflowed path on the constant stretch
-    ending it.  At s = T/N with the full step increment the value equals
-    states[:, k+1] exactly.
-    """
-    grid = run.grid
-    if not 0 <= s <= grid.h:
-        raise ValueError(f"offset {s} outside [0, {grid.h}]")
-    if not run.start <= k < run.end:
-        raise IndexError(f"step index {k} out of range [{run.start}, {run.end})")
-    bridge = np.asarray(bridge, dtype=float)
-    if bridge.shape != (len(run), model.m):
-        raise ValueError(f"bridge must have shape {(len(run), model.m)}, "
-                         f"got {bridge.shape}")
-    later = run.states[:, k - run.start:]
-    y = later[:, 0]
-    held = run.overflow & (later == y[:, None]).all(axis=(1, 2))
-    return np.where(held[:, None], y,
-                    y + _intra_step(kind, model, grid, y, bridge, s))

@@ -9,13 +9,13 @@ from biteuler.brownian import (BlockStream, BrownianGrid, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec,
                            validate_start, worker_count)
-from biteuler.diagnostics import (AnalysisConstants, fit_growth_constant,
-                                  growth_preflight, regularity_check,
+from biteuler.diagnostics import (AnalysisConstants, exp_moment_estimate,
+                                  fit_growth_constant, growth_preflight,
                                   regularity_sweep, stopping_probability)
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   moment_sweep)
 from biteuler.models import catalog, check_conditions
-from biteuler.schemes import SchemeKind, run_path
+from biteuler.schemes import SchemeKind
 from biteuler.taming import (TamingParams, stopping_threshold,
                              verify_taming_bounds)
 
@@ -113,8 +113,6 @@ _GL = catalog()["ginzburg-landau"].model
 _CONSTS = dict(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
 _CONFIG = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8), M=10,
                seed=0)
-_PATH = generate_path(1.0, 64, 1, seed=6, path_index=0)
-_RUN = run_path(SchemeKind.STOPPED_BIT, _GL, GridSpec(1.0, 16), [1.0], _PATH)
 
 # {owner.setting: (floor, a call setting it)} of every count setting, each
 # checked by core._check_count.  Most took 2.5 (N_ref, threads, p, m, N, d
@@ -149,10 +147,11 @@ COUNT_CHECKS = {
         **{**_CONSTS, "N": n})),
     "growth_preflight.n_points": (1, lambda n: growth_preflight(
         _GL, _GL.lyapunov, AnalysisConstants(**_CONSTS), n_points=n)),
-    "regularity_check.samples_per_step": (1, lambda n: regularity_check(
-        _RUN, _GL, AnalysisConstants(**_CONSTS), _PATH, n)),
     "regularity_sweep.samples_per_step": (1, lambda n: regularity_sweep(
         _GL, AnalysisConstants(**_CONSTS), GridSpec(1.0, 4), [1.0], 2, n, 0)),
+    "exp_moment_estimate.M": (2, lambda n: exp_moment_estimate(
+        SchemeKind.STOPPED_BIT, _GL, _GL.lyapunov, GridSpec(1.0, 4), n, 1.0,
+        0, [1.0])),
     "stopping_probability.bound_paths": (1, lambda n: stopping_probability(
         _GL, GridSpec(1.0, 4), 2, 0, [1.0], _GL.lyapunov, bound_paths=n,
         ref_refine=1)),

@@ -12,10 +12,10 @@ from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   exp_moment_estimate, exp_moment_supremum,
                                   fit_growth_constant, growth_preflight,
-                                  moment_bound, n0_for, regularity_check,
-                                  regularity_sweep, stopping_probability)
+                                  moment_bound, n0_for, regularity_sweep,
+                                  stopping_probability)
 from biteuler.models import catalog, model_gbm, model_ginzburg_landau
-from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
+from biteuler.schemes import SchemeKind, _intra_step, run_path, run_paths
 from biteuler.taming import stopping_threshold
 
 # mpmath reference values (40 digits) for the closed-form evaluations
@@ -312,14 +312,29 @@ def test_n0_for_is_the_hand_derived_crossover(point):
 
 def test_regularity_single_run_passes():
     gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=64)
-    path = generate_path(1.0, 64 * 5, 1, seed=4, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=64)
-    rep = regularity_check(run, gl, consts, path, samples_per_step=4)
+    # the bound is taken at the grid's N, whatever N the constants carry
+    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
+    rep = regularity_sweep(gl, consts, GridSpec(T=1.0, N=64), [1.0], M=1,
+                           samples_per_step=4, seed=4)
+    assert rep.bound == diagnostics.regularity_bound(consts.at(64))
     assert rep.constants_admissible
     assert rep.all_passed
     assert rep.max_lhs < rep.bound
+
+
+def test_a_deviation_at_the_bound_passes():
+    # the bound holds with equality allowed: ||Y_t - Y_floor(t)|| <= bound
+    gl = model_ginzburg_landau()
+    grid = GridSpec(T=1.0, N=16)
+    path = generate_path(1.0, 80, 1, seed=5, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
+    fine = path.increments[None]
+    top = float(diagnostics._regularity_lhs(gl, grid, run.states, fine).max())
+    key = (SchemeKind.STOPPED_BIT, grid.N)
+    paths = diagnostics._Paths(gl, run.states[0, 0], grid.T, 5, (key,), 80)
+    [(n_pass, tops)] = diagnostics._regularity(top, paths, [slice(0, 1)],
+                                               [(key, run, fine, 0)])
+    assert (n_pass, tops) == (16 * 4, [top])
 
 
 def test_regularity_sweep_full_pass():
@@ -352,96 +367,66 @@ def test_regularity_sweep_memory_holds_one_block():
 
 
 def test_regularity_frozen_path_contributes_zero():
+    # the sweep's one path is path 0 of its seed, on (4 + 1) * 16 steps
     gl = model_ginzburg_landau()
     grid = GridSpec(T=1.0, N=16)
     path = generate_path(1.0, 80, 1, seed=5, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [50.0], path)
     assert run.tau_index.tolist() == [0]
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_check(run, gl, consts, path, samples_per_step=4)
+    rep = regularity_sweep(gl, consts, grid, [50.0], M=1, samples_per_step=4,
+                           seed=5)
     assert rep.max_lhs == 0.0
+    assert rep.all_passed
 
 
 @pytest.mark.parametrize("samples", (1, 4, 9))
-def test_regularity_check_probes_samples_per_step_per_step(samples):
-    # a 160-step path under a 16-step run, coarsened to (samples + 1) * 16
-    # steps; every value used to probe all 9 interior fine nodes, 144 in all
+def test_regularity_sweep_probes_samples_per_step_per_step(samples):
+    # every probe of a path inside the stopping region passes, so the
+    # passes count the probes made
     gl = model_ginzburg_landau()
     grid = GridSpec(T=1.0, N=16)
-    path = generate_path(1.0, 160, 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_check(run, gl, consts, path, samples_per_step=samples)
+    rep = regularity_sweep(gl, consts, grid, [1.0], M=1,
+                           samples_per_step=samples, seed=5)
     assert rep.n_samples == 16 * samples
+    assert rep.n_pass == 16 * samples
 
 
-def test_regularity_check_equals_the_one_path_sweep():
-    # the sweep draws (samples + 1) * N fine steps; the check on that path
-    # probes the same offsets of the same run
+@pytest.mark.parametrize("field, value", (("T", 64.0), ("m", 3)))
+def test_regularity_sweep_rejects_constants_of_another_problem(field, value):
+    # constants of T = 64 or m = 3 on a T = 1 Ginzburg-Landau grid (m = 1)
+    # used to give that other problem's bound: 2500 or 116 against 85
     gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    path = generate_path(1.0, 16 * 4, 1, seed=6, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
-    assert regularity_check(run, gl, consts, path, samples_per_step=3) == \
-        regularity_sweep(gl, consts, grid, [1.0], M=1, samples_per_step=3, seed=6)
-
-
-@pytest.mark.parametrize("samples", (0, -5))
-def test_regularity_check_rejects_no_samples_per_step(samples):
-    gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    path = generate_path(1.0, 160, 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    with pytest.raises(ValueError,
-                       match=f"^samples_per_step must be >= 1, got {samples}$"):
-        regularity_check(run, gl, consts, path, samples_per_step=samples)
-    # 2 probes per step need a 48-step grid, which 160 steps do not refine
-    with pytest.raises(ValueError, match="does not refine the 48-step grid"):
-        regularity_check(run, gl, consts, path, samples_per_step=2)
-
-
-def test_regularity_check_rejects_a_path_that_does_not_fit_the_run():
-    # a T = 2 path used to pass for a T = 1 run, and an m = 2 path failed
-    # inside numpy's reshape
-    gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    path = generate_path(1.0, 80, 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    for bad, message in (
-            (generate_path(2.0, 80, 1, seed=5, path_index=0),
-             r"^path spans T = 2.0, the grid T = 1.0$"),
-            (generate_path(1.0, 80, 2, seed=5, path_index=0),
-             r"^path has m = 2 noise components, the model m = 1$")):
-        with pytest.raises(ValueError, match=message):
-            regularity_check(run, gl, consts, bad, samples_per_step=4)
-    two = run_paths(SchemeKind.STOPPED_BIT, gl, grid, [1.0],
-                    generate_block(1.0, 16, 1, seed=5, first_path=0, count=2))
-    with pytest.raises(ValueError, match="^run must hold one path over the "
-                                         "whole grid"):
-        regularity_check(two, gl, consts, path, samples_per_step=4)
+    consts = AnalysisConstants(**{"c": 2.5, "p": 3, "T": 1.0, "m": 1,
+                                  "rho": 1.5, "N": 16, field: value})
+    with pytest.raises(ValueError, match="^consts must have the grid's "
+                                         r"T = 1\.0 and the model's m = 1"):
+        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=1,
+                         samples_per_step=4, seed=0)
 
 
 @pytest.mark.parametrize("x0", (1.0, 50.0))
 def test_regularity_probes_are_interpolant_deviations(x0):
-    # the check's deviations are ||Y_{t_k+s_j} - Y_{t_k}|| of the scheme's
-    # interpolant at every interior probe, for a path that stays inside the
-    # stopping region and for one frozen at its start
+    # the sweep's deviations are ||Y_{t_k+s_j} - Y_{t_k}|| of the scheme's
+    # interpolant at every interior probe of its one path, for a path that
+    # stays inside the stopping region and for one frozen at its start
     gl = model_ginzburg_landau()
     grid, samples = GridSpec(T=1.0, N=16), 4
     path = generate_path(1.0, 16 * (samples + 1), 1, seed=5, path_index=0)
     run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [x0], path)
     assert run.frozen.tolist() == [x0 == 50.0]
     consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_check(run, gl, consts, path, samples_per_step=samples)
+    rep = regularity_sweep(gl, consts, grid, [x0], M=1,
+                           samples_per_step=samples, seed=5)
     fine = path.increments.reshape(grid.N, samples + 1, 1)
-    devs = [float(np.linalg.norm(
-        interpolate(SchemeKind.STOPPED_BIT, gl, run, k,
-                    (j + 1) * grid.h / (samples + 1),
-                    fine[None, k, :j + 1].sum(axis=1)) - run.states[:, k]))
-        for k in range(grid.N) for j in range(samples)]
+    devs = []
+    for k in range(grid.N):
+        y = run.states[0, k]
+        for j in range(samples):
+            move = _intra_step(gl, grid, y, fine[k, :j + 1].sum(axis=0),
+                               (j + 1) * grid.h / (samples + 1))
+            devs.append(float(np.linalg.norm(y + move - y)))
     assert rep.max_lhs == pytest.approx(max(devs), rel=1e-12, abs=0.0)
     assert rep.n_pass == sum(dev <= rep.bound for dev in devs)
     assert (max(devs) > 0) == (x0 == 1.0)
@@ -719,9 +704,10 @@ def test_stopping_probability_takes_the_last_seed_whose_bound_seeds_fit():
 
 
 def test_exp_moment_estimators_reject_zero_paths():
-    # with M = 0 both would return NaN
+    # with M = 0 both would return NaN, and the estimate's stderr is 0.0
+    # for M = 1, which reads as exact
     gl = model_ginzburg_landau()
-    with pytest.raises(ValueError, match="M must be >= 1"):
+    with pytest.raises(ValueError, match="M must be >= 2"):
         exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
                             GridSpec(1.0, 16), 0, 1.0, seed=0, x0=[1.0])
     with pytest.raises(ValueError, match="M must be >= 1"):

@@ -1,10 +1,12 @@
-"""Every module-level import of the package is used by the module,
-importing the package loads no more of numpy than it needs, and the
+"""Every module-level import of the package is used by the module, the
+public surface exports only what the modules bind, importing the package
+loads no more of numpy than it needs, and the
 layers perfbench's tracer times are reached through the bindings it
 patches, no module but brownian builds a random generator, and no module
 but core reads an integer by ``operator.index``."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -70,6 +72,23 @@ def test_module_level_imports_are_used(path):
     assert sorted(set(imported) - _used_names(tree)) == kept
     for name in kept:
         assert _tracer_patches(path.stem, name)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_exported_name_is_bound(path):
+    module = importlib.import_module(f"biteuler.{path.stem}")
+    exported = getattr(module, "__all__", ())  # cli has no library surface
+    assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_the_package_imports_only_exported_names():
+    # a name deleted from a module's __all__ but still imported here would
+    # stay public through the package
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported = importlib.import_module(f"biteuler.{node.module}").__all__
+            assert [a.name for a in node.names if a.name not in exported] == []
 
 
 def test_import_and_catalog_leave_numpy_random_unloaded():

@@ -17,7 +17,7 @@ from biteuler.brownian import (BlockStream, coarsen_increments, generate_block,
 from biteuler.core import BLOCK_PATHS, GridSpec, path_blocks
 from biteuler.diagnostics import _coarsen_levels
 from biteuler.models import catalog
-from biteuler.schemes import SchemeKind, interpolate, run_path, run_paths
+from biteuler.schemes import SchemeKind, _intra_step, run_path, run_paths
 from biteuler.taming import TamingParams, tame
 
 MODELS = ("gbm", "ginzburg-landau", "vdp")
@@ -64,20 +64,20 @@ def test_run_path_equals_its_row_of_run_paths(name, kind, x0, seed, log_n,
 @settings(deadline=None, max_examples=25)
 @given(name=st.sampled_from(MODELS), x0=starts, seed=seeds,
        log_n=st.integers(5, 7))
-def test_interpolate_hits_both_nodes_of_every_step(name, x0, seed, log_n):
+def test_intra_step_hits_both_nodes_of_every_stopped_step(name, x0, seed,
+                                                          log_n):
     model = catalog()[name].model
     x0 = x0[:model.d]
     grid = GridSpec(1.0, 2**log_n)
     path = generate_path(1.0, grid.N, model.m, seed, 0)
-    for kind in SchemeKind:
-        run = run_path(kind, model, grid, x0, path)
-        assert not run.overflow.any()
-        for k in range(grid.N):
-            left = interpolate(kind, model, run, k, 0.0, np.zeros((1, model.m)))
-            assert left.tobytes() == run.states[:, k].tobytes()
-            right = interpolate(kind, model, run, k, grid.h,
-                                path.increments[None, k])
-            assert right.tobytes() == run.states[:, k + 1].tobytes()
+    run = run_path(SchemeKind.STOPPED_BIT, model, grid, x0, path)
+    for k in range(grid.N):
+        y = run.states[:, k]
+        left = y + _intra_step(model, grid, y, np.zeros((1, model.m)), 0.0)
+        assert left.tobytes() == y.tobytes()
+        right = y + _intra_step(model, grid, y, path.increments[None, k],
+                                grid.h)
+        assert right.tobytes() == run.states[:, k + 1].tobytes()
 
 
 @settings(deadline=None, max_examples=200)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
-from biteuler.core import GridSpec, SdeModel
+from biteuler.core import GridSpec
 from biteuler.models import model_gbm, model_ginzburg_landau, model_vdp
-from biteuler.schemes import (BatchRuns, SchemeKind, interpolate, run_path,
+from biteuler.schemes import (BatchRuns, SchemeKind, _intra_step, run_path,
                               run_paths)
 from biteuler.taming import stopping_threshold
 
@@ -211,120 +211,56 @@ def test_explosion_precedes_overflow_at_coarse_n():
     assert np.isfinite(runs.states).all()
 
 
-def test_interpolate_endpoints_bitwise():
+@pytest.mark.parametrize("T, x0", ((1.0, 1.0), (1.0, stopping_threshold(8, 1.0)),
+                                   (2.0, 3.5)))
+def test_intra_step_hits_both_nodes_of_a_stopped_step(T, x0):
+    # a start on the threshold itself is stepped, as run_paths steps it, and
+    # one past the T = 2 threshold (3.25, below the T = 1 one) is held
     model = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, 1, seed=6, path_index=0)
-    for kind in (SchemeKind.STOPPED_BIT, SchemeKind.EULER_MARUYAMA,
-                 SchemeKind.DRIFT_TAMED):
-        run = run_path(kind, model, grid, [1.0], path)
-        for k in (0, 3, 7):
-            at_left = interpolate(kind, model, run, k, 0.0, np.zeros((1, 1)))
-            np.testing.assert_array_equal(at_left, run.states[:, k])
-            at_right = interpolate(kind, model, run, k, grid.h,
-                                   path.increments[None, k])
-            np.testing.assert_array_equal(at_right, run.states[:, k + 1])
+    grid = GridSpec(T=T, N=8)
+    path = generate_path(T, 8, 1, seed=6, path_index=0)
+    run = run_path(SchemeKind.STOPPED_BIT, model, grid, [x0], path)
+    for k in (0, 3, 7):
+        y = run.states[:, k]
+        at_left = y + _intra_step(model, grid, y, np.zeros((1, 1)), 0.0)
+        np.testing.assert_array_equal(at_left, y)
+        at_right = y + _intra_step(model, grid, y, path.increments[None, k],
+                                   grid.h)
+        assert at_right.tobytes() == run.states[:, k + 1].tobytes()
 
 
-def test_interpolate_frozen_step_constant():
-    model = model_ginzburg_landau()
+@pytest.mark.parametrize("model, x0", ((model_ginzburg_landau(), [30.0]),
+                                       (model_vdp(), [-0.0, 50.0])))
+def test_intra_step_frozen_step_constant(model, x0):
+    # a frozen path's move is -0.0, which keeps a -0.0 component's sign
     grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, 1, seed=6, path_index=1)
-    run = run_path(SchemeKind.STOPPED_BIT, model, grid, [30.0], path)
+    path = generate_path(1.0, 8, model.m, seed=6, path_index=1)
+    run = run_path(SchemeKind.STOPPED_BIT, model, grid, x0, path)
     assert run.tau_index.tolist() == [0]
-    mid = interpolate(SchemeKind.STOPPED_BIT, model, run, 2, grid.h / 2,
-                      np.array([[0.4]]))
-    np.testing.assert_array_equal(mid, run.states[:, 2])
+    y = run.states[:, 2]
+    mid = y + _intra_step(model, grid, y, np.full((1, model.m), 0.4),
+                          grid.h / 2)
+    assert mid.tobytes() == y.tobytes()
 
 
-def _squared_noise() -> SdeModel:
-    # sigma(x) = x^2 is left untamed by the drift-tamed scheme, so it overflows
-    return SdeModel(name="squared-noise", d=1, m=1, drift=lambda x: -x,
-                    diffusion=lambda x: (x * x)[..., None])
-
-
-@pytest.mark.parametrize("kind, model, x0, seed, frozen_from", [
-    (SchemeKind.EULER_MARUYAMA, model_ginzburg_landau(), 5.0, 0, 6),
-    (SchemeKind.DRIFT_TAMED, _squared_noise(), 50.0, 2, 7),
-])
-def test_interpolate_overflowed_run_stays_frozen(kind, model, x0, seed,
-                                                 frozen_from):
-    grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, 1, seed=seed, path_index=0)
-    run = run_path(kind, model, grid, [x0], path)
-    assert run.overflow.tolist() == [True]
-    # the update of step frozen_from overflows; the path is constant after
-    k0 = frozen_from
-    assert (run.states[0, k0:] == run.states[0, k0]).all()
-    assert run.states[0, k0 - 1, 0] != run.states[0, k0, 0]
-    for k in range(grid.N):
-        at_right = interpolate(kind, model, run, k, grid.h,
-                               path.increments[None, k])
-        np.testing.assert_array_equal(at_right, run.states[:, k + 1])
-    for k in range(k0, grid.N):
-        mid = interpolate(kind, model, run, k, grid.h / 2,
-                          path.increments[None, k] / 2)
-        np.testing.assert_array_equal(mid, run.states[:, k])
-
-
-def test_interpolate_offset_validation():
+def test_intra_step_moves_every_row_as_its_one_path_run():
+    # B paths at once give, row by row, the one-path runs' moves, for rows
+    # inside the stopping region and rows gated from the start
     model = model_ginzburg_landau()
     grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, 1, seed=6, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, model, grid, [1.0], path)
-    with pytest.raises(ValueError):
-        interpolate(SchemeKind.STOPPED_BIT, model, run, 0, 1.0, np.zeros((1, 1)))
-
-
-@pytest.mark.parametrize("shape", [(3,), (1,), (2, 1), (1, 3), (1, 1, 1)])
-def test_interpolate_rejects_a_bridge_not_one_row_per_path(shape):
-    # a (3,) bridge used to broadcast into three noise terms for an m = 1
-    # model, and a (2, 1) bridge into two states for one path
-    model = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, 1, seed=3, path_index=0)
-    run = run_path(SchemeKind.EULER_MARUYAMA, model, grid, [1.0], path)
-    bridge = np.full(shape, 0.1)
-    with pytest.raises(ValueError, match=r"^bridge must have shape \(1, 1\)"):
-        interpolate(SchemeKind.EULER_MARUYAMA, model, run, 2, 0.1, bridge)
-    assert interpolate(SchemeKind.EULER_MARUYAMA, model, run, 2, 0.1,
-                       np.full((1, 1), 0.1)).shape == (1, 1)
-
-
-def test_interpolate_steps_every_row_as_its_one_path_run():
-    # B paths at once give, row by row, the one-path runs' values
-    model = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=8)
-    x0 = [1.0]
     dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=6)
     bridge = np.linspace(-0.3, 0.3, 6)[:, None]
-    for kind in SchemeKind:
-        runs = run_paths(kind, model, grid, [30.0] if kind is
-                         SchemeKind.STOPPED_BIT else x0, dw)
+    for x0 in ([1.0], [30.0]):
+        runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
         for k in (0, 5):
-            vals = interpolate(kind, model, runs, k, grid.h / 3, bridge)
+            moves = _intra_step(model, grid, runs.states[:, k], bridge,
+                                grid.h / 3)
             for j in range(6):
-                one = run_paths(kind, model, grid, runs.states[j, 0],
+                one = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0,
                                 dw[j:j + 1])
-                assert vals[j:j + 1].tobytes() == interpolate(
-                    kind, model, one, k, grid.h / 3, bridge[j:j + 1]).tobytes()
-
-
-def test_interpolate_rejects_a_step_outside_the_run():
-    model = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=8)
-    dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=2)
-    first = run_paths(SchemeKind.STOPPED_BIT, model, grid,
-                      BatchRuns.initial(grid, [1.0], 2, 1), dw[:, :4])
-    rest = run_paths(SchemeKind.STOPPED_BIT, model, grid, first.tail(), dw[:, 4:])
-    bridge = np.zeros((2, 1))
-    for run, k in ((first, 4), (first, -1), (rest, 3), (rest, 8)):
-        with pytest.raises(IndexError):
-            interpolate(SchemeKind.STOPPED_BIT, model, run, k, 0.0, bridge)
-    # a continued run reads step k from its own nodes
-    np.testing.assert_array_equal(
-        interpolate(SchemeKind.STOPPED_BIT, model, rest, 5, 0.0, bridge),
-        rest.states[:, 1])
+                assert moves[j:j + 1].tobytes() == _intra_step(
+                    model, grid, one.states[:, k], bridge[j:j + 1],
+                    grid.h / 3).tobytes()
 
 
 def test_deterministic_euler_order_one_for_ode():
