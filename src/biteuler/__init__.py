@@ -4,9 +4,8 @@ The package implements the quartic-exponential increment-taming family and
 its derivatives, reproducible coupled Brownian paths, three Euler-type
 schemes (classical, drift-tamed, stopped increment-tamed), a model zoo with
 Lyapunov data and a sampled condition checker, quantitative diagnostics
-(exponential moments, moment bounds, temporal regularity, stopping
-probability), and a Monte Carlo experiment engine measuring strong
-convergence rates.
+(exponential moments, moment bounds, stopping probability), and a Monte
+Carlo experiment engine measuring strong convergence rates.
 """
 
 from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
@@ -20,8 +19,7 @@ from .schemes import BatchRuns, SchemeKind, run_path, run_paths
 from .models import (catalog, check_conditions, model_gbm,
                      model_ginzburg_landau, model_vdp)
 from .diagnostics import (AnalysisConstants, epsilon_n, exp_moment_estimate,
-                          moment_bound, n0_for, regularity_sweep,
-                          stopping_probability)
+                          moment_bound, n0_for, stopping_probability)
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
                           moment_sweep, strong_error)
 

@@ -4,7 +4,9 @@ emission, catalog listing.
 Value precedence, lowest to highest: built-in defaults, config file
 (INI-style, one section per command), environment variables with prefix
 ``BITEULER_`` (flag name upper-cased, dashes to underscores), command-line
-flags.  Each setting's type, choices and default are declared once, in
+flags.  Every flag but ``--config`` has an environment form: the config
+file is named by the flag alone, and ``BITEULER_CONFIG`` is not read.
+Each setting's type, choices and default are declared once, in
 ``_SETTINGS``; config-file and environment values are parsed by that same
 declaration, so a bad one is rejected just like a bad flag.  Unknown config
 keys are hard errors.
@@ -202,7 +204,7 @@ _SETTINGS = {
     "--N": dict(type=int, default=64, help="time steps"),
     "--Ns": dict(type=_ns, help="comma-separated time steps (required)"),
     "--N-ref": dict(type=int, default=0,
-                    help="fine-reference steps; 0 means 8 * max(Ns)"),
+                    help="fine reference only: its steps; 0 means 8 * max(Ns)"),
     "--M": dict(type=int, default=1000, help="Monte Carlo paths"),
     "--T": dict(type=float, default=1.0, help="time horizon"),
     "--r": dict(type=float, default=2.0, help="L^r error exponent"),

@@ -2,15 +2,16 @@
 
 Implements the per-N perturbation rate eps_N driving the exponential-moment
 inequality, the Gronwall-style moment bound with its explicit constants,
-the intra-step temporal-regularity bound, the exponential-moment functional
-estimator with stopping-time tracking, and the stopping-probability bound.
+the exponential-moment functional estimator with stopping-time tracking,
+and the stopping-probability bound, all stepped through one block driver.
 
 The constants (c, p) entering the bounds are proof-style growth constants:
 they must dominate sampled Lipschitz/growth inequalities of the model
-(checked by ``growth_preflight``), and the bounds are guaranteed only from
-a crossover index N0 onward (reported by ``n0_for``; at desk-scale N the
-admissibility inequalities typically do not hold yet and the bounds are
-vacuously large, which the reports state rather than hide).
+(``fit_growth_constant`` fits c to the samples), and the bounds are
+guaranteed only from a crossover index N0 onward (reported by ``n0_for``;
+at desk-scale N the admissibility inequalities typically do not hold yet
+and the bounds are vacuously large, which the reports state rather than
+hide).
 """
 
 from __future__ import annotations
@@ -27,20 +28,15 @@ from .brownian import (BlockStream, _path_key, _seed_generator,
 from .core import (GridSpec, LyapunovSpec, SdeModel, _check_count,
                    _check_horizon, path_blocks, validate_start)
 from .models import _RADIUS, _pair_gaps, _sample_ball
-from .schemes import (OVERFLOW_CAP, BatchRuns, SchemeKind, _intra_step,
-                      run_paths)
+from .schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
 
 __all__ = [
     "AnalysisConstants",
     "epsilon_n",
     "moment_bound",
-    "growth_preflight",
-    "GrowthReport",
     "fit_growth_constant",
     "n0_for",
     "N0Report",
-    "regularity_sweep",
-    "RegularityReport",
     "exp_moment_estimate",
     "exp_moment_supremum",
     "MomentEstimate",
@@ -326,23 +322,6 @@ def moment_bound(consts: AnalysisConstants, t: float, EU0: float) -> float:
 # admissibility of (c, p)
 
 
-@dataclass(frozen=True)
-class GrowthReport:
-    """Sampled check that (c, p) dominate the model's local Lipschitz and
-    polynomial-growth inequalities.  Margins are max(LHS - RHS); <= 0 means
-    the inequality held at every sampled point."""
-
-    c: float
-    p: int
-    n_points: int
-    lipschitz_margin: float
-    growth_margin: float
-
-    @property
-    def admissible(self) -> bool:
-        return self.lipschitz_margin <= 0 and self.growth_margin <= 0
-
-
 def _growth_lhs(model: SdeModel, spec: Optional[LyapunovSpec], x: np.ndarray) -> np.ndarray:
     mu = model.drift(x)
     sig = model.diffusion(x)
@@ -358,13 +337,20 @@ def _growth_lhs(model: SdeModel, spec: Optional[LyapunovSpec], x: np.ndarray) ->
     return lhs
 
 
-_GROWTH_POINTS = 10000  # default points and pairs of the growth samples
+_GROWTH_POINTS = 10000  # points and pairs of the growth samples
 _GROWTH_SEED = 7  # seed of the growth samples' generator
 
 
-def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
-                    n_points: int):
-    """The sampled terms of the two growth inequalities, c left out.
+def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int):
+    """The sampled terms of the two growth inequalities, c left out, at
+    _GROWTH_POINTS points and pairs drawn by ``models._sample_ball`` in the
+    ball of radius 10 from ``brownian._seed_generator(7)``:
+
+    Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
+               <= c (1 + ||x||^p + ||y||^p) ||x-y||;
+    growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
+               <= c (1 + ||x||^p)  (the U terms are dropped when no
+               Lyapunov data is supplied).
 
     Returns (lhs_lip, poly_lip, dist, lhs_gro, poly_gro): at the sampled
     pairs (x, y) with x != y the Lipschitz inequality reads
@@ -372,8 +358,8 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
     inequality reads lhs_gro <= c * poly_gro.
     """
     rng = _seed_generator(_GROWTH_SEED)
-    x = _sample_ball(rng, n_points, model.d, _RADIUS)
-    y = _sample_ball(rng, n_points, model.d, _RADIUS)
+    x = _sample_ball(rng, _GROWTH_POINTS, model.d, _RADIUS)
+    y = _sample_ball(rng, _GROWTH_POINTS, model.d, _RADIUS)
     x_p, y_p, dz, dmu, dsig = _pair_gaps(model, x, y)
     dist = np.sqrt(np.einsum("...d,...d->...", dz, dz))
     lhs_lip = (np.sqrt(np.einsum("...d,...d->...", dmu, dmu))
@@ -384,37 +370,13 @@ def _growth_samples(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
     return lhs_lip, poly_lip, dist, _growth_lhs(model, spec, x), poly_gro
 
 
-def growth_preflight(model: SdeModel, spec: Optional[LyapunovSpec],
-                     consts: AnalysisConstants,
-                     n_points: int = _GROWTH_POINTS) -> GrowthReport:
-    """Sample the two growth inequalities at n_points points/pairs drawn
-    by ``models._sample_ball`` in the ball of radius 10 from
-    ``brownian._seed_generator(7)``.
-
-    Lipschitz: ||mu(x)-mu(y)|| + ||sigma(x)-sigma(y)||_F
-               <= c (1 + ||x||^p + ||y||^p) ||x-y||;
-    growth:    |U_bar| + ||Hess U|| + ||grad U|| + |U| + ||mu|| + ||sigma||_F
-               <= c (1 + ||x||^p)  (the U terms are dropped when no
-               Lyapunov data is supplied).
-    ValueError names ``n_points`` unless it is an integer >= 1.
-    """
-    _check_count("n_points", n_points)
-    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
-        model, spec, consts.p, n_points)
-    lip_margin = float(np.max(lhs_lip - consts.c * poly_lip * dist))
-    gro_margin = float(np.max(lhs_gro - consts.c * poly_gro))
-    return GrowthReport(c=consts.c, p=consts.p, n_points=n_points,
-                        lipschitz_margin=lip_margin, growth_margin=gro_margin)
-
-
 def fit_growth_constant(model: SdeModel, spec: Optional[LyapunovSpec], p: int,
                         T: float = 1.0) -> float:
     """1.1 times the smallest c dominating the growth inequalities for the
-    given degree p, sampled as ``growth_preflight`` samples them by
-    default, floored at T**(1/32).  ValueError names ``T`` unless T > 0."""
+    given degree p at the points and pairs of ``_growth_samples``, floored
+    at T**(1/32).  ValueError names ``T`` unless T > 0."""
     _check_horizon(T)
-    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(
-        model, spec, p, _GROWTH_POINTS)
+    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = _growth_samples(model, spec, p)
     c_lip = float(np.max(lhs_lip / (poly_lip * dist)))
     c_gro = float(np.max(lhs_gro / poly_gro))
     return 1.1 * max(c_lip, c_gro, T ** (1.0 / 32.0))
@@ -458,97 +420,6 @@ def n0_for(consts: AnalysisConstants) -> N0Report:
         n0 = math.inf
     return N0Report(N0=max(n0, 1.0), log10_N0=log_n0 / math.log(10.0),
                     threshold_fit_all_N=no_gap)
-
-
-# ---------------------------------------------------------------------------
-# temporal regularity
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    """What ``regularity_sweep`` found: ``n_pass`` of its ``n_samples``
-    intra-step deviations ||Y_t - Y_floor(t)|| lie within ``bound``, and
-    the largest is ``max_lhs``.
-
-    ``bound`` is 2 c^{p+1} (T/N)^{7/32} (T^{3/4} + sqrt(m)).  When
-    ``growth_preflight`` fails, ``constants_admissible`` is False and a
-    failed sample indicates inadmissible constants rather than a bound
-    violation; ``n0`` restricts the guaranteed regime to N >= N0.
-    """
-
-    n_samples: int
-    n_pass: int
-    max_lhs: float
-    bound: float
-    constants_admissible: bool
-    n0: N0Report
-
-    @property
-    def all_passed(self) -> bool:
-        return self.n_pass == self.n_samples
-
-
-def _regularity_lhs(model: SdeModel, grid: GridSpec, states: np.ndarray,
-                    incr_fine: np.ndarray) -> np.ndarray:
-    """Intra-step deviations ||Y_{t_k+s_j} - Y_{t_k}|| for all fine offsets:
-    the norms of the stopped tamed interpolant's moves, 0 past the stopping
-    threshold.
-
-    states: (B, n+1, d), any n consecutive steps of a run on ``grid``;
-    incr_fine: (B, refine*n, m), their fine increments.  Returns an array
-    of shape (B, n, refine-1) of deviations at the interior fine nodes.
-    """
-    B, n = states.shape[0], states.shape[1] - 1
-    refine = incr_fine.shape[1] // n
-    partial = np.cumsum(incr_fine.reshape(B, n, refine, model.m), axis=2)
-    offsets = np.arange(1, refine)[:, None] * (grid.h / refine)  # interior nodes
-    move = _intra_step(model, grid, states[:, :-1, None], partial[:, :, :-1],
-                       offsets)
-    return np.sqrt(np.einsum("...d,...d->...", move, move))   # (B, n, refine-1)
-
-
-def regularity_bound(consts: AnalysisConstants) -> float:
-    c, p, T, m, N = consts.c, consts.p, consts.T, consts.m, consts.N
-    return 2.0 * c ** (p + 1) * (T / N) ** (7.0 / 32.0) * (T**0.75 + math.sqrt(m))
-
-
-def _regularity(bound: float, paths: _Paths, parts: list, steps) -> list:
-    """The intra-step probes within ``bound``, and the largest deviation
-    (0 for none) in a one-element list."""
-    _one_segment(parts)
-    n_pass, top = 0, 0.0
-    for _, run, fine, _ in steps:
-        dev = _regularity_lhs(paths.model, run.grid, run.states, fine)
-        n_pass += int(np.sum(dev <= bound))
-        top = max(top, float(dev.max()))
-        del run, fine, dev
-    return [(n_pass, [top])]
-
-
-def regularity_sweep(model: SdeModel, consts: AnalysisConstants, grid: GridSpec,
-                     x0, M: int, samples_per_step: int,
-                     seed: int) -> RegularityReport:
-    """Check the intra-step regularity bound on M stopped-tamed paths, each
-    step probed at the samples_per_step interior nodes of the path's
-    (samples_per_step + 1) * grid.N-step grid.  ValueError names
-    ``samples_per_step`` and ``M`` unless each is an integer >= 1, and
-    ``consts`` unless its T and m are the grid's and the model's."""
-    _check_count("samples_per_step", samples_per_step)
-    if consts.T != grid.T or consts.m != model.m:
-        raise ValueError(f"consts must have the grid's T = {grid.T} and the "
-                         f"model's m = {model.m}, got T = {consts.T} and "
-                         f"m = {consts.m}")
-    x0 = validate_start(model, x0, M)
-    consts = consts.at(grid.N)
-    paths = _Paths(model, x0, grid.T, seed, ((SchemeKind.STOPPED_BIT, grid.N),),
-                   (samples_per_step + 1) * grid.N)
-    bound = regularity_bound(consts)
-    [(n_pass, tops)] = _drive(paths, functools.partial(_regularity, bound), M)
-    growth = growth_preflight(model, model.lyapunov, consts, n_points=2000)
-    return RegularityReport(
-        n_samples=M * grid.N * samples_per_step, n_pass=n_pass,
-        max_lhs=max(tops), bound=bound, constants_admissible=growth.admissible,
-        n0=n0_for(consts))
 
 
 # ---------------------------------------------------------------------------

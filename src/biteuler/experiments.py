@@ -93,10 +93,11 @@ class ConvergenceConfig:
     Brownian path) or "fine" (the ``ref_scheme`` run on the N_ref grid);
     for a fine reference N_ref must be a multiple of every N and at least
     8 times the largest, and for an exact one the largest N must be (the
-    reference runs on its grid).  ``Ns`` should be powers of two when a
-    rate fit is intended.  ``M`` is an integer >= 10, one path per
-    batch-means batch, and ``seed`` an integer in [0, 2**64).  ``x0`` of
-    None uses the catalog default.
+    reference runs on its grid).  N_ref and ref_scheme are for a fine
+    reference only: with an exact one N_ref must be 0 and ref_scheme None.
+    ``Ns`` should be powers of two when a rate fit is intended.  ``M`` is
+    an integer >= 10, one path per batch-means batch, and ``seed`` an
+    integer in [0, 2**64).  ``x0`` of None uses the catalog default.
     """
 
     model: str
@@ -123,9 +124,19 @@ class ConvergenceConfig:
         worker_count(self.threads)
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")
-        if self.reference == "exact" and any(max(self.Ns) % n for n in self.Ns):
-            raise ValueError(f"with an exact reference the largest N must be "
-                             f"a multiple of every N, got Ns = {tuple(self.Ns)}")
+        if self.reference == "exact":
+            # N_ref and ref_scheme set a fine reference; an exact one would
+            # ignore them
+            if self.N_ref != 0:
+                raise ValueError(f"N_ref must be 0 with an exact reference, "
+                                 f"got {self.N_ref}")
+            if self.ref_scheme is not None:
+                raise ValueError(f"ref_scheme must be None with an exact "
+                                 f"reference, got {self.ref_scheme}")
+            if any(max(self.Ns) % n for n in self.Ns):
+                raise ValueError(f"with an exact reference the largest N must "
+                                 f"be a multiple of every N, got Ns = "
+                                 f"{tuple(self.Ns)}")
         if self.reference == "fine":
             # the reference resolution itself may appear in Ns (its error is
             # exactly zero); every other N needs the 8x separation

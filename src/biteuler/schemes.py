@@ -14,12 +14,10 @@ Schemes:
   threshold the path is constant (frozen) for the rest of the horizon.
 
 The schemes differ only in how they transform the drift, how they transform
-the increment and which gate they apply, so the update mu*s + sigma@dW is
-written once (``_update``).  Two callers share it, and so perform
-bit-identical arithmetic: the batched driver ``run_paths``, and the
-stopped tamed scheme's intra-step evaluator ``_intra_step``, behind the
-regularity probes of ``diagnostics``.  One path is a one-row
-``BatchRuns``: ``run_path`` is ``run_paths`` on one Brownian path.
+the increment and which gate they apply, so the update mu*h + sigma@dW is
+written once (``_update``), and the batched driver ``run_paths`` steps
+every scheme with it.  One path is a one-row ``BatchRuns``: ``run_path``
+is ``run_paths`` on one Brownian path.
 """
 
 from __future__ import annotations
@@ -59,13 +57,12 @@ def _norm(y: np.ndarray) -> np.ndarray:
 
 
 def _update(kind: SchemeKind, model: SdeModel, y: np.ndarray, dw: np.ndarray,
-            s, h: float) -> np.ndarray:
-    """The Euler-type update mu~(y)*s + sigma(y) @ dw of every scheme.
+            h: float) -> np.ndarray:
+    """The Euler-type update mu~(y)*h + sigma(y) @ dw of every scheme.
 
     mu~ is the drift scaled by 1/(1 + ||mu(y)||*h) for DRIFT_TAMED and the
     drift itself otherwise; ``dw`` is the increment as the scheme uses it
-    (already tamed for STOPPED_BIT).  ``s`` is the time offset from y's
-    node: h for a whole step, less for the interpolant.
+    (already tamed for STOPPED_BIT).
     """
     mu = model.drift(y)
     if kind is SchemeKind.DRIFT_TAMED:
@@ -77,7 +74,7 @@ def _update(kind: SchemeKind, model: SdeModel, y: np.ndarray, dw: np.ndarray,
         noise = sigma[..., 0] * dw + 0.0
     else:
         noise = np.einsum("...dm,...m->...d", sigma, dw)
-    return mu * s + noise
+    return mu * h + noise
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
         for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
             y, y_next = path[j], path[j + 1]
             gate = np.greater(norm(y), threshold, out=exceeded[j])
-            np.add(y, _update(kind, model, y, dw, h, h), out=y_next)
+            np.add(y, _update(kind, model, y, dw, h), out=y_next)
             if not stopped:
                 overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
                 gate = overflow
@@ -230,22 +227,3 @@ def run_path(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     return run_paths(kind, model, grid, x0,
                      coarsen_increments(path.increments[None], grid.N))
 
-
-def _intra_step(model: SdeModel, grid: GridSpec, y: np.ndarray,
-                bridge: np.ndarray, s) -> np.ndarray:
-    """The stopped tamed interpolant's move Y_{t_k+s} - Y_{t_k} from nodes
-    ``y`` (..., d) with bridge values W_{t_k+s} - W_{t_k} (..., m) at
-    offsets ``s``, all broadcast together: the bridge tamed with the
-    step's TamingParams, and no move for a path past the stopping
-    threshold.  At s = T/N with the full step increment, y plus the move is
-    run_paths' next node bit for bit.  Floating-point warnings are
-    silenced, as in run_paths: the moves of gated paths are computed too
-    and then dropped.
-    """
-    h = grid.h
-    with np.errstate(all="ignore"):
-        move = _update(SchemeKind.STOPPED_BIT, model, y,
-                       tame(TamingParams(h=h, m=model.m), bridge), s, h)
-    gated = _norm(y) > stopping_threshold(grid.N, grid.T)
-    # -0.0 leaves every y bit for bit when added; +0.0 turns -0.0 into +0.0
-    return np.where(gated[..., None], -0.0, move)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from biteuler import diagnostics, experiments
-from biteuler.cli import (_COMMANDS, CSV_HEADER, _render, emit, main,
-                          table_from_json, table_to_csv, table_to_json)
+from biteuler.cli import (_COMMANDS, CSV_HEADER, UsageError, _render, emit,
+                          main, table_from_json, table_to_csv, table_to_json)
 from biteuler.core import ErrorRow, ErrorTable, RateFit
 from biteuler.schemes import SchemeKind
 
@@ -91,6 +91,14 @@ def test_emit_csv_with_ratefit_sidecar(tmp_path):
     assert sidecar == {"slope": 0.5, "intercept": -1.0, "residual": 0.0}
 
 
+def test_emit_rejects_an_unknown_format_and_writes_nothing(tmp_path):
+    table = ErrorTable(scheme="bit", model="gbm", r=2.0, rows=())
+    out = tmp_path / "table.xml"
+    with pytest.raises(UsageError, match="^unknown format 'xml'$"):
+        emit(table, "xml", str(out))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_model_is_usage_error(capsys):
     assert main(["convergence", "--Ns", "16,32,64", "--M", "50"]) == 1
     assert "model" in capsys.readouterr().err
@@ -160,6 +168,18 @@ def test_convergence_auto_reference_without_closed_form(tmp_path):
                  "--format", "csv", "--output", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("reference", ("auto", "exact"))
+def test_convergence_exact_reference_rejects_n_ref(capsys, reference):
+    # gbm has a closed form, so auto picks it; both used to exit 0 against
+    # the closed form without the 4096-step fine reference asked for
+    assert main(["convergence", "--model", "gbm", "--Ns", "16,32,64",
+                 "--N-ref", "4096", "--M", "10", "--reference", reference]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: N_ref must be 0 with an exact reference, "
+                            "got 4096\n")
 
 
 def test_simulate_writes_summary(tmp_path, capsys):
@@ -278,7 +298,18 @@ def test_simulate_dumps_increments(tmp_path, seed):
     (["moments", "--model", "ginzburg-landau", "--Ns", "16,16", "--M", "10"],
      "error: Ns must not repeat an N, got (16, 16)"),
     (["divergence", "--model", "ginzburg-landau", "--Ns", "4,4", "--M", "10"],
-     "error: Ns must not repeat an N, got (4, 4)")])
+     "error: Ns must not repeat an N, got (4, 4)"),
+    # the sweeps have no default list of N
+    (["convergence", "--model", "gbm", "--M", "10"], "error: missing --Ns"),
+    (["divergence", "--model", "ginzburg-landau", "--M", "10"],
+     "error: missing --Ns"),
+    (["moments", "--model", "ginzburg-landau", "--M", "10"],
+     "error: missing --Ns"),
+    # gbm has no Lyapunov function for the moments or the checker to use
+    (["moments", "--model", "gbm", "--Ns", "4,8", "--M", "10"],
+     "error: model 'gbm' ships no Lyapunov data"),
+    (["check-conditions", "--model", "gbm", "--n-points", "10"],
+     "error: model 'gbm' ships no Lyapunov data")])
 def test_out_of_range_settings_exit_1_before_stepping(monkeypatch, capsys,
                                                       tmp_path, args, message):
     def no_stepping(*a, **k):
@@ -429,12 +460,70 @@ def test_unknown_config_key_is_hard_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_missing_config_file_is_hard_error(tmp_path, capsys):
+    cfg = tmp_path / "absent.ini"
+    assert main(["simulate", "--model", "gbm", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: config file {str(cfg)!r} not found\n"
+
+
+def test_unknown_config_section_is_hard_error(tmp_path, capsys):
+    # a misspelt command section would otherwise be skipped without a word
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[simulat]\nM = 7\n")
+    assert main(["simulate", "--model", "gbm", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: unknown config section [simulat]\n"
+
+
+@pytest.mark.parametrize("text", ("16,x", "4.5", ","))
+def test_ns_that_are_not_integers_exit_1(capsys, text):
+    assert main(["convergence", "--model", "gbm", "--M", "10",
+                 "--Ns", text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument --Ns: expected positive integers such as 16,32,64, "
+            f"got {text!r}") in captured.err
+
+
+@pytest.mark.parametrize("args,message", [
+    # gbm is linear, so Euler-Maruyama never explodes
+    (["divergence", "--model", "gbm", "--Ns", "4,8", "--M", "50",
+      "--expect-contrast"],
+     "divergence contrast not observed (em explodes: False, bit clean: True)"),
+    # max/min of E[U] is at least 1
+    (["moments", "--model", "ginzburg-landau", "--Ns", "8,16", "--M", "100",
+      "--max-ratio", "0.5"], "E[U] max/min ratio "),
+    # the Laplacian bound fails below h ~ 0.05 (4.19 against 3.2 at 0.01)
+    (["taming-check", "--h-values", "0.01", "--m-values", "1",
+      "--samples", "20000", "--strict"],
+     "a claimed taming bound failed its Monte Carlo check")])
+def test_failed_assertions_exit_2_after_writing_the_output(capsys, tmp_path,
+                                                           args, message):
+    out = tmp_path / "o.json"
+    assert main(args + ["--seed", "3", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("assertion failed: " + message)
+    assert json.loads(out.read_text())
+
+
 def test_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BITEULER_M", "32")
     out = tmp_path / "o.json"
     assert main(["simulate", "--model", "gbm", "--scheme", "em", "--N", "8",
                  "--output", str(out)]) == 0
     assert json.loads(out.read_text())["M"] == 32
+
+
+def test_config_file_has_no_environment_form(tmp_path, monkeypatch):
+    # every other flag has a BITEULER_ form; the config file is named by
+    # --config alone, so BITEULER_CONFIG leaves the defaults as they are
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[simulate]\nM = 7\n")
+    monkeypatch.setenv("BITEULER_CONFIG", str(cfg))
+    out = tmp_path / "o.json"
+    args = ["simulate", "--model", "gbm", "--N", "8", "--output", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.read_text())["M"] == 1000
+    assert main(args + ["--config", str(cfg)]) == 0
+    assert json.loads(out.read_text())["M"] == 7
 
 
 def test_divergence_command_assertion(tmp_path):

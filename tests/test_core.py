@@ -10,8 +10,7 @@ from biteuler.brownian import (BlockStream, BrownianGrid, coarsen_increments,
 from biteuler.core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec,
                            validate_start, worker_count)
 from biteuler.diagnostics import (AnalysisConstants, exp_moment_estimate,
-                                  fit_growth_constant, growth_preflight,
-                                  regularity_sweep, stopping_probability)
+                                  fit_growth_constant, stopping_probability)
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   moment_sweep)
 from biteuler.models import catalog, check_conditions
@@ -145,10 +144,6 @@ COUNT_CHECKS = {
         **{**_CONSTS, "p": n})),
     "AnalysisConstants.N": (1, lambda n: AnalysisConstants(
         **{**_CONSTS, "N": n})),
-    "growth_preflight.n_points": (1, lambda n: growth_preflight(
-        _GL, _GL.lyapunov, AnalysisConstants(**_CONSTS), n_points=n)),
-    "regularity_sweep.samples_per_step": (1, lambda n: regularity_sweep(
-        _GL, AnalysisConstants(**_CONSTS), GridSpec(1.0, 4), [1.0], 2, n, 0)),
     "exp_moment_estimate.M": (2, lambda n: exp_moment_estimate(
         SchemeKind.STOPPED_BIT, _GL, _GL.lyapunov, GridSpec(1.0, 4), n, 1.0,
         0, [1.0])),

@@ -7,15 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from biteuler import diagnostics
-from biteuler.brownian import generate_block, generate_path
+from biteuler.brownian import generate_block
 from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   exp_moment_estimate, exp_moment_supremum,
-                                  fit_growth_constant, growth_preflight,
-                                  moment_bound, n0_for, regularity_sweep,
+                                  fit_growth_constant, moment_bound, n0_for,
                                   stopping_probability)
 from biteuler.models import catalog, model_gbm, model_ginzburg_landau
-from biteuler.schemes import SchemeKind, _intra_step, run_path, run_paths
+from biteuler.schemes import SchemeKind, run_paths
 from biteuler.taming import stopping_threshold
 
 # mpmath reference values (40 digits) for the closed-form evaluations
@@ -61,6 +60,13 @@ def test_epsilon_n_overflow_reports_inf():
 
 def test_moment_bound_at_zero_time():
     assert moment_bound(UNIT.at(1024), 0.0, 3.5) == pytest.approx(3.5)
+
+
+def test_moment_bound_at_a_vanishing_rate_is_the_start_value():
+    # T/N = 1e-600 underflows to 0 with rho = 0, so C = Cbar = 0, whose
+    # C -> 0 limit EU0 + Cbar*t is EU0, where Cbar/C would divide 0 by 0
+    consts = AnalysisConstants(c=1.0, p=3, T=1e-300, m=1, rho=0.0, N=10**300)
+    assert moment_bound(consts, 1e-300, 2.5) == 2.5
 
 
 def test_moment_bound_frozen_value_and_quadrature():
@@ -214,31 +220,50 @@ def test_analysis_constants_reject_no_noise(m):
         AnalysisConstants(c=2.5, p=3, T=1.0, m=m, rho=1.5, N=16)
 
 
-def test_growth_preflight_gl():
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    report = growth_preflight(gl, gl.lyapunov, consts)
-    assert report.admissible
-    tight = AnalysisConstants(c=1.01, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    assert not growth_preflight(gl, gl.lyapunov, tight).admissible
-
-
-@pytest.mark.parametrize("n_points", (0, -5))
-def test_growth_preflight_rejects_an_empty_sample(n_points):
-    # used to end in numpy's "zero-size array to reduction operation"
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    with pytest.raises(ValueError, match=f"^n_points must be >= 1, got {n_points}$"):
-        growth_preflight(gl, gl.lyapunov, consts, n_points=n_points)
-    assert growth_preflight(gl, gl.lyapunov, consts, n_points=1).n_points == 1
-
-
 def test_fit_growth_constant_is_minimal_with_headroom():
     gl = model_ginzburg_landau()
     c_fit = fit_growth_constant(gl, gl.lyapunov, p=3)
-    consts = AnalysisConstants(c=c_fit, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    assert growth_preflight(gl, gl.lyapunov, consts).admissible
+    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = diagnostics._growth_samples(
+        gl, gl.lyapunov, 3)
+    # c_fit dominates both inequalities at every sample, and c_fit / 1.1
+    # meets one of them with equality at some sample
+    assert (lhs_lip <= c_fit * poly_lip * dist).all()
+    assert (lhs_gro <= c_fit * poly_gro).all()
+    tightest = max(np.max(lhs_lip / (poly_lip * dist)), np.max(lhs_gro / poly_gro))
+    assert tightest == pytest.approx(c_fit / 1.1, rel=1e-12)
     assert c_fit < 3.0  # cubic drift over the radius-10 ball needs c ~ 1.4
+
+
+MODELS = ("gbm", "ginzburg-landau", "vdp")
+
+
+@pytest.mark.parametrize("name,p", [(name, p) for name in MODELS
+                                    for p in (1, 2, 3, 4)
+                                    if (name, p) != ("ginzburg-landau", 3)])
+def test_fit_growth_constant_dominates_every_growth_sample(name, p):
+    # the test above at every other model and degree; gbm ships no Lyapunov
+    # data, so its growth side holds the drift and diffusion terms alone,
+    # and its fit may sit on the T**(1/32) = 1 floor
+    model = catalog()[name].model
+    c_fit = fit_growth_constant(model, model.lyapunov, p)
+    lhs_lip, poly_lip, dist, lhs_gro, poly_gro = diagnostics._growth_samples(
+        model, model.lyapunov, p)
+    assert (lhs_lip <= c_fit * poly_lip * dist).all()
+    assert (lhs_gro <= c_fit * poly_gro).all()
+    tightest = max(np.max(lhs_lip / (poly_lip * dist)),
+                   np.max(lhs_gro / poly_gro), 1.0)
+    assert c_fit == pytest.approx(1.1 * tightest, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_fit_growth_constant_floors_at_the_horizon_root(name):
+    # AnalysisConstants wants c >= T**(1/32), 17.8 at T = 1e40: above what
+    # any model's samples need, so the fit is 1.1 times the floor
+    model = catalog()[name].model
+    c_fit = fit_growth_constant(model, model.lyapunov, 3, T=1e40)
+    assert c_fit == 1.1 * 1e40 ** (1.0 / 32.0)
+    assert AnalysisConstants(c=c_fit, p=3, T=1e40, m=model.m, rho=0.0,
+                             N=16).c == c_fit
 
 
 # the fitted c with the growth samples drawn at both ends of the seed range
@@ -309,128 +334,6 @@ def test_n0_for_is_the_hand_derived_crossover(point):
     assert rep.log10_N0 == pytest.approx(log_n0 / math.log(10.0), rel=1e-12)
     expected = math.exp(log_n0) if log_n0 < 709.0 else math.inf
     assert rep.N0 == pytest.approx(expected, rel=1e-12)
-
-def test_regularity_single_run_passes():
-    gl = model_ginzburg_landau()
-    # the bound is taken at the grid's N, whatever N the constants carry
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_sweep(gl, consts, GridSpec(T=1.0, N=64), [1.0], M=1,
-                           samples_per_step=4, seed=4)
-    assert rep.bound == diagnostics.regularity_bound(consts.at(64))
-    assert rep.constants_admissible
-    assert rep.all_passed
-    assert rep.max_lhs < rep.bound
-
-
-def test_a_deviation_at_the_bound_passes():
-    # the bound holds with equality allowed: ||Y_t - Y_floor(t)|| <= bound
-    gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    path = generate_path(1.0, 80, 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [1.0], path)
-    fine = path.increments[None]
-    top = float(diagnostics._regularity_lhs(gl, grid, run.states, fine).max())
-    key = (SchemeKind.STOPPED_BIT, grid.N)
-    paths = diagnostics._Paths(gl, run.states[0, 0], grid.T, 5, (key,), 80)
-    [(n_pass, tops)] = diagnostics._regularity(top, paths, [slice(0, 1)],
-                                               [(key, run, fine, 0)])
-    assert (n_pass, tops) == (16 * 4, [top])
-
-
-def test_regularity_sweep_full_pass():
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    rep = regularity_sweep(gl, consts, GridSpec(1.0, 1024), [1.0], M=1000,
-                           samples_per_step=4, seed=10)
-    assert rep.n_samples == 1000 * 1024 * 4
-    assert rep.all_passed
-    assert rep.constants_admissible
-
-
-def test_regularity_sweep_memory_holds_one_block():
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=256)
-
-    def peak(M: int) -> int:
-        tracemalloc.start()
-        try:
-            regularity_sweep(gl, consts, GridSpec(1.0, 256), [1.0], M=M,
-                             samples_per_step=4, seed=10)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(10)  # one-time allocations of a first run stay out of the comparison
-    # paths are swept in 1000-path blocks; a block still alive while the
-    # next is drawn puts about 14% on the peak from M = 2000 on
-    assert peak(2000) <= 1.05 * peak(1000)
-
-
-def test_regularity_frozen_path_contributes_zero():
-    # the sweep's one path is path 0 of its seed, on (4 + 1) * 16 steps
-    gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    path = generate_path(1.0, 80, 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [50.0], path)
-    assert run.tau_index.tolist() == [0]
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_sweep(gl, consts, grid, [50.0], M=1, samples_per_step=4,
-                           seed=5)
-    assert rep.max_lhs == 0.0
-    assert rep.all_passed
-
-
-@pytest.mark.parametrize("samples", (1, 4, 9))
-def test_regularity_sweep_probes_samples_per_step_per_step(samples):
-    # every probe of a path inside the stopping region passes, so the
-    # passes count the probes made
-    gl = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=16)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_sweep(gl, consts, grid, [1.0], M=1,
-                           samples_per_step=samples, seed=5)
-    assert rep.n_samples == 16 * samples
-    assert rep.n_pass == 16 * samples
-
-
-@pytest.mark.parametrize("field, value", (("T", 64.0), ("m", 3)))
-def test_regularity_sweep_rejects_constants_of_another_problem(field, value):
-    # constants of T = 64 or m = 3 on a T = 1 Ginzburg-Landau grid (m = 1)
-    # used to give that other problem's bound: 2500 or 116 against 85
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(**{"c": 2.5, "p": 3, "T": 1.0, "m": 1,
-                                  "rho": 1.5, "N": 16, field: value})
-    with pytest.raises(ValueError, match="^consts must have the grid's "
-                                         r"T = 1\.0 and the model's m = 1"):
-        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=1,
-                         samples_per_step=4, seed=0)
-
-
-@pytest.mark.parametrize("x0", (1.0, 50.0))
-def test_regularity_probes_are_interpolant_deviations(x0):
-    # the sweep's deviations are ||Y_{t_k+s_j} - Y_{t_k}|| of the scheme's
-    # interpolant at every interior probe of its one path, for a path that
-    # stays inside the stopping region and for one frozen at its start
-    gl = model_ginzburg_landau()
-    grid, samples = GridSpec(T=1.0, N=16), 4
-    path = generate_path(1.0, 16 * (samples + 1), 1, seed=5, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, gl, grid, [x0], path)
-    assert run.frozen.tolist() == [x0 == 50.0]
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    rep = regularity_sweep(gl, consts, grid, [x0], M=1,
-                           samples_per_step=samples, seed=5)
-    fine = path.increments.reshape(grid.N, samples + 1, 1)
-    devs = []
-    for k in range(grid.N):
-        y = run.states[0, k]
-        for j in range(samples):
-            move = _intra_step(gl, grid, y, fine[k, :j + 1].sum(axis=0),
-                               (j + 1) * grid.h / (samples + 1))
-            devs.append(float(np.linalg.norm(y + move - y)))
-    assert rep.max_lhs == pytest.approx(max(devs), rel=1e-12, abs=0.0)
-    assert rep.n_pass == sum(dev <= rep.bound for dev in devs)
-    assert (max(devs) > 0) == (x0 == 1.0)
-
 
 def _flat_spec():
     return LyapunovSpec(
@@ -528,22 +431,6 @@ def test_stopping_bound_is_the_displayed_formula(T, N):
     assert rep.bound == pytest.approx(float(want), rel=1e-12)
 
 
-@pytest.mark.parametrize("c,p,T,m,N", [(1.5, 3, 1.0, 1, 16),
-                                       (2.5, 4, 0.5, 2, 1024),
-                                       (1.2, 1, 3.0, 5, 7)])
-def test_regularity_bound_is_the_displayed_formula(c, p, T, m, N):
-    # 2 c^{p+1} (T/N)^{7/32} (T^{3/4} + sqrt(m)), by mpmath at 40 digits
-    import mpmath as mp
-
-    consts = AnalysisConstants(c=c, p=p, T=T, m=m, rho=0.0, N=N)
-    with mp.workdps(40):
-        T_ = mp.mpf(T)
-        want = (2 * mp.mpf(c) ** (p + 1) * (T_ / N) ** (mp.mpf(7) / 32)
-                * (T_ ** (mp.mpf(3) / 4) + mp.sqrt(m)))
-    assert diagnostics.regularity_bound(consts) == pytest.approx(float(want),
-                                                                 rel=1e-12)
-
-
 def test_stopping_probability_keeps_increments_not_states():
     gbm = model_gbm(a=0.05, b=1.0)
     grid = GridSpec(1.0, 2048)
@@ -586,15 +473,30 @@ def test_exp_moments_keep_increments_not_states(estimator):
     assert peak < 1.5 * 1000 * 2048 * 8
 
 
-def test_regularity_sweep_keeps_increments_not_states():
-    # the (B, 5N, m) fine increments; whole-horizon (B, N, 4) probe
-    # temporaries came on top of them
+ONE_BATCH = {
+    "stopping": lambda gl, grid, M: stopping_probability(
+        gl, grid, M, seed=10, x0=[1.0]),
+    "exp-moment-estimate": lambda gl, grid, M: exp_moment_estimate(
+        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, M, 1.0, seed=10,
+        x0=[1.0]),
+    "exp-moment-supremum": lambda gl, grid, M: exp_moment_supremum(
+        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
+}
+
+
+@pytest.mark.parametrize("name", ONE_BATCH)
+def test_one_batch_estimators_memory_holds_one_block(name):
+    # paths are stepped in 1000-path blocks, and each block's partial is a
+    # node array or a few values per path, so a second block adds next to
+    # nothing to the peak; a block's stream kept alive while the next block
+    # is drawn adds its window
     gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=1024)
-    peak = _peak_bytes(lambda: regularity_sweep(
-        gl, consts, GridSpec(1.0, 1024), [1.0], M=1000, samples_per_step=4,
-        seed=10))
-    assert peak < 1.5 * 1000 * 5 * 1024 * 8
+
+    def run(M: int):
+        ONE_BATCH[name](gl, GridSpec(1.0, 256), M)
+
+    run(10)  # one-time allocations of a first run stay out of the comparison
+    assert _peak_bytes(lambda: run(2000)) <= 1.05 * _peak_bytes(lambda: run(1000))
 
 
 def _integral_only_spec():
@@ -643,27 +545,6 @@ def test_exp_moment_supremum_monotone_pieces():
 
 # ---------------------------------------------------------------------------
 # start validation at the estimators
-
-
-def test_regularity_sweep_rejects_zero_paths():
-    # with M = 0 the sweep would report all_passed from no samples at all
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    with pytest.raises(ValueError, match="M must be >= 1"):
-        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=0,
-                         samples_per_step=4, seed=0)
-
-
-@pytest.mark.parametrize("samples,fault", [(0, "an empty reduction"),
-                                           (-1, "an N_fine message")])
-def test_regularity_sweep_rejects_no_samples_per_step(samples, fault):
-    # each used to fail with ``fault``
-    gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    with pytest.raises(ValueError,
-                       match=f"^samples_per_step must be >= 1, got {samples}$"):
-        regularity_sweep(gl, consts, GridSpec(1.0, 16), [1.0], M=10,
-                         samples_per_step=samples, seed=0)
 
 
 @pytest.mark.parametrize("arg", ("bound_paths", "ref_refine"))
@@ -723,13 +604,33 @@ def test_exp_moment_estimate_rejects_short_start():
                             GridSpec(1.0, 16), 10, 1.0, seed=0, x0=[1.0])
 
 
-def test_regularity_sweep_rejects_nan_start():
-    # a NaN start would end in a FloatingPointError from the stepping
+STARTED = {
+    "stopping": lambda gl, x0: stopping_probability(
+        gl, GridSpec(1.0, 16), 10, seed=0, x0=x0),
+    "stopping-with-spec": lambda gl, x0: stopping_probability(
+        gl, GridSpec(1.0, 16), 10, seed=0, x0=x0, spec=gl.lyapunov),
+    "exp-moment-estimate": lambda gl, x0: exp_moment_estimate(
+        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, GridSpec(1.0, 16), 10, 1.0,
+        seed=0, x0=x0),
+    "exp-moment-supremum": lambda gl, x0: exp_moment_supremum(
+        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, GridSpec(1.0, 16), 10,
+        seed=0, x0=x0),
+}
+
+
+@pytest.mark.parametrize("start", (math.nan, math.inf))
+@pytest.mark.parametrize("name", STARTED)
+def test_estimators_reject_a_non_finite_start_before_stepping(monkeypatch,
+                                                              name, start):
+    # a NaN start would end in a FloatingPointError from the stepping, and
+    # an infinite one would freeze every path at node 0
+    def no_stepping(*args):
+        raise AssertionError("a path was stepped")
+    monkeypatch.setattr(diagnostics, "run_paths", no_stepping)
     gl = model_ginzburg_landau()
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=16)
-    with pytest.raises(ValueError, match="finite"):
-        regularity_sweep(gl, consts, GridSpec(1.0, 16), [math.nan], M=10,
-                         samples_per_step=4, seed=0)
+    with pytest.raises(ValueError,
+                       match=rf"^x0 must be finite, got \[{start}\]$"):
+        STARTED[name](gl, [start])
 
 
 def test_stopping_probability_decays_with_n():

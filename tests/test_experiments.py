@@ -39,7 +39,13 @@ def test_config_validation():
     ("r", math.inf, "r must be > 0 and finite, got inf"),  # slope 0 at error 1
     ("Ns", (0, 8), "every N in Ns must be >= 1, got 0"),
     ("Ns", (4, 8, 4), "Ns must not repeat an N, got (4, 8, 4)"),
-    ("T", -1.0, "T must be > 0")])
+    ("T", -1.0, "T must be > 0"),
+    # an exact reference used to run against the closed form, ignoring both
+    ("N_ref", 4096, "N_ref must be 0 with an exact reference, got 4096"),
+    ("ref_scheme", SchemeKind.EULER_MARUYAMA,
+     "ref_scheme must be None with an exact reference"),
+    # "auto" is the CLI's choice between the two, resolved before the config
+    ("reference", "auto", "reference must be 'exact' or 'fine'")])
 def test_config_rejects_out_of_range_settings(field, value, message):
     args = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8), M=10,
                 seed=0)
@@ -240,6 +246,18 @@ def test_divergence_with_fewer_paths_than_batches():
         assert row.overflow_fraction == runs.overflow.sum() / 3
         m2 = np.where(runs.overflow, 1e300, runs.states[:, -1, 0] ** 2)
         assert row.second_moment_capped == m2.sum() / 3
+
+
+def test_divergence_row_names_a_row_it_does_not_hold():
+    gl = model_ginzburg_landau()
+    report = divergence_comparison(gl, (4, 8), 10, [5.0], seed=0)
+    assert report.row(SchemeKind.STOPPED_BIT, 8).N == 8
+    with pytest.raises(KeyError) as err:
+        report.row(SchemeKind.STOPPED_BIT, 16)
+    assert err.value.args == ((SchemeKind.STOPPED_BIT, 16),)
+    # the sweep compares Euler-Maruyama with the stopped scheme only
+    with pytest.raises(KeyError):
+        report.row(SchemeKind.DRIFT_TAMED, 8)
 
 
 def test_divergence_sums_each_batch_on_its_own():

@@ -191,6 +191,43 @@ def test_beta_must_be_positive():
         model_ginzburg_landau(beta=0.0)
 
 
+@pytest.mark.parametrize("build,args,message", [
+    (tune_ginzburg_landau_spec, (1.0, 0.0, 1.0), "beta must be positive"),
+    (tune_vdp_spec, (1.0, 1.0, 0.0, 0.5),
+     "c_damp must be positive for dissipation"),
+    (tune_vdp_spec, (1.0, 0.0, 1.0, 0.5), "b must be positive"),
+    # a non-default model is tuned, so the tuner's check is the model's
+    (model_vdp, (1.0, 1.0, -1.0, 0.5), "c_damp must be positive for dissipation"),
+    (model_vdp, (1.0, 1.0, 1.0, -0.5), "sigma0 must be nonnegative")],
+    ids=("gl-tune-beta", "vdp-tune-c_damp", "vdp-tune-b", "vdp-c_damp",
+         "vdp-sigma0"))
+def test_tuners_and_models_reject_parameters_out_of_range(build, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+
+
+def _bar_only_spec(q1: float) -> LyapunovSpec:
+    """U = 0 and U_bar = 1: the monotonicity slack is the q1 term alone."""
+    return LyapunovSpec(
+        U=lambda x: np.zeros(np.asarray(x).shape[:-1]),
+        grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        U_bar=lambda x: np.ones(np.asarray(x).shape[:-1]),
+        rho=0.5, c=4.0, p=4, q0=4.0, q1=q1, r=2.0)
+
+
+def test_a_finite_q1_lowers_every_monotonicity_margin_by_its_slack():
+    # (|U_bar(x)| + |U_bar(y)|) / (q1 * 2 e^{rho T}) = 1 / (2 e^{0.5}) at
+    # q1 = 2 and T = 1, the same at every pair; the shipped specs all have
+    # q1 = inf, which adds nothing
+    gl = catalog()["ginzburg-landau"].model
+    free = check_conditions(gl, _bar_only_spec(math.inf), 1.0, 10.0, 2000, seed=1)
+    held = check_conditions(gl, _bar_only_spec(2.0), 1.0, 10.0, 2000, seed=1)
+    assert (held.generator, held.coercivity) == (free.generator, free.coercivity)
+    assert held.monotonicity.worst_margin == pytest.approx(
+        free.monotonicity.worst_margin - 0.5 * math.exp(-0.5), rel=1e-12)
+
+
 # the reports at both ends of the seed range and between, as they were when
 # check_conditions keyed Philox with the seed itself: its key words [seed, 0]
 # are the sampled-check generator's

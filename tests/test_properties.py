@@ -17,16 +17,13 @@ from biteuler.brownian import (BlockStream, coarsen_increments, generate_block,
 from biteuler.core import BLOCK_PATHS, GridSpec, path_blocks
 from biteuler.diagnostics import _coarsen_levels
 from biteuler.models import catalog
-from biteuler.schemes import SchemeKind, _intra_step, run_path, run_paths
+from biteuler.schemes import SchemeKind, run_path, run_paths
 from biteuler.taming import TamingParams, tame
 
 MODELS = ("gbm", "ginzburg-landau", "vdp")
 
-# starts away from zero (a -0.0 start becomes +0.0 after one update, so the
-# s = 0 interpolant would differ from it in the sign bit only) and small
-# enough that no scheme overflows on the grids drawn below
-starts = st.lists(st.floats(-2.0, 2.0).filter(lambda v: v != 0.0),
-                  min_size=2, max_size=2)
+# starts small enough that no scheme overflows on the grids drawn below
+starts = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -59,25 +56,6 @@ def test_run_path_equals_its_row_of_run_paths(name, kind, x0, seed, log_n,
     assert one.states.tobytes() == runs.states[row].tobytes()
     for field in ("tau_index", "frozen", "overflow"):
         assert getattr(one, field).tolist() == getattr(runs, field)[row].tolist()
-
-
-@settings(deadline=None, max_examples=25)
-@given(name=st.sampled_from(MODELS), x0=starts, seed=seeds,
-       log_n=st.integers(5, 7))
-def test_intra_step_hits_both_nodes_of_every_stopped_step(name, x0, seed,
-                                                          log_n):
-    model = catalog()[name].model
-    x0 = x0[:model.d]
-    grid = GridSpec(1.0, 2**log_n)
-    path = generate_path(1.0, grid.N, model.m, seed, 0)
-    run = run_path(SchemeKind.STOPPED_BIT, model, grid, x0, path)
-    for k in range(grid.N):
-        y = run.states[:, k]
-        left = y + _intra_step(model, grid, y, np.zeros((1, model.m)), 0.0)
-        assert left.tobytes() == y.tobytes()
-        right = y + _intra_step(model, grid, y, path.increments[None, k],
-                                grid.h)
-        assert right.tobytes() == run.states[:, k + 1].tobytes()
 
 
 @settings(deadline=None, max_examples=200)

@@ -6,8 +6,7 @@ import pytest
 from biteuler.brownian import coarsen_increments, generate_block, generate_path
 from biteuler.core import GridSpec
 from biteuler.models import model_gbm, model_ginzburg_landau, model_vdp
-from biteuler.schemes import (BatchRuns, SchemeKind, _intra_step, run_path,
-                              run_paths)
+from biteuler.schemes import BatchRuns, SchemeKind, run_path, run_paths
 from biteuler.taming import stopping_threshold
 
 
@@ -211,56 +210,23 @@ def test_explosion_precedes_overflow_at_coarse_n():
     assert np.isfinite(runs.states).all()
 
 
-@pytest.mark.parametrize("T, x0", ((1.0, 1.0), (1.0, stopping_threshold(8, 1.0)),
-                                   (2.0, 3.5)))
-def test_intra_step_hits_both_nodes_of_a_stopped_step(T, x0):
-    # a start on the threshold itself is stepped, as run_paths steps it, and
-    # one past the T = 2 threshold (3.25, below the T = 1 one) is held
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_run_paths_gates_at_the_threshold_of_its_own_horizon(kind):
+    # at T = 2 and N = 8 the threshold is exp(sqrt(log 4)) = 3.25, below
+    # the T = 1 one, 4.23: a start of 3.5 is past it at node 0, and only the
+    # stopped scheme holds it there; a start of 3.0 is stepped
     model = model_ginzburg_landau()
-    grid = GridSpec(T=T, N=8)
-    path = generate_path(T, 8, 1, seed=6, path_index=0)
-    run = run_path(SchemeKind.STOPPED_BIT, model, grid, [x0], path)
-    for k in (0, 3, 7):
-        y = run.states[:, k]
-        at_left = y + _intra_step(model, grid, y, np.zeros((1, 1)), 0.0)
-        np.testing.assert_array_equal(at_left, y)
-        at_right = y + _intra_step(model, grid, y, path.increments[None, k],
-                                   grid.h)
-        assert at_right.tobytes() == run.states[:, k + 1].tobytes()
-
-
-@pytest.mark.parametrize("model, x0", ((model_ginzburg_landau(), [30.0]),
-                                       (model_vdp(), [-0.0, 50.0])))
-def test_intra_step_frozen_step_constant(model, x0):
-    # a frozen path's move is -0.0, which keeps a -0.0 component's sign
-    grid = GridSpec(T=1.0, N=8)
-    path = generate_path(1.0, 8, model.m, seed=6, path_index=1)
-    run = run_path(SchemeKind.STOPPED_BIT, model, grid, x0, path)
-    assert run.tau_index.tolist() == [0]
-    y = run.states[:, 2]
-    mid = y + _intra_step(model, grid, y, np.full((1, model.m), 0.4),
-                          grid.h / 2)
-    assert mid.tobytes() == y.tobytes()
-
-
-def test_intra_step_moves_every_row_as_its_one_path_run():
-    # B paths at once give, row by row, the one-path runs' moves, for rows
-    # inside the stopping region and rows gated from the start
-    model = model_ginzburg_landau()
-    grid = GridSpec(T=1.0, N=8)
-    dw = generate_block(1.0, 8, 1, seed=4, first_path=0, count=6)
-    bridge = np.linspace(-0.3, 0.3, 6)[:, None]
-    for x0 in ([1.0], [30.0]):
-        runs = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0, dw)
-        for k in (0, 5):
-            moves = _intra_step(model, grid, runs.states[:, k], bridge,
-                                grid.h / 3)
-            for j in range(6):
-                one = run_paths(SchemeKind.STOPPED_BIT, model, grid, x0,
-                                dw[j:j + 1])
-                assert moves[j:j + 1].tobytes() == _intra_step(
-                    model, grid, one.states[:, k], bridge[j:j + 1],
-                    grid.h / 3).tobytes()
+    grid = GridSpec(T=2.0, N=8)
+    assert 3.0 < stopping_threshold(8, 2.0) < 3.5 < stopping_threshold(8, 1.0)
+    dw = generate_block(2.0, 8, 1, seed=6, first_path=0, count=4)
+    past = run_paths(kind, model, grid, [3.5], dw)
+    assert past.tau_index.tolist() == [0] * 4
+    held = kind is SchemeKind.STOPPED_BIT
+    assert past.frozen.tolist() == [held] * 4
+    assert (past.states[:, 1:] == 3.5).all() == held
+    inside = run_paths(kind, model, grid, [3.0], dw)
+    assert (inside.tau_index > 0).all()
+    assert (inside.states[:, 1] != 3.0).all()
 
 
 def test_deterministic_euler_order_one_for_ode():

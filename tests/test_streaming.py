@@ -28,9 +28,8 @@ from biteuler import brownian, cli, core, diagnostics, experiments
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
-from biteuler.diagnostics import (AnalysisConstants, _regularity_lhs,
-                                  exp_moment_estimate, exp_moment_supremum,
-                                  regularity_sweep, stopping_probability)
+from biteuler.diagnostics import (exp_moment_estimate, exp_moment_supremum,
+                                  stopping_probability)
 from biteuler.experiments import ConvergenceConfig, strong_error
 from biteuler.models import catalog, model_gbm
 from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
@@ -126,16 +125,20 @@ def test_streamed_strong_error_equals_whole_horizon_oracle(
         assert streamed.rows[-1].overflow_fraction > 0
 
 
-# strides 16 and 8 from N_ref = 48; and strides 24 and 12, whose chunk at
-# 16 slice steps falls back to their lcm 24, as 16 divides neither stride
-# nor their power-of-two parts 8 and 4
-@pytest.mark.parametrize("Ns", ((3, 6), (2, 4)))
+# N_ref of each Ns: strides 16 and 8 from N_ref = 48; strides 24 and 12,
+# whose chunk at 16 slice steps falls back to their lcm 24, as 16 divides
+# neither stride nor their power-of-two parts 8 and 4; and strides 18 and 9
+# from N_ref = 72, whose odd ratio 9 no halving of the finer level sums
+OFF_POWER_REFS = {(3, 6): 48, (2, 4): 48, (4, 8): 72}
+
+
+@pytest.mark.parametrize("Ns", OFF_POWER_REFS)
 @pytest.mark.parametrize("slice_steps", SLICE_STEPS)
 def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, slice_steps, Ns):
     # a drift-tamed reference and r = 3
     config = ConvergenceConfig(model="vdp", scheme=SchemeKind.STOPPED_BIT,
                                Ns=Ns, M=40, seed=2, reference="fine",
-                               N_ref=48, r=3.0, x0=(2.0, -1.0),
+                               N_ref=OFF_POWER_REFS[Ns], r=3.0, x0=(2.0, -1.0),
                                ref_scheme=SchemeKind.DRIFT_TAMED)
     monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
     assert bits(strong_error(config)) == bits(oracle_strong_error(config))
@@ -209,7 +212,6 @@ def test_streamed_divergence_equals_whole_horizon_oracle(threads):
 REDUCERS = [
     diagnostics._last_nodes, functools.partial(diagnostics._functional, 7, True),
     functools.partial(diagnostics._functional, None, False),
-    functools.partial(diagnostics._regularity, 0.5),
     functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
                       3.0, (SchemeKind.DRIFT_TAMED, 64)),
     experiments._divergence]
@@ -733,9 +735,6 @@ STREAMED_AT_N = {
     "exp-moment-supremum": lambda N, out: exp_moment_supremum(
         SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), 200, 3,
         [1.0]),
-    "regularity-sweep": lambda N, out: regularity_sweep(
-        GL, AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=1.5, N=N),
-        GridSpec(1.0, N), [1.0], 200, 4, 3),
     "simulate": lambda N, out: cli.main(
         ["simulate", "--model", "ginzburg-landau", "--N", str(N), "--M", "200",
          "--seed", "3", "--output", str(out / f"{N}.json")]),
@@ -844,13 +843,12 @@ def test_reducers_drop_each_step_before_the_next(monkeypatch, tmp_path, name):
 # the sliced serial estimators
 
 
-def whole_blocks(kind, model, grid, x0, M, seed, refine=1):
+def whole_blocks(kind, model, grid, x0, M, seed):
     """Each path block run over the whole horizon in one run_paths call,
-    with its fine increments: (lo, runs, fine) per block."""
+    with its increments: (lo, runs, dw) per block."""
     for [(_, lo, hi)] in path_blocks(M):
-        fine = generate_block(grid.T, refine * grid.N, model.m, seed, lo, hi - lo)
-        dw = fine if refine == 1 else coarsen_increments(fine, grid.N)
-        yield lo, run_paths(kind, model, grid, x0, dw), fine
+        dw = generate_block(grid.T, grid.N, model.m, seed, lo, hi - lo)
+        yield lo, run_paths(kind, model, grid, x0, dw), dw
 
 
 def functional_columns(spec, runs, use_tau, absolute):
@@ -1020,19 +1018,6 @@ def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
               * oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid, 30,
                                 8, x0, use_tau=True))
         assert rep.estimate == p_hat and rep.C1 == c1
-
-
-@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
-def test_sliced_regularity_sweep_equals_whole_horizon(name, x0, kind, N, M):
-    model, grid = _case(name, N)
-    consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=model.m, rho=1.5, N=N)
-    rep = regularity_sweep(model, consts, grid, x0, M, samples_per_step=2,
-                           seed=8)
-    devs = [_regularity_lhs(model, grid, runs.states, fine) for _, runs, fine
-            in whole_blocks(SchemeKind.STOPPED_BIT, model, grid, x0, M, 8, 3)]
-    assert rep.n_pass == sum(int(np.sum(d <= rep.bound)) for d in devs)
-    assert rep.max_lhs == max(float(d.max()) for d in devs)
-    assert rep.n_samples == M * N * 2
 
 
 @pytest.mark.parametrize("fmt", ("json", "csv"))

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from biteuler.taming import (TamingParams, stopping_threshold, tame,
-                             tame_jacobian_diag, tame_laplacian,
+from biteuler.taming import (TamingParams, _moment_check, stopping_threshold,
+                             tame, tame_jacobian_diag, tame_laplacian,
                              verify_taming_bounds)
 
 # High-precision reference values (mpmath, 40 digits, rounded to float64).
@@ -12,6 +12,7 @@ EXP_M1 = 0.36787944117144233          # exp(-1)
 JAC_AT_1 = -1.1036383235143270        # -3*exp(-1)
 LAP_AT_1 = -1.4715177646857693        # -4*exp(-1)
 THRESH_1024 = 13.912237489357499      # exp(sqrt(log(1024)))
+THRESH_10 = 4.560476571618193         # exp(sqrt(log(10)))
 
 
 def test_tame_at_zero():
@@ -45,10 +46,13 @@ def test_tame_underflow_is_exact_zero():
     np.testing.assert_array_equal(tame(p, big), np.zeros(3))
     np.testing.assert_array_equal(tame_jacobian_diag(p, big), np.zeros(3))
     np.testing.assert_array_equal(tame_laplacian(p, big), np.zeros(3))
-    # x**4 overflows the float range here; the limit is still an exact 0
-    huge = np.array([1e200])
-    np.testing.assert_array_equal(tame_jacobian_diag(p, huge), np.zeros(1))
-    np.testing.assert_array_equal(tame_laplacian(p, huge), np.zeros(1))
+    # x**4 overflows the float range here; the limit is still an exact 0,
+    # and no overflow or invalid operation surfaces, whatever the caller's
+    # error state
+    huge = np.array([1e100, -1e200, 1.7e308])
+    with np.errstate(over="raise", invalid="raise"):
+        for f in (tame, tame_jacobian_diag, tame_laplacian):
+            np.testing.assert_array_equal(f(p, huge), np.zeros(3))
 
 
 def test_jacobian_identity_at_zero():
@@ -111,10 +115,17 @@ def test_stopping_threshold_trivial_points():
     assert stopping_threshold(1, 1) == pytest.approx(1.0)
     # N/T = e gives exp(sqrt(1)) = e
     assert stopping_threshold(271828, 100000.0) == pytest.approx(math.e, rel=1e-5)
+    # N < T is a valid grid: the radius reads |log(N/T)|, so it is at least 1
+    assert stopping_threshold(1, math.e) == pytest.approx(math.e, rel=1e-15)
+    assert stopping_threshold(4, 64.0) == pytest.approx(
+        stopping_threshold(16, 1.0), rel=1e-15)
 
 
 def test_stopping_threshold_frozen_value():
     assert stopping_threshold(1024, 1.0) == pytest.approx(THRESH_1024, rel=1e-15)
+    # correctly rounded at N = 10, where the mirrored log(T/N), a log of the
+    # rounded 0.1, lands one ulp away
+    assert stopping_threshold(10, 1.0) == THRESH_10
 
 
 def test_stopping_threshold_monotone_in_n():
@@ -170,9 +181,23 @@ def test_laplacian_bound_fails_below_crossover_scale():
     # Quadrature value at h = 0.01 is 4.1888 against a bound of 3.2.
     rep = verify_taming_bounds(TamingParams(h=0.01, m=1), 100000, seed=20)
     assert not rep.laplacian.passed
+    # the other two checks pass, and the report as a whole fails
+    assert rep.linf.passed and rep.jacobian.passed and not rep.all_passed
     assert rep.laplacian.estimate == pytest.approx(4.1888, rel=0.02)
     assert rep.laplacian.bound == pytest.approx(3.2, rel=1e-12)
 
+
+
+def test_moment_check_of_zero_samples_and_at_its_bound():
+    # all-zero samples (the Jacobian's at h = 1e-300, where every x**4
+    # underflows) give estimate and stderr 0, not a division by zero; an
+    # estimate equal to its bound does not pass, and its margin is -inf
+    zero = _moment_check(np.zeros(1000), 1.0)
+    assert (zero.estimate, zero.stderr, zero.passed,
+            zero.margin_stderr) == (0.0, 0.0, True, math.inf)
+    tie = _moment_check(np.full(1000, 4.0), 2.0)
+    assert (tie.estimate, tie.stderr, tie.passed,
+            tie.margin_stderr) == (2.0, 0.0, False, -math.inf)
 
 
 # h**(1/4) sqrt(m), 52 h sqrt(m) and 32 sqrt(h m) at (h, m), by hand
