@@ -8,10 +8,11 @@ path index outside [0, 2**64), so distinct pairs never share a stream.
 Path j therefore never depends on how many other paths were generated or
 in which order, which is what makes ensemble runs deterministic under
 arbitrary parallel scheduling.  ``generate_path`` is ``generate_block``'s
-one-path case, and ``BlockStream`` draws the same values in time chunks,
-holding at most one bounded lookahead window of them: a horizon that fits
-the window is drawn by one ``generate_block`` call, a longer one by one
-generator per path, each continuing where its last window ended.
+one-path case, and ``BlockStream`` draws the same streams as unit normals
+in time chunks, holding at most one bounded lookahead window of them: a
+horizon that fits the window is drawn by one ``generate_block`` call, a
+longer one by one generator per path, each continuing where its last
+window ended; the block driver scales or sums them per grid.
 
 Nor does a path's stream depend on how many steps are drawn from it: the
 first N values of a longer draw are the N-value draw.  So for N <= n,
@@ -114,16 +115,16 @@ class BrownianGrid:
     increments: np.ndarray
 
     def __post_init__(self):
-        _check_grid(self.T, self.N_fine, self.m)
+        _check_horizon(self.T)
+        _check_grid(self.N_fine, self.m)
         _path_key(self.seed, self.path_index)
         if self.increments.shape != (self.N_fine, self.m):
             raise ValueError("increments must have shape (N_fine, m)")
 
 
-def _check_grid(T: float, N_fine: int, m: int, count: int = 0) -> None:
-    """Raise ValueError, naming the argument, unless 0 < T < inf and
-    N_fine >= 1, m >= 1 and count >= 0 are integers."""
-    _check_horizon(T)
+def _check_grid(N_fine: int, m: int, count: int = 0) -> None:
+    """Raise ValueError, naming the argument, unless N_fine >= 1, m >= 1
+    and count >= 0 are integers."""
     _check_count("N_fine", N_fine)
     _check_count("m", m)
     _check_count("count", count, 0)
@@ -156,7 +157,8 @@ def generate_block(T: float, N_fine: int, m: int, seed: int,
     array: row j is path first_path + j's stream.  Raises ValueError for a
     seed or path index outside [0, 2**64) before any draw, also when
     count is 0."""
-    _check_grid(T, N_fine, m, count)
+    _check_horizon(T)
+    _check_grid(N_fine, m, count)
     _check_paths(seed, first_path, count)
     out = np.empty((count, N_fine, m))
     if count:
@@ -183,16 +185,17 @@ _LOOKAHEAD_VALUES = 1 << 18
 
 
 class BlockStream:
-    """Increments of paths [first_path, first_path+count) on the N_fine
+    """Unit normals of paths [first_path, first_path+count) on the N_fine
     grid, drawn in time chunks of any lengths.
 
     Concatenated along the step axis, the chunks equal
-    ``generate_block(T, N_fine, m, seed, first_path, count)`` bit for bit.
-    The stream holds one lookahead window of the next steps of every path,
-    at most ``_LOOKAHEAD_VALUES`` values (but at least one step), and
-    ``draw`` copies from it, refilling it in place when it runs dry.  So
-    memory is bounded by the window plus the chunk, not by N_fine, and no
-    refill goes past step N_fine.
+    ``generate_block(N_fine, N_fine, m, seed, first_path, count)`` bit for
+    bit, whose scale sqrt(N_fine / N_fine) is exactly 1.0.  The stream
+    holds one lookahead window of the next steps of every path, at most
+    ``_LOOKAHEAD_VALUES`` values (but at least one step), and ``draw``
+    copies from it, refilling it in place when it runs dry.  So memory is
+    bounded by the window plus the chunk, not by N_fine, and no refill goes
+    past step N_fine.
 
     When the whole horizon fits one window, ``generate_block`` fills it
     once and no path gets a generator of its own.  Otherwise each path
@@ -202,16 +205,16 @@ class BlockStream:
     ``generate_block`` checks them.
     """
 
-    def __init__(self, T: float, N_fine: int, m: int, seed: int,
-                 first_path: int, count: int):
-        _check_grid(T, N_fine, m, count)
+    def __init__(self, N_fine: int, m: int, seed: int, first_path: int,
+                 count: int):
+        _check_grid(N_fine, m, count)
         _check_paths(seed, first_path, count)
         width = max(1, min(N_fine, _LOOKAHEAD_VALUES // max(count * m, 1)))
-        self._scale = math.sqrt(T / N_fine)
         self._pos = 0  # the window's unread steps: [pos, filled)
         if width == N_fine:
             self._gens = ()
-            self._buf = generate_block(T, N_fine, m, seed, first_path, count)
+            self._buf = generate_block(N_fine, N_fine, m, seed, first_path,
+                                       count)
             self._filled, self._undrawn = N_fine, 0
             return
         # path j's key is the first path's with j added to its path word
@@ -231,12 +234,10 @@ class BlockStream:
         rows = self._buf if n == width else self._buf[:, :n]
         for gen, row in zip(self._gens, rows):
             gen.standard_normal(out=row)
-        if self._scale != 1.0:
-            rows *= self._scale
         self._pos, self._filled = 0, n
 
     def draw(self, n_steps: int) -> np.ndarray:
-        """The next ``n_steps`` increments of every path, (count, n_steps, m),
+        """The next ``n_steps`` normals of every path, (count, n_steps, m),
         in a new array."""
         left = self._undrawn + self._filled - self._pos
         if not 0 <= n_steps <= left:
@@ -308,7 +309,8 @@ def load_increments(file) -> BrownianGrid:
             raise ValueError(f"a path file starts with a {_HEADER.size}-byte "
                              f"header, got {len(head)} bytes")
         T, n_fine, m, seed, path_index = _HEADER.unpack(head)
-        _check_grid(T, n_fine, m)  # before its size is trusted
+        _check_horizon(T)  # the header before its size is trusted
+        _check_grid(n_fine, m)
         data = file.read()
     finally:
         if close:

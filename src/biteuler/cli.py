@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ErrorRow, ErrorTable, GridSpec, RateFit, validate_start,
+from .core import (ErrorTable, GridSpec, RateFit, validate_start,
                    worker_count)
 from .diagnostics import _finals, _Paths
 from .experiments import (ConvergenceConfig, divergence_comparison, fit_rate,
@@ -115,29 +115,6 @@ def _table_rows(table: ErrorTable) -> list[list]:
 
 def _table_payload(table: ErrorTable, fit: Optional[RateFit]) -> dict:
     return {"table": table} if fit is None else {"table": table, "rate_fit": fit}
-
-
-def table_to_csv(table: ErrorTable) -> str:
-    """Render an error table with the fixed header; one line per N."""
-    return _render("csv", None, CSV_HEADER, _table_rows(table))
-
-
-def table_to_json(table: ErrorTable, fit: Optional[RateFit] = None) -> str:
-    return _render("json", _table_payload(table, fit))
-
-
-def table_from_json(text: str) -> ErrorTable:
-    """Inverse of table_to_json (rate fit, if present, is ignored)."""
-    payload = json.loads(text)["table"]
-    rows = tuple(
-        ErrorRow(N=r["N"], M=r["M"], sup_error=r["sup_error"],
-                 std_error=r["std_error"], seed=r["seed"],
-                 per_gridpoint_errors=(None if r["per_gridpoint_errors"] is None
-                                       else np.array(r["per_gridpoint_errors"])),
-                 overflow_fraction=r["overflow_fraction"])
-        for r in payload["rows"])
-    return ErrorTable(scheme=payload["scheme"], model=payload["model"],
-                      r=payload["r"], rows=rows, T=payload["T"])
 
 
 def emit(table: ErrorTable, fmt: str, path: Optional[str],

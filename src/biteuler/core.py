@@ -82,11 +82,6 @@ class LyapunovSpec:
         if not (self.q0 > 0 and self.q1 > 0):
             raise ValueError("q0, q1 must lie in (0, inf]")
 
-    def holder_defect(self) -> float:
-        """1/p + 1/q0 + 1/q1 - 1/r, with 1/inf = 0."""
-        inv = lambda q: 0.0 if math.isinf(q) else 1.0 / q
-        return 1.0 / self.p + inv(self.q0) + inv(self.q1) - 1.0 / self.r
-
 
 @dataclass(frozen=True)
 class SdeModel:

@@ -2,8 +2,9 @@
 
 Implements the per-N perturbation rate eps_N driving the exponential-moment
 inequality, the Gronwall-style moment bound with its explicit constants,
-the exponential-moment functional estimator with stopping-time tracking,
-and the stopping-probability bound, all stepped through one block driver.
+the stopped scheme's exponential-moment functional at the horizon and its
+supremum over the grid, with stopping-time tracking, and the
+stopping-probability bound, all stepped through one block driver.
 
 The constants (c, p) entering the bounds are proof-style growth constants:
 they must dominate sampled Lipschitz/growth inequalities of the model
@@ -54,10 +55,7 @@ class _Paths:
     of [0, T], and every (scheme, N) of ``runs`` starts at x0.  Coupled
     runs step on sums of n_fine / N fine increments; otherwise n_fine is
     the largest N and run N on the first N normals times sqrt(T / N),
-    ``generate_block(T, N, ...)`` bit for bit.  ``horizon`` (n_fine by
-    default, at least 1) is the last fine node a reducer reads: the blocks
-    step up to the end of its chunk.  ``spec`` is the Lyapunov data the
-    reducer reads."""
+    ``generate_block(T, N, ...)`` bit for bit."""
 
     model: SdeModel
     x0: np.ndarray
@@ -66,8 +64,6 @@ class _Paths:
     runs: tuple[tuple[SchemeKind, int], ...]
     n_fine: int
     coupled: bool = True
-    horizon: Optional[int] = None
-    spec: Optional[LyapunovSpec] = None
 
 
 def _one_segment(parts: list) -> None:
@@ -142,11 +138,11 @@ def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
     ``_drive`` to ``_add``: a per-path result is a one-element list, which
     the total concatenates.
 
-    The normals come chunk by chunk from one ``BlockStream`` ending at the
-    horizon's chunk: every run steps each chunk on from where the last one
-    ended and is cut back to its last node once the reducer has seen it,
-    so a block holds the stream's window, one chunk and one run's chunk of
-    states, not a horizon.  A chunk is about _SLICE_STEPS steps of the
+    The normals come chunk by chunk from one ``BlockStream`` of the n_fine
+    grid: every run steps each chunk on from where the last one ended and
+    is cut back to its last node once the reducer has seen it, so a block
+    holds the stream's window, one chunk and one run's chunk of states,
+    not a horizon.  A chunk is about _SLICE_STEPS steps of the
     finest run: the stride of a coupled run N is n_fine / N, and 1 under
     the prefix rule, where every run steps on the chunk's own normals."""
     lo, B = segs[0][1], segs[-1][2] - segs[0][1]
@@ -154,15 +150,14 @@ def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
     Ns = sorted({N for _, N in paths.runs})
     strides = [n_fine // N if paths.coupled else 1 for N in Ns]
     chunk = _time_chunk(strides, min(strides) * _SLICE_STEPS)
-    horizon = min(n_fine, -(-(paths.horizon or n_fine) // chunk) * chunk)
 
     def steps():
         runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B,
                                        model.d) for key in paths.runs}
-        stream = BlockStream(horizon, horizon, model.m, paths.seed, lo, B)
+        stream = BlockStream(n_fine, model.m, paths.seed, lo, B)
         carry = {N: [] for N in Ns}
-        for f0 in range(0, horizon, chunk):
-            fine = stream.draw(min(chunk, horizon - f0))
+        for f0 in range(0, n_fine, chunk):
+            fine = stream.draw(min(chunk, n_fine - f0))
             dws = None
             if paths.coupled:
                 fine *= math.sqrt(T / n_fine)
@@ -433,37 +428,25 @@ class MomentEstimate:
     saturated_fraction: float = 0.0
 
 
-def _grid_index(grid: GridSpec, t: float) -> int:
-    """The index j of the grid time t = j*h; ValueError names ``t`` unless
-    it is one (NaN and inf are not)."""
-    q = t / grid.h
-    if math.isfinite(q):
-        j = round(q)
-        if 0 <= j <= grid.N and abs(j * grid.h - t) <= 1e-9 * max(grid.T, 1.0):
-            return j
-    raise ValueError(f"t = {t} is not a grid time of {grid}")
-
-
-def _functional(j: Optional[int], use_tau: bool, paths: _Paths, parts: list,
-                steps) -> list:
+def _functional(spec: LyapunovSpec, use_tau: bool, every_node: bool,
+                paths: _Paths, parts: list, steps) -> list:
     """The functional exp(e^{-rho (t_j ^ tau)} U(Y_j) + I_j) of each path,
     capped at 1e300, with I_j = sum_{k < min(j, tau)} e^{-rho k h}
-    U_bar(Y_k) h summed one step after the other: at node ``j``, path by
-    path, or, for j None, with |U| and |U_bar| at every node, summed over
-    the block's paths.  ``use_tau`` off puts tau at N."""
+    U_bar(Y_k) h summed one step after the other: at the last node N, path
+    by path, or, with ``every_node``, with |U| and |U_bar| at every node,
+    summed over the block's paths.  ``use_tau`` off puts tau at N."""
     _one_segment(parts)
-    spec = paths.spec
     for _, run, fine, _ in steps:
         h, N = run.grid.h, run.grid.N
-        if run.start == 0:  # sums for j None
+        if run.start == 0:  # sums for every_node
             integral, sums = np.zeros(len(run)), np.zeros(N + 1)
-        if j is None:  # every node but the last chunk's last
+        if every_node:  # every node but the last chunk's last
             nodes = slice(1 if run.start else 0, None)
-        else:  # node j, none before j's chunk
-            nodes = slice(j - run.start, j - run.start + 1)
+        else:  # node N, none before the last chunk
+            nodes = slice(N - run.start, None)
         tau = run.tau_index if use_tau else np.full(len(run), N)
         ubar, u = spec.U_bar(run.states[:, :-1]), spec.U(run.states[:, nodes])
-        if j is None:
+        if every_node:
             ubar, u = np.abs(ubar), np.abs(u)
         live = (tau[:, None] > np.arange(run.start, run.end)).astype(float)
         decay = [math.exp(-spec.rho * k * h) for k in range(run.start, run.end)]
@@ -475,37 +458,35 @@ def _functional(j: Optional[int], use_tau: bool, paths: _Paths, parts: list,
         with np.errstate(over="ignore"):
             vals = np.exp(np.exp(-spec.rho * t_eff) * u + integrals[:, nodes])
         vals = np.minimum(vals, OVERFLOW_CAP)
-        if j is None:
+        if every_node:
             # summed over each node's contiguous values, as np.sum of one node
             sums[run.start + nodes.start:run.end + 1] += \
                 np.ascontiguousarray(vals.T).sum(1)
         elif vals.size:
-            at_j = [vals.ravel()]
+            at_n = [vals.ravel()]
         del run, fine, tau, ubar, u, live, integrals, t_eff, vals
-    return [sums if j is None else at_j]
+    return [sums if every_node else at_n]
 
 
-def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
-                        grid: GridSpec, M: int, t: float, seed: int,
-                        x0) -> MomentEstimate:
-    """Monte Carlo estimate of the exponential-moment functional
+def exp_moment_estimate(model: SdeModel, spec: LyapunovSpec, grid: GridSpec,
+                        M: int, seed: int, x0) -> MomentEstimate:
+    """Monte Carlo estimate of the stopped scheme's exponential-moment
+    functional at the horizon T of ``grid``
 
-        E[exp(e^{-rho (t ^ tau)} U(Y_t) + int_0^{t ^ tau} e^{-rho r} U_bar(Y_r) dr)]
+        E[exp(e^{-rho (T ^ tau)} U(Y_T) + int_0^{T ^ tau} e^{-rho r} U_bar(Y_r) dr)]
 
     with the time integral approximated by the left-endpoint rule on the
-    scheme's own grid restricted to [0, t ^ tau], summed one step after the
-    other as the paths are stepped chunk by chunk, up to t's chunk only.
-    Overflowing exponentials saturate at 1e300 and are counted in
-    saturated_fraction.  ValueError names ``M`` unless it is an integer
-    >= 2: one path has no standard error.
+    scheme's own grid restricted to [0, T ^ tau], summed one step after the
+    other as the paths are stepped chunk by chunk.  Overflowing
+    exponentials saturate at 1e300 and are counted in saturated_fraction.
+    ValueError names ``M`` unless it is an integer >= 2: one path has no
+    standard error.
     """
     _check_count("M", M, 2)
     x0 = validate_start(model, x0, M)
-    j_t = _grid_index(grid, t)
-    # node j_t's chunk is the last drawn and stepped (node 0's for t = 0)
-    paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
-                   horizon=max(j_t, 1), spec=spec)
-    [vals] = _drive(paths, functools.partial(_functional, j_t, True), M)
+    paths = _Paths(model, x0, grid.T, seed,
+                   ((SchemeKind.STOPPED_BIT, grid.N),), grid.N)
+    [vals] = _drive(paths, functools.partial(_functional, spec, True, False), M)
     vals = np.concatenate(vals)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(M))
@@ -513,20 +494,24 @@ def exp_moment_estimate(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
                           saturated_fraction=float(np.mean(vals >= OVERFLOW_CAP)))
 
 
-def exp_moment_supremum(kind: SchemeKind, model: SdeModel, spec: LyapunovSpec,
-                        grid: GridSpec, M: int, seed: int, x0,
-                        use_tau: bool = True) -> float:
-    """sup over grid times of E[exp(e^{-rho (t ^ tau)}|U(Y_t)| + int |U_bar|)].
+def exp_moment_supremum(model: SdeModel, spec: LyapunovSpec, grid: GridSpec,
+                        M: int, seed: int, x0, use_tau: bool = True) -> float:
+    """sup over grid times of E[exp(e^{-rho (t ^ tau)}|U(Y_t)| + int |U_bar|)]
+    for the stopped scheme.
 
     The two suprema of this form (one for a fine-grid stand-in of the exact
     solution, one for the scheme) multiply to the constant in the
     stopping-probability bound.
     """
     x0 = validate_start(model, x0, M)
-    paths = _Paths(model, x0, grid.T, seed, ((kind, grid.N),), grid.N,
-                   spec=spec)
-    [sums] = _drive(paths, functools.partial(_functional, None, use_tau), M)
+    paths = _Paths(model, x0, grid.T, seed,
+                   ((SchemeKind.STOPPED_BIT, grid.N),), grid.N)
+    [sums] = _drive(paths, functools.partial(_functional, spec, use_tau, True), M)
     return float(np.max(sums / M))
+
+
+_BOUND_PATHS = 1000  # paths of each supremum in the C1 of the stopping bound
+_REF_REFINE = 8  # the exact solution's stand-in steps on the 8N grid
 
 
 @dataclass(frozen=True)
@@ -543,22 +528,16 @@ class StoppingReport:
 
 
 def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
-                         x0, spec: Optional[LyapunovSpec] = None,
-                         bound_paths: int = 1000,
-                         ref_refine: int = 8) -> StoppingReport:
+                         x0, spec: Optional[LyapunovSpec] = None) -> StoppingReport:
     """Estimate P[tau^N < T] for the stopped tamed scheme.
 
     The estimate is the fraction of paths whose stopping index precedes the
     final grid index.  When Lyapunov data is supplied, the report also
     evaluates the theoretical bound with C1 estimated as the product of the
-    two exponential-moment suprema over bound_paths paths each (scheme at
-    N, and a fine-grid run at ref_refine*N standing in for the exact
-    solution), drawn at seeds seed + 1 and seed + 2, which must lie in
-    [0, 2**64) too.  ValueError names ``bound_paths`` and ``ref_refine``
-    unless each is an integer >= 1.
+    two exponential-moment suprema over 1000 paths each (scheme at N, and
+    a fine-grid run at 8N standing in for the exact solution), drawn at
+    seeds seed + 1 and seed + 2, which must lie in [0, 2**64) too.
     """
-    _check_count("bound_paths", bound_paths)
-    _check_count("ref_refine", ref_refine)
     _path_key(seed, 0)  # checks the seed under its own name
     if spec is not None and not seed + 2 < 1 << 64:
         # checked before any path is stepped, as the seed itself is
@@ -574,11 +553,11 @@ def stopping_probability(model: SdeModel, grid: GridSpec, M: int, seed: int,
     bound = None
     c1 = None
     if spec is not None:
-        sup_y = exp_moment_supremum(SchemeKind.STOPPED_BIT, model, spec, grid,
-                                    bound_paths, seed + 1, x0, use_tau=True)
-        fine = GridSpec(T=grid.T, N=ref_refine * grid.N)
-        sup_x = exp_moment_supremum(SchemeKind.STOPPED_BIT, model, spec, fine,
-                                    bound_paths, seed + 2, x0, use_tau=False)
+        sup_y = exp_moment_supremum(model, spec, grid, _BOUND_PATHS, seed + 1,
+                                    x0, use_tau=True)
+        fine = GridSpec(T=grid.T, N=_REF_REFINE * grid.N)
+        sup_x = exp_moment_supremum(model, spec, fine, _BOUND_PATHS, seed + 2,
+                                    x0, use_tau=False)
         c1 = sup_x * sup_y
         log_ratio = math.log(grid.N / grid.T)
         with np.errstate(over="ignore"):

@@ -89,26 +89,24 @@ def _gl_lyapunov(eps: float, rho: float, c: float) -> LyapunovSpec:
                         rho=rho, c=c, p=4, q0=4.0, q1=math.inf, r=2.0)
 
 
-def tune_ginzburg_landau_spec(alpha: float, beta: float, sigma0: float,
-                              T: float = 1.0) -> tuple[float, float, float]:
+def tune_ginzburg_landau_spec(alpha: float, beta: float,
+                              sigma0: float) -> tuple[float, float, float]:
     """Pick (eps, rho, c) for the cubic-drift model so the sampled checker
-    passes with margin.
+    passes with margin at T = 1.
 
     eps keeps the x**2 v**2-free quartic term dominant; rho is 1.15 times
     the exact supremum of the generator quotient (a 1-d scan in u = x**2);
     c covers the one-sided Lipschitz constant alpha, the coercivity guard
-    4*eps*c**2 >= 1, and the constraint c >= T**(1/32).  ValueError names
-    ``T`` unless T > 0.
+    4*eps*c**2 >= 1, and the constraint c >= T**(1/32) = 1.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    _check_horizon(T)
     eps = 0.25 if sigma0 == 0 else min(0.25, beta / (2.0 * sigma0**2))
     u_hi = max(10.0, 10.0 * (alpha + sigma0**2 + 1.0) / beta)
     u = np.linspace(0.0, u_hi, 200001)
     lhs = 2.0 * alpha * u - 2.0 * beta * u**2 + sigma0**2 + 2.0 * eps * sigma0**2 * u
     rho = 1.15 * max(float(np.max(lhs / (1.0 + u))), 0.0)
-    c = 1.15 * max(1.0, alpha, T ** (1.0 / 32.0), 1.0 / (2.0 * math.sqrt(eps)))
+    c = 1.15 * max(1.0, alpha, 1.0 / (2.0 * math.sqrt(eps)))
     return eps, rho, c
 
 
@@ -181,9 +179,9 @@ _RADIUS = 10.0  # of the ball the conditions are tuned and sampled in
 _VDP_TUNE_POINTS = 401  # grid points per axis of tune_vdp_spec's scan
 
 
-def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
-                  T: float = 1.0) -> tuple[float, float, float, float]:
-    """Pick (eps, u0, rho, c) for the oscillator.
+def tune_vdp_spec(a: float, b: float, c_damp: float,
+                  sigma0: float) -> tuple[float, float, float, float]:
+    """Pick (eps, u0, rho, c) for the oscillator at T = 1.
 
     rho covers the closed-form supremum of the generator quotient.  c must
     dominate the local-monotonicity quotient minus its Lyapunov slack over
@@ -192,13 +190,11 @@ def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
     bounded by the pointwise worst case lambda_max(sym Dmu) +
     coef*||Dsigma||^2, which is scanned on a 401 x 401 grid (this also
     covers the near-coincident pairs the checker probes), with 15% headroom.
-    ValueError names ``T`` unless T > 0.
     """
     if c_damp <= 0:
         raise ValueError("c_damp must be positive for dissipation")
     if b <= 0:
         raise ValueError("b must be positive")
-    _check_horizon(T)
     eps = 0.5 if sigma0 == 0 else min(0.5, 0.5 * c_damp / sigma0**2)
     u0 = 0.5
     rho = 1.15 * max(2.0 * a, sigma0**2 / math.sqrt(2.0 * b * u0), 0.1)
@@ -212,9 +208,9 @@ def tune_vdp_spec(a: float, b: float, c_damp: float, sigma0: float,
     lam = 0.5 * (j22 + np.sqrt(j22**2 + 4.0 * j12**2))
     coef = 3.0  # (p-1)(1+1/c)/2 with p = 4 and any c >= 1
     quot = lam + coef * sigma0**2
-    slack = (eps * (0.5 * b * X**4 + V**2 + u0)) / (4.0 * T * math.exp(rho * T))
+    slack = (eps * (0.5 * b * X**4 + V**2 + u0)) / (4.0 * math.exp(rho))
     need = float(np.max(np.where(inside, quot - slack, -np.inf)))
-    c = 1.15 * max(need, 1.0, T ** (1.0 / 32.0))
+    c = 1.15 * max(need, 1.0)
     return eps, u0, rho, c
 
 
@@ -287,10 +283,6 @@ class ConditionStats:
     n_checked: int
     n_violations: int
     worst_margin: float  # max over samples of LHS - RHS (negative = slack)
-
-    @property
-    def passed(self) -> bool:
-        return self.n_violations == 0
 
 
 def _condition_stats(name: str, margin: np.ndarray) -> ConditionStats:

@@ -42,6 +42,9 @@ class TamingParams:
         _check_count("m", self.m)
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+
+
 def _quartic(x: np.ndarray, h: float) -> np.ndarray:
     # x**4/h by explicit squaring: multiplication is sign-symmetric under
     # IEEE rounding, which keeps the maps below exactly odd/even in x
@@ -81,7 +84,10 @@ def tame_jacobian_diag(params: TamingParams, x: np.ndarray) -> np.ndarray:
 def tame_laplacian(params: TamingParams, x: np.ndarray) -> np.ndarray:
     """Vector of second derivatives: exp(-x_i**4/h)*(16 x_i**7/h**2 - 20 x_i**3/h).
 
-    Where the exponential underflows to zero the result is exactly 0.
+    Where the exponential underflows to zero the result is exactly 0.  Once
+    h**2 is below the smallest normal float, where it would lose digits and
+    then underflow to 0, it is evaluated as exp(-u) (x_i/h) x_i x_i (16 u - 20)
+    with u = x_i**4/h, whose factors stay normal as long as x_i**3/h does.
     """
     x = np.asarray(x, dtype=float)
     h = params.h
@@ -90,7 +96,10 @@ def tame_laplacian(params: TamingParams, x: np.ndarray) -> np.ndarray:
         e = np.exp(-u)
         x2 = x * x
         x3 = x2 * x
-        out = e * (16.0 * (x3 * x3 * x) / h**2 - 20.0 * x3 / h)
+        if h * h < _TINY:
+            out = e * (x / h * x * x) * (16.0 * u - 20.0)
+        else:
+            out = e * (16.0 * (x3 * x3 * x) / h**2 - 20.0 * x3 / h)
     return np.where(e == 0.0, 0.0, out)
 
 

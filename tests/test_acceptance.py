@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from biteuler.cli import main, table_from_json
+from biteuler.cli import main
 from biteuler.core import GridSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
                                   stopping_probability)

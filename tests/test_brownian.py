@@ -162,6 +162,18 @@ def test_dump_load_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.increments, path.increments)
 
 
+def test_dump_writes_the_documented_little_endian_layout():
+    # the header T, N_fine, m, seed, path_index as little-endian float64,
+    # int64, int64, uint64 and uint64, then the increments as float64
+    path = generate_path(1.0, 2, 1, seed=2**64 - 1, path_index=5)
+    buf = io.BytesIO()
+    dump_increments(path, buf)
+    words = [2, 1, 2**64 - 1, 5]
+    assert buf.getvalue() == (bytes.fromhex("000000000000f03f")  # 1.0
+                              + b"".join(w.to_bytes(8, "little") for w in words)
+                              + path.increments.astype("<f8").tobytes())
+
+
 def _path_file(T=1.0, N_fine=4, m=1, seed=0, path_index=0, n_values=4):
     return io.BytesIO(brownian._HEADER.pack(T, N_fine, m, seed, path_index)
                       + np.zeros(n_values).tobytes())
@@ -174,16 +186,19 @@ def _path_file(T=1.0, N_fine=4, m=1, seed=0, path_index=0, n_values=4):
     (_path_file(T=math.nan).getvalue(), "T must be > 0, got nan"),
     (_path_file(N_fine=0, n_values=0).getvalue(),
      "N_fine must be >= 1, got 0"),
+    (_path_file(N_fine=-3, n_values=0).getvalue(),
+     "N_fine must be >= 1, got -3"),
     (_path_file(m=0, n_values=0).getvalue(), "m must be >= 1, got 0"),
     (_path_file(n_values=3).getvalue(),
      "a path file's header promises 32 bytes of increments, got 24"),
     (_path_file(n_values=5).getvalue(),
      "a path file's header promises 32 bytes of increments, got 40")],
-    ids=["empty", "short-header", "T=-1", "T=nan", "N_fine=0", "m=0",
-         "short", "long"])
+    ids=["empty", "short-header", "T=-1", "T=nan", "N_fine=0", "N_fine=-3",
+         "m=0", "short", "long"])
 def test_load_checks_a_path_file_as_a_drawn_path(data, message):
     # an empty file raised struct.error; T = -1 and N_fine = 0 were loaded,
-    # and bytes past the increments were ignored
+    # and bytes past the increments were ignored.  The header is checked
+    # before the size it promises is trusted: N_fine = -3 promises -24 bytes
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_increments(io.BytesIO(data))
     assert load_increments(_path_file()).increments.shape == (4, 1)
@@ -217,12 +232,21 @@ BAD_GRIDS = [("N_fine", 0), ("N_fine", -3), ("count", -1), ("m", 0),
              ("seed", 2**64)]
 
 
-@pytest.mark.parametrize("arg,value", BAD_GRIDS)
-@pytest.mark.parametrize("make", (generate_block, BlockStream))
+def _draw_args(make, **args):
+    """``make``'s arguments for a draw of 3 paths of 8 steps, updated by
+    ``args``: BlockStream draws unit normals and takes no T."""
+    base = dict(N_fine=8, m=1, seed=0, first_path=0, count=3)
+    if make is generate_block:
+        base["T"] = 1.0
+    return {**base, **args}
+
+
+@pytest.mark.parametrize("make,arg,value", [
+    (make, arg, value) for make in (generate_block, BlockStream)
+    for arg, value in BAD_GRIDS if arg in _draw_args(make)])
 def test_block_draws_reject_bad_grids(make, arg, value):
-    args = dict(T=1.0, N_fine=8, m=1, seed=0, first_path=0, count=3)
     with pytest.raises(ValueError, match=f"^{arg} must be"):
-        make(**{**args, arg: value})
+        make(**_draw_args(make, **{arg: value}))
 
 
 @pytest.mark.parametrize("first", (-1, 2**64 - 2))
@@ -230,7 +254,7 @@ def test_block_draws_reject_bad_grids(make, arg, value):
 def test_block_draws_reject_path_indices_outside_64_bits(make, first):
     # first = 2**64 - 2 with three paths reaches path index 2**64
     with pytest.raises(ValueError, match="^path_index must be in"):
-        make(T=1.0, N_fine=8, m=1, seed=0, first_path=first, count=3)
+        make(**_draw_args(make, first_path=first))
 
 
 @pytest.mark.parametrize("budget", (brownian._LOOKAHEAD_VALUES, 4))
@@ -244,7 +268,7 @@ def test_empty_block_draws_check_the_seed_and_first_path(monkeypatch, make,
     # count = 0 used to skip the key checks and return an empty draw; a
     # 4-value budget splits the stream's 8 steps into two windows
     monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", budget)
-    args = dict(T=1.0, N_fine=8, m=1, seed=0, first_path=0, count=0)
+    args = _draw_args(make, count=0)
     with pytest.raises(ValueError, match=f"^{name} must be in"):
         make(**{**args, arg: value})
     # the last seed and path index start an empty block

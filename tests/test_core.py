@@ -36,11 +36,16 @@ def _quadratic_spec(q0=4.0, q1=math.inf, r=2.0):
         rho=1.0, c=1.0, p=4, q0=q0, q1=q1, r=r)
 
 
+def _holder_defect(spec):
+    """1/p + 1/q0 + 1/q1 - 1/r, with 1/inf = 0."""
+    return 1.0 / spec.p + 1.0 / spec.q0 + 1.0 / spec.q1 - 1.0 / spec.r
+
+
 def test_holder_triple():
     spec = _quadratic_spec(q0=4.0, q1=math.inf, r=2.0)
-    assert abs(spec.holder_defect()) < 1e-12
+    assert abs(_holder_defect(spec)) < 1e-12
     unbalanced = _quadratic_spec(q0=8.0, q1=math.inf, r=2.0)
-    assert unbalanced.holder_defect() == pytest.approx(-0.125, abs=1e-12)
+    assert _holder_defect(unbalanced) == pytest.approx(-0.125, abs=1e-12)
 
 
 def test_lyapunov_spec_validation():
@@ -82,7 +87,6 @@ _VDP = catalog()["vdp"].model
 HORIZON_CHECKS = {
     "GridSpec": lambda T: GridSpec(T, 4),
     "generate_block": lambda T: generate_block(T, 4, 1, 0, 0, 1),
-    "BlockStream": lambda T: BlockStream(T, 4, 1, 0, 0, 1),
     "stopping_threshold": lambda T: stopping_threshold(4, T),
     "AnalysisConstants": lambda T: AnalysisConstants(c=2.5, p=3, T=T, m=1,
                                                      rho=1.5, N=16),
@@ -114,9 +118,8 @@ _CONFIG = dict(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(4, 8), M=10,
                seed=0)
 
 # {owner.setting: (floor, a call setting it)} of every count setting, each
-# checked by core._check_count.  Most took 2.5 (N_ref, threads, p, m, N, d
-# and the stopping bound's settings), or failed later, naming another
-# argument or with a TypeError
+# checked by core._check_count.  Most took 2.5 (N_ref, threads, p, m, N
+# and d), or failed later, naming another argument or with a TypeError
 COUNT_CHECKS = {
     "GridSpec.N": (1, lambda n: GridSpec(1.0, n)),
     "validate_start.M": (1, lambda n: validate_start(_GBM, [1.0], n)),
@@ -127,7 +130,7 @@ COUNT_CHECKS = {
     "worker_count.threads": (0, worker_count),
     "generate_block.N_fine": (1, lambda n: generate_block(1.0, n, 1, 0, 0, 1)),
     "generate_block.m": (1, lambda n: generate_block(1.0, 4, n, 0, 0, 1)),
-    "BlockStream.count": (0, lambda n: BlockStream(1.0, 4, 1, 0, 0, n)),
+    "BlockStream.count": (0, lambda n: BlockStream(4, 1, 0, 0, n)),
     "BrownianGrid.N_fine": (1, lambda n: BrownianGrid(
         1.0, n, 1, 0, 0, np.zeros((1, 1)))),
     "BrownianGrid.m": (1, lambda n: BrownianGrid(
@@ -145,14 +148,7 @@ COUNT_CHECKS = {
     "AnalysisConstants.N": (1, lambda n: AnalysisConstants(
         **{**_CONSTS, "N": n})),
     "exp_moment_estimate.M": (2, lambda n: exp_moment_estimate(
-        SchemeKind.STOPPED_BIT, _GL, _GL.lyapunov, GridSpec(1.0, 4), n, 1.0,
-        0, [1.0])),
-    "stopping_probability.bound_paths": (1, lambda n: stopping_probability(
-        _GL, GridSpec(1.0, 4), 2, 0, [1.0], _GL.lyapunov, bound_paths=n,
-        ref_refine=1)),
-    "stopping_probability.ref_refine": (1, lambda n: stopping_probability(
-        _GL, GridSpec(1.0, 4), 2, 0, [1.0], _GL.lyapunov, bound_paths=1,
-        ref_refine=n)),
+        _GL, _GL.lyapunov, GridSpec(1.0, 4), n, 0, [1.0])),
     "divergence_comparison.every N in Ns": (1, lambda n: divergence_comparison(
         _GL, (n, 4), 2, [1.0], seed=0)),
     "ConvergenceConfig.M": (10, lambda n: ConvergenceConfig(
@@ -187,7 +183,7 @@ def test_every_count_setting_wants_an_integer_at_or_above_its_floor(setting):
 # rule and stopping_probability's bound seeds raised TypeError for a string
 KEY_CHECKS = {
     "generate_block.seed": lambda s: generate_block(1.0, 4, 1, s, 0, 1),
-    "BlockStream.seed": lambda s: BlockStream(1.0, 4, 1, s, 0, 1),
+    "BlockStream.seed": lambda s: BlockStream(4, 1, s, 0, 1),
     "generate_path.path_index": lambda s: generate_path(1.0, 4, 1, 0, s),
     "BrownianGrid.seed": lambda s: BrownianGrid(1.0, 1, 1, s, 0,
                                                 np.zeros((1, 1))),

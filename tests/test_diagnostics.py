@@ -114,17 +114,6 @@ def test_moment_bound_rejects_a_negative_or_nan_time_or_start(t, EU0, message):
         moment_bound(consts, t, EU0)
 
 
-@pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, 1e308))
-def test_exp_moment_estimate_rejects_nan_and_infinite_times(t):
-    # NaN raised "cannot convert float NaN to integer", and inf (or a time
-    # whose index t/h overflows) an OverflowError
-    gl = model_ginzburg_landau()
-    message = f"^{re.escape(f't = {t}')} is not a grid time of "
-    with pytest.raises(ValueError, match=message):
-        exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                            GridSpec(1.0, 16), 10, t, seed=0, x0=[1.0])
-
-
 # c != 1, p >= 2, m > 1 and T != 1, so that every exponent of c, m and T
 # shows in the value; the frozen values above, at c = p = m = T = 1, pin none
 EXPONENT_POINTS = [
@@ -346,26 +335,25 @@ def _flat_spec():
 
 def test_exp_moment_trivial_u_is_exactly_one():
     gl = model_ginzburg_landau()
-    est = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, _flat_spec(),
-                              GridSpec(1.0, 32), 500, 1.0, seed=0, x0=[1.0])
+    est = exp_moment_estimate(gl, _flat_spec(), GridSpec(1.0, 32), 500, seed=0,
+                              x0=[1.0])
     assert est.estimate == 1.0
     assert est.stderr == 0.0
 
 
-def test_exp_moment_at_time_zero():
+@pytest.mark.parametrize("x0", (8.0, -8.0))
+def test_exp_moment_of_a_start_outside_the_threshold(x0):
+    # every path stops at tau = 0 and keeps its start, so each one's value
+    # is exp(U(x0)), with no integral, and the paths agree
     gl = model_ginzburg_landau()
     spec = gl.lyapunov
-    est = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, spec,
-                              GridSpec(1.0, 32), 200, 0.0, seed=0, x0=[1.0])
-    assert est.estimate == pytest.approx(math.exp(float(spec.U(np.array([1.0])))))
-    assert est.stderr < 1e-15  # identical per-path values up to summation fuzz
-
-
-def test_exp_moment_rejects_off_grid_time():
-    gl = model_ginzburg_landau()
-    with pytest.raises(ValueError):
-        exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                            GridSpec(1.0, 32), 100, 0.33, seed=0, x0=[1.0])
+    assert abs(x0) > stopping_threshold(64, 1.0)
+    est = exp_moment_estimate(gl, spec, GridSpec(1.0, 64), 200, seed=0,
+                              x0=[x0])
+    u0 = float(spec.U(np.array([x0])))
+    assert est.estimate == pytest.approx(math.exp(u0), rel=1e-14)
+    assert est.stderr <= 1e-15 * est.estimate
+    assert est.saturated_fraction == 0.0
 
 
 def test_exp_moment_flat_across_n_and_below_rate_bound():
@@ -374,8 +362,8 @@ def test_exp_moment_flat_across_n_and_below_rate_bound():
     u0 = float(spec.U(np.array([1.0])))
     ests = []
     for N in (16, 64, 256):
-        est = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, spec,
-                                  GridSpec(1.0, N), 4000, 1.0, seed=3, x0=[1.0])
+        est = exp_moment_estimate(gl, spec, GridSpec(1.0, N), 4000, seed=3,
+                                  x0=[1.0])
         ests.append(est)
         consts = AnalysisConstants(c=2.5, p=3, T=1.0, m=1, rho=spec.rho, N=N)
         eps = epsilon_n(consts)
@@ -408,10 +396,27 @@ def test_stopping_probability_zero_for_still_model():
 def test_stopping_probability_bound_reported_with_spec():
     gl = model_ginzburg_landau()
     rep = stopping_probability(gl, GridSpec(1.0, 32), 400, seed=1, x0=[1.0],
-                               spec=gl.lyapunov, bound_paths=200)
+                               spec=gl.lyapunov)
     assert rep.bound is not None and rep.C1 is not None
     assert rep.C1 >= 1.0
     assert rep.bound >= 0.0
+
+
+def test_stopping_bound_runs_1000_paths_at_n_and_8n(monkeypatch):
+    # C1's two suprema: the stopped scheme's at N from seed + 1, and the
+    # exact solution's stand-in at 8N from seed + 2, with tau at N
+    calls = []
+
+    def recording_supremum(model, spec, grid, M, seed, x0, use_tau):
+        calls.append((grid.T, grid.N, M, seed, use_tau))
+        return 2.0
+
+    monkeypatch.setattr(diagnostics, "exp_moment_supremum", recording_supremum)
+    gl = model_ginzburg_landau()
+    rep = stopping_probability(gl, GridSpec(0.5, 16), 10, seed=4, x0=[1.0],
+                               spec=gl.lyapunov)
+    assert calls == [(0.5, 16, 1000, 5, True), (0.5, 128, 1000, 6, False)]
+    assert rep.C1 == 4.0
 
 
 @pytest.mark.parametrize("T,N", [(1.0, 16), (0.5, 64), (2.0, 32)])
@@ -423,7 +428,7 @@ def test_stopping_bound_is_the_displayed_formula(T, N):
     gl = model_ginzburg_landau()
     spec = gl.lyapunov
     rep = stopping_probability(gl, GridSpec(T, N), 20, seed=4, x0=[1.0],
-                               spec=spec, bound_paths=20)
+                               spec=spec)
     with mp.workdps(40):
         expo = 1 - mp.log(mp.mpf(N) / T) ** 2 / (
             24 * mp.mpf(spec.c) ** 5 * mp.exp(mp.mpf(spec.rho) * T))
@@ -464,12 +469,10 @@ def test_exp_moments_keep_increments_not_states(estimator):
     grid = GridSpec(1.0, 2048)
     if estimator == "estimate":
         peak = _peak_bytes(lambda: exp_moment_estimate(
-            SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, 1000, 1.0, seed=3,
-            x0=[1.0]))
+            gl, gl.lyapunov, grid, 1000, seed=3, x0=[1.0]))
     else:
         peak = _peak_bytes(lambda: exp_moment_supremum(
-            SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, 1000, seed=3,
-            x0=[1.0]))
+            gl, gl.lyapunov, grid, 1000, seed=3, x0=[1.0]))
     assert peak < 1.5 * 1000 * 2048 * 8
 
 
@@ -477,10 +480,9 @@ ONE_BATCH = {
     "stopping": lambda gl, grid, M: stopping_probability(
         gl, grid, M, seed=10, x0=[1.0]),
     "exp-moment-estimate": lambda gl, grid, M: exp_moment_estimate(
-        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, M, 1.0, seed=10,
-        x0=[1.0]),
+        gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
     "exp-moment-supremum": lambda gl, grid, M: exp_moment_supremum(
-        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
+        gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
 }
 
 
@@ -516,48 +518,33 @@ def test_exp_moment_integral_counts_steps_before_tau():
     dw = generate_block(1.0, 100, 1, seed=4, first_path=0, count=M)
     tau = run_paths(SchemeKind.STOPPED_BIT, gbm, grid, [4.0], dw).tau_index
     assert ((tau > 0) & (tau < 100)).any()
-    for j in (0, 37, 64, 100):
-        est = exp_moment_estimate(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
-                                  j / 100, seed=4, x0=[4.0])
-        vals = np.exp(np.minimum(j, tau) * grid.h)
-        assert est.estimate == pytest.approx(np.mean(vals), rel=1e-13)
-        assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(M),
-                                           rel=1e-9)
+    est = exp_moment_estimate(gbm, spec, grid, M, seed=4, x0=[4.0])
+    vals = np.exp(np.minimum(100, tau) * grid.h)
+    assert est.estimate == pytest.approx(np.mean(vals), rel=1e-13)
+    assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(M),
+                                       rel=1e-9)
     # nondecreasing in t, so the supremum is the estimate at T
-    sup = exp_moment_supremum(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
-                              seed=4, x0=[4.0])
+    sup = exp_moment_supremum(gbm, spec, grid, M, seed=4, x0=[4.0])
     assert sup == est.estimate
     # without tau every path integrates over [0, T]
-    free = exp_moment_supremum(SchemeKind.STOPPED_BIT, gbm, spec, grid, M,
-                               seed=4, x0=[4.0], use_tau=False)
+    free = exp_moment_supremum(gbm, spec, grid, M, seed=4, x0=[4.0],
+                               use_tau=False)
     assert free == pytest.approx(math.e, rel=1e-13)
 
 
 def test_exp_moment_supremum_monotone_pieces():
     gl = model_ginzburg_landau()
-    sup = exp_moment_supremum(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                              GridSpec(1.0, 16), 300, seed=2, x0=[1.0])
-    one_point = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                                    GridSpec(1.0, 16), 300, 0.0, seed=2,
-                                    x0=[1.0])
-    assert sup >= one_point.estimate - 1e-12
+    # U >= 0 and U_bar = 0: the supremum over nodes of E[exp(e^{-rho t} U)]
+    # bounds the estimate at T, which is its last node's, by the same paths
+    sup = exp_moment_supremum(gl, gl.lyapunov, GridSpec(1.0, 16), 300, seed=2,
+                              x0=[1.0])
+    at_t = exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, 16), 300, seed=2,
+                               x0=[1.0])
+    assert sup >= at_t.estimate
 
 
 # ---------------------------------------------------------------------------
 # start validation at the estimators
-
-
-@pytest.mark.parametrize("arg", ("bound_paths", "ref_refine"))
-def test_stopping_probability_rejects_empty_bound_runs(monkeypatch, arg):
-    # bound_paths = 0 used to be reported as M, ref_refine = 0 as N, both
-    # after the stopped fraction had been estimated
-    def no_stepping(*args):
-        raise AssertionError("a path was stepped")
-    monkeypatch.setattr(diagnostics, "run_paths", no_stepping)
-    gl = model_ginzburg_landau()
-    with pytest.raises(ValueError, match=f"^{arg} must be >= 1, got 0$"):
-        stopping_probability(gl, GridSpec(1.0, 16), 10, seed=0, x0=[1.0],
-                             spec=gl.lyapunov, **{arg: 0})
 
 
 @pytest.mark.parametrize("seed", (2**64 - 2, 2**64 - 1))
@@ -576,8 +563,7 @@ def test_stopping_probability_checks_the_bound_seeds_first(monkeypatch, seed):
 def test_stopping_probability_takes_the_last_seed_whose_bound_seeds_fit():
     gl = model_ginzburg_landau()
     rep = stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 3,
-                               x0=[1.0], spec=gl.lyapunov, bound_paths=10,
-                               ref_refine=1)
+                               x0=[1.0], spec=gl.lyapunov)
     assert rep.C1 is not None
     # without spec the seed itself may reach the top of the range
     assert stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 1,
@@ -589,19 +575,19 @@ def test_exp_moment_estimators_reject_zero_paths():
     # for M = 1, which reads as exact
     gl = model_ginzburg_landau()
     with pytest.raises(ValueError, match="M must be >= 2"):
-        exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                            GridSpec(1.0, 16), 0, 1.0, seed=0, x0=[1.0])
+        exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, 16), 0, seed=0,
+                            x0=[1.0])
     with pytest.raises(ValueError, match="M must be >= 1"):
-        exp_moment_supremum(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                            GridSpec(1.0, 16), 0, seed=0, x0=[1.0])
+        exp_moment_supremum(gl, gl.lyapunov, GridSpec(1.0, 16), 0, seed=0,
+                            x0=[1.0])
 
 
 def test_exp_moment_estimate_rejects_short_start():
     # one component for the two-dimensional vdp would broadcast to both
     vdp = catalog()["vdp"].model
     with pytest.raises(ValueError, match="2 component"):
-        exp_moment_estimate(SchemeKind.STOPPED_BIT, vdp, vdp.lyapunov,
-                            GridSpec(1.0, 16), 10, 1.0, seed=0, x0=[1.0])
+        exp_moment_estimate(vdp, vdp.lyapunov, GridSpec(1.0, 16), 10, seed=0,
+                            x0=[1.0])
 
 
 STARTED = {
@@ -610,11 +596,9 @@ STARTED = {
     "stopping-with-spec": lambda gl, x0: stopping_probability(
         gl, GridSpec(1.0, 16), 10, seed=0, x0=x0, spec=gl.lyapunov),
     "exp-moment-estimate": lambda gl, x0: exp_moment_estimate(
-        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, GridSpec(1.0, 16), 10, 1.0,
-        seed=0, x0=x0),
+        gl, gl.lyapunov, GridSpec(1.0, 16), 10, seed=0, x0=x0),
     "exp-moment-supremum": lambda gl, x0: exp_moment_supremum(
-        SchemeKind.STOPPED_BIT, gl, gl.lyapunov, GridSpec(1.0, 16), 10,
-        seed=0, x0=x0),
+        gl, gl.lyapunov, GridSpec(1.0, 16), 10, seed=0, x0=x0),
 }
 
 

@@ -2,12 +2,15 @@
 public surface exports only what the modules bind, importing the package
 loads no more of numpy than it needs, and the
 layers perfbench's tracer times are reached through the bindings it
-patches, no module but brownian builds a random generator, and no module
-but core reads an integer by ``operator.index``."""
+patches, no module but brownian builds a random generator, no module
+but core reads an integer by ``operator.index``, and every public function,
+method and defaulted parameter has a consumer outside the tests."""
 
 import ast
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,3 +145,104 @@ def test_only_core_calls_operator_index(path):
              and getattr(n.value, "id", None) == "operator"
              or isinstance(n, ast.ImportFrom) and n.module == "operator"]
     assert not reads or path.stem == "core"
+
+
+# ---------------------------------------------------------------------------
+# every public parameter has a consumer
+
+ROOT = PACKAGE.parents[1]
+
+# defaulted parameters that no call site passes yet, each with the consumer
+# it is kept for: ROADMAP item 12's stopping study (VdP at sigma0 = 3, with
+# the stopping bound printed beside the estimate)
+UNPASSED_KEPT = {
+    "diagnostics.stopping_probability.spec": "ROADMAP item 12: the bound",
+    "models.model_ginzburg_landau.alpha": "ROADMAP item 12: model parameters",
+    "models.model_ginzburg_landau.beta": "ROADMAP item 12: model parameters",
+    "models.model_ginzburg_landau.sigma0": "ROADMAP item 12: model parameters",
+    "models.model_vdp.a": "ROADMAP item 12: model parameters",
+    "models.model_vdp.b": "ROADMAP item 12: model parameters",
+    "models.model_vdp.c_damp": "ROADMAP item 12: model parameters",
+    "models.model_vdp.sigma0": "ROADMAP item 12: VdP at sigma0 = 3",
+}
+
+
+def _site_trees() -> list:
+    """The code that consumes the package: its own modules, the demos,
+    perfbench, the README's python blocks and the acceptance tests."""
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py")),
+             ROOT / "tests" / "test_acceptance.py"]
+    texts = [p.read_text() for p in paths]
+    texts += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.S)
+    return [ast.parse(t) for t in texts]
+
+
+def _public_callables() -> dict:
+    """{qualified name: (called name, positional parameters, defaulted
+    parameters)} of every public module-level function and every public
+    method, ``__init__`` included, of a public class; a call names a
+    method, or a class for its ``__init__``."""
+    out = {}
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}",
+                         node.name if f.name == "__init__" else f.name, f)
+                        for f in node.body if isinstance(f, ast.FunctionDef)
+                        and (f.name == "__init__" or not f.name.startswith("_"))
+                        and not any(getattr(d, "id", None) == "property"
+                                    for d in f.decorator_list)]
+            else:
+                continue
+            for qual, called, fn in defs:
+                a = fn.args
+                positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+                if positional[:1] in (["self"], ["cls"]):
+                    positional = positional[1:]
+                defaulted = positional[len(positional) - len(a.defaults):] + [
+                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None]
+                out[f"{path.stem}.{qual}"] = (called, positional, defaulted)
+    return out
+
+
+def _calls(trees: list) -> dict:
+    """{called name: [(positional count, keyword names)]} of every call in
+    ``trees``; a starred argument passes every positional parameter, and
+    a ``**`` argument every keyword."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                     else len(node.args))
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append((n_pos, keywords))
+    return calls
+
+
+def test_every_public_parameter_has_a_consumer():
+    # a function or a defaulted parameter that only tests reach is surface
+    # to keep and to document that no user run exercises
+    calls = _calls(_site_trees())
+    uncalled, unpassed = [], []
+    for qual, (called, positional, defaulted) in _public_callables().items():
+        sites = calls.get(called, [])
+        if not sites:
+            uncalled.append(qual)
+        for param in defaulted:
+            index = positional.index(param) if param in positional else math.inf
+            if not any(index < n_pos or param in keywords or None in keywords
+                       for n_pos, keywords in sites):
+                unpassed.append(f"{qual}.{param}")
+    assert uncalled == []
+    assert sorted(set(unpassed) - set(UNPASSED_KEPT)) == []
+    assert sorted(set(UNPASSED_KEPT) - set(unpassed)) == []  # no stale entry

@@ -108,7 +108,7 @@ def test_block_stream_chunks_equal_generate_block_for_any_lookahead(
                                  st.integers(1, 3 * n_fine * values)))
     cuts = sorted(data.draw(st.lists(st.integers(0, n_fine), max_size=8)))
     with mock.patch.object(brownian, "_LOOKAHEAD_VALUES", budget):
-        stream = BlockStream(1.5, n_fine, m, seed, 3, count)
+        stream = BlockStream(n_fine, m, seed, 3, count)
         parts = [stream.draw(int(n)) for n in np.diff([0, *cuts, n_fine])]
-    whole = generate_block(1.5, n_fine, m, seed, 3, count)
+    whole = generate_block(n_fine, n_fine, m, seed, 3, count)
     assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()

@@ -172,8 +172,8 @@ def test_streamed_moment_sweep_equals_whole_horizon_oracle(threads):
         assert row.N == N
         assert row.eu_estimate == float(np.mean(u))
         assert row.eu_stderr == float(np.std(u, ddof=1) / math.sqrt(M))
-        expm = exp_moment_estimate(SchemeKind.STOPPED_BIT, gl, gl.lyapunov,
-                                   GridSpec(1.0, N), M, 1.0, 4, [1.0])
+        expm = exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, N), M, 4,
+                                   [1.0])
         assert (row.exp_estimate, row.exp_stderr,
                 row.exp_saturated_fraction) == (expm.estimate, expm.stderr,
                                                 expm.saturated_fraction)
@@ -208,10 +208,17 @@ def test_streamed_divergence_equals_whole_horizon_oracle(threads):
     assert [row.overflow_fraction > 0 for row in em] == [True, True, False]
 
 
+# a spec of module-level callables, which pickle: the shipped models' are
+# closures, which do not, and a reducer is pickled with what it binds
+_PICKLED_SPEC = core.LyapunovSpec(U=np.sum, grad_U=np.sign, hess_U=np.sign,
+                                  U_bar=np.sum, rho=0.0, c=1.0, p=4,
+                                  q0=math.inf, q1=math.inf, r=2.0)
+
 # every reducer the estimators hand the block driver, bound as they bind it
 REDUCERS = [
-    diagnostics._last_nodes, functools.partial(diagnostics._functional, 7, True),
-    functools.partial(diagnostics._functional, None, False),
+    diagnostics._last_nodes,
+    functools.partial(diagnostics._functional, _PICKLED_SPEC, True, False),
+    functools.partial(diagnostics._functional, _PICKLED_SPEC, True, True),
     functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
                       3.0, (SchemeKind.DRIFT_TAMED, 64)),
     experiments._divergence]
@@ -225,7 +232,8 @@ def _binding(reducer) -> tuple:
 
 def _reducer_id(reducer) -> str:
     func, args, _ = _binding(reducer)
-    return func.__name__ + repr(args)
+    return func.__name__ + repr(tuple("spec" if a is _PICKLED_SPEC else a
+                                      for a in args))
 
 
 @pytest.mark.parametrize("reducer", REDUCERS, ids=_reducer_id)
@@ -384,8 +392,8 @@ def test_coarsen_levels_sum_each_level_from_the_coarsest_it_may():
                                         (7, 2**64 - 7)])
 def test_block_stream_chunks_equal_one_draw(seed, first):
     # both ends of the seed range, and a block ending at the last path index
-    whole = generate_block(2.0, 100, 2, seed=seed, first_path=first, count=7)
-    stream = BlockStream(2.0, 100, 2, seed=seed, first_path=first, count=7)
+    whole = generate_block(100, 100, 2, seed=seed, first_path=first, count=7)
+    stream = BlockStream(100, 2, seed=seed, first_path=first, count=7)
     parts = [stream.draw(n) for n in (1, 0, 33, 64, 2)]
     assert np.concatenate(parts, axis=1).tobytes() == whole.tobytes()
     with pytest.raises(ValueError):
@@ -411,9 +419,12 @@ def test_block_stream_draws_no_value_past_the_horizon(monkeypatch, budget):
 
     monkeypatch.setattr(brownian, "generate_block", counting_generate_block)
     monkeypatch.setattr(np.random, "Generator", counting_generator)
-    stream = BlockStream(1.0, 1000, 2, seed=3, first_path=5, count=4)
+    stream = BlockStream(1000, 2, seed=3, first_path=5, count=4)
     for n in (1, 300, 64, 635):
         stream.draw(n)
+    # a short last refill leaves no stale steps of the window to draw
+    with pytest.raises(ValueError, match="^1 steps asked, 0 left$"):
+        stream.draw(1)
     if budget >= 1000 * 4 * 2:
         assert filled == [1000] and len(made) == 1  # generate_block's own
         return
@@ -424,10 +435,24 @@ def test_block_stream_draws_no_value_past_the_horizon(monkeypatch, budget):
         assert repr(gen.bit_generator.state) == repr(once.bit_generator.state)
 
 
+@pytest.mark.parametrize("m", (1, 2))
+def test_block_stream_window_holds_2_mb_of_values(m):
+    # 2**18 values: the first draw of 1000 paths fills 262 steps of each
+    # with one noise dimension and 131 with two, the window the README and
+    # the memory bounds assume
+    stream = BlockStream(1000, m, seed=3, first_path=0, count=1000)
+    stream.draw(1)
+    for j in (0, 999):
+        once = brownian._path_generator(3, j)
+        once.standard_normal((2**18 // (1000 * m), m))
+        assert repr(stream._gens[j].bit_generator.state) == \
+            repr(once.bit_generator.state)
+
+
 def _stream_peak(n_fine: int, B: int = 1000, chunk: int = 64) -> int:
     tracemalloc.start()
     try:
-        stream = BlockStream(1.0, n_fine, 1, seed=2, first_path=0, count=B)
+        stream = BlockStream(n_fine, 1, seed=2, first_path=0, count=B)
         for _ in range(0, n_fine, chunk):
             stream.draw(chunk)
         return tracemalloc.get_traced_memory()[1]
@@ -728,13 +753,11 @@ STREAMED_AT_N = {
     "stopping": lambda N, out: stopping_probability(
         GL, GridSpec(1.0, N), 200, 3, [1.0]),
     "stopping-with-spec": lambda N, out: stopping_probability(
-        GL, GridSpec(1.0, N), 200, 3, [1.0], spec=GL.lyapunov, bound_paths=200),
+        GL, GridSpec(1.0, N), 200, 3, [1.0], spec=GL.lyapunov),
     "exp-moment-estimate": lambda N, out: exp_moment_estimate(
-        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), 200, 1.0, 3,
-        [1.0]),
+        GL, GL.lyapunov, GridSpec(1.0, N), 200, 3, [1.0]),
     "exp-moment-supremum": lambda N, out: exp_moment_supremum(
-        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), 200, 3,
-        [1.0]),
+        GL, GL.lyapunov, GridSpec(1.0, N), 200, 3, [1.0]),
     "simulate": lambda N, out: cli.main(
         ["simulate", "--model", "ginzburg-landau", "--N", str(N), "--M", "200",
          "--seed", "3", "--output", str(out / f"{N}.json")]),
@@ -754,6 +777,9 @@ def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
     # its stand-in of the exact solution) by 8 * 8 * (1024 - 256) bytes,
     # which is more than 5% of its small peak; it may grow by those and 1%
     monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", 1 << 12)
+    # the bound's suprema are one block of paths either way; 200 in place
+    # of 1000 keep its 8 * 1024-step reference run short
+    monkeypatch.setattr(diagnostics, "_BOUND_PATHS", 200)
     run = STREAMED_AT_N[name]
     run(64, tmp_path)  # one-time allocations stay out of the comparison
     small = _peak_bytes(lambda: run(256, tmp_path))
@@ -774,7 +800,7 @@ def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
 # block's result grew the peak by 21 to 25 node arrays
 TOTALS_IN_M = {
     "exp-moment-supremum": ((20, 2048, 60, 100, 1), lambda N, M: exp_moment_supremum(
-        SchemeKind.STOPPED_BIT, GL, GL.lyapunov, GridSpec(1.0, N), M, 3, [1.0])),
+        GL, GL.lyapunov, GridSpec(1.0, N), M, 3, [1.0])),
     "strong-error": ((50, 1024, 500, 505, 1), lambda N, M: strong_error(
         ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(N,),
                           M=M, seed=1))),
@@ -924,67 +950,45 @@ def test_slice_cases_reach_the_edges():
 @pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
 def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
                                                          wavy):
+    # the exponential-moment estimators step the stopped scheme whatever the
+    # case's kind, as stopping_probability does: each case gives its model,
+    # start and grid, so the Euler-Maruyama and drift-tamed starts are
+    # stopped runs from outside the threshold and in two dimensions
     model, grid = _case(name, N)
     spec = _wavy(model.lyapunov) if wavy else model.lyapunov
-    # t at 0, inside a slice, on a slice boundary (or at T) and at T
-    for j in sorted({0, 37 % N, min(64, N), N}):
-        with np.errstate(over="ignore"):  # U of overflowed Euler states
-            vals = np.concatenate([
-                functional_columns(spec, runs, use_tau=True, absolute=False)[j]
-                for _, runs, _ in whole_blocks(kind, model, grid, x0, M, 5)])
-            est = exp_moment_estimate(kind, model, spec, grid, M, j / N, 5, x0)
-            assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M)), j
-        assert est.estimate == float(np.mean(vals)), j
-        assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
-
-
-@pytest.mark.parametrize("j_t,steps", [(0, diagnostics._SLICE_STEPS), (512, 512),
-                                       (1000, 1024)])
-def test_exp_moment_estimate_draws_only_up_to_t(monkeypatch, j_t, steps):
-    # each block's stream ends at the end of t's slice (one slice at t = 0),
-    # and every step of it is drawn
-    model, grid = _case("ginzburg-landau", 1024)
-    streams = []
-
-    class CountingStream(BlockStream):
-        def __init__(self, T, N_fine, *args):
-            super().__init__(T, N_fine, *args)
-            self.horizon, self.drawn = N_fine, 0
-            streams.append(self)
-
-        def draw(self, n_steps):
-            self.drawn += n_steps
-            return super().draw(n_steps)
-
-    monkeypatch.setattr(diagnostics, "BlockStream", CountingStream)
-    exp_moment_estimate(SchemeKind.STOPPED_BIT, model, model.lyapunov, grid,
-                        1100, j_t / 1024, 5, [1.0])
-    # two blocks
-    assert [(s.horizon, s.drawn) for s in streams] == [(steps, steps)] * 2
-
-
-@pytest.mark.parametrize("j_t,steps", [(0, diagnostics._SLICE_STEPS), (512, 512)])
-def test_exp_moment_estimate_steps_only_up_to_t(monkeypatch, j_t, steps):
-    # the blocks stop after t's slice: one chunk for t = 0, 512 steps for T/2
-    model, grid = _case("ginzburg-landau", 1024)
-    spec = _wavy(model.lyapunov)
-    M = 1100  # two blocks
-    counted = []
-
-    def counting_run_paths(kind, model, grid, x0, dW):
-        counted.append(dW.shape[0] * dW.shape[1])
-        return run_paths(kind, model, grid, x0, dW)
-
-    monkeypatch.setattr(diagnostics, "run_paths", counting_run_paths)
-    est = exp_moment_estimate(SchemeKind.STOPPED_BIT, model, spec, grid, M,
-                              j_t / 1024, 5, [1.0])
-    assert sum(counted) == M * steps
     vals = np.concatenate([
-        functional_columns(spec, runs, use_tau=True, absolute=False)[j_t]
+        functional_columns(spec, runs, use_tau=True, absolute=False)[N]
         for _, runs, _ in whole_blocks(SchemeKind.STOPPED_BIT, model, grid,
-                                       [1.0], M, 5)])
+                                       x0, M, 5)])
+    est = exp_moment_estimate(model, spec, grid, M, 5, x0)
     assert est.estimate == float(np.mean(vals))
     assert est.stderr == float(np.std(vals, ddof=1) / math.sqrt(M))
+    assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
+
+
+@pytest.mark.parametrize("N", (diagnostics._SLICE_STEPS, 1000, 1024))
+def test_exp_moment_estimate_draws_and_steps_n_per_path(monkeypatch, N):
+    # each of the two blocks draws all N steps of its stream and steps each
+    # of them once: N per path, in chunks of 32 steps and a short last one
+    # when 32 does not divide N
+    model, grid = _case("ginzburg-landau", N)
+    M = 1100
+    drawn, stepped = [], []
+    draw = BlockStream.draw
+
+    def counting_draw(stream, n_steps):
+        drawn.append(n_steps * len(stream._buf))
+        return draw(stream, n_steps)
+
+    def counting_run_paths(kind, model, grid, x0, dW):
+        stepped.append(dW.shape[0] * dW.shape[1])
+        return run_paths(kind, model, grid, x0, dW)
+
+    monkeypatch.setattr(BlockStream, "draw", counting_draw)
+    monkeypatch.setattr(diagnostics, "run_paths", counting_run_paths)
+    exp_moment_estimate(model, model.lyapunov, grid, M, 5, [1.0])
+    assert sum(drawn) == sum(stepped) == M * N
+    assert len(drawn) == len(stepped) == 2 * -(-N // diagnostics._SLICE_STEPS)
 
 
 @pytest.mark.parametrize("use_tau", (True, False))
@@ -992,16 +996,17 @@ def test_exp_moment_estimate_steps_only_up_to_t(monkeypatch, j_t, steps):
 @pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
 def test_sliced_exp_moment_supremum_equals_whole_horizon(name, x0, kind, N, M,
                                                          wavy, use_tau):
+    # the stopped scheme at every case, as in the estimate's test above
     model, grid = _case(name, N)
     spec = _wavy(model.lyapunov) if wavy else model.lyapunov
-    with np.errstate(over="ignore"):
-        sup = exp_moment_supremum(kind, model, spec, grid, M, 6, x0,
-                                  use_tau=use_tau)
-        assert sup == oracle_supremum(kind, model, spec, grid, M, 6, x0, use_tau)
+    sup = exp_moment_supremum(model, spec, grid, M, 6, x0, use_tau=use_tau)
+    assert sup == oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid,
+                                  M, 6, x0, use_tau)
 
 
 @pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
-def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
+def test_sliced_stopping_probability_equals_whole_horizon(monkeypatch, name,
+                                                          x0, kind, N, M):
     model, grid = _case(name, N)
     taus = np.concatenate([
         runs.tau_index for _, runs, _ in
@@ -1010,9 +1015,11 @@ def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
     rep = stopping_probability(model, grid, M, 7, x0)
     assert (rep.estimate, rep.stderr) == (p_hat, math.sqrt(p_hat * (1 - p_hat) / M))
     if N <= 100:
+        # 30 paths on the 2N grid keep the whole-horizon oracle small
+        monkeypatch.setattr(diagnostics, "_BOUND_PATHS", 30)
+        monkeypatch.setattr(diagnostics, "_REF_REFINE", 2)
         spec = _wavy(model.lyapunov)
-        rep = stopping_probability(model, grid, M, 7, x0, spec=spec,
-                                   bound_paths=30, ref_refine=2)
+        rep = stopping_probability(model, grid, M, 7, x0, spec=spec)
         c1 = (oracle_supremum(SchemeKind.STOPPED_BIT, model, spec,
                               GridSpec(1.0, 2 * N), 30, 9, x0, use_tau=False)
               * oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid, 30,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,47 @@ def test_laplacian_matches_finite_differences():
         fd[i] = (f(xi + d) - 2 * f(xi) + f(xi - d)) / d**2
     # second differences are noisier; scale-aware absolute floor
     np.testing.assert_allclose(fd * hs**0.5, exact * hs**0.5, rtol=1e-5, atol=2e-7)
+
+
+def _laplacian_mp(x: float, h: float) -> float:
+    import mpmath as mp
+
+    with mp.workdps(50):
+        x, h = mp.mpf(x), mp.mpf(h)
+        return float(mp.exp(-x**4 / h) * (16 * x**7 / h**2 - 20 * x**3 / h))
+
+
+# h on both sides of sqrt(smallest normal float) = 1.4917e-154, below which
+# h**2 is subnormal, and far below it
+@pytest.mark.parametrize("h", (1.5e-154, 1.49e-154, 1e-156, 1e-163, 1e-200,
+                               1e-300))
+@pytest.mark.parametrize("scale", ("quarter-root", "square-root"))
+def test_laplacian_keeps_its_digits_when_h_squared_is_subnormal(h, scale):
+    # 16 x^7 / h^2 lost digits with h^2 subnormal (2.7e-10 relative at
+    # 1e-156) and was inf, with a divide-by-zero warning, or NaN once h^2
+    # was 0 (1e-163 on); points at the taming scale h^(1/4) and at the
+    # scale sqrt(h) that verify_taming_bounds draws at
+    rng = np.random.Generator(np.random.Philox(key=8))
+    width = 1.2 * h**0.25 if scale == "quarter-root" else math.sqrt(h)
+    x = rng.standard_normal(500) * width
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tame_laplacian(TamingParams(h=h, m=1), x)
+    want = [_laplacian_mp(float(v), h) for v in x]
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def test_laplacian_bound_at_a_tiny_h_scales_as_at_a_moderate_one():
+    # the samples are Z sqrt(h) with the same Z at every h, and the
+    # Laplacian is -20 x^3 / h to within a factor 1 + O(x^4 / h), so its
+    # L2 estimate over sqrt(h) is the same at h = 1e-300 as at 1e-100 (it
+    # was NaN), and above the bound 32 sqrt(h), as at h = 0.01
+    tiny = verify_taming_bounds(TamingParams(h=1e-300, m=1), 1000, 0).laplacian
+    ref = verify_taming_bounds(TamingParams(h=1e-100, m=1), 1000, 0).laplacian
+    assert math.isfinite(tiny.estimate)
+    assert tiny.estimate / 1e-150 == pytest.approx(ref.estimate / 1e-50,
+                                                   rel=1e-12)
+    assert not tiny.passed and not ref.passed
 
 
 def test_stopping_threshold_trivial_points():
