@@ -25,6 +25,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Optional
@@ -107,16 +108,6 @@ def _write_payload(payload, fmt: str, path: Optional[str],
     _write(_render(fmt, payload, csv_header, csv_rows), path)
 
 
-def _table_rows(table: ErrorTable) -> list[list]:
-    return [[table.scheme, table.model, table.r, row.N, row.M, row.seed,
-             row.sup_error, row.std_error, row.overflow_fraction]
-            for row in table.rows]
-
-
-def _table_payload(table: ErrorTable, fit: Optional[RateFit]) -> dict:
-    return {"table": table} if fit is None else {"table": table, "rate_fit": fit}
-
-
 def emit(table: ErrorTable, fmt: str, path: Optional[str],
          fit: Optional[RateFit] = None) -> None:
     """Write an error table as CSV or JSON.
@@ -125,8 +116,11 @@ def emit(table: ErrorTable, fmt: str, path: Optional[str],
     sidecar file ``<path>.ratefit.json`` with keys slope/intercept/residual.
     JSON mirrors the full report including per-gridpoint errors.
     """
-    _write_payload(_table_payload(table, fit), fmt, path, CSV_HEADER,
-                   _table_rows(table))
+    payload = {"table": table} if fit is None else {"table": table, "rate_fit": fit}
+    rows = [[table.scheme, table.model, table.r, row.N, row.M, row.seed,
+             row.sup_error, row.std_error, row.overflow_fraction]
+            for row in table.rows]
+    _write_payload(payload, fmt, path, CSV_HEADER, rows)
     if fmt == "csv" and fit is not None:
         sidecar = {"slope": fit.slope, "intercept": fit.intercept,
                    "residual": fit.residual}
@@ -161,13 +155,27 @@ def _ns(text: str) -> tuple[int, ...]:
     return ns
 
 
+def _finite(text: str) -> float:
+    """``type=`` of an assertion's bound: a NaN or infinite one would
+    decide the assertion whatever the run gives."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _band(text: str) -> tuple[float, float]:
     try:
-        lo, hi = (float(v) for v in text.split(":"))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad band {text!r}, expected LO:HI") from None
-    return lo, hi
+        lo, hi = map(_finite, text.split(":"))
+        if lo <= hi:
+            return lo, hi
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"bad band {text!r}, expected LO:HI with finite LO <= HI")
 
 
 _SETTINGS = {
@@ -196,7 +204,8 @@ _SETTINGS = {
     "--expect-contrast": dict(action="store_true",
                               help="exit 2 unless Euler explodes somewhere and the "
                                    "stopped scheme never overflows"),
-    "--max-ratio": dict(type=float, help="exit 2 if max/min of E[U(Y_T)] exceeds this"),
+    "--max-ratio": dict(type=_finite,
+                        help="exit 2 if max/min of E[U(Y_T)] exceeds this"),
     "--dump-increments": dict(help="write path 0's increments to this binary file"),
     "--h-values": dict(type=_list_of(float), default="1,0.1,0.01",
                        help="comma-separated scales"),

@@ -51,12 +51,11 @@ class GridSpec:
 class LyapunovSpec:
     """Lyapunov data attached to a model: U, its derivatives, and constants.
 
-    ``q0`` and ``q1`` may be ``math.inf``; when all of p, q0, q1 are finite
-    they must satisfy the Hoelder triple 1/p + 1/q0 + 1/q1 = 1/r.  ``c`` is
-    the finite growth/monotonicity constant (must satisfy c >= T**(1/32)
-    for the horizon it is used with), ``rho`` the finite
-    generator-inequality rate, ``p`` the polynomial growth degree, ``r``
-    the error-norm exponent.
+    ``c`` is the finite growth/monotonicity constant (must satisfy
+    c >= T**(1/32) for the horizon it is used with), ``rho`` the finite
+    generator-inequality rate, ``p`` the polynomial growth degree, and
+    ``q0`` and ``q1``, each in (0, inf], divide the U and U_bar terms of
+    the local-monotonicity slack (inf drops the term).
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -68,7 +67,6 @@ class LyapunovSpec:
     p: int
     q0: float
     q1: float
-    r: float
 
     def __post_init__(self):
         # each comparison fails for NaN
@@ -77,8 +75,6 @@ class LyapunovSpec:
         if not 0 < self.c < math.inf:
             raise ValueError(f"c must be > 0 and finite, got {self.c}")
         _check_count("p", self.p)
-        if not self.r >= 2:
-            raise ValueError(f"r must be >= 2, got {self.r}")
         if not (self.q0 > 0 and self.q1 > 0):
             raise ValueError("q0, q1 must lie in (0, inf]")
 

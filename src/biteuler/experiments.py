@@ -90,11 +90,11 @@ class ConvergenceConfig:
     """Strong-error study configuration.
 
     ``reference`` is "exact" (closed form, coupled through the same
-    Brownian path) or "fine" (the ``ref_scheme`` run on the N_ref grid);
-    for a fine reference N_ref must be a multiple of every N and at least
-    8 times the largest, and for an exact one the largest N must be (the
-    reference runs on its grid).  N_ref and ref_scheme are for a fine
-    reference only: with an exact one N_ref must be 0 and ref_scheme None.
+    Brownian path) or "fine" (the same scheme run on the N_ref grid); for
+    a fine reference N_ref must be a multiple of every N and at least 8
+    times the largest, and for an exact one the largest N must be (the
+    reference runs on its grid).  N_ref is for a fine reference only: with
+    an exact one it must be 0.
     ``Ns`` should be powers of two when a rate fit is intended.  ``M`` is
     an integer >= 10, one path per batch-means batch, and ``seed`` an
     integer in [0, 2**64).  ``x0`` of None uses the catalog default.
@@ -108,7 +108,6 @@ class ConvergenceConfig:
     N_ref: int = 0
     r: float = 2.0
     reference: str = "exact"
-    ref_scheme: Optional[SchemeKind] = None
     x0: Optional[tuple[float, ...]] = None
     T: float = 1.0
     threads: int = 1
@@ -125,14 +124,10 @@ class ConvergenceConfig:
         if self.reference not in ("exact", "fine"):
             raise ValueError("reference must be 'exact' or 'fine'")
         if self.reference == "exact":
-            # N_ref and ref_scheme set a fine reference; an exact one would
-            # ignore them
+            # N_ref sets a fine reference; an exact one would ignore it
             if self.N_ref != 0:
                 raise ValueError(f"N_ref must be 0 with an exact reference, "
                                  f"got {self.N_ref}")
-            if self.ref_scheme is not None:
-                raise ValueError(f"ref_scheme must be None with an exact "
-                                 f"reference, got {self.ref_scheme}")
             if any(max(self.Ns) % n for n in self.Ns):
                 raise ValueError(f"with an exact reference the largest N must "
                                  f"be a multiple of every N, got Ns = "
@@ -227,7 +222,7 @@ def strong_error(config: ConvergenceConfig) -> ErrorTable:
         n_fine, ref = max(Ns), None
     else:  # the reference steps first in every chunk
         n_fine = config.N_ref
-        ref = (config.ref_scheme or config.scheme, n_fine)
+        ref = (config.scheme, n_fine)
         runs = (ref,) + runs
     paths = _Paths(model, x0, config.T, config.seed, runs, n_fine)
     totals = _batch_totals(paths, partial(_strong_error, config.scheme, Ns, r,
@@ -369,8 +364,8 @@ class MomentSweepReport:
 
     ``ratio`` is max/min of E[U(Y_T)] across N, and ``ratio_tolerance``
     1 + 5 * (their combined relative stderr), the spread that sampling
-    alone explains; ``bound_ok`` asserts each estimate sits below its
-    Gronwall bound (plus 3 stderr) whenever N >= N0.
+    alone explains.  Each row's ``bound`` is the Gronwall moment bound,
+    which applies from ``n0.N0`` on.
     """
 
     model: str
@@ -382,11 +377,6 @@ class MomentSweepReport:
     n0: N0Report
     consts_c: float
     consts_p: int
-
-    @property
-    def bound_ok(self) -> bool:
-        return all(r.eu_estimate <= r.bound + 3.0 * r.eu_stderr
-                   for r in self.rows if r.N >= self.n0.N0)
 
 
 def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],

@@ -86,7 +86,7 @@ def _gl_lyapunov(eps: float, rho: float, c: float) -> LyapunovSpec:
         return np.zeros(x.shape[:-1])
 
     return LyapunovSpec(U=U, grad_U=grad_U, hess_U=hess_U, U_bar=U_bar,
-                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf, r=2.0)
+                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf)
 
 
 def tune_ginzburg_landau_spec(alpha: float, beta: float,
@@ -172,7 +172,7 @@ def _vdp_lyapunov(eps: float, u0: float, rho: float, c: float,
         return np.zeros(z.shape[:-1])
 
     return LyapunovSpec(U=U, grad_U=grad_U, hess_U=hess_U, U_bar=U_bar,
-                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf, r=2.0)
+                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf)
 
 
 _RADIUS = 10.0  # of the ball the conditions are tuned and sampled in

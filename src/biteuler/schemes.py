@@ -51,8 +51,9 @@ class SchemeKind(enum.Enum):
 
 
 def _norm(y: np.ndarray) -> np.ndarray:
-    if y.shape[-1] == 1:
-        return np.sqrt(y[..., 0] * y[..., 0])  # the einsum below, for d = 1
+    """Euclidean norm over the last axis, one einsum for every d: for d = 1
+    it gives sqrt(y * y) bit for bit.  ``run_paths`` gates a one-dimensional
+    state on |y| instead."""
     return np.sqrt(np.einsum("...d,...d->...", y, y))
 
 

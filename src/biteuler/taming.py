@@ -84,23 +84,26 @@ def tame_jacobian_diag(params: TamingParams, x: np.ndarray) -> np.ndarray:
 def tame_laplacian(params: TamingParams, x: np.ndarray) -> np.ndarray:
     """Vector of second derivatives: exp(-x_i**4/h)*(16 x_i**7/h**2 - 20 x_i**3/h).
 
-    Where the exponential underflows to zero the result is exactly 0.  Once
-    h**2 is below the smallest normal float, where it would lose digits and
-    then underflow to 0, it is evaluated as exp(-u) (x_i/h) x_i x_i (16 u - 20)
-    with u = x_i**4/h, whose factors stay normal as long as x_i**3/h does.
+    Once h**2 is below the smallest normal float, where it loses digits,
+    it is evaluated as exp(-u) a b with u = x_i**4/h, a = x_i**3/h and
+    b = 16 u - 20.  Where exp(-u) is below the smallest normal float, at
+    any h, a b can still lift the product into range: there it is
+    sign(a b) exp(log|a| + log|b| - u), and 0 where a b overflows.
     """
     x = np.asarray(x, dtype=float)
     h = params.h
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         u = _quartic(x, h)
         e = np.exp(-u)
-        x2 = x * x
-        x3 = x2 * x
+        a, b = x / h * x * x, 16.0 * u - 20.0
         if h * h < _TINY:
-            out = e * (x / h * x * x) * (16.0 * u - 20.0)
+            out = e * a * b
         else:
+            x3 = x * x * x
             out = e * (16.0 * (x3 * x3 * x) / h**2 - 20.0 * x3 / h)
-    return np.where(e == 0.0, 0.0, out)
+        ab = a * b
+        tail = np.sign(ab) * np.exp(np.log(np.abs(a)) + np.log(np.abs(b)) - u)
+    return np.where(e < _TINY, np.where(np.isfinite(ab), tail, 0.0), out)
 
 
 def stopping_threshold(N: int, T: float) -> float:

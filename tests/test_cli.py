@@ -427,6 +427,42 @@ def test_taming_check_rejects_an_empty_list(capsys, tmp_path, monkeypatch,
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("flag,text,message", [
+    ("--max-ratio", "nan", "expected a finite number, got 'nan'"),
+    ("--max-ratio", "inf", "expected a finite number, got 'inf'"),
+    ("--max-ratio", "-inf", "expected a finite number, got '-inf'"),
+    ("--expect-slope", "-inf:inf", "bad band '-inf:inf'"),
+    ("--expect-slope", "nan:1", "bad band 'nan:1'"),
+    ("--expect-slope", "0.6:0.4", "bad band '0.6:0.4'")])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_an_assertion_decided_before_the_run_is_a_usage_error(
+        capsys, tmp_path, monkeypatch, source, flag, text, message):
+    # NaN and infinite bounds used to make --max-ratio and --expect-slope
+    # pass whatever the run gave (exit 0), and nan:1 or 0.6:0.4 fail it
+    # whatever the run gave (exit 2)
+    out = tmp_path / "o.json"
+    command = "moments" if flag == "--max-ratio" else "convergence"
+    args = [command, "--model", "ginzburg-landau" if command == "moments"
+            else "gbm", "--Ns", "16,32,64", "--M", "20", "--output", str(out)]
+    dest = flag.lstrip("-")
+    where = ""
+    if source == "flag":
+        args.append(f"{flag}={text}")
+    elif source == "config":
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[{command}]\n{dest} = {text}\n")
+        args += ["--config", str(cfg)]
+        where = f"error: config key '{dest}' in [{command}]: "
+    else:
+        env = "BITEULER_" + dest.replace("-", "_").upper()
+        monkeypatch.setenv(env, text)
+        where = f"error: {env}: "
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert f"{where}argument {flag}: {message}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_catalog_ignores_the_seed(capsys):
     # catalog draws nothing, so no seed is out of range for it
     assert main(["catalog", "--seed", str(2**64)]) == 0

@@ -26,31 +26,17 @@ def test_grid_spec_validation():
         GridSpec(T=1.0, N=0)
 
 
-def _quadratic_spec(q0=4.0, q1=math.inf, r=2.0):
+def _quadratic_spec(q0=4.0, q1=math.inf):
     return LyapunovSpec(
         U=lambda x: np.sum(x * x, axis=-1),
         grad_U=lambda x: 2.0 * x,
         hess_U=lambda x: np.broadcast_to(2.0 * np.eye(x.shape[-1]),
                                          x.shape[:-1] + (x.shape[-1],) * 2),
         U_bar=lambda x: np.zeros(x.shape[:-1]),
-        rho=1.0, c=1.0, p=4, q0=q0, q1=q1, r=r)
-
-
-def _holder_defect(spec):
-    """1/p + 1/q0 + 1/q1 - 1/r, with 1/inf = 0."""
-    return 1.0 / spec.p + 1.0 / spec.q0 + 1.0 / spec.q1 - 1.0 / spec.r
-
-
-def test_holder_triple():
-    spec = _quadratic_spec(q0=4.0, q1=math.inf, r=2.0)
-    assert abs(_holder_defect(spec)) < 1e-12
-    unbalanced = _quadratic_spec(q0=8.0, q1=math.inf, r=2.0)
-    assert _holder_defect(unbalanced) == pytest.approx(-0.125, abs=1e-12)
+        rho=1.0, c=1.0, p=4, q0=q0, q1=q1)
 
 
 def test_lyapunov_spec_validation():
-    with pytest.raises(ValueError):
-        _quadratic_spec(r=1.5)
     with pytest.raises(ValueError):
         _quadratic_spec(q0=-1.0)
 
@@ -60,11 +46,10 @@ def test_lyapunov_spec_validation():
     ("c", math.nan, "c must be > 0 and finite, got nan"),
     ("c", -1.0, "c must be > 0 and finite, got -1.0"),
     ("c", 0.0, "c must be > 0 and finite, got 0.0"),
-    ("r", math.nan, "r must be >= 2, got nan"),
     ("p", math.nan, "p must be an integer, got nan")])
 def test_lyapunov_spec_rejects_nan_and_a_constant_c_not_above_0(field, value,
                                                                  message):
-    # rho, c and r = NaN and c = -1 were accepted: x < bound is False for NaN
+    # rho and c = NaN and c = -1 were accepted: x < bound is False for NaN
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         dataclasses.replace(_quadratic_spec(), **{field: value})
 

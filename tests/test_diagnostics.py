@@ -330,7 +330,7 @@ def _flat_spec():
         grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf)
 
 
 def test_exp_moment_trivial_u_is_exactly_one():
@@ -506,7 +506,7 @@ def _integral_only_spec():
     flat = _flat_spec()
     return LyapunovSpec(U=flat.U, grad_U=flat.grad_U, hess_U=flat.hess_U,
                         U_bar=lambda x: np.ones(np.asarray(x).shape[:-1]),
-                        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+                        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf)
 
 
 def test_exp_moment_integral_counts_steps_before_tau():

@@ -11,8 +11,8 @@ from biteuler import diagnostics, experiments
 from biteuler.core import ErrorRow, ErrorTable, GridSpec
 from biteuler.experiments import (ConvergenceConfig, divergence_comparison,
                                   fit_rate, moment_sweep, strong_error)
-from biteuler.models import catalog, model_ginzburg_landau
-from biteuler.schemes import SchemeKind, run_paths
+from biteuler.models import catalog, model_gbm, model_ginzburg_landau
+from biteuler.schemes import OVERFLOW_CAP, SchemeKind, run_paths
 
 
 def test_config_validation():
@@ -40,10 +40,8 @@ def test_config_validation():
     ("Ns", (0, 8), "every N in Ns must be >= 1, got 0"),
     ("Ns", (4, 8, 4), "Ns must not repeat an N, got (4, 8, 4)"),
     ("T", -1.0, "T must be > 0"),
-    # an exact reference used to run against the closed form, ignoring both
+    # an exact reference used to run against the closed form, ignoring it
     ("N_ref", 4096, "N_ref must be 0 with an exact reference, got 4096"),
-    ("ref_scheme", SchemeKind.EULER_MARUYAMA,
-     "ref_scheme must be None with an exact reference"),
     # "auto" is the CLI's choice between the two, resolved before the config
     ("reference", "auto", "reference must be 'exact' or 'fine'")])
 def test_config_rejects_out_of_range_settings(field, value, message):
@@ -173,6 +171,30 @@ def test_gl_self_coupled_errors_finite_no_overflow():
         assert row.sup_error == pytest.approx(row.per_gridpoint_errors.max())
 
 
+def test_strong_error_saturates_a_nan_distance_at_the_cap(monkeypatch):
+    # fmin drops the NaN operand: a reference that is NaN at a node counts
+    # as the capped distance there, as an infinite one does, instead of
+    # making the whole column NaN
+    entry = catalog()["gbm"]
+
+    def exact(x0, t, w):
+        out = entry.model.exact_solution(x0, t, w)
+        out[0, -1] = math.nan  # path 0 at the last node
+        return out
+
+    model = dataclasses.replace(entry.model, exact_solution=exact)
+    monkeypatch.setattr(experiments, "catalog", lambda: {
+        "gbm": dataclasses.replace(entry, model=model)})
+    table = strong_error(ConvergenceConfig(
+        model="gbm", scheme=SchemeKind.EULER_MARUYAMA, Ns=(4, 8), M=10,
+        seed=0))
+    for row in table.rows:
+        assert np.isfinite(row.per_gridpoint_errors).all()
+        assert row.sup_error == pytest.approx(math.sqrt(OVERFLOW_CAP / 10),
+                                              rel=1e-15)
+        assert row.per_gridpoint_errors[:-1].max() < 1.0
+
+
 def test_fit_rate_exact_half_power():
     rows = tuple(ErrorRow(N=n, M=1, sup_error=(1.0 / n) ** 0.5, std_error=0.0,
                           seed=0) for n in (16, 32, 64, 128))
@@ -248,6 +270,22 @@ def test_divergence_with_fewer_paths_than_batches():
         assert row.second_moment_capped == m2.sum() / 3
 
 
+@pytest.mark.parametrize("x0,exploded", [
+    (1e10, False), (-1e10, False),
+    (math.nextafter(1e10, math.inf), True),
+    (-math.nextafter(1e10, math.inf), True), (-1e11, True)])
+def test_divergence_explodes_past_magnitude_1e10_of_either_sign(x0, exploded):
+    # the stopped scheme holds a start beyond its threshold, so every
+    # state of the path is x0: exploded means |x0| > 1e10, not >= and not
+    # x0 > 1e10, and no path overflows
+    report = divergence_comparison(model_gbm(0.05, 0.2), (4, 8), 10, [x0],
+                                   seed=0)
+    for N in (4, 8):
+        row = report.row(SchemeKind.STOPPED_BIT, N)
+        assert row.overflow_fraction == 0.0
+        assert row.explode_fraction == float(exploded)
+
+
 def test_divergence_row_names_a_row_it_does_not_hold():
     gl = model_ginzburg_landau()
     report = divergence_comparison(gl, (4, 8), 10, [5.0], seed=0)
@@ -285,11 +323,14 @@ def test_moment_sweep_trivial_u():
         grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf)
     report = moment_sweep(gl, flat, (16, 64), 200, seed=2, x0=[1.0])
     for row in report.rows:
         assert row.eu_estimate == 0.0
         assert row.exp_estimate == 1.0
+    # a zero minimum leaves max/min, and its tolerance, infinite
+    assert report.ratio == math.inf
+    assert report.ratio_tolerance == math.inf
 
 
 def test_moment_sweep_gl_flat():
@@ -297,7 +338,9 @@ def test_moment_sweep_gl_flat():
     report = moment_sweep(gl, gl.lyapunov, (16, 64, 256), 4000, seed=6,
                           x0=[1.0])
     assert report.ratio < 1.25
-    assert report.bound_ok
+    # criterion 5's bound comparison, over the rows at or past N0
+    assert all(r.eu_estimate <= r.bound + 3.0 * r.eu_stderr
+               for r in report.rows if r.N >= report.n0.N0)
     assert report.n0.log10_N0 > 3  # honest constants put N0 beyond the sweep
 
 

@@ -4,7 +4,8 @@ loads no more of numpy than it needs, and the
 layers perfbench's tracer times are reached through the bindings it
 patches, no module but brownian builds a random generator, no module
 but core reads an integer by ``operator.index``, and every public function,
-method and defaulted parameter has a consumer outside the tests."""
+method, dataclass and defaulted parameter or field has a consumer outside
+the tests, and every public property a reader there."""
 
 import ast
 import importlib
@@ -148,7 +149,7 @@ def test_only_core_calls_operator_index(path):
 
 
 # ---------------------------------------------------------------------------
-# every public parameter has a consumer
+# every public parameter, field and property has a consumer
 
 ROOT = PACKAGE.parents[1]
 
@@ -179,36 +180,56 @@ def _site_trees() -> list:
     return [ast.parse(t) for t in texts]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def _is_property(fn: ast.FunctionDef) -> bool:
+    return any(getattr(d, "id", None) == "property" for d in fn.decorator_list)
+
+
+def _public_classes() -> list:
+    """(module stem, class node) of every public class."""
+    return [(path.stem, node) for path in MODULES
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
+
+
+def _parameters(fn: ast.FunctionDef) -> tuple[list, list]:
+    """The positional and the defaulted parameters of ``fn``, without
+    ``self`` or ``cls``."""
+    a = fn.args
+    positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+    if positional[:1] in (["self"], ["cls"]):
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(a.defaults):] + [
+        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
 def _public_callables() -> dict:
     """{qualified name: (called name, positional parameters, defaulted
-    parameters)} of every public module-level function and every public
-    method, ``__init__`` included, of a public class; a call names a
-    method, or a class for its ``__init__``."""
+    parameters)} of every public module-level function, every public
+    method, ``__init__`` included, of a public class, and every public
+    dataclass, whose parameters are its fields; a call names a method, or
+    a class for its ``__init__``."""
     out = {}
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
-            if getattr(node, "name", "_").startswith("_"):
-                continue
-            if isinstance(node, ast.FunctionDef):
-                defs = [(node.name, node.name, node)]
-            elif isinstance(node, ast.ClassDef):
-                defs = [(f"{node.name}.{f.name}",
-                         node.name if f.name == "__init__" else f.name, f)
-                        for f in node.body if isinstance(f, ast.FunctionDef)
-                        and (f.name == "__init__" or not f.name.startswith("_"))
-                        and not any(getattr(d, "id", None) == "property"
-                                    for d in f.decorator_list)]
-            else:
-                continue
-            for qual, called, fn in defs:
-                a = fn.args
-                positional = [p.arg for p in (*a.posonlyargs, *a.args)]
-                if positional[:1] in (["self"], ["cls"]):
-                    positional = positional[1:]
-                defaulted = positional[len(positional) - len(a.defaults):] + [
-                    p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
-                    if d is not None]
-                out[f"{path.stem}.{qual}"] = (called, positional, defaulted)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out[f"{path.stem}.{node.name}"] = (node.name, *_parameters(node))
+    for stem, cls in _public_classes():
+        for fn in cls.body:
+            if (isinstance(fn, ast.FunctionDef) and not _is_property(fn)
+                    and (fn.name == "__init__" or not fn.name.startswith("_"))):
+                called = cls.name if fn.name == "__init__" else fn.name
+                out[f"{stem}.{cls.name}.{fn.name}"] = (called, *_parameters(fn))
+        if _is_dataclass(cls):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+            out[f"{stem}.{cls.name}"] = (
+                cls.name, [s.target.id for s in fields],
+                [s.target.id for s in fields if s.value is not None])
     return out
 
 
@@ -230,8 +251,9 @@ def _calls(trees: list) -> dict:
 
 
 def test_every_public_parameter_has_a_consumer():
-    # a function or a defaulted parameter that only tests reach is surface
-    # to keep and to document that no user run exercises
+    # a function, a dataclass or a defaulted parameter or field that only
+    # tests reach is surface to keep and to document that no user run
+    # exercises
     calls = _calls(_site_trees())
     uncalled, unpassed = [], []
     for qual, (called, positional, defaulted) in _public_callables().items():
@@ -246,3 +268,14 @@ def test_every_public_parameter_has_a_consumer():
     assert uncalled == []
     assert sorted(set(unpassed) - set(UNPASSED_KEPT)) == []
     assert sorted(set(UNPASSED_KEPT) - set(unpassed)) == []  # no stale entry
+
+
+def test_every_public_property_is_read():
+    # a property that only tests read is a computed result that no user
+    # run looks at
+    read = {n.attr for tree in _site_trees() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [f"{stem}.{cls.name}.{fn.name}" for stem, cls in _public_classes()
+              for fn in cls.body if isinstance(fn, ast.FunctionDef)
+              and _is_property(fn) and fn.name not in read]
+    assert unread == []

@@ -122,7 +122,7 @@ def test_checker_trivial_model_no_violations():
         grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+        rho=0.0, c=4.0, p=4, q0=4.0, q1=math.inf)
     report = check_conditions(zero, spec, 1.0, 10.0, 2000, seed=1)
     assert report.passed
     assert report.generator.worst_margin == 0.0
@@ -137,7 +137,7 @@ def test_checker_flags_forced_gbm_quadratic_u():
         hess_U=lambda x: np.broadcast_to(
             2.0 * np.eye(1), np.asarray(x).shape[:-1] + (1, 1)).copy(),
         U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        rho=1.0, c=2.0, p=4, q0=4.0, q1=math.inf, r=2.0)
+        rho=1.0, c=2.0, p=4, q0=4.0, q1=math.inf)
     # with rho = 1 the quartic term wins from |x| ~ 3.3 on, well inside the
     # sampled ball; larger rho only pushes the crossover outward
     report = check_conditions(gbm, spec, 1.0, 10.0, 5000, seed=3)
@@ -172,10 +172,11 @@ def test_lyapunov_gradient_matches_finite_differences():
 
 
 def test_holder_triple_of_shipped_specs():
-    # 1/p + 1/q0 + 1/q1 = 1/r, with 1/inf = 0
+    # 1/p + 1/q0 + 1/q1 = 1/r, with 1/inf = 0, for the error norm r = 2
+    # that every study uses (ConvergenceConfig's default)
     for name in ("ginzburg-landau", "vdp"):
         spec = catalog()[name].model.lyapunov
-        assert 1.0 / spec.p + 1.0 / spec.q0 + 1.0 / spec.q1 == 1.0 / spec.r
+        assert 1.0 / spec.p + 1.0 / spec.q0 + 1.0 / spec.q1 == 1.0 / 2.0
 
 
 def test_tuned_constants_for_nondefault_parameters():
@@ -214,7 +215,7 @@ def _bar_only_spec(q1: float) -> LyapunovSpec:
         grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
         U_bar=lambda x: np.ones(np.asarray(x).shape[:-1]),
-        rho=0.5, c=4.0, p=4, q0=4.0, q1=q1, r=2.0)
+        rho=0.5, c=4.0, p=4, q0=4.0, q1=q1)
 
 
 def test_a_finite_q1_lowers_every_monotonicity_margin_by_its_slack():

@@ -1,5 +1,5 @@
-"""The README's "Library quick start" and "A path on file" blocks run as
-printed."""
+"""The README's "CLI", "Library quick start" and "A path on file" blocks
+run as printed."""
 
 import os
 import re
@@ -7,6 +7,8 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from biteuler.cli import main
 
@@ -24,6 +26,24 @@ def _run_python(code: str, cwd: Path) -> subprocess.CompletedProcess:
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
                           capture_output=True, text=True)
+
+
+def _cli_commands() -> list[list[str]]:
+    """Each command of the "CLI" block, its continuation lines joined."""
+    block = _block("## CLI", "sh").replace("\\\n", "")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
+CLI_COMMANDS = _cli_commands()
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS,
+                         ids=[f"{i}-{c[1]}" for i, c in enumerate(CLI_COMMANDS)])
+def test_cli_command_runs(tmp_path, monkeypatch, capsys, command):
+    # every printed command exits 0, its assertions included
+    assert command[0] == "biteuler"
+    monkeypatch.chdir(tmp_path)
+    assert main(command[1:]) == 0, capsys.readouterr().err
 
 
 def test_library_quick_start_runs():

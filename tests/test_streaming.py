@@ -60,7 +60,7 @@ def oracle_strong_error(config: ConvergenceConfig) -> ErrorTable:
                                     np.cumsum(fine, axis=1)], axis=1)
                 ref = model.exact_solution(x0, np.arange(n_fine + 1) * (T / n_fine), w)
             else:
-                ref = run_paths(config.ref_scheme or config.scheme, model,
+                ref = run_paths(config.scheme, model,
                                 GridSpec(T, n_fine), x0, fine).states
             for N in Ns:
                 runs = run_paths(config.scheme, model, GridSpec(T, N), x0,
@@ -135,11 +135,10 @@ OFF_POWER_REFS = {(3, 6): 48, (2, 4): 48, (4, 8): 72}
 @pytest.mark.parametrize("Ns", OFF_POWER_REFS)
 @pytest.mark.parametrize("slice_steps", SLICE_STEPS)
 def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, slice_steps, Ns):
-    # a drift-tamed reference and r = 3
-    config = ConvergenceConfig(model="vdp", scheme=SchemeKind.STOPPED_BIT,
+    # the drift-tamed scheme on a two-dimensional model, and r = 3
+    config = ConvergenceConfig(model="vdp", scheme=SchemeKind.DRIFT_TAMED,
                                Ns=Ns, M=40, seed=2, reference="fine",
-                               N_ref=OFF_POWER_REFS[Ns], r=3.0, x0=(2.0, -1.0),
-                               ref_scheme=SchemeKind.DRIFT_TAMED)
+                               N_ref=OFF_POWER_REFS[Ns], r=3.0, x0=(2.0, -1.0))
     monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
     assert bits(strong_error(config)) == bits(oracle_strong_error(config))
 
@@ -212,7 +211,7 @@ def test_streamed_divergence_equals_whole_horizon_oracle(threads):
 # closures, which do not, and a reducer is pickled with what it binds
 _PICKLED_SPEC = core.LyapunovSpec(U=np.sum, grad_U=np.sign, hess_U=np.sign,
                                   U_bar=np.sum, rho=0.0, c=1.0, p=4,
-                                  q0=math.inf, q1=math.inf, r=2.0)
+                                  q0=math.inf, q1=math.inf)
 
 # every reducer the estimators hand the block driver, bound as they bind it
 REDUCERS = [

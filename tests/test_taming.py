@@ -123,20 +123,51 @@ def _laplacian_mp(x: float, h: float) -> float:
 # h**2 is subnormal, and far below it
 @pytest.mark.parametrize("h", (1.5e-154, 1.49e-154, 1e-156, 1e-163, 1e-200,
                                1e-300))
-@pytest.mark.parametrize("scale", ("quarter-root", "square-root"))
+@pytest.mark.parametrize("scale", ("quarter-root", "square-root",
+                                   "five quarter-roots"))
 def test_laplacian_keeps_its_digits_when_h_squared_is_subnormal(h, scale):
     # 16 x^7 / h^2 lost digits with h^2 subnormal (2.7e-10 relative at
     # 1e-156) and was inf, with a divide-by-zero warning, or NaN once h^2
     # was 0 (1e-163 on); points at the taming scale h^(1/4) and at the
-    # scale sqrt(h) that verify_taming_bounds draws at
+    # scale sqrt(h) that verify_taming_bounds draws at.  At 5 h^(1/4) some
+    # points have u = x^4 / h past 708, where exp(-u) is subnormal or 0
+    # while x^3 / h is huge: their values were 0, or off by up to 14%
     rng = np.random.Generator(np.random.Philox(key=8))
-    width = 1.2 * h**0.25 if scale == "quarter-root" else math.sqrt(h)
+    width = {"quarter-root": 1.2 * h**0.25, "square-root": math.sqrt(h),
+             "five quarter-roots": 5.0 * h**0.25}[scale]
     x = rng.standard_normal(500) * width
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tame_laplacian(TamingParams(h=h, m=1), x)
     want = [_laplacian_mp(float(v), h) for v in x]
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("h", (1.0, 0.01, 1e-50, 1e-100))
+def test_laplacian_keeps_its_digits_where_exp_underflows(h):
+    # exp(-u) below the smallest normal float at a moderate h: the values
+    # there were 0 or lost digits (0.13 relative at 1e-50), and at 1e-100
+    # some are normal floats near 1e-290
+    rng = np.random.Generator(np.random.Philox(key=9))
+    u = rng.uniform(700.0, 900.0, 500)
+    x = (u * h) ** 0.25 * np.where(rng.random(500) < 0.5, -1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tame_laplacian(TamingParams(h=h, m=1), x)
+    want = [_laplacian_mp(float(v), h) for v in x]
+    assert sum(w != 0.0 for w in want) > 100
+    np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def test_laplacian_where_exp_underflows_at_a_subnormal_h_squared():
+    # u = 764: exp(-u) is 0 and the value was 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tame_laplacian(TamingParams(h=1.4e-154, m=1),
+                             np.array([-1.808e-38]))
+    assert got[0] == pytest.approx(_laplacian_mp(-1.808e-38, 1.4e-154),
+                                   rel=1e-12, abs=0.0)
+    assert got[0] == pytest.approx(-1.72644e-287, rel=1e-5, abs=0.0)
 
 
 def test_laplacian_bound_at_a_tiny_h_scales_as_at_a_moderate_one():
