@@ -56,7 +56,7 @@ def test_criterion_1_strong_rate_gbm_exact(criterion1_csv):
             f" band [0.40, 0.60]")
     assert ok, (f"fitted slope {slope:.4f} outside [0.40, 0.60]; the observed "
                 f"preasymptotic decay of the increment-taming error is "
-                f"steeper than 1/2 at these N (see decisions ledger)")
+                f"steeper than 1/2 at these N (see README 'Observed behavior')")
 
 
 def test_criterion_9_determinism_across_threads(criterion1_csv, tmp_path):
@@ -96,7 +96,7 @@ def test_criterion_2_strong_rate_superlinear():
     assert 0.40 <= fit.slope <= 0.65, (
         f"fitted slope {fit.slope:.4f} outside [0.40, 0.65]; the observed "
         f"preasymptotic decay of the increment-taming error is steeper than "
-        f"1/2 at these N (see decisions ledger)")
+        f"1/2 at these N (see README 'Observed behavior')")
 
 
 def test_criterion_3_taming_bounds():
@@ -124,7 +124,7 @@ def test_criterion_3_taming_bounds():
             else "; ".join(failures))
     assert ok, ("claimed bounds violated: " + "; ".join(failures)
                 + "; the second-derivative L2 constant is unattainably small "
-                  "for h <= 0.01 (see decisions ledger)")
+                  "for h <= 0.01 (see README 'Observed behavior')")
 
 
 def test_criterion_4_derivative_exactness():

@@ -165,7 +165,7 @@ def test_every_count_setting_wants_an_integer_at_or_above_its_floor(setting):
 
 
 # the key rule's arguments: ConvergenceConfig took seed 2.5, and the key
-# rule and stopping_probability's bound seeds raised TypeError for a string
+# rule raised TypeError for a string
 KEY_CHECKS = {
     "generate_block.seed": lambda s: generate_block(1.0, 4, 1, s, 0, 1),
     "BlockStream.seed": lambda s: BlockStream(4, 1, s, 0, 1),
@@ -177,7 +177,7 @@ KEY_CHECKS = {
     "ConvergenceConfig.seed": lambda s: ConvergenceConfig(
         **{**_CONFIG, "seed": s}),
     "stopping_probability.seed": lambda s: stopping_probability(
-        _GL, GridSpec(1.0, 4), 2, s, [1.0], _GL.lyapunov),
+        _GL, GridSpec(1.0, 4), 2, s, [1.0]),
 }
 
 

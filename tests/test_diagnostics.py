@@ -10,9 +10,8 @@ from biteuler import diagnostics
 from biteuler.brownian import generate_block
 from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.diagnostics import (AnalysisConstants, epsilon_n,
-                                  exp_moment_estimate, exp_moment_supremum,
-                                  fit_growth_constant, moment_bound, n0_for,
-                                  stopping_probability)
+                                  exp_moment_estimate, fit_growth_constant,
+                                  moment_bound, n0_for, stopping_probability)
 from biteuler.models import catalog, model_gbm, model_ginzburg_landau
 from biteuler.schemes import SchemeKind, run_paths
 from biteuler.taming import stopping_threshold
@@ -356,6 +355,27 @@ def test_exp_moment_of_a_start_outside_the_threshold(x0):
     assert est.saturated_fraction == 0.0
 
 
+def test_exp_moment_saturates_overflowing_paths_at_the_cap():
+    # U = 700 x^2 with no integral: exp(U(Y_T)) reaches the 1e300 cap, or
+    # overflows, on the paths that end with x^2 >= log(1e300) / 700, about
+    # 0.987; each counts at the cap in the mean and as saturated
+    gl = model_ginzburg_landau()
+    flat = _flat_spec()
+    spec = LyapunovSpec(U=lambda x: 700.0 * np.sum(np.asarray(x) ** 2, axis=-1),
+                        grad_U=flat.grad_U, hess_U=flat.hess_U,
+                        U_bar=flat.U_bar, rho=0.0, c=4.0, p=4, q0=4.0,
+                        q1=math.inf)
+    grid = GridSpec(1.0, 16)
+    M = 300
+    dw = generate_block(1.0, 16, 1, seed=2, first_path=0, count=M)
+    final = run_paths(SchemeKind.STOPPED_BIT, gl, grid, [1.0], dw).states[:, -1]
+    with np.errstate(over="ignore"):  # exp, and the stderr's squares
+        vals = np.minimum(np.exp(spec.U(final)), 1e300)
+        est = exp_moment_estimate(gl, spec, grid, M, seed=2, x0=[1.0])
+    assert 0.0 < est.saturated_fraction == np.mean(vals == 1e300) < 1.0
+    assert est.estimate == float(np.mean(vals))
+
+
 def test_exp_moment_flat_across_n_and_below_rate_bound():
     gl = model_ginzburg_landau()
     spec = gl.lyapunov
@@ -393,49 +413,6 @@ def test_stopping_probability_zero_for_still_model():
     assert rep.estimate == 0.0
 
 
-def test_stopping_probability_bound_reported_with_spec():
-    gl = model_ginzburg_landau()
-    rep = stopping_probability(gl, GridSpec(1.0, 32), 400, seed=1, x0=[1.0],
-                               spec=gl.lyapunov)
-    assert rep.bound is not None and rep.C1 is not None
-    assert rep.C1 >= 1.0
-    assert rep.bound >= 0.0
-
-
-def test_stopping_bound_runs_1000_paths_at_n_and_8n(monkeypatch):
-    # C1's two suprema: the stopped scheme's at N from seed + 1, and the
-    # exact solution's stand-in at 8N from seed + 2, with tau at N
-    calls = []
-
-    def recording_supremum(model, spec, grid, M, seed, x0, use_tau):
-        calls.append((grid.T, grid.N, M, seed, use_tau))
-        return 2.0
-
-    monkeypatch.setattr(diagnostics, "exp_moment_supremum", recording_supremum)
-    gl = model_ginzburg_landau()
-    rep = stopping_probability(gl, GridSpec(0.5, 16), 10, seed=4, x0=[1.0],
-                               spec=gl.lyapunov)
-    assert calls == [(0.5, 16, 1000, 5, True), (0.5, 128, 1000, 6, False)]
-    assert rep.C1 == 4.0
-
-
-@pytest.mark.parametrize("T,N", [(1.0, 16), (0.5, 64), (2.0, 32)])
-def test_stopping_bound_is_the_displayed_formula(T, N):
-    # C1 exp(min(1 - log(N/T)^2 / (24 c^5 e^{rho T}), 709)) with the
-    # report's own C1, evaluated by mpmath at 40 digits
-    import mpmath as mp
-
-    gl = model_ginzburg_landau()
-    spec = gl.lyapunov
-    rep = stopping_probability(gl, GridSpec(T, N), 20, seed=4, x0=[1.0],
-                               spec=spec)
-    with mp.workdps(40):
-        expo = 1 - mp.log(mp.mpf(N) / T) ** 2 / (
-            24 * mp.mpf(spec.c) ** 5 * mp.exp(mp.mpf(spec.rho) * T))
-        want = mp.mpf(rep.C1) * mp.exp(min(expo, 709))
-    assert rep.bound == pytest.approx(float(want), rel=1e-12)
-
-
 def test_stopping_probability_keeps_increments_not_states():
     gbm = model_gbm(a=0.05, b=1.0)
     grid = GridSpec(1.0, 2048)
@@ -447,7 +424,9 @@ def test_stopping_probability_keeps_increments_not_states():
         tracemalloc.stop()
     dw = generate_block(1.0, 2048, 1, seed=3, first_path=0, count=1000)
     whole = run_paths(SchemeKind.STOPPED_BIT, gbm, grid, [4.0], dw)
-    assert 0 < rep.estimate == np.mean(whole.tau_index < grid.N) < 1
+    p_hat = np.mean(whole.tau_index < grid.N)
+    assert 0 < rep.estimate == p_hat < 1
+    assert rep.stderr == math.sqrt(p_hat * (1 - p_hat) / 1000)
     # the block's (B, N, m) increments, and not its (B, N + 1, d) states too
     assert peak < 1.5 * dw.nbytes
 
@@ -461,18 +440,12 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("estimator", ("estimate", "supremum"))
-def test_exp_moments_keep_increments_not_states(estimator):
+def test_exp_moment_estimate_keeps_increments_not_states():
     # a whole-horizon run holds the (B, N + 1, d) states, and the estimate
     # its (B, N) integrands, beside the block's (B, N, m) increments
     gl = model_ginzburg_landau()
-    grid = GridSpec(1.0, 2048)
-    if estimator == "estimate":
-        peak = _peak_bytes(lambda: exp_moment_estimate(
-            gl, gl.lyapunov, grid, 1000, seed=3, x0=[1.0]))
-    else:
-        peak = _peak_bytes(lambda: exp_moment_supremum(
-            gl, gl.lyapunov, grid, 1000, seed=3, x0=[1.0]))
+    peak = _peak_bytes(lambda: exp_moment_estimate(
+        gl, gl.lyapunov, GridSpec(1.0, 2048), 1000, seed=3, x0=[1.0]))
     assert peak < 1.5 * 1000 * 2048 * 8
 
 
@@ -480,8 +453,6 @@ ONE_BATCH = {
     "stopping": lambda gl, grid, M: stopping_probability(
         gl, grid, M, seed=10, x0=[1.0]),
     "exp-moment-estimate": lambda gl, grid, M: exp_moment_estimate(
-        gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
-    "exp-moment-supremum": lambda gl, grid, M: exp_moment_supremum(
         gl, gl.lyapunov, grid, M, seed=10, x0=[1.0]),
 }
 
@@ -523,62 +494,28 @@ def test_exp_moment_integral_counts_steps_before_tau():
     assert est.estimate == pytest.approx(np.mean(vals), rel=1e-13)
     assert est.stderr == pytest.approx(np.std(vals, ddof=1) / math.sqrt(M),
                                        rel=1e-9)
-    # nondecreasing in t, so the supremum is the estimate at T
-    sup = exp_moment_supremum(gbm, spec, grid, M, seed=4, x0=[4.0])
-    assert sup == est.estimate
-    # without tau every path integrates over [0, T]
-    free = exp_moment_supremum(gbm, spec, grid, M, seed=4, x0=[4.0],
-                               use_tau=False)
-    assert free == pytest.approx(math.e, rel=1e-13)
-
-
-def test_exp_moment_supremum_monotone_pieces():
-    gl = model_ginzburg_landau()
-    # U >= 0 and U_bar = 0: the supremum over nodes of E[exp(e^{-rho t} U)]
-    # bounds the estimate at T, which is its last node's, by the same paths
-    sup = exp_moment_supremum(gl, gl.lyapunov, GridSpec(1.0, 16), 300, seed=2,
-                              x0=[1.0])
-    at_t = exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, 16), 300, seed=2,
-                               x0=[1.0])
-    assert sup >= at_t.estimate
 
 
 # ---------------------------------------------------------------------------
 # start validation at the estimators
 
 
-@pytest.mark.parametrize("seed", (2**64 - 2, 2**64 - 1))
-def test_stopping_probability_checks_the_bound_seeds_first(monkeypatch, seed):
-    # the bound draws at seed + 1 and seed + 2; at 2**64 - 2 two passes used
-    # to be stepped before seed + 2 was rejected
-    def no_stepping(*args):
-        raise AssertionError("a path was stepped")
-    monkeypatch.setattr(diagnostics, "run_paths", no_stepping)
+def test_stopping_probability_takes_the_last_seed_and_reports_no_bound():
+    # the report names its grid and path count; the bound's fields stay in
+    # it, always None
     gl = model_ginzburg_landau()
-    with pytest.raises(ValueError, match=f"^seed must be < 2\\*\\*64 - 2 .*{seed}$"):
-        stopping_probability(gl, GridSpec(1.0, 256), 2000, seed=seed, x0=[1.0],
-                             spec=gl.lyapunov)
+    rep = stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 1,
+                               x0=[1.0])
+    assert (rep.N, rep.M, rep.bound, rep.C1) == (16, 10, None, None)
 
 
-def test_stopping_probability_takes_the_last_seed_whose_bound_seeds_fit():
+@pytest.mark.parametrize("M", (0, 1))
+def test_exp_moment_estimate_rejects_fewer_than_two_paths(M):
+    # with M = 0 it would return NaN, and its stderr is 0.0 for M = 1,
+    # which reads as exact
     gl = model_ginzburg_landau()
-    rep = stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 3,
-                               x0=[1.0], spec=gl.lyapunov)
-    assert rep.C1 is not None
-    # without spec the seed itself may reach the top of the range
-    assert stopping_probability(gl, GridSpec(1.0, 16), 10, seed=2**64 - 1,
-                                x0=[1.0]).C1 is None
-
-
-def test_exp_moment_estimators_reject_zero_paths():
-    # with M = 0 both would return NaN, and the estimate's stderr is 0.0
-    # for M = 1, which reads as exact
-    gl = model_ginzburg_landau()
-    with pytest.raises(ValueError, match="M must be >= 2"):
-        exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, 16), 0, seed=0,
-                            x0=[1.0])
-    with pytest.raises(ValueError, match="M must be >= 1"):
-        exp_moment_supremum(gl, gl.lyapunov, GridSpec(1.0, 16), 0, seed=0,
+    with pytest.raises(ValueError, match=f"^M must be >= 2, got {M}$"):
+        exp_moment_estimate(gl, gl.lyapunov, GridSpec(1.0, 16), M, seed=0,
                             x0=[1.0])
 
 
@@ -593,11 +530,7 @@ def test_exp_moment_estimate_rejects_short_start():
 STARTED = {
     "stopping": lambda gl, x0: stopping_probability(
         gl, GridSpec(1.0, 16), 10, seed=0, x0=x0),
-    "stopping-with-spec": lambda gl, x0: stopping_probability(
-        gl, GridSpec(1.0, 16), 10, seed=0, x0=x0, spec=gl.lyapunov),
     "exp-moment-estimate": lambda gl, x0: exp_moment_estimate(
-        gl, gl.lyapunov, GridSpec(1.0, 16), 10, seed=0, x0=x0),
-    "exp-moment-supremum": lambda gl, x0: exp_moment_supremum(
         gl, gl.lyapunov, GridSpec(1.0, 16), 10, seed=0, x0=x0),
 }
 

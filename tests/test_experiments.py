@@ -157,6 +157,16 @@ def test_gbm_euler_errors_decrease_classically():
     assert 0.4 < fit.slope < 0.6  # classical strong rate 1/2
 
 
+def test_gbm_from_zero_has_zero_error_when_the_exponential_overflows():
+    # every state of the run is the solution, 0; the closed form's
+    # 0 * exp(...) was 0 * inf = NaN, which the error sums capped at 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = strong_error(ConvergenceConfig(
+            model="gbm", scheme=SchemeKind.EULER_MARUYAMA, Ns=(4, 8), M=10,
+            seed=0, x0=(0.0,), T=1e5))
+    assert [r.sup_error for r in table.rows] == [0.0, 0.0]
+
+
 def test_gl_self_coupled_errors_finite_no_overflow():
     config = ConvergenceConfig(model="ginzburg-landau",
                                scheme=SchemeKind.STOPPED_BIT,
@@ -356,6 +366,21 @@ def test_moment_sweep_ratio_tolerance_is_five_combined_relative_stderrs(Ns, seed
     assert report.ratio_tolerance == pytest.approx(1.0 + 5.0 * rel, rel=1e-12)
     assert report.ratio == pytest.approx(hi.eu_estimate / lo.eu_estimate,
                                          rel=1e-12)
+
+
+def test_moment_sweep_steps_its_finals_on_the_pool(monkeypatch):
+    # the finals pass hands its blocks to the pool that threads asks for;
+    # the exponential-moment passes step serially
+    made = []
+
+    class Recording(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+    moment_sweep(_GL, _GL.lyapunov, (8, 16), 20, seed=0, x0=[1.0], threads=2)
+    assert made == [2]
 
 
 def test_determinism_across_thread_counts():

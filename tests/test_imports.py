@@ -8,6 +8,7 @@ method, dataclass and defaulted parameter or field has a consumer outside
 the tests, and every public property a reader there."""
 
 import ast
+import dataclasses
 import importlib
 import math
 import os
@@ -148,16 +149,51 @@ def test_only_core_calls_operator_index(path):
     assert not reads or path.stem == "core"
 
 
+# the fields of every report dataclass that perfbench/workloads.py dumps
+# into its pinned output digests: adding, deleting or renaming one changes
+# a digest, so only a benchmark change that re-pins them may do it
+DIGESTED_FIELDS = {
+    "core.ErrorTable": ["T", "model", "r", "rows", "scheme"],
+    "core.ErrorRow": ["M", "N", "overflow_fraction", "per_gridpoint_errors",
+                      "seed", "std_error", "sup_error"],
+    "experiments.MomentSweepReport": ["M", "consts_c", "consts_p", "model",
+                                      "n0", "ratio", "ratio_tolerance",
+                                      "rows", "seed"],
+    "experiments.MomentRow": ["N", "bound", "eu_estimate", "eu_stderr",
+                              "exp_estimate", "exp_saturated_fraction",
+                              "exp_stderr"],
+    "diagnostics.N0Report": ["N0", "log10_N0", "threshold_fit_all_N"],
+    "diagnostics.StoppingReport": ["C1", "M", "N", "bound", "estimate",
+                                   "stderr"],
+    "experiments.DivergenceReport": ["M", "model", "rows", "seed", "x0"],
+    "experiments.DivergenceRow": ["N", "explode_fraction", "overflow_fraction",
+                                  "scheme", "second_moment_capped"],
+}
+
+
+@pytest.mark.parametrize("qual", DIGESTED_FIELDS)
+def test_fields_in_the_benchmark_digests_are_pinned(qual):
+    stem, name = qual.split(".")
+    cls = getattr(importlib.import_module(f"biteuler.{stem}"), name)
+    assert sorted(f.name for f in dataclasses.fields(cls)) == \
+        DIGESTED_FIELDS[qual], (
+            f"perfbench's pinned digests dump every field of {qual}: a "
+            f"benchmark change that re-pins them (ROADMAP item 0) must come "
+            f"first")
+
+
 # ---------------------------------------------------------------------------
 # every public parameter, field and property has a consumer
 
 ROOT = PACKAGE.parents[1]
 
-# defaulted parameters that no call site passes yet, each with the consumer
-# it is kept for: ROADMAP item 12's stopping study (VdP at sigma0 = 3, with
-# the stopping bound printed beside the estimate)
+# defaulted parameters and fields that no call site passes yet, each with
+# the consumer it is kept for: perfbench's pinned digests of the stopping
+# sweep, which dump every report field, and ROADMAP item 12's stopping
+# study (VdP at sigma0 = 3)
 UNPASSED_KEPT = {
-    "diagnostics.stopping_probability.spec": "ROADMAP item 12: the bound",
+    "diagnostics.StoppingReport.bound": "perfbench digests (ROADMAP item 0)",
+    "diagnostics.StoppingReport.C1": "perfbench digests (ROADMAP item 0)",
     "models.model_ginzburg_landau.alpha": "ROADMAP item 12: model parameters",
     "models.model_ginzburg_landau.beta": "ROADMAP item 12: model parameters",
     "models.model_ginzburg_landau.sigma0": "ROADMAP item 12: model parameters",

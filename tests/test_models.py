@@ -20,6 +20,17 @@ def test_gbm_deterministic_cases():
     assert out[0, 0] == pytest.approx(1.5)
 
 
+def test_gbm_exact_solution_keeps_a_zero_start():
+    # a zero start, of either sign, is the solution at every time, also
+    # where the exponential overflows
+    gbm = catalog()["gbm"].model
+    for x0 in (0.0, -0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = gbm.exact_solution(np.array([x0]), np.array([0.0, 1.0]),
+                                     np.array([[0.0], [4000.0]]))
+        assert out.tobytes() == np.array([[x0], [x0]]).tobytes()
+
+
 def test_gbm_exact_solution_vs_euler_fine_grid():
     # fine-grid scheme as oracle for the closed form
     gbm = model_gbm(a=0.05, b=0.2)

@@ -28,8 +28,7 @@ from biteuler import brownian, cli, core, diagnostics, experiments
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
-from biteuler.diagnostics import (exp_moment_estimate, exp_moment_supremum,
-                                  stopping_probability)
+from biteuler.diagnostics import exp_moment_estimate, stopping_probability
 from biteuler.experiments import ConvergenceConfig, strong_error
 from biteuler.models import catalog, model_gbm
 from biteuler.schemes import OVERFLOW_CAP, BatchRuns, SchemeKind, run_paths
@@ -216,8 +215,7 @@ _PICKLED_SPEC = core.LyapunovSpec(U=np.sum, grad_U=np.sign, hess_U=np.sign,
 # every reducer the estimators hand the block driver, bound as they bind it
 REDUCERS = [
     diagnostics._last_nodes,
-    functools.partial(diagnostics._functional, _PICKLED_SPEC, True, False),
-    functools.partial(diagnostics._functional, _PICKLED_SPEC, True, True),
+    functools.partial(diagnostics._functional, _PICKLED_SPEC),
     functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
                       3.0, (SchemeKind.DRIFT_TAMED, 64)),
     experiments._divergence]
@@ -751,11 +749,7 @@ GL = catalog()["ginzburg-landau"].model
 STREAMED_AT_N = {
     "stopping": lambda N, out: stopping_probability(
         GL, GridSpec(1.0, N), 200, 3, [1.0]),
-    "stopping-with-spec": lambda N, out: stopping_probability(
-        GL, GridSpec(1.0, N), 200, 3, [1.0], spec=GL.lyapunov),
     "exp-moment-estimate": lambda N, out: exp_moment_estimate(
-        GL, GL.lyapunov, GridSpec(1.0, N), 200, 3, [1.0]),
-    "exp-moment-supremum": lambda N, out: exp_moment_supremum(
         GL, GL.lyapunov, GridSpec(1.0, N), 200, 3, [1.0]),
     "simulate": lambda N, out: cli.main(
         ["simulate", "--model", "ginzburg-landau", "--N", str(N), "--M", "200",
@@ -770,36 +764,23 @@ STREAMED_AT_N = {
 @pytest.mark.parametrize("name", STREAMED_AT_N)
 def test_streamed_estimators_memory_is_flat_in_N(monkeypatch, tmp_path, name):
     # a 20-step lookahead window makes N = 256 and 1024 both many windows;
-    # drawing each block's whole horizon in one piece grows the peak with N.
-    # What does grow is an estimate's own per-node output: the supremum's
-    # node sums, 8 bytes per node, grow stopping-with-spec (8 * N nodes for
-    # its stand-in of the exact solution) by 8 * 8 * (1024 - 256) bytes,
-    # which is more than 5% of its small peak; it may grow by those and 1%
+    # drawing each block's whole horizon in one piece grows the peak with N
     monkeypatch.setattr(brownian, "_LOOKAHEAD_VALUES", 1 << 12)
-    # the bound's suprema are one block of paths either way; 200 in place
-    # of 1000 keep its 8 * 1024-step reference run short
-    monkeypatch.setattr(diagnostics, "_BOUND_PATHS", 200)
     run = STREAMED_AT_N[name]
     run(64, tmp_path)  # one-time allocations stay out of the comparison
     small = _peak_bytes(lambda: run(256, tmp_path))
     large = _peak_bytes(lambda: run(1024, tmp_path))
-    if name == "stopping-with-spec":
-        assert large <= small + 8 * 8 * (1024 - 256) + small // 100, (small, large)
-    else:
-        assert large <= 1.05 * small, (small, large)
+    assert large <= 1.05 * small, (small, large)
 
 
 # (block paths, N, smaller M, larger M, node arrays the peak may grow by)
-# of two estimators whose partial is an (N + 1)-float node array: the
-# supremum's three and five blocks of one batch, and strong_error's ten
+# of strong_error, whose partial is an (N + 1)-float node array: ten
 # batches of 50 paths, one block each, of which five take a second,
-# one-path block at M = 505.  On two threads strong_error's 10 blocks
+# one-path block at M = 505.  On two threads its 10 blocks
 # become 30: the pool's map makes a small future per block up front (2.5
 # to 4.4 node arrays for the 20 more), and handing back a list of every
 # block's result grew the peak by 21 to 25 node arrays
 TOTALS_IN_M = {
-    "exp-moment-supremum": ((20, 2048, 60, 100, 1), lambda N, M: exp_moment_supremum(
-        GL, GL.lyapunov, GridSpec(1.0, N), M, 3, [1.0])),
     "strong-error": ((50, 1024, 500, 505, 1), lambda N, M: strong_error(
         ConvergenceConfig(model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=(N,),
                           M=M, seed=1))),
@@ -876,34 +857,21 @@ def whole_blocks(kind, model, grid, x0, M, seed):
         yield lo, run_paths(kind, model, grid, x0, dw), dw
 
 
-def functional_columns(spec, runs, use_tau, absolute):
-    """The exponential-moment functional of whole runs, node by node: a list
-    of N + 1 per-path arrays, the integral summed one node after another."""
+def functional_at_n(spec, runs):
+    """The exponential-moment functional of whole runs at the last node N,
+    the integral summed one node after another."""
     h = runs.grid.h
     N = runs.grid.N
-    tau = runs.tau_index if use_tau else np.full(len(runs), N)
+    tau = runs.tau_index
     integral = np.zeros(len(runs))
-    cols = []
-    for j in range(N + 1):
-        u = spec.U(runs.states[:, j])
-        ubar = spec.U_bar(runs.states[:, j])
-        if absolute:
-            u, ubar = np.abs(u), np.abs(ubar)
-        with np.errstate(over="ignore"):
-            vals = np.exp(np.exp(-spec.rho * (np.minimum(j, tau) * h)) * u + integral)
-        cols.append(np.minimum(vals, OVERFLOW_CAP))
+    for j in range(N):
         live = (tau > j).astype(float)
-        integral = integral + live * math.exp(-spec.rho * j * h) * ubar * h
-    return cols
-
-
-def oracle_supremum(kind, model, spec, grid, M, seed, x0, use_tau):
-    sums = np.zeros(grid.N + 1)
-    for _, runs, _ in whole_blocks(kind, model, grid, x0, M, seed):
-        cols = functional_columns(spec, runs, use_tau, absolute=True)
-        for j, col in enumerate(cols):
-            sums[j] += np.sum(col)
-    return float(np.max(sums / M))
+        integral = integral + (live * math.exp(-spec.rho * j * h)
+                               * spec.U_bar(runs.states[:, j]) * h)
+    with np.errstate(over="ignore"):
+        vals = np.exp(np.exp(-spec.rho * (np.minimum(N, tau) * h))
+                      * spec.U(runs.states[:, N]) + integral)
+    return np.minimum(vals, OVERFLOW_CAP)
 
 
 def _wavy(spec):
@@ -956,7 +924,7 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
     model, grid = _case(name, N)
     spec = _wavy(model.lyapunov) if wavy else model.lyapunov
     vals = np.concatenate([
-        functional_columns(spec, runs, use_tau=True, absolute=False)[N]
+        functional_at_n(spec, runs)
         for _, runs, _ in whole_blocks(SchemeKind.STOPPED_BIT, model, grid,
                                        x0, M, 5)])
     est = exp_moment_estimate(model, spec, grid, M, 5, x0)
@@ -990,22 +958,8 @@ def test_exp_moment_estimate_draws_and_steps_n_per_path(monkeypatch, N):
     assert len(drawn) == len(stepped) == 2 * -(-N // diagnostics._SLICE_STEPS)
 
 
-@pytest.mark.parametrize("use_tau", (True, False))
-@pytest.mark.parametrize("wavy", (False, True))
 @pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
-def test_sliced_exp_moment_supremum_equals_whole_horizon(name, x0, kind, N, M,
-                                                         wavy, use_tau):
-    # the stopped scheme at every case, as in the estimate's test above
-    model, grid = _case(name, N)
-    spec = _wavy(model.lyapunov) if wavy else model.lyapunov
-    sup = exp_moment_supremum(model, spec, grid, M, 6, x0, use_tau=use_tau)
-    assert sup == oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid,
-                                  M, 6, x0, use_tau)
-
-
-@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
-def test_sliced_stopping_probability_equals_whole_horizon(monkeypatch, name,
-                                                          x0, kind, N, M):
+def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
     model, grid = _case(name, N)
     taus = np.concatenate([
         runs.tau_index for _, runs, _ in
@@ -1013,17 +967,6 @@ def test_sliced_stopping_probability_equals_whole_horizon(monkeypatch, name,
     p_hat = float(np.sum(taus < N)) / M
     rep = stopping_probability(model, grid, M, 7, x0)
     assert (rep.estimate, rep.stderr) == (p_hat, math.sqrt(p_hat * (1 - p_hat) / M))
-    if N <= 100:
-        # 30 paths on the 2N grid keep the whole-horizon oracle small
-        monkeypatch.setattr(diagnostics, "_BOUND_PATHS", 30)
-        monkeypatch.setattr(diagnostics, "_REF_REFINE", 2)
-        spec = _wavy(model.lyapunov)
-        rep = stopping_probability(model, grid, M, 7, x0, spec=spec)
-        c1 = (oracle_supremum(SchemeKind.STOPPED_BIT, model, spec,
-                              GridSpec(1.0, 2 * N), 30, 9, x0, use_tau=False)
-              * oracle_supremum(SchemeKind.STOPPED_BIT, model, spec, grid, 30,
-                                8, x0, use_tau=True))
-        assert rep.estimate == p_hat and rep.C1 == c1
 
 
 @pytest.mark.parametrize("fmt", ("json", "csv"))
