@@ -933,6 +933,18 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
     assert est.saturated_fraction == float(np.mean(vals >= OVERFLOW_CAP))
 
 
+@pytest.mark.parametrize("slice_steps", SLICE_STEPS[1:])
+@pytest.mark.parametrize("wavy", (False, True))
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_exp_moment_estimate_equals_whole_horizon_at_other_slices(
+        monkeypatch, name, x0, kind, N, M, wavy, slice_steps):
+    # 16 steps a chunk split N = 16 nowhere and end N = 100 in a chunk of
+    # 4; one step a chunk carries the integral across every node
+    monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
+    test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
+                                                         wavy)
+
+
 @pytest.mark.parametrize("N", (diagnostics._SLICE_STEPS, 1000, 1024))
 def test_exp_moment_estimate_draws_and_steps_n_per_path(monkeypatch, N):
     # each of the two blocks draws all N steps of its stream and steps each
@@ -967,6 +979,15 @@ def test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M):
     p_hat = float(np.sum(taus < N)) / M
     rep = stopping_probability(model, grid, M, 7, x0)
     assert (rep.estimate, rep.stderr) == (p_hat, math.sqrt(p_hat * (1 - p_hat) / M))
+
+
+@pytest.mark.parametrize("slice_steps", SLICE_STEPS[1:])
+@pytest.mark.parametrize("name,x0,kind,N,M", SLICE_CASES, ids=SLICE_IDS)
+def test_sliced_stopping_probability_equals_whole_horizon_at_other_slices(
+        monkeypatch, name, x0, kind, N, M, slice_steps):
+    # a path stopped in one chunk stays stopped through every later one
+    monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
+    test_sliced_stopping_probability_equals_whole_horizon(name, x0, kind, N, M)
 
 
 @pytest.mark.parametrize("fmt", ("json", "csv"))
