@@ -1,9 +1,9 @@
 """Stopped Brownian-increment tamed Euler schemes for SDEs.
 
 The package implements the quartic-exponential increment-taming family and
-its derivatives, reproducible coupled Brownian paths, three Euler-type
-schemes (classical, drift-tamed, stopped increment-tamed), a model zoo with
-Lyapunov data and a sampled condition checker, quantitative diagnostics
+its derivatives, reproducible coupled Brownian paths, two Euler-type
+schemes (classical and stopped increment-tamed), a model zoo with Lyapunov
+data and a sampled condition checker, quantitative diagnostics
 (exponential moments, moment bounds, stopping probability), and a Monte
 Carlo experiment engine measuring strong convergence rates.
 """

@@ -68,13 +68,11 @@ class AssertionFailed(Exception):
 
 def _json_default(obj):
     """``default=`` of json.dumps: arrays as nested lists, numpy scalars as
-    Python ones, dataclasses as field dicts and a SchemeKind as its value."""
+    Python ones and dataclasses as field dicts."""
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, SchemeKind):
-        return obj.value
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -109,19 +107,19 @@ def _write_payload(payload, fmt: str, path: Optional[str],
 
 
 def emit(table: ErrorTable, fmt: str, path: Optional[str],
-         fit: Optional[RateFit] = None) -> None:
-    """Write an error table as CSV or JSON.
+         fit: RateFit) -> None:
+    """Write an error table and its rate fit as CSV or JSON.
 
-    CSV uses the fixed header above; a rate fit rides along as a JSON
+    CSV uses the fixed header above; the rate fit rides along as a JSON
     sidecar file ``<path>.ratefit.json`` with keys slope/intercept/residual.
     JSON mirrors the full report including per-gridpoint errors.
     """
-    payload = {"table": table} if fit is None else {"table": table, "rate_fit": fit}
+    payload = {"table": table, "rate_fit": fit}
     rows = [[table.scheme, table.model, table.r, row.N, row.M, row.seed,
              row.sup_error, row.std_error, row.overflow_fraction]
             for row in table.rows]
     _write_payload(payload, fmt, path, CSV_HEADER, rows)
-    if fmt == "csv" and fit is not None:
+    if fmt == "csv":
         sidecar = {"slope": fit.slope, "intercept": fit.intercept,
                    "residual": fit.residual}
         _write(_render("json", sidecar, indent=None),

@@ -472,10 +472,19 @@ def exp_moment_estimate(model: SdeModel, spec: LyapunovSpec, grid: GridSpec,
                    ((SchemeKind.STOPPED_BIT, grid.N),), grid.N)
     [vals] = _drive(paths, functools.partial(_functional, spec), M)
     vals = np.concatenate(vals)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(M))
-    return MomentEstimate(estimate=est, stderr=se,
+    return MomentEstimate(estimate=float(np.mean(vals)), stderr=_stderr(vals),
                           saturated_fraction=float(np.mean(vals >= OVERFLOW_CAP)))
+
+
+def _stderr(vals: np.ndarray) -> float:
+    """std(vals, ddof=1) / sqrt(len(vals)), taken on vals / max|vals| where
+    the squared deviations of finite values overflow (past about 1e154)."""
+    with np.errstate(over="ignore"):
+        sd = np.std(vals, ddof=1)
+    if not np.isfinite(sd) and np.isfinite(vals).all():
+        scale = np.max(np.abs(vals))
+        sd = scale * np.std(vals / scale, ddof=1)
+    return float(sd / math.sqrt(len(vals)))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .core import (ErrorRow, ErrorTable, GridSpec, LyapunovSpec, RateFit,
                    SdeModel, _check_count, _check_horizon, validate_start,
                    worker_count)
 from .diagnostics import (AnalysisConstants, N0Report, _add, _drive, _finals,
-                          _Paths, exp_moment_estimate,
+                          _Paths, _stderr, exp_moment_estimate,
                           fit_growth_constant, moment_bound, n0_for)
 from .models import catalog
 from .schemes import OVERFLOW_CAP, SchemeKind, run_paths
@@ -410,7 +410,7 @@ def moment_sweep(model: SdeModel, spec: LyapunovSpec, Ns: tuple[int, ...],
         final = finals[SchemeKind.STOPPED_BIT, N][0]
         u_vals = np.minimum(spec.U(final), OVERFLOW_CAP)
         eu = float(np.mean(u_vals))
-        eu_se = float(np.std(u_vals, ddof=1) / math.sqrt(M))
+        eu_se = _stderr(u_vals)
         expm = exp_moment_estimate(model, spec, GridSpec(T, N), M, seed, x0)
         consts = AnalysisConstants(c=c_growth, p=_P_GROWTH, T=T, m=model.m,
                                    rho=spec.rho, N=N)

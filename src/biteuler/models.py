@@ -59,9 +59,9 @@ def model_gbm(a: float, b: float) -> SdeModel:
         x0 = np.asarray(x0, dtype=float)
         t = np.asarray(t, dtype=float)
         w = np.asarray(w, dtype=float)
-        out = x0 * np.exp((a - 0.5 * b * b) * t[..., None] + b * w)
-        # a zero start stays put, where 0 * inf would be NaN
-        return np.where(x0 == 0.0, x0, out)
+        growth = (a - 0.5 * b * b) * t[..., None] + b * w
+        # a zero start stays put, also where exp overflows (0 * inf is NaN)
+        return x0 * (np.exp(growth) if x0.any() else np.ones_like(growth))
 
     return SdeModel(name="gbm", d=1, m=1, drift=drift, diffusion=diffusion,
                     exact_solution=exact)

@@ -1,4 +1,4 @@
-"""The Euler-type update and the path drivers of the three schemes.
+"""The Euler-type update and the path drivers of the two schemes.
 
 Schemes:
 
@@ -6,18 +6,16 @@ Schemes:
   Divergence is an expected, measured outcome, so paths that leave the
   float64 range are frozen at their last finite state and flagged rather
   than raising.
-- ``DRIFT_TAMED``: the drift term mu is replaced by mu / (1 + ||mu||*T/N);
-  the noise term is untouched.
 - ``STOPPED_BIT``: Brownian increments pass through the quartic-exponential
   taming map with per-step scale h = T/N, and the whole update is gated by
   the indicator ||Y_k|| <= exp(sqrt(|log(N/T)|)).  Once the norm exceeds the
   threshold the path is constant (frozen) for the rest of the horizon.
 
-The schemes differ only in how they transform the drift, how they transform
-the increment and which gate they apply, so the update mu*h + sigma@dW is
-written once (``_update``), and the batched driver ``run_paths`` steps
-every scheme with it.  One path is a one-row ``BatchRuns``: ``run_path``
-is ``run_paths`` on one Brownian path.
+The schemes differ only in how they transform the increment and which gate
+they apply, so the update mu*h + sigma@dW is written once (``_update``),
+and the batched driver ``run_paths`` steps both schemes with it.  One path
+is a one-row ``BatchRuns``: ``run_path`` is ``run_paths`` on one Brownian
+path.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ OVERFLOW_CAP = 1e300
 
 class SchemeKind(enum.Enum):
     EULER_MARUYAMA = "em"
-    DRIFT_TAMED = "drift-tamed"
     STOPPED_BIT = "bit"
 
 
@@ -57,17 +54,12 @@ def _norm(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...d,...d->...", y, y))
 
 
-def _update(kind: SchemeKind, model: SdeModel, y: np.ndarray, dw: np.ndarray,
+def _update(model: SdeModel, y: np.ndarray, dw: np.ndarray,
             h: float) -> np.ndarray:
-    """The Euler-type update mu~(y)*h + sigma(y) @ dw of every scheme.
-
-    mu~ is the drift scaled by 1/(1 + ||mu(y)||*h) for DRIFT_TAMED and the
-    drift itself otherwise; ``dw`` is the increment as the scheme uses it
-    (already tamed for STOPPED_BIT).
-    """
+    """The Euler-type update mu(y)*h + sigma(y) @ dw of both schemes;
+    ``dw`` is the increment as the scheme uses it (already tamed for
+    STOPPED_BIT)."""
     mu = model.drift(y)
-    if kind is SchemeKind.DRIFT_TAMED:
-        mu = mu / (1.0 + _norm(mu)[..., None] * h)
     sigma = model.diffusion(y)
     if dw.shape[-1] == 1:
         # a one-term contraction is one product; + 0.0 turns a -0.0 product
@@ -153,10 +145,10 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     names ``x0``.
 
     tau_index is recorded against the stopping threshold for every scheme;
-    only STOPPED_BIT freezes at it.  Euler-Maruyama and drift-tamed paths
-    that produce non-finite states or pass magnitude 1e300 are frozen at
-    their last finite state and flagged in ``overflow``; a STOPPED_BIT path
-    stepped to a non-finite state inside the stopping region raises
+    only STOPPED_BIT freezes at it.  Euler-Maruyama paths that produce
+    non-finite states or pass magnitude 1e300 are frozen at their last
+    finite state and flagged in ``overflow``; a STOPPED_BIT path stepped to
+    a non-finite state inside the stopping region raises
     FloatingPointError.
     """
     B, n_steps, m = dW.shape
@@ -194,7 +186,7 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
         for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
             y, y_next = path[j], path[j + 1]
             gate = np.greater(norm(y), threshold, out=exceeded[j])
-            np.add(y, _update(kind, model, y, dw, h), out=y_next)
+            np.add(y, _update(model, y, dw, h), out=y_next)
             if not stopped:
                 overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
                 gate = overflow

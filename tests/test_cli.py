@@ -10,7 +10,6 @@ from biteuler import diagnostics, experiments
 from biteuler.cli import (_COMMANDS, CSV_HEADER, UsageError, _render, emit,
                           main)
 from biteuler.core import ErrorRow, ErrorTable, RateFit
-from biteuler.schemes import SchemeKind
 
 
 def run_cli(args, capsys=None):
@@ -23,9 +22,20 @@ def test_csv_header_is_pinned():
                           "overflow_fraction")
 
 
+_FIT = RateFit(slope=0.5, intercept=-1.0, residual=0.0, points=())
+
+
 def _emitted(capsys, table, fmt):
-    emit(table, fmt, None)
-    return capsys.readouterr().out
+    """What ``emit`` writes to stdout: for CSV the table without the rate
+    fit's sidecar line, which follows it there."""
+    emit(table, fmt, None, _FIT)
+    out = capsys.readouterr().out
+    if fmt == "csv":
+        out, sidecar = out[:-1].rsplit("\n", 1)
+        assert json.loads(sidecar) == {"slope": 0.5, "intercept": -1.0,
+                                       "residual": 0.0}
+        out += "\n"
+    return out
 
 
 def test_empty_table_is_header_only(capsys):
@@ -70,13 +80,12 @@ def test_json_round_trip_exact(capsys):
             assert a["per_gridpoint_errors"] == b.per_gridpoint_errors.tolist()
 
 
-def test_json_encodes_numpy_values_dataclasses_and_scheme_kinds():
+def test_json_encodes_numpy_values_and_dataclasses():
     fit = RateFit(slope=np.float64(0.5), intercept=-1.0, residual=0.0,
                   points=((1.0, 2.0),))
-    payload = {"kind": SchemeKind.STOPPED_BIT, "n": np.int64(3),
-               "a": np.array([[0.1, 2.0]]), "fit": fit}
+    payload = {"n": np.int64(3), "a": np.array([[0.1, 2.0]]), "fit": fit}
     assert json.loads(_render("json", payload)) == {
-        "kind": "bit", "n": 3, "a": [[0.1, 2.0]],
+        "n": 3, "a": [[0.1, 2.0]],
         "fit": {"slope": 0.5, "intercept": -1.0, "residual": 0.0,
                 "points": [[1.0, 2.0]]}}
     with pytest.raises(TypeError):
@@ -99,7 +108,7 @@ def test_emit_rejects_an_unknown_format_and_writes_nothing(tmp_path):
     table = ErrorTable(scheme="bit", model="gbm", r=2.0, rows=())
     out = tmp_path / "table.xml"
     with pytest.raises(UsageError, match="^unknown format 'xml'$"):
-        emit(table, "xml", str(out))
+        emit(table, "xml", str(out), _FIT)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,7 +1,11 @@
+import dataclasses
+import functools
 import math
 import re
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -369,11 +373,41 @@ def test_exp_moment_saturates_overflowing_paths_at_the_cap():
     M = 300
     dw = generate_block(1.0, 16, 1, seed=2, first_path=0, count=M)
     final = run_paths(SchemeKind.STOPPED_BIT, gl, grid, [1.0], dw).states[:, -1]
-    with np.errstate(over="ignore"):  # exp, and the stderr's squares
+    with np.errstate(over="ignore"):
         vals = np.minimum(np.exp(spec.U(final)), 1e300)
         est = exp_moment_estimate(gl, spec, grid, M, seed=2, x0=[1.0])
     assert 0.0 < est.saturated_fraction == np.mean(vals == 1e300) < 1.0
     assert est.estimate == float(np.mean(vals))
+    # a capped mean has a finite spread
+    assert est.stderr == pytest.approx(
+        1e300 * np.std(vals / 1e300, ddof=1) / math.sqrt(M), rel=1e-12)
+
+
+def test_exp_moment_stderr_stays_finite_where_the_squares_overflow():
+    # GL's spec with U = 700 x^2: no value reaches the cap, but the largest
+    # pass 1.3e154, whose squared deviations overflow float64; the stderr
+    # is the exact one of the sampled values, and no warning is raised
+    gl = model_ginzburg_landau()
+    spec = dataclasses.replace(
+        gl.lyapunov, U=lambda x: 700.0 * np.asarray(x, float)[..., 0] ** 2)
+    grid, M = GridSpec(1.0, 16), 300
+    paths = diagnostics._Paths(gl, np.array([1.0]), 1.0, 2,
+                               ((SchemeKind.STOPPED_BIT, 16),), 16)
+    [vals] = diagnostics._drive(
+        paths, functools.partial(diagnostics._functional, spec), M)
+    vals = np.concatenate(vals)
+    assert 1.4e154 < vals.max() < 1e300
+    with mpmath.workdps(50):
+        exact = [mpmath.mpf(float(v)) for v in vals]
+        mean = mpmath.fsum(exact) / M
+        var = mpmath.fsum((v - mean) ** 2 for v in exact) / (M - 1)
+        stderr = float(mpmath.sqrt(var / M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = exp_moment_estimate(gl, spec, grid, M, seed=2, x0=[1.0])
+    assert est.estimate == float(np.mean(vals))
+    assert est.saturated_fraction == 0.0
+    assert est.stderr == pytest.approx(stderr, rel=1e-12)
 
 
 def test_exp_moment_flat_across_n_and_below_rate_bound():

@@ -299,13 +299,12 @@ def test_divergence_explodes_past_magnitude_1e10_of_either_sign(x0, exploded):
 def test_divergence_row_names_a_row_it_does_not_hold():
     gl = model_ginzburg_landau()
     report = divergence_comparison(gl, (4, 8), 10, [5.0], seed=0)
-    assert report.row(SchemeKind.STOPPED_BIT, 8).N == 8
-    with pytest.raises(KeyError) as err:
-        report.row(SchemeKind.STOPPED_BIT, 16)
-    assert err.value.args == ((SchemeKind.STOPPED_BIT, 16),)
-    # the sweep compares Euler-Maruyama with the stopped scheme only
-    with pytest.raises(KeyError):
-        report.row(SchemeKind.DRIFT_TAMED, 8)
+    for kind in SchemeKind:
+        row = report.row(kind, 8)
+        assert (row.scheme, row.N) == (kind.value, 8)
+        with pytest.raises(KeyError) as err:
+            report.row(kind, 16)
+        assert err.value.args == ((kind, 16),)
 
 
 def test_divergence_sums_each_batch_on_its_own():

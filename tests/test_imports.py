@@ -5,7 +5,8 @@ layers perfbench's tracer times are reached through the bindings it
 patches, no module but brownian builds a random generator, no module
 but core reads an integer by ``operator.index``, and every public function,
 method, dataclass and defaulted parameter or field has a consumer outside
-the tests, and every public property a reader there."""
+the tests, every public property a reader there, and every public enum
+member a site outside its module that names it."""
 
 import ast
 import dataclasses
@@ -204,10 +205,12 @@ UNPASSED_KEPT = {
 }
 
 
-def _site_trees() -> list:
-    """The code that consumes the package: its own modules, the demos,
-    perfbench, the README's python blocks and the acceptance tests."""
-    paths = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "demos").glob("*.py")),
+def _site_trees(outside: str = "") -> list:
+    """The code that consumes the package: its own modules but the one
+    named ``outside``, the demos, perfbench, the README's python blocks
+    and the acceptance tests."""
+    paths = [*sorted(p for p in PACKAGE.glob("*.py") if p.stem != outside),
+             *sorted((ROOT / "demos").glob("*.py")),
              *sorted((ROOT / "perfbench").glob("*.py")),
              ROOT / "tests" / "test_acceptance.py"]
     texts = [p.read_text() for p in paths]
@@ -315,3 +318,19 @@ def test_every_public_property_is_read():
               for fn in cls.body if isinstance(fn, ast.FunctionDef)
               and _is_property(fn) and fn.name not in read]
     assert unread == []
+
+
+def test_every_public_enum_member_is_named_outside_its_module():
+    # a member that only its own module and the tests name is a choice that
+    # no user run makes, and a branch for it that no input reaches
+    unnamed = []
+    for stem, cls in _public_classes():
+        if not any(ast.unparse(b) in ("enum.Enum", "Enum") for b in cls.bases):
+            continue
+        named = {n.attr for tree in _site_trees(outside=stem)
+                 for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and getattr(n.value, "id", None) == cls.name}
+        unnamed += [f"{stem}.{cls.name}.{t.id}" for a in cls.body
+                    if isinstance(a, ast.Assign) for t in a.targets
+                    if not t.id.startswith("_") and t.id not in named]
+    assert unnamed == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,13 +23,22 @@ def test_gbm_deterministic_cases():
 
 def test_gbm_exact_solution_keeps_a_zero_start():
     # a zero start, of either sign, is the solution at every time, also
-    # where the exponential overflows
+    # where the exponential overflows, and computing it warns of nothing
     gbm = catalog()["gbm"].model
     for x0 in (0.0, -0.0):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = gbm.exact_solution(np.array([x0]), np.array([0.0, 1.0]),
                                      np.array([[0.0], [4000.0]]))
         assert out.tobytes() == np.array([[x0], [x0]]).tobytes()
+
+
+def test_gbm_exact_solution_overflows_from_a_nonzero_start():
+    gbm = catalog()["gbm"].model
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        out = gbm.exact_solution(np.array([1e-300]), np.array([0.0, 1.0]),
+                                 np.array([[0.0], [4000.0]]))
+    assert out.tolist() == [[1e-300], [math.inf]]
 
 
 def test_gbm_exact_solution_vs_euler_fine_grid():

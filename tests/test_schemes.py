@@ -87,31 +87,6 @@ def test_em_step_superlinear_growth():
     assert y1[0] == pytest.approx(10.0 + 1000.0 * 0.25)
 
 
-def test_drift_tamed_step_arithmetic():
-    model = _const_model(mu0=8.0, sig0=0.0)
-    grid = GridSpec(T=1.0, N=4)
-    out = _one_step(SchemeKind.DRIFT_TAMED, model, grid, [0.0], [0.0])
-    assert out[0] == pytest.approx(8.0 / 3.0 * 0.25, rel=1e-15)
-
-
-def test_drift_tamed_step_reduces_to_em_for_zero_drift():
-    model = _const_model(mu0=0.0, sig0=1.5)
-    grid = GridSpec(T=1.0, N=4)
-    y = np.array([0.4])
-    dw = np.array([-0.3])
-    np.testing.assert_array_equal(
-        _one_step(SchemeKind.DRIFT_TAMED, model, grid, y, dw),
-        _one_step(SchemeKind.EULER_MARUYAMA, model, grid, y, dw))
-
-
-def test_drift_tamed_contribution_bounded():
-    # ||tamed drift * h|| <= h * ||mu||/(1+||mu|| h) < 1
-    model = _const_model(mu0=1e12, sig0=0.0)
-    grid = GridSpec(T=1.0, N=4)
-    out = _one_step(SchemeKind.DRIFT_TAMED, model, grid, [0.0], [0.0])
-    assert 0 < out[0] < 1.0
-
-
 def test_run_path_trivial_two_states():
     model = _const_model()
     grid = GridSpec(T=1.0, N=1)
@@ -230,7 +205,7 @@ def test_run_paths_gates_at_the_threshold_of_its_own_horizon(kind):
 
 
 def test_deterministic_euler_order_one_for_ode():
-    # sigma = 0, Lipschitz linear drift: all three schemes are the Euler
+    # sigma = 0, Lipschitz linear drift: both schemes are the Euler
     # method for the ODE and converge with order 1 in T/N
     gbm = model_gbm(a=1.0, b=0.0)
     x0 = [1.0]

@@ -106,16 +106,17 @@ SLICE_STEPS = (diagnostics._SLICE_STEPS, 16, 1)
 @pytest.mark.parametrize("M", (10, 37, 2500))  # 10: one path per stderr batch
 @pytest.mark.parametrize("reference", ("fine", "exact"))
 @pytest.mark.parametrize("scheme", list(SchemeKind))
+@pytest.mark.parametrize("T", (1.0, 2.5))  # fine node k at time k T / N_fine
 def test_streamed_strong_error_equals_whole_horizon_oracle(
-        monkeypatch, scheme, reference, M, slice_steps):
+        monkeypatch, T, scheme, reference, M, slice_steps):
     if reference == "exact":
         config = ConvergenceConfig(model="gbm", scheme=scheme, Ns=(4, 8, 16),
-                                   M=M, seed=3, reference="exact")
+                                   M=M, seed=3, reference="exact", T=T)
     else:
         # from x0 = 5 Euler-Maruyama overflows and the stopped scheme freezes
         config = ConvergenceConfig(model="ginzburg-landau", scheme=scheme,
                                    Ns=(4, 8), M=M, seed=5, reference="fine",
-                                   N_ref=64, x0=(5.0,))
+                                   N_ref=64, x0=(5.0,), T=T)
     monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
     with np.errstate(invalid="ignore", divide="ignore"):
         streamed = strong_error(config)
@@ -134,8 +135,8 @@ OFF_POWER_REFS = {(3, 6): 48, (2, 4): 48, (4, 8): 72}
 @pytest.mark.parametrize("Ns", OFF_POWER_REFS)
 @pytest.mark.parametrize("slice_steps", SLICE_STEPS)
 def test_streamed_equals_oracle_off_powers_of_two(monkeypatch, slice_steps, Ns):
-    # the drift-tamed scheme on a two-dimensional model, and r = 3
-    config = ConvergenceConfig(model="vdp", scheme=SchemeKind.DRIFT_TAMED,
+    # a scheme without stopping on a two-dimensional model, and r = 3
+    config = ConvergenceConfig(model="vdp", scheme=SchemeKind.EULER_MARUYAMA,
                                Ns=Ns, M=40, seed=2, reference="fine",
                                N_ref=OFF_POWER_REFS[Ns], r=3.0, x0=(2.0, -1.0))
     monkeypatch.setattr(diagnostics, "_SLICE_STEPS", slice_steps)
@@ -217,7 +218,7 @@ REDUCERS = [
     diagnostics._last_nodes,
     functools.partial(diagnostics._functional, _PICKLED_SPEC),
     functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
-                      3.0, (SchemeKind.DRIFT_TAMED, 64)),
+                      3.0, (SchemeKind.EULER_MARUYAMA, 64)),
     experiments._divergence]
 
 
@@ -485,11 +486,8 @@ def reference_run(kind, model, grid, x0, dW):
             dw = dW[:, k]
             if kind is SchemeKind.STOPPED_BIT:
                 dw = tame(TamingParams(h=h, m=model.m), dw)
-            mu = model.drift(y)
-            if kind is SchemeKind.DRIFT_TAMED:
-                mu = mu / (1.0 + norm(mu)[..., None] * h)
-            cand = y + (mu * h + np.einsum("...dm,...m->...d",
-                                           model.diffusion(y), dw))
+            cand = y + (model.drift(y) * h
+                        + np.einsum("...dm,...m->...d", model.diffusion(y), dw))
             if kind is SchemeKind.STOPPED_BIT:
                 keep = exceeded
             else:
@@ -510,20 +508,43 @@ EDGE_STARTS = [_THR40, np.nextafter(_THR40, 0.0), np.nextafter(_THR40, math.inf)
                math.inf]
 
 
+def _mixed_noise() -> SdeModel:
+    """Two states driven by three noises through a state-dependent,
+    non-square diffusion, so that a transposed or misindexed contraction
+    changes the update."""
+    def diffusion(x):
+        u, v = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        one = np.ones_like(u)
+        return np.stack([np.stack([one, v, 0.5 * one], axis=-1),
+                         np.stack([0.2 * one, -u, one], axis=-1)], axis=-2)
+
+    return SdeModel(name="mixed-noise", d=2, m=3, drift=lambda x: -x,
+                    diffusion=diffusion)
+
+
+# the catalog models, and one whose contraction is not one product
+KERNEL_MODELS = {**{n: e.model for n, e in catalog().items()},
+                 "mixed-noise": _mixed_noise()}
+
+
 @pytest.mark.parametrize("name,x0", [("ginzburg-landau", [5.0]),
                                      ("ginzburg-landau", [-0.0]),
                                      ("vdp", [-0.0, -0.0]), ("vdp", [3.0, -2.0]),
                                      ("gbm", [-0.0])]
                          + [("ginzburg-landau", [v]) for v in EDGE_STARTS]
-                         + [("vdp", [v, 0.0]) for v in EDGE_STARTS])
+                         + [("vdp", [v, 0.0]) for v in EDGE_STARTS]
+                         + [("mixed-noise", [1.0, -0.5])])
 @pytest.mark.parametrize("kind", list(SchemeKind))
-def test_kernel_equals_step_by_step_reference(name, x0, kind):
+# N / T = 40 on both grids, so the edge starts sit at each one's threshold;
+# off the unit horizon the step T / N is not 1 / N
+@pytest.mark.parametrize("T,N", [(1.0, 40), (2.5, 100)], ids=["T1", "T2.5"])
+def test_kernel_equals_step_by_step_reference(T, N, name, x0, kind):
     # signed zeros included: the one-term noise product must round -0.0
     # to +0.0 the way the einsum contraction does; the edge starts check
     # the d = 1 gate |y| against the reference's sqrt(y*y)
-    model = catalog()[name].model
-    grid = GridSpec(1.0, 40)
-    dW = generate_block(1.0, 40, model.m, seed=6, first_path=0, count=9)
+    model = KERNEL_MODELS[name]
+    grid = GridSpec(T, N)
+    dW = generate_block(T, N, model.m, seed=6, first_path=0, count=9)
     runs = run_paths(kind, model, grid, x0, dW)
     states, tau, overflow = reference_run(kind, model, grid, x0, dW)
     assert runs.states.tobytes() == states.tobytes()
@@ -531,13 +552,21 @@ def test_kernel_equals_step_by_step_reference(name, x0, kind):
     assert runs.overflow.tolist() == overflow.tolist()
 
 
+def _run_bytes(runs) -> list:
+    return [getattr(runs, f).tobytes()
+            for f in ("states", "tau_index", "frozen", "overflow")]
+
+
 def chained(kind, model, grid, x0, dW, cuts):
     """run_paths over dW in pieces split at ``cuts``, each continuing the
-    last; returns the stitched states and the final BatchRuns."""
+    last and leaving it as it was; returns the stitched states and the
+    final BatchRuns."""
     runs = BatchRuns.initial(grid, x0, dW.shape[0], model.d)
     states = [runs.states]
     for a, b in zip((0, *cuts), (*cuts, grid.N)):
-        runs = run_paths(kind, model, grid, runs, dW[:, a:b])
+        before = _run_bytes(runs)
+        runs, prev = run_paths(kind, model, grid, runs, dW[:, a:b]), runs
+        assert _run_bytes(prev) == before
         assert runs.start == a
         states.append(runs.states[:, 1:])
     return np.concatenate(states, axis=1), runs
@@ -570,16 +599,15 @@ def test_chained_run_paths_equals_one_call(kind, model, x0, cuts):
         assert ((whole.tau_index > 10) & (whole.tau_index < 150)).any()
 
 
-@pytest.mark.parametrize("kind", [SchemeKind.EULER_MARUYAMA,
-                                  SchemeKind.DRIFT_TAMED])
-def test_overflow_flags_only_magnitudes_past_the_cap(kind):
+def test_overflow_flags_only_magnitudes_past_the_cap():
     # zero drift and zero increments hold each path at its start: a state
     # of magnitude OVERFLOW_CAP itself is not flagged, one ulp past it is
     gbm = model_gbm(0.0, 1.0)
     grid = GridSpec(1.0, 4)
     for x0, flagged in ((OVERFLOW_CAP, False), (-OVERFLOW_CAP, False),
                         (np.nextafter(OVERFLOW_CAP, math.inf), True)):
-        runs = run_paths(kind, gbm, grid, [x0], np.zeros((1, 4, 1)))
+        runs = run_paths(SchemeKind.EULER_MARUYAMA, gbm, grid, [x0],
+                         np.zeros((1, 4, 1)))
         assert runs.overflow.tolist() == [flagged], x0
         assert (runs.states == x0).all()
 
@@ -892,7 +920,7 @@ SLICE_CASES = [
     ("ginzburg-landau", [20.0], SchemeKind.EULER_MARUYAMA, 100, 60),
     ("ginzburg-landau", [20.0], SchemeKind.STOPPED_BIT, 100, 40),
     ("ginzburg-landau", [8.0], SchemeKind.STOPPED_BIT, 100, 30),
-    ("vdp", [3.0, -2.0], SchemeKind.DRIFT_TAMED, 100, 50),
+    ("vdp", [3.0, -2.0], SchemeKind.EULER_MARUYAMA, 100, 50),
 ]
 SLICE_IDS = [f"{c[0]}-x{c[1][0]:g}-{c[2].value}-N{c[3]}-M{c[4]}"
              for c in SLICE_CASES]
@@ -919,8 +947,8 @@ def test_sliced_exp_moment_estimate_equals_whole_horizon(name, x0, kind, N, M,
                                                          wavy):
     # the exponential-moment estimators step the stopped scheme whatever the
     # case's kind, as stopping_probability does: each case gives its model,
-    # start and grid, so the Euler-Maruyama and drift-tamed starts are
-    # stopped runs from outside the threshold and in two dimensions
+    # start and grid, so the Euler-Maruyama starts are stopped runs from
+    # outside the threshold and in two dimensions
     model, grid = _case(name, N)
     spec = _wavy(model.lyapunov) if wavy else model.lyapunov
     vals = np.concatenate([
