@@ -16,7 +16,7 @@ Exit codes: 0 when the run completed and every requested assertion passed;
 band); 1 for usage or runtime errors.
 
 Floats are emitted with 17 significant digits so every value round-trips
-exactly.
+exactly; JSON writes a non-finite float (an infinite bound, say) as null.
 """
 
 from __future__ import annotations
@@ -66,14 +66,22 @@ class AssertionFailed(Exception):
 # emission
 
 
-def _json_default(obj):
-    """``default=`` of json.dumps: arrays as nested lists, numpy scalars as
-    Python ones and dataclasses as field dicts."""
+def _plain(obj):
+    """``obj`` as plain JSON values: arrays as nested lists, numpy scalars
+    as Python ones, dataclasses as field dicts, and a non-finite float as
+    None, written null: ``json.dumps`` would write the non-standard
+    Infinity or NaN, which strict JSON readers reject."""
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
+        obj = obj.tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _render(fmt: str, payload, csv_header: str = "", csv_rows=(),
@@ -81,8 +89,8 @@ def _render(fmt: str, payload, csv_header: str = "", csv_rows=(),
     """``payload`` as sorted-key JSON, or ``csv_header`` and ``csv_rows`` as
     CSV with every float to 17 significant digits."""
     if fmt == "json":
-        return json.dumps(payload, default=_json_default, indent=indent,
-                          sort_keys=True) + "\n"
+        return json.dumps(_plain(payload), indent=indent, sort_keys=True,
+                          allow_nan=False) + "\n"
     if fmt != "csv":
         raise UsageError(f"unknown format {fmt!r}")
     lines = [csv_header]
@@ -111,8 +119,9 @@ def emit(table: ErrorTable, fmt: str, path: Optional[str],
     """Write an error table and its rate fit as CSV or JSON.
 
     CSV uses the fixed header above; the rate fit rides along as a JSON
-    sidecar file ``<path>.ratefit.json`` with keys slope/intercept/residual.
-    JSON mirrors the full report including per-gridpoint errors.
+    sidecar file ``<path>.ratefit.json`` with keys slope/intercept/residual,
+    or, without ``path``, as one JSON line on stderr, so that stdout is the
+    CSV alone.  JSON mirrors the full report including per-gridpoint errors.
     """
     payload = {"table": table, "rate_fit": fit}
     rows = [[table.scheme, table.model, table.r, row.N, row.M, row.seed,
@@ -120,10 +129,12 @@ def emit(table: ErrorTable, fmt: str, path: Optional[str],
             for row in table.rows]
     _write_payload(payload, fmt, path, CSV_HEADER, rows)
     if fmt == "csv":
-        sidecar = {"slope": fit.slope, "intercept": fit.intercept,
-                   "residual": fit.residual}
-        _write(_render("json", sidecar, indent=None),
-               None if path is None else path + ".ratefit.json")
+        sidecar = _render("json", {"slope": fit.slope, "intercept": fit.intercept,
+                                   "residual": fit.residual}, indent=None)
+        if path is None:
+            sys.stderr.write(sidecar)
+        else:
+            _write(sidecar, path + ".ratefit.json")
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _SLICE_STEPS = 32  # steps of the finest run per chunk
+_HOLD_STEPS = 8  # own steps a coarser coupled run holds before it steps
 
 
 @dataclass(frozen=True)
@@ -106,44 +107,53 @@ def _coarsen_levels(fine: np.ndarray, counts: list[int],
 
 
 def _coupled_increments(fine: np.ndarray, Ns: list[int], n_fine: int,
-                        carry: dict, coarsen) -> dict:
-    """{N: increments} of each N with whole steps in the fine chunk, from
-    ``_coarsen_levels``.  An N whose step outlasts the chunk adds the
-    chunk's sum to ``carry`` and steps on their sum once they cover it."""
+                        last: bool, held: dict, coarsen) -> dict:
+    """{N: increments} of each N that steps after this fine chunk, the
+    ``last`` or not: the finest N after every chunk, every other one once
+    ``held[N]`` = (steps, sums) holds _HOLD_STEPS steps, or at the horizon,
+    which saves the fixed cost of ``run_paths`` calls of a step or two.  A
+    step is the chunk's, from ``_coarsen_levels``, or, where it outlasts
+    the chunk, the sum of the chunk sums that cover it."""
     n = fine.shape[1]
     levels = _coarsen_levels(fine, [max(n * N // n_fine, 1) for N in Ns],
                              coarsen)
     dws = {}
     for N in Ns:
         stride = n_fine // N
+        steps, sums = held[N]
         if n % stride == 0:
-            dws[N] = levels[n // stride]
+            steps.append(levels[n // stride])
         else:
-            carry[N].append(levels[1])
-            if len(carry[N]) * n >= stride:
-                dws[N] = coarsen(np.concatenate(carry[N], axis=1), 1)
-                carry[N] = []
+            sums.append(levels[1])
+            if len(sums) * n >= stride:
+                steps.append(coarsen(np.concatenate(sums, axis=1), 1))
+                sums = []
+        if N == Ns[-1] or last or sum(s.shape[1] for s in steps) >= _HOLD_STEPS:
+            dws[N] = steps[0] if len(steps) == 1 else np.concatenate(steps, axis=1)
+            steps = []
+        held[N] = (steps, sums)
     return dws
 
 
 def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
     """``reducer(paths, parts, steps)`` on the segments ``segs`` of one
     block: ``parts`` are the rows of its segments, one per batch-means
-    batch it holds, and ``steps`` yields (key, run, fine, f0) for each run
-    key = (scheme, N) as soon as it has stepped a chunk, in the order of
-    ``paths.runs``: the run as a BatchRuns whose first node repeats the last
-    chunk's last, and the chunk's fine increments (unit normals under the
-    prefix rule) from fine step f0 on.  The reducer drops each step before
-    it asks for the next and returns one partial per segment, for
-    ``_drive`` to ``_add``: a per-path result is a one-element list, which
-    the total concatenates.
+    batch it holds, and ``steps`` yields (key, run, fine, f0) each time a
+    run key = (scheme, N) steps, in the order of ``paths.runs`` within a
+    chunk: the run as a BatchRuns whose first node repeats its last call's
+    last, and the chunk's fine increments (unit normals under the prefix
+    rule) from fine step f0 on.  The reducer drops each step before it asks
+    for the next and returns one partial per segment, for ``_drive`` to
+    ``_add``: a per-path result is a one-element list, which the total
+    concatenates.
 
     The normals come chunk by chunk from one ``BlockStream`` of the n_fine
-    grid: every run steps each chunk on from where the last one ended and
-    is cut back to its last node once the reducer has seen it, so a block
-    holds the stream's window, one chunk and one run's chunk of states,
-    not a horizon.  A chunk is about _SLICE_STEPS steps of the
-    finest run: the stride of a coupled run N is n_fine / N, and 1 under
+    grid: every run steps on from where it last ended and is cut back to
+    its last node once the reducer has seen it, so a block holds the
+    stream's window, one chunk, one run's call of states and the coarser
+    coupled runs' held steps (``_coupled_increments``), not a horizon.  A
+    chunk is about _SLICE_STEPS steps of the finest run, which steps on
+    every chunk: the stride of a coupled run N is n_fine / N, and 1 under
     the prefix rule, where every run steps on the chunk's own normals."""
     lo, B = segs[0][1], segs[-1][2] - segs[0][1]
     model, T, n_fine = paths.model, paths.T, paths.n_fine
@@ -155,13 +165,14 @@ def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
         runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B,
                                        model.d) for key in paths.runs}
         stream = BlockStream(n_fine, model.m, paths.seed, lo, B)
-        carry = {N: [] for N in Ns}
+        held = {N: ([], []) for N in Ns}
         for f0 in range(0, n_fine, chunk):
             fine = stream.draw(min(chunk, n_fine - f0))
             dws = None
             if paths.coupled:
                 fine *= math.sqrt(T / n_fine)
-                dws = _coupled_increments(fine, Ns, n_fine, carry, coarsen)
+                dws = _coupled_increments(fine, Ns, n_fine,
+                                          f0 + chunk >= n_fine, held, coarsen)
             for key, last in runs.items():  # paths.runs in order, each once
                 N = key[1]
                 if paths.coupled:

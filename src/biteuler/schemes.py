@@ -129,6 +129,20 @@ def _check_finite(path: np.ndarray, gated: np.ndarray) -> None:
             "non-finite drift/diffusion inside the stopping region")
 
 
+def _first(mask: np.ndarray) -> np.ndarray:
+    """Per column of the (n, B) ``mask``, the first row that is True, or n."""
+    return np.vstack([mask, np.ones((1, mask.shape[1]), bool)]).argmax(axis=0)
+
+
+def _hold(path: np.ndarray, node: np.ndarray) -> None:
+    """Give every node of path b past ``node[b]`` that node's state, in the
+    time-major (n + 1, B, d) ``path``; node[b] = n leaves it as it is."""
+    cols = np.flatnonzero(node < len(path) - 1)
+    if cols.size:
+        rows = np.minimum(np.arange(len(path))[:, None], node[cols])
+        path[:, cols] = path[rows, cols]
+
+
 def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
               dW: np.ndarray) -> BatchRuns:
     """Drive a batch of paths through the scheme recursion.
@@ -139,7 +153,9 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     of ``x0`` they continue its paths for the next n steps, and the chained
     calls compute bit for bit what one call over all the steps computes.
     One call holds all its increments, tamed and time-major: chain calls of
-    a few dozen steps over a long grid, as ``diagnostics._drive`` does.
+    a few dozen steps over a long grid, as ``diagnostics._drive`` does.  A
+    call steps every path ungated, with no scheme branch in its step loop,
+    and then holds each path from the first node where its gate closed.
     An initial state must have model.d components, none NaN (an infinite
     one freezes a stopped tamed path at node 0); otherwise ValueError
     names ``x0``.
@@ -172,30 +188,38 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     # for d = 1 the norm is |y|: sqrt(y*y) equals it wherever y*y neither
     # overflows nor underflows, and where it does both lie on the same side
     # of the threshold, which is at least 1 and far below 1e154
-    norm = (lambda y: np.abs(y[:, 0])) if model.d == 1 else _norm
+    norm = (lambda y: np.abs(y[..., 0])) if model.d == 1 else _norm
 
-    # the call's nodes, time-major so that each step reads and writes
-    # contiguous rows; row 0 is the node before the call
-    path = np.empty((n_steps + 1, B, model.d))
-    path[0] = prev.states[:, -1]
-    exceeded = np.empty((n_steps, B), dtype=bool)
     tau = prev.tau_index.copy()
     overflow = prev.overflow.copy()
     with np.errstate(all="ignore"):
+        # the increments, then the call's nodes, time-major so that each
+        # step reads and writes contiguous rows; row 0 is the node before
+        # the call.  Every path is stepped ungated and _hold then applies
+        # the gate; the increments go first, to keep the call's peak low.
         inc = tame(TamingParams(h=h, m=m), dW) if stopped else dW
-        for j, dw in enumerate(np.ascontiguousarray(inc.transpose(1, 0, 2))):
-            y, y_next = path[j], path[j + 1]
-            gate = np.greater(norm(y), threshold, out=exceeded[j])
-            np.add(y, _update(model, y, dw, h), out=y_next)
-            if not stopped:
-                overflow |= ~(np.abs(y_next) <= OVERFLOW_CAP).all(axis=-1)
-                gate = overflow
-            np.copyto(y_next, y, where=gate[:, None])
-        if stopped and n_steps:
-            _check_finite(path, exceeded[0])
-    hit = (tau == N) & exceeded.any(axis=0)
-    if hit.any():
-        tau[hit] = k0 + exceeded[:, hit].argmax(axis=0)
+        inc = np.ascontiguousarray(inc.transpose(1, 0, 2))
+        path = np.empty((n_steps + 1, B, model.d))
+        path[0] = prev.states[:, -1]
+        for j in range(n_steps):
+            np.add(path[j], _update(model, path[j], inc[j], h), out=path[j + 1])
+        del inc
+        if stopped:
+            # stepped ungated, a path agrees with the gated one up to its
+            # first crossing, which is therefore where the gate holds it
+            cross = _first(norm(path[:-1]) > threshold)
+            _hold(path, cross)
+            _check_finite(path, cross == 0)
+        else:
+            # held at the node before its first non-finite or past-the-cap
+            # state, or at node 0 once flagged; its crossings are read
+            # afterwards, since an inf or NaN state compares otherwise
+            bad = _first(~(np.abs(path[1:]) <= OVERFLOW_CAP).all(axis=-1))
+            _hold(path, np.where(overflow, 0, bad))
+            overflow |= bad < n_steps
+            cross = _first(norm(path[:-1]) > threshold)
+    hit = (tau == N) & (cross < n_steps)
+    tau[hit] = k0 + cross[hit]
     states = np.ascontiguousarray(path.transpose(1, 0, 2))
     frozen = tau < N if stopped else np.zeros(B, dtype=bool)
     return BatchRuns(grid=grid, states=states, tau_index=tau, frozen=frozen,

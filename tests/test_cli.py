@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import re
@@ -26,16 +28,16 @@ _FIT = RateFit(slope=0.5, intercept=-1.0, residual=0.0, points=())
 
 
 def _emitted(capsys, table, fmt):
-    """What ``emit`` writes to stdout: for CSV the table without the rate
-    fit's sidecar line, which follows it there."""
+    """What ``emit`` writes to stdout; for CSV the rate fit's sidecar line
+    goes to stderr."""
     emit(table, fmt, None, _FIT)
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     if fmt == "csv":
-        out, sidecar = out[:-1].rsplit("\n", 1)
-        assert json.loads(sidecar) == {"slope": 0.5, "intercept": -1.0,
-                                       "residual": 0.0}
-        out += "\n"
-    return out
+        assert json.loads(captured.err) == {"slope": 0.5, "intercept": -1.0,
+                                            "residual": 0.0}
+    else:
+        assert captured.err == ""
+    return captured.out
 
 
 def test_empty_table_is_header_only(capsys):
@@ -102,6 +104,47 @@ def test_emit_csv_with_ratefit_sidecar(tmp_path):
     assert out.read_text().startswith(CSV_HEADER)
     sidecar = json.loads((tmp_path / "table.csv.ratefit.json").read_text())
     assert sidecar == {"slope": 0.5, "intercept": -1.0, "residual": 0.0}
+
+
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON: the Infinity, -Infinity and NaN
+    tokens that ``json.loads`` accepts by default are an error."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_convergence_csv_on_stdout_is_one_csv_file(capsys, tmp_path):
+    # without --output the rate fit goes to stderr, so stdout reads as the
+    # header and one row per N, the bytes that --output writes to its file
+    args = ["convergence", "--model", "gbm", "--Ns", "16,32,64", "--M", "10",
+            "--seed", "0", "--format", "csv"]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rows[0] == CSV_HEADER.split(",")
+    assert [row[3] for row in rows[1:]] == ["16", "32", "64"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    fit = _strict_json(captured.err)
+    assert sorted(fit) == ["intercept", "residual", "slope"]
+    out = tmp_path / "t.csv"
+    assert main(args + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == captured.out
+    assert (tmp_path / "t.csv.ratefit.json").read_text() == captured.err
+
+
+def test_json_writes_non_finite_floats_as_null(capsys):
+    payload = {"a": math.inf, "b": [np.float64(-np.inf), math.nan],
+               "c": np.array([1.0, np.inf]), "d": (np.nan, 2)}
+    assert _strict_json(_render("json", payload)) == {
+        "a": None, "b": [None, None], "c": [1.0, None], "d": [None, 2]}
+    # the moment bound overflows at these N, and so does the crossover N0
+    assert main(["moments", "--model", "ginzburg-landau", "--Ns", "16,64",
+                 "--M", "20", "--seed", "1"]) == 0
+    report = _strict_json(capsys.readouterr().out)["moments"]
+    assert [row["bound"] for row in report["rows"]] == [None, None]
+    assert report["n0"]["N0"] is None
 
 
 def test_emit_rejects_an_unknown_format_and_writes_nothing(tmp_path):

@@ -1,6 +1,9 @@
 """The README's "CLI", "Library quick start" and "A path on file" blocks
 run as printed."""
 
+import csv
+import io
+import json
 import os
 import re
 import shlex
@@ -37,13 +40,37 @@ def _cli_commands() -> list[list[str]]:
 CLI_COMMANDS = _cli_commands()
 
 
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON, without the Infinity, -Infinity
+    and NaN tokens that ``json.loads`` accepts by default."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("command", CLI_COMMANDS,
                          ids=[f"{i}-{c[1]}" for i, c in enumerate(CLI_COMMANDS)])
 def test_cli_command_runs(tmp_path, monkeypatch, capsys, command):
-    # every printed command exits 0, its assertions included
+    # every printed command exits 0, its assertions included, and what it
+    # writes parses: JSON strictly, CSV as rows of the header's width
     assert command[0] == "biteuler"
     monkeypatch.chdir(tmp_path)
-    assert main(command[1:]) == 0, capsys.readouterr().err
+    code = main(command[1:])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    if command[1] == "catalog":  # text
+        return
+    text, fit = out.out, out.err
+    if "--output" in command:
+        name = tmp_path / command[command.index("--output") + 1]
+        text = name.read_text()
+        fit = Path(f"{name}.ratefit.json").read_text()
+    if "csv" in command:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) > 1 and {len(row) for row in rows} == {len(rows[0])}
+        _strict_json(fit)  # convergence's rate fit
+    else:
+        _strict_json(text)
 
 
 def test_library_quick_start_runs():

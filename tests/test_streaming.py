@@ -10,6 +10,7 @@ computation does not meet, or no more work than the result needs.
 """
 
 import ast
+import collections
 import dataclasses
 import functools
 import gc
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from biteuler import brownian, cli, core, diagnostics, experiments
+from biteuler import brownian, cli, core, diagnostics, experiments, schemes
 from biteuler.brownian import (BlockStream, coarsen_increments,
                                generate_block, generate_path)
 from biteuler.core import ErrorRow, ErrorTable, GridSpec, SdeModel, path_blocks
@@ -343,6 +344,26 @@ def test_prefix_runs_step_only_the_chunks_that_hold_their_steps(monkeypatch):
     assert sorted(calls) == [(32, 32)] * 2 + [(64, 32)] * 4
 
 
+def test_criterion_2_block_steps_coarse_runs_in_8_step_calls(monkeypatch):
+    # criterion 2's shape: the 8192-step reference steps each of its 256
+    # 32-step chunks, and each coarser run N once it holds 8 of its own
+    # steps, N / 8 calls of 8 steps: 510 calls in all.  Stepping every
+    # coarse run on every chunk made 1,264, each with a fixed cost
+    calls = collections.Counter()
+
+    def counting_run_paths(kind, model, grid, x0, dW):
+        calls[grid.N, dW.shape[1]] += 1
+        return run_paths(kind, model, grid, x0, dW)
+
+    monkeypatch.setattr(diagnostics, "run_paths", counting_run_paths)
+    Ns = tuple(2**k for k in range(4, 11))
+    strong_error(ConvergenceConfig(
+        model="ginzburg-landau", scheme=SchemeKind.STOPPED_BIT, Ns=Ns, M=10,
+        seed=0, reference="fine", N_ref=2**13))
+    assert calls == {(2**13, 32): 256, **{(N, 8): N // 8 for N in Ns}}
+    assert sum(calls.values()) == 510
+
+
 def test_path_blocks_pack_whole_batches_in_path_order():
     blocks = path_blocks(2500, 10)
     assert [len(b) for b in blocks] == [4, 4, 2]
@@ -597,6 +618,115 @@ def test_chained_run_paths_equals_one_call(kind, model, x0, cuts):
         assert getattr(last, field).tobytes() == getattr(whole, field).tobytes()
     if model.name == "gbm":
         assert ((whole.tau_index > 10) & (whole.tau_index < 150)).any()
+
+
+def _check_single_and_chained(kind, model, grid, starts, dW, cuts):
+    """run_paths from the per-path ``starts`` in one call and in calls split
+    at ``cuts`` against the step-by-step reference; returns the one call."""
+    states, tau, overflow = reference_run(kind, model, grid, starts, dW)
+    whole = run_paths(kind, model, grid,
+                      BatchRuns.initial(grid, starts, len(dW), model.d), dW)
+    stitched, last = chained(kind, model, grid, starts, dW, cuts)
+    for got, runs in ((whole.states, whole), (stitched, last)):
+        assert got.tobytes() == states.tobytes()
+        assert runs.tau_index.tolist() == tau.tolist()
+        assert runs.overflow.tolist() == overflow.tolist()
+    return whole
+
+
+def _drifting(drift) -> SdeModel:
+    """One state with this drift and unit noise."""
+    return SdeModel(name="drifting", d=1, m=1, drift=drift,
+                    diffusion=lambda x: np.ones(x.shape + (1,)))
+
+
+@pytest.mark.parametrize("cuts", [(1,), (7, 20, 39), tuple(range(1, 40))])
+def test_freeze_pass_holds_a_start_past_the_threshold(cuts):
+    # the gate is closed at node 0 of the first call on every other path
+    # (the N = 40 threshold is 6.83), and open on the rest
+    gl = catalog()["ginzburg-landau"].model
+    grid = GridSpec(1.0, 40)
+    dW = generate_block(1.0, 40, 1, seed=3, first_path=0, count=8)
+    starts = np.array([[8.0], [1.0]] * 4)
+    whole = _check_single_and_chained(SchemeKind.STOPPED_BIT, gl, grid, starts,
+                                      dW, cuts)
+    assert whole.tau_index[::2].tolist() == [0] * 4
+    assert (whole.states[::2] == 8.0).all()
+
+
+# a constant drift of 14 and no noise pass the N = 40 threshold (6.83)
+# first at node 20 from 0, at node 10 from 3.5 and at node 21 from -0.5
+_RAMP_STARTS = np.array([[0.0], [3.5], [-0.5]])
+
+
+@pytest.mark.parametrize("cuts", [(20,), (10,), (10, 20, 21), (21, 30)])
+def test_freeze_pass_gate_closing_at_a_calls_last_node(cuts):
+    # a call whose last node first passes the threshold steps that path
+    # to it and no further; the next call holds it from its node 0
+    ramp = _drifting(lambda x: np.full_like(x, 14.0))
+    grid = GridSpec(1.0, 40)
+    dW = np.zeros((3, 40, 1))
+    whole = _check_single_and_chained(SchemeKind.STOPPED_BIT, ramp, grid,
+                                      _RAMP_STARTS, dW, cuts)
+    assert whole.tau_index.tolist() == [20, 10, 21]
+    first = run_paths(SchemeKind.STOPPED_BIT, ramp, grid,
+                      BatchRuns.initial(grid, _RAMP_STARTS, 3, 1),
+                      dW[:, :cuts[0]])
+    crossed = whole.tau_index < cuts[0]
+    assert first.tau_index.tolist() == np.where(crossed, whole.tau_index,
+                                                40).tolist()
+    assert first.states[:, -1].tolist() == whole.states[:, cuts[0]].tolist()
+
+
+@pytest.mark.parametrize("cuts", [(5,), (12,), (11, 12), (3, 30)])
+@pytest.mark.parametrize("value", (math.inf, math.nan))
+def test_freeze_pass_em_jump_to_a_non_finite_state(cuts, value):
+    # the drift jumps from 8 to inf or NaN past 2: a path goes from 2.2,
+    # below the threshold, straight to a non-finite state at node 12.  It
+    # is held at 2.2, flagged, and never stopped: tau stays N although inf
+    # compares above the threshold
+    jump = _drifting(lambda x: np.where(x > 2.0, value, 8.0))
+    grid = GridSpec(1.0, 40)
+    dW = np.zeros((2, 40, 1))
+    starts = np.array([[0.0], [-6.0]])  # the second never passes 2
+    whole = _check_single_and_chained(SchemeKind.EULER_MARUYAMA, jump, grid,
+                                      starts, dW, cuts)
+    assert whole.overflow.tolist() == [True, False]
+    assert whole.tau_index.tolist() == [40, 40]
+    assert (whole.states[0, 11:] == whole.states[0, 11]).all()
+    assert 2.0 < whole.states[0, 11, 0] < stopping_threshold(40, 1.0)
+
+
+@pytest.mark.parametrize("cuts", [(6,), (6, 7), (1, 2, 3, 4, 5, 6, 7)])
+def test_freeze_pass_holds_a_run_flagged_in_an_earlier_call(cuts):
+    # from 20 Euler-Maruyama passes the cap at node 6, so it is held at node
+    # 5; every call from node 6 on, on finite increments, holds it from its
+    # node 0
+    gl = catalog()["ginzburg-landau"].model
+    grid = GridSpec(1.0, 8)
+    dW = generate_block(1.0, 8, 1, seed=0, first_path=0, count=6)
+    starts = np.array([[20.0], [0.5]] * 3)
+    first = run_paths(SchemeKind.EULER_MARUYAMA, gl, grid,
+                      BatchRuns.initial(grid, starts, 6, 1), dW[:, :6])
+    assert first.overflow.tolist() == [True, False] * 3
+    whole = _check_single_and_chained(SchemeKind.EULER_MARUYAMA, gl, grid,
+                                      starts, dW, cuts)
+    assert (whole.states[::2, 5:] == whole.states[::2, 5:6]).all()
+    assert (whole.states[1::2, 6:] != whole.states[1::2, 5:6]).all()
+
+
+def test_freeze_pass_writes_only_the_paths_it_holds():
+    # path b's nodes are 3k + b; held from node 1 and node 0, paths 1 and 2
+    # take those nodes' states, and path 0, held at its last node, is not
+    # written: a read-only path that no node holds passes untouched
+    path = np.arange(12.0).reshape(4, 3, 1)
+    schemes._hold(path, np.array([3, 1, 0]))
+    assert path[..., 0].tolist() == [[0, 1, 2], [3, 4, 2], [6, 4, 2], [9, 4, 2]]
+    path.flags.writeable = False
+    schemes._hold(path, np.full(3, 3))
+    assert schemes._first(np.zeros((0, 2), bool)).tolist() == [0, 0]
+    assert schemes._first(np.array([[0, 0, 1], [1, 0, 1]], bool)).tolist() == \
+        [1, 2, 0]
 
 
 def test_overflow_flags_only_magnitudes_past_the_cap():

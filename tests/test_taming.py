@@ -26,6 +26,18 @@ def test_tame_closed_form_value():
     assert tame(p, np.array([1.0]))[0] == pytest.approx(EXP_M1, rel=1e-15)
 
 
+def test_tame_takes_a_scalar_and_leaves_its_input():
+    # a scalar gives the scalar the one-element array gives, and an array
+    # input is not overwritten by the in-place evaluation
+    p = TamingParams(h=0.3, m=1)
+    x = np.array([0.5, -1.25, 40.0])
+    before = x.copy()
+    out = tame(p, x)
+    assert x.tobytes() == before.tobytes()
+    for v, t in zip(before, out):
+        assert tame(p, float(v)) == t and np.ndim(tame(p, float(v))) == 0
+
+
 def test_tame_odd_symmetry():
     rng = np.random.Generator(np.random.Philox(key=1))
     x = rng.standard_normal((1000, 3)) * 2.0
