@@ -107,31 +107,29 @@ def _coarsen_levels(fine: np.ndarray, counts: list[int],
 
 
 def _coupled_increments(fine: np.ndarray, Ns: list[int], n_fine: int,
-                        last: bool, held: dict, coarsen) -> dict:
-    """{N: increments} of each N that steps after this fine chunk, the
-    ``last`` or not: the finest N after every chunk, every other one once
-    ``held[N]`` = (steps, sums) holds _HOLD_STEPS steps, or at the horizon,
-    which saves the fixed cost of ``run_paths`` calls of a step or two.  A
-    step is the chunk's, from ``_coarsen_levels``, or, where it outlasts
-    the chunk, the sum of the chunk sums that cover it."""
+                        last: bool, carry: dict, held: dict, coarsen) -> dict:
+    """{N: increments} of each N that steps after the fine chunk, the
+    ``last`` or not.  N's whole steps in the chunk, from
+    ``_coarsen_levels``, join ``held[N]``; an N whose step outlasts the
+    chunk adds the chunk's sum to ``carry`` and holds their sum once they
+    cover it.  The finest N steps after every chunk, every other one once
+    it holds _HOLD_STEPS steps or at the horizon."""
     n = fine.shape[1]
     levels = _coarsen_levels(fine, [max(n * N // n_fine, 1) for N in Ns],
                              coarsen)
     dws = {}
     for N in Ns:
         stride = n_fine // N
-        steps, sums = held[N]
         if n % stride == 0:
-            steps.append(levels[n // stride])
+            held[N].append(levels[n // stride])
         else:
-            sums.append(levels[1])
-            if len(sums) * n >= stride:
-                steps.append(coarsen(np.concatenate(sums, axis=1), 1))
-                sums = []
-        if N == Ns[-1] or last or sum(s.shape[1] for s in steps) >= _HOLD_STEPS:
+            carry[N].append(levels[1])
+            if len(carry[N]) * n >= stride:
+                held[N].append(coarsen(np.concatenate(carry[N], axis=1), 1))
+                carry[N] = []
+        if N == Ns[-1] or last or sum(s.shape[1] for s in held[N]) >= _HOLD_STEPS:
+            steps, held[N] = held[N], []
             dws[N] = steps[0] if len(steps) == 1 else np.concatenate(steps, axis=1)
-            steps = []
-        held[N] = (steps, sums)
     return dws
 
 
@@ -142,19 +140,19 @@ def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
     run key = (scheme, N) steps, in the order of ``paths.runs`` within a
     chunk: the run as a BatchRuns whose first node repeats its last call's
     last, and the chunk's fine increments (unit normals under the prefix
-    rule) from fine step f0 on.  The reducer drops each step before it asks
-    for the next and returns one partial per segment, for ``_drive`` to
-    ``_add``: a per-path result is a one-element list, which the total
-    concatenates.
+    rule) from fine step f0 on.  Every chunk yields the finest run.  The
+    reducer drops each step before it asks for the next and returns one
+    partial per segment, for ``_drive`` to ``_add``: a per-path result is
+    a one-element list, which the total concatenates.
 
     The normals come chunk by chunk from one ``BlockStream`` of the n_fine
     grid: every run steps on from where it last ended and is cut back to
     its last node once the reducer has seen it, so a block holds the
-    stream's window, one chunk, one run's call of states and the coarser
-    coupled runs' held steps (``_coupled_increments``), not a horizon.  A
-    chunk is about _SLICE_STEPS steps of the finest run, which steps on
-    every chunk: the stride of a coupled run N is n_fine / N, and 1 under
-    the prefix rule, where every run steps on the chunk's own normals."""
+    stream's window, one chunk, one run's call of states and the steps
+    ``_coupled_increments`` holds, not a horizon.  A chunk is about
+    _SLICE_STEPS steps of the finest run: the stride of a coupled run N is
+    n_fine / N, and 1 under the prefix rule, where every run steps on the
+    chunk's own normals."""
     lo, B = segs[0][1], segs[-1][2] - segs[0][1]
     model, T, n_fine = paths.model, paths.T, paths.n_fine
     Ns = sorted({N for _, N in paths.runs})
@@ -165,14 +163,16 @@ def _block(paths: _Paths, reducer, coarsen, segs: list) -> list:
         runs = {key: BatchRuns.initial(GridSpec(T, key[1]), paths.x0, B,
                                        model.d) for key in paths.runs}
         stream = BlockStream(n_fine, model.m, paths.seed, lo, B)
-        held = {N: ([], []) for N in Ns}
+        carry = {N: [] for N in Ns}
+        held = {N: [] for N in Ns}
         for f0 in range(0, n_fine, chunk):
             fine = stream.draw(min(chunk, n_fine - f0))
             dws = None
             if paths.coupled:
                 fine *= math.sqrt(T / n_fine)
                 dws = _coupled_increments(fine, Ns, n_fine,
-                                          f0 + chunk >= n_fine, held, coarsen)
+                                          f0 + chunk >= n_fine, carry, held,
+                                          coarsen)
             for key, last in runs.items():  # paths.runs in order, each once
                 N = key[1]
                 if paths.coupled:

@@ -149,15 +149,12 @@ def _strong_error(scheme: SchemeKind, Ns: tuple[int, ...], r: float,
     ||Y^N - reference||^r at every node of N's grid, and its overflow
     count.  The reference is the run ``ref`` on the fine grid, which steps
     first in every chunk, or, without one, the exact solution on the fine
-    grid's Brownian path.  A coarser run steps every few chunks, so the
-    reference at its nodes in the chunks since its last call is kept,
-    copied out of each chunk, until the run arrives."""
+    grid's Brownian path.  A coarser run steps every few chunks, so each
+    chunk's reference at N's nodes is copied and kept until N's run
+    arrives."""
     sums = {N: np.empty((len(parts), N + 1)) for N in Ns}
     overflow, f_last = {}, None
-    strides = {N: paths.n_fine // N for N in Ns}
-    # per N: copies of the reference at its nodes in the chunks before the
-    # current one that its last run did not reach, and that run's end
-    held, ends = {N: [] for N in Ns}, dict.fromkeys(Ns, 0)
+    held = {N: [] for N in Ns}  # the reference at N's nodes since its last run
 
     def sum_nodes(N: int, node: int, diff: np.ndarray) -> None:
         dist_r = np.einsum("bkd,bkd->bk", diff, diff)
@@ -169,15 +166,8 @@ def _strong_error(scheme: SchemeKind, Ns: tuple[int, ...], r: float,
         for row, p in zip(sums[N], parts):
             row[nodes] = _row_sum(dist_r[p])
 
-    def chunk_nodes(N: int, f0: int) -> np.ndarray:
-        """The reference at N's nodes inside the chunk from fine step f0."""
-        return reference[:, strides[N] - f0 % strides[N]::strides[N]]
-
     for key, run, fine, f0 in steps:
         if f0 != f_last:  # the first run of a chunk: the reference's states
-            for N in Ns:
-                if ends[N] * strides[N] < f0:  # N did not step at the last chunk
-                    held[N].append(chunk_nodes(N, f_last).copy())
             f_last = f0
             if ref is None:
                 # W at the chunk's fine nodes, from the last chunk's last one
@@ -193,13 +183,15 @@ def _strong_error(scheme: SchemeKind, Ns: tuple[int, ...], r: float,
             if f0 == 0:  # node 0 of every N, stepped yet or not
                 for N in Ns:
                     sum_nodes(N, 0, paths.x0 - reference[:, :1])
+            for N in Ns:
+                s = paths.n_fine // N
+                held[N].append(reference[:, s - f0 % s::s].copy())
         if key[0] is scheme and key[1] in sums:
             # the first node is the previous run's last, already summed
             N = key[1]
-            nodes = np.concatenate(held[N] + [chunk_nodes(N, f0)], axis=1) \
-                if held[N] else chunk_nodes(N, f0)
-            sum_nodes(N, run.start + 1, run.states[:, 1:] - nodes)
-            held[N], ends[N] = [], run.end
+            sum_nodes(N, run.start + 1,
+                      run.states[:, 1:] - np.concatenate(held[N], axis=1))
+            held[N] = []
             overflow[N] = run.overflow
         del run, fine
     return [(p.stop - p.start, {N: (sums[N][j], int(overflow[N][p].sum()))

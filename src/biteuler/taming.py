@@ -50,9 +50,7 @@ def _quartic(x: np.ndarray, h: float) -> np.ndarray:
     # IEEE rounding, which keeps the maps below exactly odd/even in x
     # (numpy's pow is not bitwise symmetric in the sign of its base).
     x2 = x * x
-    x2 *= x2
-    x2 /= h
-    return x2
+    return x2 * x2 / h
 
 
 def tame(params: TamingParams, x: np.ndarray) -> np.ndarray:
@@ -65,13 +63,7 @@ def tame(params: TamingParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         u = _quartic(x, params.h)
-    if not isinstance(u, np.ndarray):  # x has no axes: u is a scalar
-        return x * np.exp(-u)
-    # in place, so that a call holds no array but x and its result
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    u *= x
-    return u
+    return x * np.exp(-u)
 
 
 def tame_jacobian_diag(params: TamingParams, x: np.ndarray) -> np.ndarray:
