@@ -86,6 +86,12 @@ class SdeModel:
     ``exact_solution(x0, t, W_t)`` returns the strong solution driven by the
     same Brownian path, when a closed form exists.  Callables must return
     finite values inside the model's admissible region.
+
+    ``additive_noise`` declares that sigma does not depend on the state:
+    the schemes then evaluate ``diffusion`` once per ``run_paths`` call, at
+    the call's first node, and use that sigma for every step.  Nothing
+    checks the declaration at run time, so a false one silently changes
+    results.
     """
 
     name: str
@@ -95,6 +101,7 @@ class SdeModel:
     diffusion: Callable[[np.ndarray], np.ndarray]
     exact_solution: Optional[Callable] = None
     lyapunov: Optional[LyapunovSpec] = None
+    additive_noise: bool = False
 
     def __post_init__(self):
         _check_count("d", self.d)

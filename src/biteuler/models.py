@@ -144,7 +144,7 @@ def model_ginzburg_landau(alpha: float = 1.0, beta: float = 1.0,
         eps, rho, c = tune_ginzburg_landau_spec(alpha, beta, sigma0)
     return SdeModel(name="ginzburg-landau", d=1, m=1, drift=drift,
                     diffusion=diffusion,
-                    lyapunov=_gl_lyapunov(eps, rho, c))
+                    lyapunov=_gl_lyapunov(eps, rho, c), additive_noise=True)
 
 
 def _vdp_lyapunov(eps: float, u0: float, rho: float, c: float,

@@ -54,20 +54,29 @@ def _norm(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...d,...d->...", y, y))
 
 
-def _update(model: SdeModel, y: np.ndarray, dw: np.ndarray,
-            h: float) -> np.ndarray:
-    """The Euler-type update mu(y)*h + sigma(y) @ dw of both schemes;
-    ``dw`` is the increment as the scheme uses it (already tamed for
-    STOPPED_BIT)."""
-    mu = model.drift(y)
-    sigma = model.diffusion(y)
+def _noise(sigma: np.ndarray, dw: np.ndarray, out=None) -> np.ndarray:
+    """The noise term sigma @ dw, with ``sigma`` (..., d, m) and ``dw``
+    (..., m) broadcast against each other; a one-noise product is written
+    into ``out`` when one is given."""
     if dw.shape[-1] == 1:
         # a one-term contraction is one product; + 0.0 turns a -0.0 product
         # into the +0.0 that einsum's zero-initialised sum returns
-        noise = sigma[..., 0] * dw + 0.0
-    else:
-        noise = np.einsum("...dm,...m->...d", sigma, dw)
-    return mu * h + noise
+        out = np.multiply(sigma[..., 0], dw, out=out)
+        out += 0.0
+        return out
+    return np.einsum("...dm,...m->...d", sigma, dw)
+
+
+def _update(model: SdeModel, y: np.ndarray, dw: np.ndarray,
+            h: float) -> np.ndarray:
+    """The Euler-type update mu(y)*h + sigma(y) @ dw of both schemes, in a
+    new array; ``dw`` is the increment as the scheme uses it (already tamed
+    for STOPPED_BIT).  For a model with additive noise ``dw`` is instead
+    the noise term sigma @ dw itself, which ``run_paths`` forms for a whole
+    call at once."""
+    upd = model.drift(y) * h
+    upd += dw if model.additive_noise else _noise(model.diffusion(y), dw)
+    return upd
 
 
 @dataclass(frozen=True)
@@ -131,6 +140,8 @@ def _check_finite(path: np.ndarray, gated: np.ndarray) -> None:
 
 def _first(mask: np.ndarray) -> np.ndarray:
     """Per column of the (n, B) ``mask``, the first row that is True, or n."""
+    if not mask.any():
+        return np.full(mask.shape[1], len(mask))
     return np.vstack([mask, np.ones((1, mask.shape[1]), bool)]).argmax(axis=0)
 
 
@@ -156,6 +167,9 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
     a few dozen steps over a long grid, as ``diagnostics._drive`` does.  A
     call steps every path ungated, with no scheme branch in its step loop,
     and then holds each path from the first node where its gate closed.
+    For a model that declares ``additive_noise`` a call evaluates sigma
+    once and forms all its noise terms sigma @ dW in one product, so its
+    step loop evaluates only the drift.
     An initial state must have model.d components, none NaN (an infinite
     one freezes a stopped tamed path at node 0); otherwise ValueError
     names ``x0``.
@@ -198,9 +212,14 @@ def run_paths(kind: SchemeKind, model: SdeModel, grid: GridSpec, x0,
         # the call.  Every path is stepped ungated and _hold then applies
         # the gate; the increments go first, to keep the call's peak low.
         inc = tame(TamingParams(h=h, m=m), dW) if stopped else dW
-        inc = np.ascontiguousarray(inc.transpose(1, 0, 2))
+        inc = inc.transpose(1, 0, 2).copy()  # the noise may overwrite it
         path = np.empty((n_steps + 1, B, model.d))
         path[0] = prev.states[:, -1]
+        if model.additive_noise:
+            # sigma is one value at every state: the call's noise terms in
+            # one product, over the increments where the shapes agree
+            inc = _noise(model.diffusion(path[0]), inc,
+                         out=inc if model.d == m == 1 else None)
         for j in range(n_steps):
             np.add(path[j], _update(model, path[j], inc[j], h), out=path[j + 1])
         del inc

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from biteuler import models
 from biteuler.brownian import generate_block
 from biteuler.core import GridSpec, LyapunovSpec
 from biteuler.models import (catalog, check_conditions, model_gbm,
@@ -319,3 +320,17 @@ def test_a_nan_margin_is_a_violation(name, radius):
     nan = [c for c in stats if math.isnan(c.worst_margin)]
     assert nan and all(c.n_violations > 0 for c in nan)
     assert not report.passed
+
+
+@pytest.mark.parametrize("name,additive", [("gbm", False),
+                                           ("ginzburg-landau", True),
+                                           ("vdp", False)])
+def test_additive_noise_is_declared_where_sigma_takes_one_value(name, additive):
+    # run_paths reads a declared model's sigma at one state per call, so a
+    # wrong declaration would silently change results
+    model = catalog()[name].model
+    pts = models._sample_ball(np.random.default_rng(0), 2000, model.d,
+                              models._RADIUS)
+    sigma = model.diffusion(pts)
+    assert bool((sigma == sigma[0]).all()) is additive
+    assert model.additive_noise is additive

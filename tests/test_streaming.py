@@ -543,9 +543,24 @@ def _mixed_noise() -> SdeModel:
                     diffusion=diffusion)
 
 
-# the catalog models, and one whose contraction is not one product
+def _additive(sigma) -> SdeModel:
+    """A declared-additive model with this constant (d, m) diffusion and a
+    cubic drift, so that its noise terms are formed once per call."""
+    sigma = np.array(sigma)
+    return SdeModel(name="additive", d=sigma.shape[0], m=sigma.shape[1],
+                    drift=lambda x: x - x**3,
+                    diffusion=lambda x: np.broadcast_to(
+                        sigma, np.shape(x)[:-1] + sigma.shape),
+                    additive_noise=True)
+
+
+# the catalog models, one whose contraction is not one product, and two
+# declared additive whose call-wide noise is not written over the increments
 KERNEL_MODELS = {**{n: e.model for n, e in catalog().items()},
-                 "mixed-noise": _mixed_noise()}
+                 "mixed-noise": _mixed_noise(),
+                 "additive-noise": _additive([[1.0, -0.3, 0.5],
+                                              [0.2, -1.0, 0.0]]),
+                 "additive-column": _additive([[0.7], [-1.3]])}
 
 
 @pytest.mark.parametrize("name,x0", [("ginzburg-landau", [5.0]),
@@ -554,7 +569,11 @@ KERNEL_MODELS = {**{n: e.model for n, e in catalog().items()},
                                      ("gbm", [-0.0])]
                          + [("ginzburg-landau", [v]) for v in EDGE_STARTS]
                          + [("vdp", [v, 0.0]) for v in EDGE_STARTS]
-                         + [("mixed-noise", [1.0, -0.5])])
+                         + [("mixed-noise", [1.0, -0.5]),
+                            ("additive-noise", [-0.0, -0.0]),
+                            ("additive-noise", [1.0, -0.5]),
+                            ("additive-column", [-0.0, 2.0])]
+                         + [("additive-noise", [v, 0.0]) for v in EDGE_STARTS])
 @pytest.mark.parametrize("kind", list(SchemeKind))
 # N / T = 40 on both grids, so the edge starts sit at each one's threshold;
 # off the unit horizon the step T / N is not 1 / N
@@ -571,6 +590,69 @@ def test_kernel_equals_step_by_step_reference(T, N, name, x0, kind):
     assert runs.states.tobytes() == states.tobytes()
     assert runs.tau_index.tolist() == tau.tolist()
     assert runs.overflow.tolist() == overflow.tolist()
+
+
+@pytest.mark.parametrize("name,calls", [("ginzburg-landau", 1), ("gbm", 32)])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("B", [1, 9])
+def test_additive_noise_evaluates_sigma_once_per_call(B, kind, name, calls):
+    # a declared-additive model's sigma is read at the call's first node
+    # only; a one-path call, whose time-major increments need no copy,
+    # still leaves the caller's read-only increments as they were
+    counted = collections.Counter()
+    model = catalog()[name].model
+    read = []
+
+    def diffusion(x):
+        counted["diffusion"] += 1
+        read.append(np.array(x))
+        return model.diffusion(x)
+
+    grid = GridSpec(1.0, 32)
+    dW = generate_block(1.0, 32, 1, seed=6, first_path=0, count=B)
+    dW.flags.writeable = False
+    runs = run_paths(kind, dataclasses.replace(model, diffusion=diffusion),
+                     grid, [1.0], dW)
+    assert counted["diffusion"] == calls
+    assert read[0].tolist() == [[1.0]] * B
+    assert runs.states.tobytes() == \
+        run_paths(kind, model, grid, [1.0], dW).states.tobytes()
+
+
+@pytest.mark.parametrize("name", ["ginzburg-landau", "gbm", "vdp",
+                                  "additive-noise"])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_each_step_reads_contiguous_rows(monkeypatch, kind, name):
+    # a call copies its increments time-major, so each step reads its
+    # state and its increments (or noise terms) as contiguous rows
+    model = KERNEL_MODELS[name]
+    step = schemes._update
+    contiguous = []
+
+    def update(model, y, dw, h):
+        contiguous.append(y.flags.c_contiguous and dw.flags.c_contiguous)
+        return step(model, y, dw, h)
+
+    monkeypatch.setattr(schemes, "_update", update)
+    dW = generate_block(1.0, 8, model.m, seed=2, first_path=0, count=5)
+    run_paths(kind, model, GridSpec(1.0, 8), np.full(model.d, 0.5), dW)
+    assert contiguous == [True] * 8
+
+
+def test_additive_noise_is_written_over_the_increments():
+    # with d = m = 1 a call's noise terms take the place of its time-major
+    # increments: an Euler-Maruyama call peaks at the increments, the
+    # nodes and the gate pass's temporaries, under one more array of the
+    # call's size (615 kB here; 870 kB with the noise in an array of its own)
+    gl = catalog()["ginzburg-landau"].model
+    dW = generate_block(1.0, 32, 1, seed=1, first_path=0, count=1000)
+    tracemalloc.start()
+    try:
+        run_paths(SchemeKind.EULER_MARUYAMA, gl, GridSpec(1.0, 32), [1.0], dW)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * dW.nbytes, peak
 
 
 def _run_bytes(runs) -> list:
@@ -599,7 +681,8 @@ def chained(kind, model, grid, x0, dW, cuts):
 CHAIN_CASES = [(catalog()["ginzburg-landau"].model, [5.0]),
                (catalog()["ginzburg-landau"].model, [20.0]),
                (catalog()["vdp"].model, [3.0, -2.0]),
-               (model_gbm(0.0, 1.0), [4.0])]
+               (model_gbm(0.0, 1.0), [4.0]),
+               (KERNEL_MODELS["additive-noise"], [1.0, -0.5])]
 
 
 @pytest.mark.parametrize("cuts", [(1, 8, 77, 149), tuple(range(3, 150, 3))],
@@ -727,6 +810,20 @@ def test_freeze_pass_writes_only_the_paths_it_holds():
     assert schemes._first(np.zeros((0, 2), bool)).tolist() == [0, 0]
     assert schemes._first(np.array([[0, 0, 1], [1, 0, 1]], bool)).tolist() == \
         [1, 2, 0]
+
+
+def test_first_of_a_mask_with_no_true_row_stacks_nothing():
+    # a call in which no gate closed answers n for every path without a
+    # stacked copy of its (n, B) mask
+    mask = np.zeros((512, 1000), bool)
+    tracemalloc.start()
+    try:
+        first = schemes._first(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.tolist() == [512] * 1000
+    assert peak < mask.nbytes / 4, peak
 
 
 def test_overflow_flags_only_magnitudes_past_the_cap():
