@@ -1,8 +1,11 @@
 """Re-derive the committed Lyapunov constants of the model zoo.
 
-The constants shipped in biteuler.models were produced by this script; run
-it after changing a model's default parameters and paste the printed values
-into the corresponding _*_DEFAULT_CONSTANTS tuple.  The sampled condition
+The constants shipped in biteuler.models were produced by this script:
+Ginzburg-Landau's _GL_EPS, _GL_RHO and _GL_C are its tuned values for
+dX = (X - X**3) dt + dW, rounded up, and _VDP_CONSTANTS are van der Pol's
+tuned values at sigma0 = 0.5 as printed; model_vdp tunes any other sigma0
+the same way when it builds the model.  Run it after changing a model and
+paste the printed values into those constants.  The sampled condition
 checker then has to pass with margin, which the final section verifies.
 """
 

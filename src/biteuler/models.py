@@ -1,10 +1,15 @@
 """Model zoo: drift/diffusion callables, closed forms, Lyapunov data.
 
-Lyapunov constants for the shipped entries were fixed numerically (see
+Every coefficient and Lyapunov callable is a module-level function, bound
+by ``functools.partial`` to the values that still vary (GBM's a and b,
+VdP's sigma0 with its tuned eps and u0), so every catalog model and its
+``LyapunovSpec`` pickle and can be sent to a worker process.
+
+The Lyapunov constants of the shipped entries were fixed numerically (see
 demos/tune_lyapunov_constants.py, which re-derives and prints them); the
 chosen values are committed below and verified by the sampled condition
-checker in the test suite.  Constructing a model with non-default
-parameters re-runs the same tuning at construction time.
+checker in the test suite.  A VdP model with a sigma0 other than the
+default re-runs the same tuning at construction time.
 
 The sampled checks (``check_conditions`` and the growth samples of
 ``diagnostics``) share one ball sampler, ``_sample_ball``, and one pair
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,62 +45,49 @@ __all__ = [
 # models
 
 
+def _zero_U_bar(x):
+    return np.zeros(np.shape(x)[:-1])
+
+
+def _gbm_drift(a, x):
+    return a * x
+
+
+def _gbm_diffusion(b, x):
+    x = np.asarray(x, dtype=float)
+    return b * x[..., :, None]
+
+
+def _gbm_exact(a, b, x0, t, w):
+    x0 = np.asarray(x0, dtype=float)
+    t = np.asarray(t, dtype=float)
+    w = np.asarray(w, dtype=float)
+    growth = (a - 0.5 * b * b) * t[..., None] + b * w
+    # a zero start stays put, also where exp overflows (0 * inf is NaN)
+    return x0 * (np.exp(growth) if x0.any() else np.ones_like(growth))
+
+
 def model_gbm(a: float, b: float) -> SdeModel:
     """Geometric Brownian motion dX = a X dt + b X dW (d = m = 1).
 
     Globally Lipschitz validation case with the closed form
     X_t = x0 * exp((a - b**2/2) t + b W_t).  Ships without Lyapunov data:
     under any quadratic U the squared-gradient generator term grows like
-    x**4, so no finite rho satisfies the generator inequality.
+    x**4, so no finite rho satisfies the generator inequality.  ValueError
+    names ``a`` or ``b`` unless it is finite.
     """
-
-    def drift(x):
-        return a * x
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        return b * x[..., :, None]
-
-    def exact(x0, t, w):
-        x0 = np.asarray(x0, dtype=float)
-        t = np.asarray(t, dtype=float)
-        w = np.asarray(w, dtype=float)
-        growth = (a - 0.5 * b * b) * t[..., None] + b * w
-        # a zero start stays put, also where exp overflows (0 * inf is NaN)
-        return x0 * (np.exp(growth) if x0.any() else np.ones_like(growth))
-
-    return SdeModel(name="gbm", d=1, m=1, drift=drift, diffusion=diffusion,
-                    exact_solution=exact)
-
-
-def _gl_lyapunov(eps: float, rho: float, c: float) -> LyapunovSpec:
-    # U(x) = eps*(||x||^2 + 1).  The +1 makes U(0) > 0, which is what lets
-    # the Ito correction eps*sigma0^2 at the origin sit below rho*U(0).
-    def U(x):
-        x = np.asarray(x, dtype=float)
-        return eps * (np.sum(x * x, axis=-1) + 1.0)
-
-    def grad_U(x):
-        return 2.0 * eps * np.asarray(x, dtype=float)
-
-    def hess_U(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (1, 1))
-        out[..., 0, 0] = 2.0 * eps
-        return out
-
-    def U_bar(x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1])
-
-    return LyapunovSpec(U=U, grad_U=grad_U, hess_U=hess_U, U_bar=U_bar,
-                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf)
+    for name, value in (("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return SdeModel(name="gbm", d=1, m=1, drift=partial(_gbm_drift, a),
+                    diffusion=partial(_gbm_diffusion, b),
+                    exact_solution=partial(_gbm_exact, a, b))
 
 
 def tune_ginzburg_landau_spec(alpha: float, beta: float,
                               sigma0: float) -> tuple[float, float, float]:
-    """Pick (eps, rho, c) for the cubic-drift model so the sampled checker
-    passes with margin at T = 1.
+    """Pick (eps, rho, c) for dX = (alpha X - beta X**3) dt + sigma0 dW so
+    the sampled checker passes with margin at T = 1.
 
     eps keeps the x**2 v**2-free quartic term dominant; rho is 1.15 times
     the exact supremum of the generator quotient (a 1-d scan in u = x**2);
@@ -112,69 +105,46 @@ def tune_ginzburg_landau_spec(alpha: float, beta: float,
     return eps, rho, c
 
 
-# Committed constants for the default parameterization (alpha=beta=sigma0=1,
-# T=1), reproduced by demos/tune_lyapunov_constants.py.
-_GL_DEFAULT = (1.0, 1.0, 1.0)
-_GL_DEFAULT_CONSTANTS = (0.25, 1.5, 1.5)  # eps, rho, c
+# eps, rho, c at T = 1: demos/tune_lyapunov_constants.py's values, rounded up
+_GL_EPS, _GL_RHO, _GL_C = 0.25, 1.5, 1.5
 
 
-def model_ginzburg_landau(alpha: float = 1.0, beta: float = 1.0,
-                          sigma0: float = 1.0) -> SdeModel:
-    """Cubic-drift testbed dX = (alpha X - beta X**3) dt + sigma0 dW.
+def _gl_drift(x):
+    return x - x**3
 
-    One-dimensional superlinear-drift model with additive noise; the drift
-    is one-sided Lipschitz (<x-y, mu(x)-mu(y)> <= alpha |x-y|**2).  Ships
+
+def _gl_diffusion(x):
+    return np.ones(np.shape(x)[:-1] + (1, 1))
+
+
+# U(x) = eps*(||x||^2 + 1).  The +1 makes U(0) > 0, which is what lets the
+# Ito correction eps*sigma^2 = eps at the origin sit below rho*U(0).
+def _gl_U(x):
+    x = np.asarray(x, dtype=float)
+    return _GL_EPS * (np.sum(x * x, axis=-1) + 1.0)
+
+
+def _gl_grad_U(x):
+    return 2.0 * _GL_EPS * np.asarray(x, dtype=float)
+
+
+def _gl_hess_U(x):
+    return np.full(np.shape(x)[:-1] + (1, 1), 2.0 * _GL_EPS)
+
+
+def model_ginzburg_landau() -> SdeModel:
+    """Cubic-drift testbed dX = (X - X**3) dt + dW.
+
+    One-dimensional superlinear-drift model with additive unit noise; the
+    drift is one-sided Lipschitz (<x-y, mu(x)-mu(y)> <= |x-y|**2).  Ships
     with U(x) = eps*(x**2 + 1), U_bar = 0 and checker-verified constants.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-
-    def drift(x):
-        return alpha * x - beta * x**3
-
-    def diffusion(x):
-        x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape[:-1] + (1, 1))
-        out[..., 0, 0] = sigma0
-        return out
-
-    if (alpha, beta, sigma0) == _GL_DEFAULT:
-        eps, rho, c = _GL_DEFAULT_CONSTANTS
-    else:
-        eps, rho, c = tune_ginzburg_landau_spec(alpha, beta, sigma0)
-    return SdeModel(name="ginzburg-landau", d=1, m=1, drift=drift,
-                    diffusion=diffusion,
-                    lyapunov=_gl_lyapunov(eps, rho, c), additive_noise=True)
-
-
-def _vdp_lyapunov(eps: float, u0: float, rho: float, c: float,
-                  b: float = 1.0) -> LyapunovSpec:
-    # U(x, v) = eps*(b x^4/2 + v^2 + u0): the energy-style pairing cancels
-    # the conservative part of the drift, leaving damping plus bounded terms.
-    def U(z):
-        z = np.asarray(z, dtype=float)
-        x, v = z[..., 0], z[..., 1]
-        return eps * (0.5 * b * x**4 + v**2 + u0)
-
-    def grad_U(z):
-        z = np.asarray(z, dtype=float)
-        x, v = z[..., 0], z[..., 1]
-        return eps * np.stack([2.0 * b * x**3, 2.0 * v], axis=-1)
-
-    def hess_U(z):
-        z = np.asarray(z, dtype=float)
-        x = z[..., 0]
-        out = np.zeros(z.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 6.0 * eps * b * x**2
-        out[..., 1, 1] = 2.0 * eps
-        return out
-
-    def U_bar(z):
-        z = np.asarray(z, dtype=float)
-        return np.zeros(z.shape[:-1])
-
-    return LyapunovSpec(U=U, grad_U=grad_U, hess_U=hess_U, U_bar=U_bar,
-                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf)
+    spec = LyapunovSpec(U=_gl_U, grad_U=_gl_grad_U, hess_U=_gl_hess_U,
+                        U_bar=_zero_U_bar, rho=_GL_RHO, c=_GL_C, p=4,
+                        q0=4.0, q1=math.inf)
+    return SdeModel(name="ginzburg-landau", d=1, m=1, drift=_gl_drift,
+                    diffusion=_gl_diffusion, lyapunov=spec,
+                    additive_noise=True)
 
 
 _RADIUS = 10.0  # of the ball the conditions are tuned and sampled in
@@ -183,7 +153,8 @@ _VDP_TUNE_POINTS = 401  # grid points per axis of tune_vdp_spec's scan
 
 def tune_vdp_spec(a: float, b: float, c_damp: float,
                   sigma0: float) -> tuple[float, float, float, float]:
-    """Pick (eps, u0, rho, c) for the oscillator at T = 1.
+    """Pick (eps, u0, rho, c) for the oscillator with drift
+    (v, a v - b x**3 - c_damp x**2 v) and diffusion (0, sigma0 x) at T = 1.
 
     rho covers the closed-form supremum of the generator quotient.  c must
     dominate the local-monotonicity quotient minus its Lyapunov slack over
@@ -216,38 +187,65 @@ def tune_vdp_spec(a: float, b: float, c_damp: float,
     return eps, u0, rho, c
 
 
-_VDP_DEFAULT = (1.0, 1.0, 1.0, 0.5)
-_VDP_DEFAULT_CONSTANTS = (0.5, 0.5, 2.3, 103.54939027496211)  # eps, u0, rho, c
+# eps, u0, rho, c at sigma0 = 0.5, printed by demos/tune_lyapunov_constants.py
+_VDP_CONSTANTS = (0.5, 0.5, 2.3, 103.54939027496211)
 
 
-def model_vdp(a: float = 1.0, b: float = 1.0, c_damp: float = 1.0,
-              sigma0: float = 0.5) -> SdeModel:
+def _vdp_drift(z):
+    z = np.asarray(z, dtype=float)
+    x, v = z[..., 0], z[..., 1]
+    return np.stack([v, v - x**3 - x**2 * v], axis=-1)
+
+
+def _vdp_diffusion(sigma0, z):
+    z = np.asarray(z, dtype=float)
+    out = np.zeros(z.shape[:-1] + (2, 1))
+    out[..., 1, 0] = sigma0 * z[..., 0]
+    return out
+
+
+# U(x, v) = eps*(x^4/2 + v^2 + u0): the energy-style pairing cancels the
+# conservative part of the drift, leaving damping plus bounded terms.
+def _vdp_U(eps, u0, z):
+    z = np.asarray(z, dtype=float)
+    x, v = z[..., 0], z[..., 1]
+    return eps * (0.5 * x**4 + v**2 + u0)
+
+
+def _vdp_grad_U(eps, z):
+    z = np.asarray(z, dtype=float)
+    x, v = z[..., 0], z[..., 1]
+    return eps * np.stack([2.0 * x**3, 2.0 * v], axis=-1)
+
+
+def _vdp_hess_U(eps, z):
+    z = np.asarray(z, dtype=float)
+    out = np.zeros(z.shape[:-1] + (2, 2))
+    out[..., 0, 0] = 6.0 * eps * z[..., 0]**2
+    out[..., 1, 1] = 2.0 * eps
+    return out
+
+
+def model_vdp(sigma0: float = 0.5) -> SdeModel:
     """Stochastic Duffing-van der Pol oscillator, state (x, v), m = 1.
 
-    drift(x, v) = (v, a v - b x**3 - c_damp x**2 v) and
-    diffusion(x, v) = (0, sigma0 x); the committed constants are for b = 1,
-    matching the canonical cubic restoring force.
+    drift(x, v) = (v, v - x**3 - x**2 v) and diffusion(x, v) =
+    (0, sigma0 x).  The Lyapunov constants are committed for sigma0 = 0.5
+    and tuned by ``tune_vdp_spec(1, 1, 1, sigma0)`` for any other value.
+    ValueError names ``sigma0`` unless it is finite and >= 0.
     """
-    if sigma0 < 0:
-        raise ValueError("sigma0 must be nonnegative")
-
-    def drift(z):
-        z = np.asarray(z, dtype=float)
-        x, v = z[..., 0], z[..., 1]
-        return np.stack([v, a * v - b * x**3 - c_damp * x**2 * v], axis=-1)
-
-    def diffusion(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape[:-1] + (2, 1))
-        out[..., 1, 0] = sigma0 * z[..., 0]
-        return out
-
-    if (a, b, c_damp, sigma0) == _VDP_DEFAULT:
-        eps, u0, rho, c = _VDP_DEFAULT_CONSTANTS
+    if not 0 <= sigma0 < math.inf:
+        raise ValueError(f"sigma0 must be >= 0 and finite, got {sigma0}")
+    if sigma0 == 0.5:
+        eps, u0, rho, c = _VDP_CONSTANTS
     else:
-        eps, u0, rho, c = tune_vdp_spec(a, b, c_damp, sigma0)
-    return SdeModel(name="vdp", d=2, m=1, drift=drift, diffusion=diffusion,
-                    lyapunov=_vdp_lyapunov(eps, u0, rho, c, b=b))
+        eps, u0, rho, c = tune_vdp_spec(1.0, 1.0, 1.0, sigma0)
+    spec = LyapunovSpec(U=partial(_vdp_U, eps, u0),
+                        grad_U=partial(_vdp_grad_U, eps),
+                        hess_U=partial(_vdp_hess_U, eps), U_bar=_zero_U_bar,
+                        rho=rho, c=c, p=4, q0=4.0, q1=math.inf)
+    return SdeModel(name="vdp", d=2, m=1, drift=_vdp_drift,
+                    diffusion=partial(_vdp_diffusion, sigma0), lyapunov=spec)
 
 
 # ---------------------------------------------------------------------------

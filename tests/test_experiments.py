@@ -3,6 +3,7 @@ import math
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -157,6 +158,48 @@ def test_gbm_euler_errors_decrease_classically():
     assert 0.4 < fit.slope < 0.6  # classical strong rate 1/2
 
 
+def _gbm_exact_errors(a: float, b: float, T: float, N: int) -> list:
+    """The L2 error at every node k of N's grid of the stopped tamed scheme
+    on GBM from x0 = 1, as long as no path stops.  The solution and the
+    scheme are products of i.i.d. one-step factors driven by the same
+    increment dW ~ N(0, h): G = exp((a - b^2/2) h + b dW) and
+    F = 1 + a h + b dW exp(-dW^4/h), so E|X_k - Y_k|^2 =
+    E[G^2]^k - 2 E[GF]^k + E[F^2]^k, each mean a Gaussian integral."""
+    with mpmath.workdps(30):
+        a, b, h = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(T) / N
+
+        def mean(f):  # E f(sqrt(h) Z), Z ~ N(0, 1)
+            return mpmath.quad(
+                lambda z: f(mpmath.sqrt(h) * z) * mpmath.exp(-z * z / 2),
+                [-mpmath.inf, 0, mpmath.inf]) / mpmath.sqrt(2 * mpmath.pi)
+
+        def F(w):
+            return 1 + a * h + b * w * mpmath.exp(-w**4 / h)
+
+        g2 = mpmath.exp((2 * a + b * b) * h)
+        gf = mean(lambda w: mpmath.exp((a - b * b / 2) * h + b * w) * F(w))
+        f2 = mean(lambda w: F(w) ** 2)
+        return [float(mpmath.sqrt(g2**k - 2 * gf**k + f2**k))
+                for k in range(N + 1)]
+
+
+def test_strong_error_on_gbm_lies_within_its_stderr_of_the_exact_errors():
+    # criterion 1's study (the catalog's GBM, a = 0.05 and b = 0.2, x0 = 1,
+    # the exact reference) against the errors it estimates, in closed form
+    Ns, M, seed = (16, 64, 256), 4000, 42
+    table = strong_error(ConvergenceConfig(
+        model="gbm", scheme=SchemeKind.STOPPED_BIT, Ns=Ns, M=M, seed=seed))
+    # the product form holds only while the stopping gate stays shut
+    runs = tuple((SchemeKind.STOPPED_BIT, N) for N in Ns)
+    paths = diagnostics._Paths(catalog()["gbm"].model, np.ones(1), 1.0, seed,
+                               runs, max(Ns))
+    for key, (_, tau, overflow) in diagnostics._finals(paths, M).items():
+        assert (tau == key[1]).all() and not overflow.any()
+    for row in table.rows:
+        exact = max(_gbm_exact_errors(0.05, 0.2, 1.0, row.N))
+        assert abs(row.sup_error - exact) < 4.0 * row.std_error, (row.N, exact)
+
+
 def test_gbm_from_zero_has_zero_error_when_the_exponential_overflows():
     # every state of the run is the solution, 0; the closed form's
     # 0 * exp(...) was 0 * inf = NaN, which the error sums capped at 1e300
@@ -260,7 +303,9 @@ def test_divergence_contrast_on_superlinear_model():
 
 def test_divergence_control_row_stable_ode():
     # sigma = 0, x0 in the basin of attraction: Euler is stable too
-    gl = model_ginzburg_landau(sigma0=0.0)
+    gl = dataclasses.replace(
+        model_ginzburg_landau(),
+        diffusion=lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)))
     report = divergence_comparison(gl, (16, 64), 50, [0.5], seed=1)
     for n in (16, 64):
         assert report.row(SchemeKind.EULER_MARUYAMA, n).explode_fraction == 0.0

@@ -195,12 +195,6 @@ ROOT = PACKAGE.parents[1]
 UNPASSED_KEPT = {
     "diagnostics.StoppingReport.bound": "perfbench digests (ROADMAP item 0)",
     "diagnostics.StoppingReport.C1": "perfbench digests (ROADMAP item 0)",
-    "models.model_ginzburg_landau.alpha": "ROADMAP item 12: model parameters",
-    "models.model_ginzburg_landau.beta": "ROADMAP item 12: model parameters",
-    "models.model_ginzburg_landau.sigma0": "ROADMAP item 12: model parameters",
-    "models.model_vdp.a": "ROADMAP item 12: model parameters",
-    "models.model_vdp.b": "ROADMAP item 12: model parameters",
-    "models.model_vdp.c_damp": "ROADMAP item 12: model parameters",
     "models.model_vdp.sigma0": "ROADMAP item 12: VdP at sigma0 = 3",
 }
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from biteuler import models
 from biteuler.brownian import generate_block
-from biteuler.core import GridSpec, LyapunovSpec
+from biteuler.core import GridSpec, LyapunovSpec, SdeModel
 from biteuler.models import (catalog, check_conditions, model_gbm,
                              model_ginzburg_landau, model_vdp,
                              tune_ginzburg_landau_spec, tune_vdp_spec)
@@ -42,6 +43,15 @@ def test_gbm_exact_solution_overflows_from_a_nonzero_start():
     assert out.tolist() == [[1e-300], [math.inf]]
 
 
+def test_gbm_exact_solution_takes_a_scalar_time():
+    gbm = catalog()["gbm"].model
+    w = np.array([[0.3]])
+    at = gbm.exact_solution(np.array([2.0]), 0.5, w)
+    assert at.tobytes() == gbm.exact_solution(np.array([2.0]), np.array(0.5),
+                                              w).tobytes()
+    assert at[0, 0] == pytest.approx(2.0 * math.exp(0.03 * 0.5 + 0.2 * 0.3))
+
+
 def test_gbm_exact_solution_vs_euler_fine_grid():
     # fine-grid scheme as oracle for the closed form
     gbm = model_gbm(a=0.05, b=0.2)
@@ -72,7 +82,7 @@ def test_exact_solution_vs_stopped_bit_fine_grid():
 
 
 def test_ginzburg_landau_drift_shape():
-    gl = model_ginzburg_landau(alpha=1.0, beta=1.0, sigma0=1.0)
+    gl = model_ginzburg_landau()
     assert gl.drift(np.array([0.0]))[0] == 0.0
     assert gl.drift(np.array([2.0]))[0] == pytest.approx(2.0 - 8.0)
     assert gl.diffusion(np.array([3.0]))[0, 0] == 1.0
@@ -115,7 +125,7 @@ def test_vdp_drift_values():
 
 
 def test_vdp_origin_is_fixed_point_without_noise():
-    vdp = model_vdp(a=1.0, b=1.0, c_damp=1.0, sigma0=0.0)
+    vdp = model_vdp(sigma0=0.0)
     grid = GridSpec(T=1.0, N=64)
     dw = generate_block(1.0, 64, 1, 3, 0, 4)
     runs = run_paths(SchemeKind.STOPPED_BIT, vdp, grid, [0.0, 0.0], dw)
@@ -131,8 +141,6 @@ def test_shipped_lyapunov_specs_pass_checker():
 
 
 def test_checker_trivial_model_no_violations():
-    from biteuler.core import SdeModel
-
     zero = SdeModel(
         name="zero", d=1, m=1,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -202,17 +210,31 @@ def test_holder_triple_of_shipped_specs():
 
 
 def test_tuned_constants_for_nondefault_parameters():
-    gl = model_ginzburg_landau(alpha=0.5, beta=2.0, sigma0=0.7)
-    report = check_conditions(gl, gl.lyapunov, 1.0, 10.0, 5000, seed=5)
-    assert report.passed
-    vdp = model_vdp(a=0.5, b=1.0, c_damp=2.0, sigma0=0.3)
+    vdp = model_vdp(sigma0=0.3)
     report = check_conditions(vdp, vdp.lyapunov, 1.0, 10.0, 5000, seed=5)
     assert report.passed
 
 
-def test_beta_must_be_positive():
-    with pytest.raises(ValueError):
-        model_ginzburg_landau(beta=0.0)
+def test_vdp_off_the_default_sigma0_is_built_from_its_tuned_constants():
+    # at sigma0 = 3 eps = 1/18 differs from u0 = 1/2 and from sigma0, which
+    # at sigma0 <= 1 all coincide with 0.5 and could not tell each other apart
+    vdp = model_vdp(sigma0=3.0)
+    eps, u0, rho, c = tune_vdp_spec(1.0, 1.0, 1.0, 3.0)
+    spec = vdp.lyapunov
+    assert (spec.rho, spec.c) == (rho, c) and eps != u0
+    z = np.array([[1.5, -2.0], [0.0, 0.5]])
+    x, v = z[:, 0], z[:, 1]
+    np.testing.assert_allclose(spec.U(z), eps * (0.5 * x**4 + v**2 + u0),
+                               rtol=1e-15)
+    np.testing.assert_allclose(spec.grad_U(z),
+                               eps * np.stack([2 * x**3, 2 * v], axis=-1),
+                               rtol=1e-15)
+    np.testing.assert_allclose(spec.hess_U(z)[:, 0, 0], 6 * eps * x**2,
+                               rtol=1e-15)
+    assert spec.hess_U(z)[:, 1, 1].tolist() == [2 * eps] * 2
+    assert vdp.diffusion(z)[:, 1, 0].tolist() == (3.0 * x).tolist()
+    report = check_conditions(vdp, spec, 1.0, 10.0, 5000, seed=5)
+    assert report.passed
 
 
 @pytest.mark.parametrize("build,args,message", [
@@ -220,11 +242,17 @@ def test_beta_must_be_positive():
     (tune_vdp_spec, (1.0, 1.0, 0.0, 0.5),
      "c_damp must be positive for dissipation"),
     (tune_vdp_spec, (1.0, 0.0, 1.0, 0.5), "b must be positive"),
-    # a non-default model is tuned, so the tuner's check is the model's
-    (model_vdp, (1.0, 1.0, -1.0, 0.5), "c_damp must be positive for dissipation"),
-    (model_vdp, (1.0, 1.0, 1.0, -0.5), "sigma0 must be nonnegative")],
-    ids=("gl-tune-beta", "vdp-tune-c_damp", "vdp-tune-b", "vdp-c_damp",
-         "vdp-sigma0"))
+    (model_vdp, (-0.5,), "sigma0 must be >= 0 and finite, got -0.5"),
+    # NaN used to reach the tuner and fail as "c must be ...", inf as "rho"
+    (model_vdp, (math.nan,), "sigma0 must be >= 0 and finite, got nan"),
+    (model_vdp, (math.inf,), "sigma0 must be >= 0 and finite, got inf"),
+    # a non-finite GBM coefficient used to build a model of NaN paths
+    (model_gbm, (math.nan, 0.2), "a must be finite, got nan"),
+    (model_gbm, (0.05, math.inf), "b must be finite, got inf"),
+    (model_gbm, (0.05, -math.inf), "b must be finite, got -inf")],
+    ids=("gl-tune-beta", "vdp-tune-c_damp", "vdp-tune-b", "vdp-sigma0",
+         "vdp-sigma0-nan", "vdp-sigma0-inf", "gbm-a-nan", "gbm-b-inf",
+         "gbm-b-minus-inf"))
 def test_tuners_and_models_reject_parameters_out_of_range(build, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(*args)
@@ -240,16 +268,70 @@ def _bar_only_spec(q1: float) -> LyapunovSpec:
         rho=0.5, c=4.0, p=4, q0=4.0, q1=q1)
 
 
-def test_a_finite_q1_lowers_every_monotonicity_margin_by_its_slack():
-    # (|U_bar(x)| + |U_bar(y)|) / (q1 * 2 e^{rho T}) = 1 / (2 e^{0.5}) at
-    # q1 = 2 and T = 1, the same at every pair; the shipped specs all have
-    # q1 = inf, which adds nothing
+@pytest.mark.parametrize("T", (1.0, 2.0))
+def test_a_finite_q1_lowers_every_monotonicity_margin_by_its_slack(T):
+    # (|U_bar(x)| + |U_bar(y)|) / (q1 * 2 e^{rho T}) = 1 / (2 e^{0.5 T}) at
+    # q1 = 2, the same at every pair; the shipped specs all have q1 = inf,
+    # which adds nothing
     gl = catalog()["ginzburg-landau"].model
-    free = check_conditions(gl, _bar_only_spec(math.inf), 1.0, 10.0, 2000, seed=1)
-    held = check_conditions(gl, _bar_only_spec(2.0), 1.0, 10.0, 2000, seed=1)
+    free = check_conditions(gl, _bar_only_spec(math.inf), T, 10.0, 2000, seed=1)
+    held = check_conditions(gl, _bar_only_spec(2.0), T, 10.0, 2000, seed=1)
     assert (held.generator, held.coercivity) == (free.generator, free.coercivity)
     assert held.monotonicity.worst_margin == pytest.approx(
-        free.monotonicity.worst_margin - 0.5 * math.exp(-0.5), rel=1e-12)
+        free.monotonicity.worst_margin - 0.5 * math.exp(-0.5 * T), rel=1e-12)
+
+
+def _constant_u_spec(u: float, q0: float) -> LyapunovSpec:
+    """U = u and U_bar = 0: the monotonicity slack is the q0 term alone."""
+    return LyapunovSpec(
+        U=lambda x: np.full(np.asarray(x).shape[:-1], u),
+        grad_U=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        hess_U=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)),
+        U_bar=lambda x: np.zeros(np.asarray(x).shape[:-1]),
+        rho=0.5, c=4.0, p=4, q0=q0, q1=math.inf)
+
+
+@pytest.mark.parametrize("T", (1.0, 2.0))
+def test_a_finite_q0_lowers_every_monotonicity_margin_by_its_slack(T):
+    # (|U(x)| + |U(y)|) / (q0 T 2 e^{rho T}) = 1 / (T e^{0.5 T}) at U = 2
+    # and q0 = 2, the same at every pair
+    gl = catalog()["ginzburg-landau"].model
+    free = check_conditions(gl, _constant_u_spec(2.0, math.inf), T, 10.0, 2000,
+                            seed=1)
+    held = check_conditions(gl, _constant_u_spec(2.0, 2.0), T, 10.0, 2000,
+                            seed=1)
+    assert held.monotonicity.worst_margin == pytest.approx(
+        free.monotonicity.worst_margin - 1.0 / (T * math.exp(0.5 * T)),
+        rel=1e-12)
+
+
+def test_coercivity_holds_against_the_size_of_u():
+    # (1/c)||x||^(1/c) <= 1 + |U(x)|: a negative U bounds as its size does
+    gl = catalog()["ginzburg-landau"].model
+    up, down = (check_conditions(gl, _constant_u_spec(u, 4.0), 1.0, 10.0, 400)
+                for u in (5.0, -5.0))
+    assert down.coercivity == up.coercivity
+    assert up.coercivity.n_violations == 0
+
+
+def test_generator_lhs_adds_u_bar():
+    # every term but U_bar is zero for a zero model and a zero U
+    zero = SdeModel(
+        name="zero", d=1, m=1,
+        drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        diffusion=lambda x: np.zeros(np.asarray(x).shape[:-1] + (1, 1)))
+    x = np.array([[0.5], [-3.0]])
+    assert models._generator_lhs(zero, _bar_only_spec(2.0), x).tolist() == [1.0, 1.0]
+
+
+def test_pair_gaps_drop_coincident_pairs():
+    # a coincident pair has no quotient: 0/0 would count as a violation
+    gl = catalog()["ginzburg-landau"].model
+    x = np.array([[1.0], [2.0], [-3.0]])
+    y = np.array([[1.0], [0.0], [-3.0]])
+    xs, ys, dz, dmu, dsig = models._pair_gaps(gl, x, y)
+    assert (xs.tolist(), ys.tolist(), dz.tolist()) == ([[2.0]], [[0.0]], [[2.0]])
+    assert dmu.tolist() == [[-6.0]] and dsig.tolist() == [[[0.0]]]
 
 
 # the reports at both ends of the seed range and between, as they were when
@@ -334,3 +416,59 @@ def test_additive_noise_is_declared_where_sigma_takes_one_value(name, additive):
     sigma = model.diffusion(pts)
     assert bool((sigma == sigma[0]).all()) is additive
     assert model.additive_noise is additive
+
+
+def _callables(model) -> dict:
+    """Every callable of a model and of its Lyapunov data, by name."""
+    spec = model.lyapunov
+    named = {"drift": model.drift, "diffusion": model.diffusion,
+             "exact_solution": model.exact_solution}
+    if spec is not None:
+        named.update(U=spec.U, grad_U=spec.grad_U, hess_U=spec.hess_U,
+                     U_bar=spec.U_bar)
+    return {k: f for k, f in named.items() if f is not None}
+
+
+PICKLED_MODELS = {"gbm": lambda: catalog()["gbm"].model,
+                  "ginzburg-landau": lambda: catalog()["ginzburg-landau"].model,
+                  "vdp": lambda: catalog()["vdp"].model,
+                  "gbm-0.3-0.1": lambda: model_gbm(0.3, 0.1),
+                  "vdp-sigma0-0.3": lambda: model_vdp(sigma0=0.3)}
+
+
+@pytest.mark.parametrize("name", PICKLED_MODELS)
+def test_models_and_their_specs_round_trip_through_pickle(name):
+    # a worker process receives the model pickled: every callable is a
+    # module-level function or a partial of one, which pickles by name
+    model = PICKLED_MODELS[name]()
+    back = pickle.loads(pickle.dumps(model))
+    assert pickle.dumps(back) == pickle.dumps(model)
+    assert (back.name, back.d, back.m, back.additive_noise) == \
+        (model.name, model.d, model.m, model.additive_noise)
+    if model.lyapunov is not None:
+        spec = pickle.loads(pickle.dumps(model.lyapunov))
+        assert pickle.dumps(spec) == pickle.dumps(model.lyapunov)
+        constants = ("rho", "c", "p", "q0", "q1")
+        assert [getattr(spec, k) for k in constants] == \
+            [getattr(model.lyapunov, k) for k in constants]
+    pts = models._sample_ball(np.random.default_rng(1), 500, model.d, 10.0)
+    for key, fn in _callables(model).items():
+        again = _callables(back)[key]
+        if key == "exact_solution":
+            t, w = np.array([0.0, 0.5]), np.stack([pts, 2.0 * pts], axis=1)
+            assert again(np.ones(1), t, w).tobytes() == fn(np.ones(1), t, w).tobytes()
+        else:
+            assert again(pts).tobytes() == fn(pts).tobytes(), key
+
+
+@pytest.mark.parametrize("name", ("gbm", "ginzburg-landau", "vdp"))
+def test_run_paths_on_an_unpickled_model_gives_the_same_bits(name):
+    entry = catalog()[name]
+    back = pickle.loads(pickle.dumps(entry.model))
+    dw = generate_block(1.0, 64, 1, 9, 0, 50)
+    for kind in SchemeKind:
+        runs = [run_paths(kind, m, GridSpec(1.0, 64), entry.default_x0 * 3.0, dw)
+                for m in (entry.model, back)]
+        assert runs[0].states.tobytes() == runs[1].states.tobytes()
+        assert runs[0].tau_index.tolist() == runs[1].tau_index.tolist()
+        assert runs[0].overflow.tolist() == runs[1].overflow.tolist()

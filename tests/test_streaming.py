@@ -17,9 +17,11 @@ import gc
 import hashlib
 import json
 import math
+import multiprocessing
 import pickle
 import tracemalloc
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -208,16 +210,13 @@ def test_streamed_divergence_equals_whole_horizon_oracle(threads):
     assert [row.overflow_fraction > 0 for row in em] == [True, True, False]
 
 
-# a spec of module-level callables, which pickle: the shipped models' are
-# closures, which do not, and a reducer is pickled with what it binds
-_PICKLED_SPEC = core.LyapunovSpec(U=np.sum, grad_U=np.sign, hess_U=np.sign,
-                                  U_bar=np.sum, rho=0.0, c=1.0, p=4,
-                                  q0=math.inf, q1=math.inf)
+# a reducer is pickled with what it binds, here the shipped GL spec
+_GL_SPEC = catalog()["ginzburg-landau"].model.lyapunov
 
 # every reducer the estimators hand the block driver, bound as they bind it
 REDUCERS = [
     diagnostics._last_nodes,
-    functools.partial(diagnostics._functional, _PICKLED_SPEC),
+    functools.partial(diagnostics._functional, _GL_SPEC),
     functools.partial(experiments._strong_error, SchemeKind.STOPPED_BIT, (4, 8),
                       3.0, (SchemeKind.EULER_MARUYAMA, 64)),
     experiments._divergence]
@@ -231,7 +230,7 @@ def _binding(reducer) -> tuple:
 
 def _reducer_id(reducer) -> str:
     func, args, _ = _binding(reducer)
-    return func.__name__ + repr(tuple("spec" if a is _PICKLED_SPEC else a
+    return func.__name__ + repr(tuple("spec" if a is _GL_SPEC else a
                                       for a in args))
 
 
@@ -240,6 +239,51 @@ def test_reducers_round_trip_through_pickle(reducer):
     # a worker process receives its reducer pickled, which takes a
     # module-level function
     assert _binding(pickle.loads(pickle.dumps(reducer))) == _binding(reducer)
+
+
+def _bits(total) -> list:
+    """Every value of a driver total, nested as it is, as bytes."""
+    if isinstance(total, dict):
+        return [(key, _bits(v)) for key, v in total.items()]
+    if isinstance(total, (list, tuple)):
+        return [_bits(v) for v in total]
+    return np.asarray(total).tobytes()
+
+
+@pytest.mark.parametrize("name", ("gbm", "ginzburg-landau", "vdp"))
+def test_paths_round_trip_through_pickle(name):
+    # a worker process receives the paths of its blocks pickled, with the
+    # model they carry
+    entry = catalog()[name]
+    runs = ((SchemeKind.STOPPED_BIT, 8), (SchemeKind.EULER_MARUYAMA, 16))
+    paths = diagnostics._Paths(entry.model, 3.0 * entry.default_x0, 1.0, 3,
+                               runs, 16)
+    back = pickle.loads(pickle.dumps(paths))
+    assert pickle.dumps(back) == pickle.dumps(paths)
+    assert _bits(diagnostics._finals(back, 40)) == \
+        _bits(diagnostics._finals(paths, 40))
+
+
+def test_a_spawned_worker_gives_the_inline_totals():
+    # a worker process started afresh imports the package and unpickles
+    # each block's function, the paths and model it binds and the reducer;
+    # 1500 paths make two blocks of 900 and 600 in 10 batches
+    gl = catalog()["ginzburg-landau"].model
+    ref = (SchemeKind.STOPPED_BIT, 64)
+    runs = (ref, (SchemeKind.STOPPED_BIT, 4), (SchemeKind.STOPPED_BIT, 8))
+    paths = diagnostics._Paths(gl, np.array([2.0]), 1.0, 5, runs, 64)
+    reducer = functools.partial(experiments._strong_error,
+                                SchemeKind.STOPPED_BIT, (4, 8), 2.0, ref)
+    inline = diagnostics._drive(paths, reducer, 1500, 10)
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        # a worker that cannot unpickle the block fails the map, a stuck
+        # one its timeout
+        pooled = diagnostics._drive(paths, reducer, 1500, 10,
+                                    block_map=functools.partial(pool.map,
+                                                                timeout=120))
+    assert len(pooled) == 10
+    assert _bits(pooled) == _bits(inline)
 
 
 def _reducers_handed_to_the_driver() -> set:
