@@ -6,12 +6,18 @@ stopping radius decays to zero as N grows.  The Gronwall-style moment bound
 is evaluated alongside; with honest growth constants its crossover index N0
 is astronomically large, so at these N the bound is reported as infinite
 rather than being quietly tightened.
+
+On Ginzburg-Landau from x0 = 1 no path stops at any of these N, so two
+further studies show the decay where paths do stop: van der Pol with the
+larger noise sigma0 = 3 from (1, 0), and GBM with a = b = 1 from 1.  Where
+no path of M stops, the estimate 0 only bounds the probability by the rule
+of three: below 3/M with 95% confidence.
 """
 
 from biteuler.core import GridSpec
 from biteuler.diagnostics import stopping_probability
 from biteuler.experiments import moment_sweep
-from biteuler.models import catalog
+from biteuler.models import catalog, model_gbm, model_vdp
 
 entry = catalog()["ginzburg-landau"]
 model = entry.model
@@ -29,12 +35,24 @@ print(f"max/min ratio: {report.ratio:.4f}  (fitted growth constant "
       f"c = {report.consts_c:.3f}, p = {report.consts_p}; bound valid from "
       f"log10 N0 = {report.n0.log10_N0:.0f})")
 
-print("\nstopping probabilities P[tau < T]:")
-for k in range(4, 13):
-    rep = stopping_probability(model, GridSpec(1.0, 2**k), M=4000, seed=42,
-                               x0=entry.default_x0)
-    print(f"  N = 2^{k:<2d}: {rep.estimate:.4f} +- {rep.stderr:.4f}")
 
-print("\n(the start state sits deep inside the stopping radius and the")
+def stopping_study(title, model, x0, ks, M):
+    print(f"\nstopping probabilities P[tau < T], {title} (M = {M}):")
+    for k in ks:
+        rep = stopping_probability(model, GridSpec(1.0, 2**k), M=M, seed=42,
+                                   x0=x0)
+        zero = (f"  (no path stopped: P < 3/M = {3 / M:.4f} at 95%)"
+                if rep.estimate == 0 else "")
+        print(f"  N = 2^{k:<2d}: {rep.estimate:.4f} +- {rep.stderr:.4f}{zero}")
+
+
+stopping_study("ginzburg-landau from x0 = 1", model, entry.default_x0,
+               range(4, 13), M=4000)
+print("(the start state sits deep inside the stopping radius and the")
 print("cubic drift is strongly inward, so the estimate is already zero at")
 print("these resolutions; starting outside the radius gives exactly 1)")
+
+stopping_study("vdp with sigma0 = 3 from (1, 0)", model_vdp(sigma0=3.0),
+               [1.0, 0.0], range(4, 9), M=10000)
+stopping_study("gbm with a = b = 1 from x0 = 1", model_gbm(1.0, 1.0), [1.0],
+               range(4, 13), M=10000)

@@ -84,25 +84,21 @@ def model_gbm(a: float, b: float) -> SdeModel:
                     exact_solution=partial(_gbm_exact, a, b))
 
 
-def tune_ginzburg_landau_spec(alpha: float, beta: float,
-                              sigma0: float) -> tuple[float, float, float]:
-    """Pick (eps, rho, c) for dX = (alpha X - beta X**3) dt + sigma0 dW so
-    the sampled checker passes with margin at T = 1.
+def tune_ginzburg_landau_spec() -> tuple[float, float, float]:
+    """Pick (eps, rho, c) for dX = (X - X**3) dt + dW so the sampled
+    checker passes with margin at T = 1.
 
-    eps keeps the x**2 v**2-free quartic term dominant; rho is 1.15 times
-    the exact supremum of the generator quotient (a 1-d scan in u = x**2);
-    c covers the one-sided Lipschitz constant alpha, the coercivity guard
-    4*eps*c**2 >= 1, and the constraint c >= T**(1/32) = 1.
+    eps = 1/4 keeps the quartic term dominant (it is below 1/2, the drift's
+    cubic coefficient over twice the noise's square); rho is 1.15 times the
+    exact supremum of the generator quotient (a 1-d scan in u = x**2); c is
+    1.15 times 1, which is the one-sided Lipschitz constant, the least c
+    with 4*eps*c**2 >= 1 (coercivity) and T**(1/32).
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    eps = 0.25 if sigma0 == 0 else min(0.25, beta / (2.0 * sigma0**2))
-    u_hi = max(10.0, 10.0 * (alpha + sigma0**2 + 1.0) / beta)
-    u = np.linspace(0.0, u_hi, 200001)
-    lhs = 2.0 * alpha * u - 2.0 * beta * u**2 + sigma0**2 + 2.0 * eps * sigma0**2 * u
-    rho = 1.15 * max(float(np.max(lhs / (1.0 + u))), 0.0)
-    c = 1.15 * max(1.0, alpha, 1.0 / (2.0 * math.sqrt(eps)))
-    return eps, rho, c
+    eps = 0.25
+    u = np.linspace(0.0, 30.0, 200001)  # the quotient peaks near u = 0.32
+    lhs = 2.0 * u - 2.0 * u**2 + 1.0 + 2.0 * eps * u
+    rho = 1.15 * float(np.max(lhs / (1.0 + u)))
+    return eps, rho, 1.15
 
 
 # eps, rho, c at T = 1: demos/tune_lyapunov_constants.py's values, rounded up
@@ -151,10 +147,9 @@ _RADIUS = 10.0  # of the ball the conditions are tuned and sampled in
 _VDP_TUNE_POINTS = 401  # grid points per axis of tune_vdp_spec's scan
 
 
-def tune_vdp_spec(a: float, b: float, c_damp: float,
-                  sigma0: float) -> tuple[float, float, float, float]:
+def tune_vdp_spec(sigma0: float) -> tuple[float, float, float, float]:
     """Pick (eps, u0, rho, c) for the oscillator with drift
-    (v, a v - b x**3 - c_damp x**2 v) and diffusion (0, sigma0 x) at T = 1.
+    (v, v - x**3 - x**2 v) and diffusion (0, sigma0 x) at T = 1.
 
     rho covers the closed-form supremum of the generator quotient.  c must
     dominate the local-monotonicity quotient minus its Lyapunov slack over
@@ -164,27 +159,25 @@ def tune_vdp_spec(a: float, b: float, c_damp: float,
     coef*||Dsigma||^2, which is scanned on a 401 x 401 grid (this also
     covers the near-coincident pairs the checker probes), with 15% headroom.
     """
-    if c_damp <= 0:
-        raise ValueError("c_damp must be positive for dissipation")
-    if b <= 0:
-        raise ValueError("b must be positive")
-    eps = 0.5 if sigma0 == 0 else min(0.5, 0.5 * c_damp / sigma0**2)
+    eps = 0.5 if sigma0 == 0 else min(0.5, 0.5 / sigma0**2)
     u0 = 0.5
-    rho = 1.15 * max(2.0 * a, sigma0**2 / math.sqrt(2.0 * b * u0), 0.1)
+    # the quotient's supremum max(2, sigma0**2 / sqrt(2 u0)), as 2 u0 = 1
+    rho = 1.15 * max(2.0, sigma0**2)
 
     g = np.linspace(-_RADIUS, _RADIUS, _VDP_TUNE_POINTS)
     X, V = np.meshgrid(g, g, indexing="ij")
     inside = X**2 + V**2 <= _RADIUS**2
-    # sym(Dmu) = [[0, j12], [j12, j22]] with j12 = (1 - 3b x^2 - 2 c_damp x v)/2
-    j12 = 0.5 * (1.0 - 3.0 * b * X**2 - 2.0 * c_damp * X * V)
-    j22 = a - c_damp * X**2
+    # sym(Dmu) = [[0, j12], [j12, j22]] with j12 = (1 - 3 x^2 - 2 x v)/2
+    j12 = 0.5 * (1.0 - 3.0 * X**2 - 2.0 * X * V)
+    j22 = 1.0 - X**2
     lam = 0.5 * (j22 + np.sqrt(j22**2 + 4.0 * j12**2))
     coef = 3.0  # (p-1)(1+1/c)/2 with p = 4 and any c >= 1
     quot = lam + coef * sigma0**2
-    slack = (eps * (0.5 * b * X**4 + V**2 + u0)) / (4.0 * math.exp(rho))
+    slack = (eps * (0.5 * X**4 + V**2 + u0)) / (4.0 * math.exp(rho))
+    # above 1 for every sigma0: at the origin lam = (1 + sqrt(2))/2 and
+    # slack = eps u0 / (4 e^rho) < 0.01
     need = float(np.max(np.where(inside, quot - slack, -np.inf)))
-    c = 1.15 * max(need, 1.0)
-    return eps, u0, rho, c
+    return eps, u0, rho, 1.15 * need
 
 
 # eps, u0, rho, c at sigma0 = 0.5, printed by demos/tune_lyapunov_constants.py
@@ -231,7 +224,7 @@ def model_vdp(sigma0: float = 0.5) -> SdeModel:
 
     drift(x, v) = (v, v - x**3 - x**2 v) and diffusion(x, v) =
     (0, sigma0 x).  The Lyapunov constants are committed for sigma0 = 0.5
-    and tuned by ``tune_vdp_spec(1, 1, 1, sigma0)`` for any other value.
+    and tuned by ``tune_vdp_spec(sigma0)`` for any other value.
     ValueError names ``sigma0`` unless it is finite and >= 0.
     """
     if not 0 <= sigma0 < math.inf:
@@ -239,7 +232,7 @@ def model_vdp(sigma0: float = 0.5) -> SdeModel:
     if sigma0 == 0.5:
         eps, u0, rho, c = _VDP_CONSTANTS
     else:
-        eps, u0, rho, c = tune_vdp_spec(1.0, 1.0, 1.0, sigma0)
+        eps, u0, rho, c = tune_vdp_spec(sigma0)
     spec = LyapunovSpec(U=partial(_vdp_U, eps, u0),
                         grad_U=partial(_vdp_grad_U, eps),
                         hess_U=partial(_vdp_hess_U, eps), U_bar=_zero_U_bar,

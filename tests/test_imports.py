@@ -5,8 +5,9 @@ layers perfbench's tracer times are reached through the bindings it
 patches, no module but brownian builds a random generator, no module
 but core reads an integer by ``operator.index``, and every public function,
 method, dataclass and defaulted parameter or field has a consumer outside
-the tests, every public property a reader there, and every public enum
-member a site outside its module that names it."""
+the tests, no public parameter or field receives the same literal at every
+site there, every public property has a reader there, and every public
+enum member a site outside its module that names it."""
 
 import ast
 import dataclasses
@@ -190,12 +191,10 @@ ROOT = PACKAGE.parents[1]
 
 # defaulted parameters and fields that no call site passes yet, each with
 # the consumer it is kept for: perfbench's pinned digests of the stopping
-# sweep, which dump every report field, and ROADMAP item 12's stopping
-# study (VdP at sigma0 = 3)
+# sweep, which dump every report field
 UNPASSED_KEPT = {
     "diagnostics.StoppingReport.bound": "perfbench digests (ROADMAP item 0)",
     "diagnostics.StoppingReport.C1": "perfbench digests (ROADMAP item 0)",
-    "models.model_vdp.sigma0": "ROADMAP item 12: VdP at sigma0 = 3",
 }
 
 
@@ -229,24 +228,26 @@ def _public_classes() -> list:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")]
 
 
-def _parameters(fn: ast.FunctionDef) -> tuple[list, list]:
-    """The positional and the defaulted parameters of ``fn``, without
-    ``self`` or ``cls``."""
+def _parameters(fn: ast.FunctionDef) -> tuple[list, dict]:
+    """The positional parameters of ``fn``, without ``self`` or ``cls``,
+    and {defaulted parameter: its default's node}."""
     a = fn.args
     positional = [p.arg for p in (*a.posonlyargs, *a.args)]
     if positional[:1] in (["self"], ["cls"]):
         positional = positional[1:]
-    defaulted = positional[len(positional) - len(a.defaults):] + [
-        p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return positional, defaulted
+    defaults = dict(zip(positional[len(positional) - len(a.defaults):],
+                        a.defaults))
+    defaults.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                    if d is not None)
+    return positional, defaults
 
 
 def _public_callables() -> dict:
-    """{qualified name: (called name, positional parameters, defaulted
-    parameters)} of every public module-level function, every public
-    method, ``__init__`` included, of a public class, and every public
-    dataclass, whose parameters are its fields; a call names a method, or
-    a class for its ``__init__``."""
+    """{qualified name: (called name, positional parameters, {defaulted
+    parameter: default node})} of every public module-level function,
+    every public method, ``__init__`` included, of a public class, and
+    every public dataclass, whose parameters are its fields; a call names
+    a method, or a class for its ``__init__``."""
     out = {}
     for path in MODULES:
         for node in ast.parse(path.read_text()).body:
@@ -262,25 +263,31 @@ def _public_callables() -> dict:
             fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
             out[f"{stem}.{cls.name}"] = (
                 cls.name, [s.target.id for s in fields],
-                [s.target.id for s in fields if s.value is not None])
+                {s.target.id: s.value for s in fields if s.value is not None})
     return out
 
 
 def _calls(trees: list) -> dict:
-    """{called name: [(positional count, keyword names)]} of every call in
-    ``trees``; a starred argument passes every positional parameter, and
-    a ``**`` argument every keyword."""
+    """{called name: [call node]} of every call in ``trees``."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            n_pos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
-                     else len(node.args))
-            keywords = {k.arg for k in node.keywords}
-            calls.setdefault(name, []).append((n_pos, keywords))
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
     return calls
+
+
+def _argument(call: ast.Call, positional: list, param: str):
+    """The node that ``call`` passes for ``param``, or None; a starred
+    argument passes every positional parameter from its place on, and a
+    ``**`` argument every keyword, as a value no scan can read."""
+    index = positional.index(param) if param in positional else math.inf
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred) or i == index:
+            return arg
+    given = {k.arg: k.value for k in call.keywords}
+    return given.get(param, given.get(None))
 
 
 def test_every_public_parameter_has_a_consumer():
@@ -289,18 +296,61 @@ def test_every_public_parameter_has_a_consumer():
     # exercises
     calls = _calls(_site_trees())
     uncalled, unpassed = [], []
-    for qual, (called, positional, defaulted) in _public_callables().items():
+    for qual, (called, positional, defaults) in _public_callables().items():
         sites = calls.get(called, [])
         if not sites:
             uncalled.append(qual)
-        for param in defaulted:
-            index = positional.index(param) if param in positional else math.inf
-            if not any(index < n_pos or param in keywords or None in keywords
-                       for n_pos, keywords in sites):
+        for param in defaults:
+            if all(_argument(site, positional, param) is None for site in sites):
                 unpassed.append(f"{qual}.{param}")
     assert uncalled == []
     assert sorted(set(unpassed) - set(UNPASSED_KEPT)) == []
     assert sorted(set(UNPASSED_KEPT) - set(unpassed)) == []  # no stale entry
+
+
+# public parameters and fields that every consumer site passes the same
+# literal, each with the reason it stays a setting
+LITERAL_KEPT = {
+    **{f"core.{name}": ("the public model interface in which the paper's "
+                        "assumptions are stated")
+       for name in ("SdeModel.m", "LyapunovSpec.p", "LyapunovSpec.q0",
+                    "LyapunovSpec.q1")},
+    "brownian.load_increments.file": "a file path",
+}
+
+
+def _literal(node) -> str | None:
+    """The repr of a literal argument's value, or None for any other node
+    and for no node: a literal is what ``ast.literal_eval`` reads (a
+    constant, a negated one, a container of them) or ``math.inf``, negated
+    or not."""
+    if node is None:
+        return None
+    text = ast.unparse(node)
+    if text in ("math.inf", "-math.inf"):
+        return repr(float(text.replace("math.", "")))
+    try:
+        return repr(ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+def test_no_public_parameter_receives_the_same_literal_at_every_site():
+    # a parameter that every consumer passes one literal is a setting that
+    # only one value ever uses: it belongs in the code as a constant.  A
+    # site that leaves a defaulted parameter out passes its default; one
+    # that no site passes is the consumer lint's (UNPASSED_KEPT)
+    calls = _calls(_site_trees())
+    one_literal = []
+    for qual, (called, positional, defaults) in _public_callables().items():
+        for param in positional:
+            passed = [_argument(site, positional, param)
+                      for site in calls.get(called, [])]
+            values = {_literal(node or defaults.get(param)) for node in passed}
+            if any(passed) and len(values) == 1 and None not in values:
+                one_literal.append(f"{qual}.{param}")
+    assert sorted(set(one_literal) - set(LITERAL_KEPT)) == []
+    assert sorted(set(LITERAL_KEPT) - set(one_literal)) == []  # no stale entry
 
 
 def test_every_public_property_is_read():

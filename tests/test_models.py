@@ -219,7 +219,7 @@ def test_vdp_off_the_default_sigma0_is_built_from_its_tuned_constants():
     # at sigma0 = 3 eps = 1/18 differs from u0 = 1/2 and from sigma0, which
     # at sigma0 <= 1 all coincide with 0.5 and could not tell each other apart
     vdp = model_vdp(sigma0=3.0)
-    eps, u0, rho, c = tune_vdp_spec(1.0, 1.0, 1.0, 3.0)
+    eps, u0, rho, c = tune_vdp_spec(3.0)
     spec = vdp.lyapunov
     assert (spec.rho, spec.c) == (rho, c) and eps != u0
     z = np.array([[1.5, -2.0], [0.0, 0.5]])
@@ -237,11 +237,41 @@ def test_vdp_off_the_default_sigma0_is_built_from_its_tuned_constants():
     assert report.passed
 
 
+def test_ginzburg_landau_tuner_takes_the_quotients_supremum():
+    # at eps = 1/4 the generator quotient is (1 + 2.5u - 2u**2)/(1 + u) in
+    # u = x**2, largest at u = (sqrt(7) - 2)/2, which the scan's grid of
+    # step 1.5e-4 misses by less than 1e-8
+    eps, rho, c = tune_ginzburg_landau_spec()
+    u = (math.sqrt(7.0) - 2.0) / 2.0
+    top = 1.15 * (1.0 + 2.5 * u - 2.0 * u * u) / (1.0 + u)
+    assert (eps, c) == (0.25, 1.15)
+    assert rho <= top and rho == pytest.approx(top, rel=1e-8)
+
+
+@pytest.mark.parametrize("sigma0,eps,rho", [
+    (0.0, 0.5, 2.3), (0.3, 0.5, 2.3), (0.5, 0.5, 2.3), (3.0, 1 / 18, 10.35)])
+def test_vdp_tuner_follows_its_formulas(sigma0, eps, rho):
+    # eps = min(1/2, 1/(2 sigma0**2)), u0 = 1/2, rho = 1.15 max(2, sigma0**2),
+    # and c is 1.15 times the largest local-monotonicity quotient less its
+    # slack on the 401 x 401 grid of the ball, recomputed here from the
+    # eigenvalues of the symmetrised drift Jacobian
+    tuned = tune_vdp_spec(sigma0)
+    assert tuned[:3] == pytest.approx((eps, 0.5, rho), rel=1e-15)
+    X, V = np.meshgrid(np.linspace(-10.0, 10.0, 401),
+                       np.linspace(-10.0, 10.0, 401), indexing="ij")
+    inside = X**2 + V**2 <= 100.0
+    x, v = X[inside], V[inside]
+    jac = np.zeros(x.shape + (2, 2))  # of (v, v - x**3 - x**2 v)
+    jac[:, 0, 1] = 1.0
+    jac[:, 1, 0] = -3.0 * x**2 - 2.0 * x * v
+    jac[:, 1, 1] = 1.0 - x**2
+    lam = np.linalg.eigvalsh(0.5 * (jac + jac.transpose(0, 2, 1)))[:, -1]
+    U = eps * (0.5 * x**4 + v**2 + 0.5)
+    need = np.max(lam + 3.0 * sigma0**2 - U / (4.0 * math.exp(rho)))
+    assert tuned[3] == pytest.approx(1.15 * need, rel=1e-12)
+
+
 @pytest.mark.parametrize("build,args,message", [
-    (tune_ginzburg_landau_spec, (1.0, 0.0, 1.0), "beta must be positive"),
-    (tune_vdp_spec, (1.0, 1.0, 0.0, 0.5),
-     "c_damp must be positive for dissipation"),
-    (tune_vdp_spec, (1.0, 0.0, 1.0, 0.5), "b must be positive"),
     (model_vdp, (-0.5,), "sigma0 must be >= 0 and finite, got -0.5"),
     # NaN used to reach the tuner and fail as "c must be ...", inf as "rho"
     (model_vdp, (math.nan,), "sigma0 must be >= 0 and finite, got nan"),
@@ -250,10 +280,9 @@ def test_vdp_off_the_default_sigma0_is_built_from_its_tuned_constants():
     (model_gbm, (math.nan, 0.2), "a must be finite, got nan"),
     (model_gbm, (0.05, math.inf), "b must be finite, got inf"),
     (model_gbm, (0.05, -math.inf), "b must be finite, got -inf")],
-    ids=("gl-tune-beta", "vdp-tune-c_damp", "vdp-tune-b", "vdp-sigma0",
-         "vdp-sigma0-nan", "vdp-sigma0-inf", "gbm-a-nan", "gbm-b-inf",
-         "gbm-b-minus-inf"))
-def test_tuners_and_models_reject_parameters_out_of_range(build, args, message):
+    ids=("vdp-sigma0", "vdp-sigma0-nan", "vdp-sigma0-inf", "gbm-a-nan",
+         "gbm-b-inf", "gbm-b-minus-inf"))
+def test_models_reject_parameters_out_of_range(build, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(*args)
 
